@@ -43,7 +43,6 @@ from .linalg import (
     hermitian_eigensystem,
     kron,
     matrix_exponential,
-    null_vector,
     psd_sqrt,
 )
 from .model import (

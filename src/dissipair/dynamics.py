@@ -302,34 +302,33 @@ def evolve_expm(rho0, liouvillian: Liouvillian, grid: TimeGrid) -> Trajectory:
 def steady_state(liouvillian: Liouvillian, gap_threshold: float = UNIQUE_GAP) -> SteadyStateResult:
     """Stationary state from the null space of the generator.
 
-    The null direction comes from the eigensystem of L' L.  When the
-    second-smallest singular value sits at or below `gap_threshold` the
-    stationary manifold is degenerate: `unique` is False and the returned
-    state is just one Hermitized, unit-trace element of the manifold,
-    with no attempt to resolve the rest.
+    The singular values and null directions come from the SVD of L itself;
+    forming L' L instead would square the singular values and bury any
+    gap below about 1e-8 ||L|| in roundoff.  When the second-smallest
+    singular value sits at or below `gap_threshold` the stationary
+    manifold is degenerate: `unique` is False and the returned state is
+    just one Hermitized, unit-trace element of the manifold, with no
+    attempt to resolve the rest.
     """
     gen = liouvillian.matrix
-    m = dagger(gen) @ gen
-    m = 0.5 * (m + m.conj().T)
-    es = hermitian_eigensystem(m, tol=1e-8 * (1.0 + float(np.abs(m).max())))
-    sing = np.sqrt(np.clip(es.values, 0.0, None))
+    _, sing, vh = np.linalg.svd(gen)
+    # Ascending singular values; row i of `null` is the right singular vector of sing[i].
+    sing, null = sing[::-1], vh[::-1].conj()
     gap = float(sing[1])
     unique = gap > gap_threshold
     n = int(round(math.sqrt(gen.shape[0])))
-    candidates = [i for i in range(len(sing)) if sing[i] <= gap_threshold]
-    if not candidates:
-        candidates = [0]
     best = None
     best_trace = 0.0
-    for i in candidates:
-        cand = unvec(es.vectors[:, i], n)
-        cand = 0.5 * (cand + cand.conj().T)
-        tr = float(cand.trace().real)
+    for i in range(max(1, int(np.count_nonzero(sing <= gap_threshold)))):
+        cand = unvec(null[i], n)
+        tr = complex(cand.trace())
         if abs(tr) > abs(best_trace):
             best, best_trace = cand, tr
     if best is None or abs(best_trace) < 1e-9:
         raise NotAStateError("null space holds no unit-trace Hermitian element within tolerance")
+    # Dividing by the complex trace first removes the arbitrary phase of the singular vector.
     rho = best / best_trace
+    rho = 0.5 * (rho + rho.conj().T)
     residual = float(np.linalg.norm(gen @ vec(rho)))
     if unique and residual > 1e-8 * (1.0 + float(np.abs(gen).max())):
         raise NoConvergenceError(f"stationary residual {residual:.3e} too large")

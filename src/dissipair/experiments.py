@@ -326,10 +326,6 @@ def _collective_columns(states: np.ndarray) -> np.ndarray:
     return np.diagonal(rotated, axis1=1, axis2=2).real
 
 
-def _concurrence_column(states: np.ndarray) -> np.ndarray:
-    return np.array([concurrence(rho) for rho in states])
-
-
 def trajectory_table(traj: Trajectory, outputs=("populations",)) -> tuple[list[str], np.ndarray]:
     """Assemble the output table for one trajectory.
 
@@ -344,7 +340,7 @@ def trajectory_table(traj: Trajectory, outputs=("populations",)) -> tuple[list[s
         columns += [p1, p2]
     if "concurrence" in outputs:
         header.append("C")
-        columns.append(_concurrence_column(traj.states))
+        columns.append(concurrence(traj.states))
     if "collective" in outputs:
         header += ["P_E", "P_plus", "P_minus", "P_G"]
         pops = _collective_columns(traj.states)
@@ -531,7 +527,7 @@ def _figure_concurrences(runs, names) -> tuple[list[str], np.ndarray]:
         traj = _run(run)
         times = traj.times
         header.append(name)
-        columns.append(_concurrence_column(traj.states))
+        columns.append(concurrence(traj.states))
     return header, np.column_stack([times] + columns)
 
 

@@ -1,11 +1,11 @@
 """Dense complex linear algebra sized for small operator spaces.
 
 Everything here targets the 4x4 density matrices and 16x16 superoperators
-used elsewhere in the package, so simplicity and robustness win over
-asymptotic speed.  The Hermitian eigensolver is a cyclic Jacobi iteration,
-which at these dimensions is accurate to machine precision and needs no
-external factorization routines; the matrix exponential uses scaling and
-squaring with a truncated series.
+used elsewhere in the package.  Hermitian eigenproblems go to numpy's
+LAPACK driver (`np.linalg.eigh`), which also diagonalizes a whole stack
+of matrices in one call, so per-sample work runs without a Python loop.
+The matrix exponential uses scaling and squaring with a truncated series,
+which keeps the run-time dependencies at numpy alone.
 """
 
 from __future__ import annotations
@@ -24,17 +24,15 @@ from .errors import (
 
 DEFAULT_TOL = 1e-10
 
-# Convergence target for the Jacobi sweep: off-diagonal Frobenius mass
-# relative to the matrix norm.  Reachable in float64 for n <= 16.
-_JACOBI_REL_OFF = 1e-13
-_MAX_SWEEPS = 60
 _MAX_SERIES_TERMS = 64
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
+def _as_square(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatchError(f"{name} must be square, got shape {a.shape}")
+    ndims = (2, 3) if stacked else (2,)
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
+        kind = "square or a stack of square matrices" if stacked else "square"
+        raise ShapeMismatchError(f"{name} must be {kind}, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ShapeMismatchError(f"{name} contains non-finite entries")
     return a
@@ -59,73 +57,33 @@ class EigenSystem:
 
 
 def hermitian_eigensystem(a, tol: float = DEFAULT_TOL) -> EigenSystem:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix, or each matrix of an (N, n, n) stack.
 
     Parameters
     ----------
     a : array_like
-        Square Hermitian matrix; entrywise deviation from `a.conj().T`
-        must not exceed `tol`.
+        Square Hermitian matrix or stack of them; entrywise deviation from
+        the conjugate transpose must not exceed `tol`.
     tol : float
         Hermiticity tolerance.
 
     Returns
     -------
     EigenSystem
-        Real eigenvalues ascending, orthonormal eigenvector columns.
+        Real eigenvalues ascending along the last axis, orthonormal
+        eigenvector columns, with the stack axis leading when present.
     """
-    a = _as_square(a)
-    defect = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    a = _as_square(a, stacked=True)
+    herm = np.swapaxes(a.conj(), -1, -2)
+    defect = float(np.abs(a - herm).max()) if a.size else 0.0
     if defect > tol:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    n = a.shape[0]
-    w = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    scale = float(np.linalg.norm(w))
-    if scale == 0.0 or n == 1:
-        return EigenSystem(np.diagonal(w).real.copy(), v)
-    thresh = _JACOBI_REL_OFF * scale
-    skip = thresh / (4.0 * n)
-    for _ in range(_MAX_SWEEPS):
-        off = float(np.linalg.norm(w - np.diag(np.diagonal(w))))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                d = w[p, q]
-                ad = abs(d)
-                if ad <= skip:
-                    continue
-                # Phase factor makes the pivot real, then a real rotation
-                # annihilates it (Golub-Van Loan symmetric Schur form).
-                u = d.conjugate() / ad
-                tau = (w[q, q].real - w[p, p].real) / (2.0 * ad)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                us = u * s
-                uc = u * c
-                wp = w[:, p].copy()
-                wq = w[:, q].copy()
-                w[:, p] = c * wp - us * wq
-                w[:, q] = s * wp + uc * wq
-                rp = w[p, :].copy()
-                rq = w[q, :].copy()
-                w[p, :] = c * rp - us.conjugate() * rq
-                w[q, :] = s * rp + uc.conjugate() * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - us * vq
-                v[:, q] = s * vp + uc * vq
-    else:
-        raise NoConvergenceError(f"Jacobi sweep budget exhausted at off-norm {off:.3e}")
-    values = np.diagonal(w).real.copy()
-    order = np.argsort(values, kind="stable")
-    return EigenSystem(values[order], v[:, order])
+    values, vectors = np.linalg.eigh(0.5 * (a + herm))
+    return EigenSystem(values, vectors)
 
 
 def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix.
+    """Principal square root of a positive semidefinite matrix or (N, n, n) stack.
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything lower raises
     NotPSDError.
@@ -135,8 +93,8 @@ def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     if low < -tol:
         raise NotPSDError(f"eigenvalue {low:.3e} below -tol {-tol:.3e}")
     roots = np.sqrt(np.clip(es.values, 0.0, None))
-    b = (es.vectors * roots) @ es.vectors.conj().T
-    return 0.5 * (b + b.conj().T)
+    b = (es.vectors * roots[..., None, :]) @ np.swapaxes(es.vectors.conj(), -1, -2)
+    return 0.5 * (b + np.swapaxes(b.conj(), -1, -2))
 
 
 def matrix_exponential(a, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -166,22 +124,3 @@ def matrix_exponential(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     for _ in range(squarings):
         total = total @ total
     return total
-
-
-def null_vector(a, gap_tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """Unit vector minimizing ||a v||, found from the eigensystem of a'a.
-
-    Returns
-    -------
-    (vector, gap)
-        `vector` is the eigenvector of `dagger(a) @ a` for its smallest
-        eigenvalue; `gap` is the second-smallest singular value of `a`,
-        which the caller reads as a degeneracy indicator.
-    """
-    a = _as_square(a)
-    m = dagger(a) @ a
-    m = 0.5 * (m + m.conj().T)
-    es = hermitian_eigensystem(m, max(gap_tol, 1e-8 * (1.0 + float(np.abs(m).max()))))
-    sing = np.sqrt(np.clip(es.values, 0.0, None))
-    gap = float(sing[1]) if sing.size > 1 else math.inf
-    return es.vectors[:, 0].copy(), gap

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NegativeRateError, ShapeMismatchError
-from .linalg import hermitian_eigensystem, kron, psd_sqrt
+from .linalg import kron, psd_sqrt
 from .model import SIGMA_Y_2
 
 # Spin-flip kernel sigma_y kron sigma_y; real in the fixed basis.
@@ -53,14 +53,21 @@ class CollectivePopulations:
     P_G: float
 
 
-def _require_state(rho) -> np.ndarray:
+def _require_state(rho, stacked: bool = False) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ShapeMismatchError(f"state must be 4x4, got {rho.shape}")
-    if float(np.abs(rho - rho.conj().T).max()) > _STATE_TOL:
-        raise InvalidStateError("state is not Hermitian within tolerance")
-    if abs(rho.trace() - 1.0) > _STATE_TOL:
-        raise InvalidStateError("state trace deviates from 1 beyond tolerance")
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in ((2, 3) if stacked else (2,)):
+        kind = "4x4 or an (N, 4, 4) stack" if stacked else "4x4"
+        raise ShapeMismatchError(f"state must be {kind}, got {rho.shape}")
+    defects = np.abs(rho - np.swapaxes(rho.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    drifts = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    for values, problem in (
+        (defects, "is not Hermitian within tolerance"),
+        (drifts, "trace deviates from 1 beyond tolerance"),
+    ):
+        bad = np.flatnonzero(values > _STATE_TOL)
+        if bad.size:
+            where = f" at sample {bad[0]}" if rho.ndim == 3 else ""
+            raise InvalidStateError(f"state{where} {problem}")
     return rho
 
 
@@ -72,27 +79,24 @@ def populations(rho) -> tuple[float, float]:
     return p1, p2
 
 
-def concurrence(rho) -> float:
-    """Entanglement monotone of a two-qubit mixed state.
+def concurrence(rho):
+    """Entanglement monotone of a two-qubit mixed state, or of each in a stack.
 
-    Uses the Hermitian route: eigenvalues of sqrt(rho) rho_tilde sqrt(rho)
-    with rho_tilde = (sy kron sy) conj(rho) (sy kron sy), which are the
-    squares of the usual quartet.  Returns
-    max(0, r1 - r2 - r3 - r4) for the descending square roots r_i.
+    The descending quartet r_i are the singular values of
+    sqrt(rho) sqrt(rho_tilde), with rho_tilde = (sy kron sy) conj(rho)
+    (sy kron sy), and the result is max(0, r1 - r2 - r3 - r4): a float
+    for one 4x4 state, an array of length N for an (N, 4, 4) stack.
     """
-    rho = _require_state(rho)
+    rho = _require_state(rho, stacked=True)
     root = psd_sqrt(rho, tol=_STATE_TOL)
-    flipped = _FLIP @ rho.conj() @ _FLIP
-    middle = root @ flipped @ root
-    middle = 0.5 * (middle + middle.conj().T)
-    es = hermitian_eigensystem(middle, tol=1e-8 * (1.0 + float(np.abs(middle).max())))
-    # Rank-deficient products leave O(eps) residue where an eigenvalue is
-    # mathematically zero; the square root would amplify that to ~1e-8.
-    # Anything this far below the top eigenvalue is roundoff, not signal.
-    floor = 1e-13 * max(float(es.values[3]), 0.0)
-    vals = np.where(es.values < floor, 0.0, es.values)
-    r = np.sqrt(np.clip(vals, 0.0, None))
-    return float(max(0.0, r[3] - r[2] - r[1] - r[0]))
+    # sqrt(rho_tilde) = F conj(sqrt(rho)) F, and the trailing unitary F does
+    # not move singular values.  Taking r_i as singular values rather than
+    # square roots of eigenvalues of sqrt(rho) rho_tilde sqrt(rho) keeps
+    # their error at O(eps): a square root would lift eigenvalues at
+    # roundoff level to ~1e-8 on (near-)separable states.
+    r = np.linalg.svd(root @ _FLIP @ root.conj(), compute_uv=False)
+    c = np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
+    return float(c) if c.ndim == 0 else c
 
 
 def to_collective_basis(rho) -> np.ndarray:

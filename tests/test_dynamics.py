@@ -243,6 +243,16 @@ def test_steady_state_degenerate_at_zero_phase():
     assert abs(result.state.trace() - 1.0) <= 1e-9
 
 
+def test_steady_state_gap_resolved_near_zero_phase():
+    # At phi = 1e-5 the true gap is ~6e-11; from the spectrum of L'L it
+    # would read ~2e-8 and pass for unique.
+    gen = liouvillian_from_params(model.ModelParams(J=1.0, Gamma=2.0, phi=1e-5))
+    result = steady_state(gen)
+    assert not result.unique
+    expected = np.sort(np.linalg.svd(gen.matrix, compute_uv=False))[1]
+    assert abs(result.spectral_gap - expected) <= 1e-12
+
+
 def test_steady_state_driven_matches_long_time_limit():
     params = model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi,
                                drive=model.Drive(target=1, amplitude=8.0 / 11.0))

@@ -188,32 +188,3 @@ def test_expm_matches_scipy():
         mine = linalg.matrix_exponential(a)
         ref = scipy.linalg.expm(a)
         assert np.abs(mine - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
-
-
-# ---- null_vector ----
-
-
-def test_null_vector_diagonal():
-    v, gap = linalg.null_vector(np.diag([0.0, 1.0, 2.0]))
-    assert abs(abs(v[0]) - 1.0) <= 1e-12
-    assert np.abs(v[1:]).max() <= 1e-12
-    assert abs(gap - 1.0) <= 1e-12
-
-
-def test_null_vector_zero_matrix():
-    v, gap = linalg.null_vector(np.zeros((2, 2)))
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-    assert gap == 0.0
-
-
-def test_null_vector_random_singular():
-    rng = np.random.default_rng(41)
-    for _ in range(10):
-        direction = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        direction /= np.linalg.norm(direction)
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = b @ (np.eye(4) - np.outer(direction, direction.conj()))
-        v, gap = linalg.null_vector(a)
-        assert gap > 1e-8
-        assert np.linalg.norm(a @ v) <= 1e-10 * max(1.0, np.abs(a).max())
-        assert abs(abs(np.vdot(v, direction)) - 1.0) <= 1e-9

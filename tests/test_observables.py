@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dissipair import model, observables
 from dissipair.dynamics import initial_state
@@ -18,6 +20,7 @@ from dissipair.observables import (
 )
 
 from oracles import (
+    FLIP,
     concurrence_charpoly,
     concurrence_pure,
     random_density_matrix,
@@ -95,6 +98,70 @@ def test_concurrence_local_unitary_invariance():
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
         assert abs(concurrence(rotated) - concurrence(rho)) <= 1e-8
+
+
+def _concurrence_rank2(rho):
+    # rho rho_tilde has two zero eigenvalues here, which np.roots resolves
+    # only to ~5e-4 in the concurrence; the nonzero pair follows from two
+    # power traces.
+    m = rho @ FLIP @ rho.conj() @ FLIP
+    t1 = np.trace(m).real
+    t2 = np.trace(m @ m).real
+    split = math.sqrt(max(2.0 * t2 - t1 * t1, 0.0))
+    return max(0.0, math.sqrt(0.5 * (t1 + split)) - math.sqrt(max(0.5 * (t1 - split), 0.0)))
+
+
+def _concurrence_rank1(rho):
+    column = rho[:, np.argmax(np.linalg.norm(rho, axis=0))]
+    return concurrence_pure(column / np.linalg.norm(column))
+
+
+# Independent reference for each Ginibre rank; the quartic's repeated zero
+# roots keep concurrence_charpoly to full-rank states at this tolerance.
+_REFERENCE_BY_RANK = {4: concurrence_charpoly, 2: _concurrence_rank2, 1: _concurrence_rank1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12), rank=st.sampled_from([4, 2, 1]))
+def test_concurrence_stack_matches_scalar_and_oracle(seed, size, rank):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_density_matrix(rng, rank=rank) for _ in range(size)])
+    batched = concurrence(stack)
+    assert batched.shape == (size,)
+    reference = _REFERENCE_BY_RANK[rank]
+    for rho, value in zip(stack, batched):
+        single = concurrence(rho)
+        assert isinstance(single, float)
+        assert abs(value - single) <= 1e-12
+        assert abs(value - reference(rho)) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12), data=st.data(),
+       defect=st.sampled_from(["non_hermitian", "trace"]))
+def test_concurrence_stack_rejects_one_invalid_sample(seed, size, data, defect):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_density_matrix(rng) for _ in range(size)])
+    k = data.draw(st.integers(0, size - 1))
+    if defect == "non_hermitian":
+        stack[k, 0, 1] += 1e-3
+    else:
+        stack[k] *= 1.01
+    with pytest.raises(InvalidStateError, match=f"sample {k} "):
+        concurrence(stack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12))
+def test_concurrence_vanishes_on_product_states(seed, size):
+    # Square roots of eigenvalues at roundoff level would read ~1e-8 here.
+    rng = np.random.default_rng(seed)
+    pure = []
+    for _ in range(size):
+        psi = np.kron(random_pure_state(rng, 2), random_pure_state(rng, 2))
+        pure.append(np.outer(psi, psi.conj()))
+    mixed = [np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)) for _ in range(size)]
+    assert np.all(concurrence(np.array(pure + mixed)) <= 1e-12)
 
 
 # ---- collective basis ----
