@@ -37,14 +37,6 @@ from .experiments import (
     trajectory_table,
     write_csv,
 )
-from .linalg import (
-    EigenSystem,
-    dagger,
-    hermitian_eigensystem,
-    kron,
-    matrix_exponential,
-    psd_sqrt,
-)
 from .model import (
     CircuitParams,
     Drive,

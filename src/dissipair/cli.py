@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .dynamics import liouvillian_from_params, steady_state
 from .errors import CONFIG_ERRORS, NUMERIC_ERRORS, IoError
 from .experiments import parse_config, parse_sweep_config, run_experiment, run_figure, run_sweep
@@ -109,7 +111,7 @@ def main(argv=None) -> int:
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NUMERIC_ERRORS as exc:
+    except (*NUMERIC_ERRORS, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IoError as exc:
@@ -120,3 +122,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

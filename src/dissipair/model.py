@@ -25,6 +25,7 @@ from .errors import (
     BadIndexError,
     BadWavelengthError,
     NegativeRateError,
+    ValidationError,
 )
 from .linalg import kron
 
@@ -38,6 +39,13 @@ SIGMA_Y_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 TRANSMON_RATIO_FLOOR = 10.0
 
 
+def require_finite(**fields) -> None:
+    """Raise ValidationError naming the first field that is NaN or infinite."""
+    for name, value in fields.items():
+        if not cmath.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Drive:
     """Resonant drive on one qubit: target in {1, 2}, amplitude >= 0."""
@@ -46,6 +54,7 @@ class Drive:
     amplitude: float
 
     def __post_init__(self):
+        require_finite(amplitude=self.amplitude)
         if self.target not in (1, 2):
             raise BadIndexError(f"drive target must be 1 or 2, got {self.target}")
         if self.amplitude < 0.0:
@@ -68,6 +77,7 @@ class ModelParams:
     omega0: float = 0.0
 
     def __post_init__(self):
+        require_finite(J=self.J, Gamma=self.Gamma, phi=self.phi, kappa=self.kappa, omega0=self.omega0)
         if self.Gamma < 0.0:
             raise NegativeRateError(f"Gamma must be >= 0, got {self.Gamma}")
         if self.kappa < 0.0:
@@ -163,12 +173,8 @@ def build_jump_operators(params: ModelParams) -> list[np.ndarray]:
 
     The shared channel contributes a single collective operator
     sqrt(Gamma) * (s1- + exp(1j phi) s2-); dephasing adds sqrt(kappa) * s_z
-    per qubit when kappa > 0.
+    per qubit when kappa > 0.  The rates were validated by ModelParams.
     """
-    if params.Gamma < 0.0:
-        raise NegativeRateError(f"Gamma must be >= 0, got {params.Gamma}")
-    if params.kappa < 0.0:
-        raise NegativeRateError(f"kappa must be >= 0, got {params.kappa}")
     jumps = []
     if params.Gamma > 0.0:
         jumps.append(math.sqrt(params.Gamma) * (sigma_minus(1) + cmath.exp(1j * params.phi) * sigma_minus(2)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidStateError, NegativeRateError, ShapeMismatchError
 from .linalg import kron, psd_sqrt
-from .model import SIGMA_Y_2
+from .model import SIGMA_Y_2, require_finite
 
 # Spin-flip kernel sigma_y kron sigma_y; real in the fixed basis.
 _FLIP = kron(SIGMA_Y_2, SIGMA_Y_2).real.astype(complex)
@@ -120,6 +120,7 @@ def damping_forces(J: complex, Gamma: float, phi: float) -> IsolationReport:
     delta_F normalizes the difference to [-1, 1] and is defined as 0 when
     both forces vanish.
     """
+    require_finite(J=J, Gamma=Gamma, phi=phi)
     if Gamma < 0.0:
         raise NegativeRateError(f"Gamma must be >= 0, got {Gamma}")
     J = complex(J)

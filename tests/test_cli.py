@@ -1,5 +1,11 @@
-import numpy as np
+import os
+import subprocess
+import sys
 
+import numpy as np
+import pytest
+
+import dissipair
 from dissipair.cli import main
 
 ISO_LINES = "J = 1.0\nGamma = 2.0\nphi = 4.712388980384690\n"
@@ -75,3 +81,56 @@ def test_sweep_command(tmp_path):
     assert main(["sweep", "--config", cfg]) == 0
     data = np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1)
     assert data.shape == (4, 3)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("Gamma", "nan", "Gamma"),
+    ("Gamma", "inf", "Gamma"),
+    ("J", "nan", "J"),
+    ("phi", "inf", "phi"),
+    ("kappa", "nan", "kappa"),
+    ("omega0", "-inf", "omega0"),
+    ("drive_amplitude", "nan", "amplitude"),
+    ("t_max", "inf", "t_max"),
+    ("dt", "nan", "dt"),
+])
+def test_evolve_non_finite_value_exit_code(tmp_path, capsys, field, value, named):
+    entries = {"J": "1.0", "Gamma": "2.0", "phi": "4.71", "t_max": "0.1", "dt": "0.002",
+               "drive_target": "1", "output_path": "out.csv", field: value}
+    cfg = _config(tmp_path, "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"{named} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_steady_non_finite_gamma_exit_code(tmp_path):
+    cfg = _config(tmp_path, "J = 1.0\nGamma = nan\nphi = 4.71\n")
+    assert main(["steady", "--config", cfg]) == 2
+
+
+def test_isolation_non_finite_exit_code(capsys):
+    assert main(["isolation", "--J", "1", "--Gamma", "nan", "--phi", "1"]) == 2
+    assert "Gamma must be finite" in capsys.readouterr().err
+
+
+def test_overflowing_generator_exit_code(tmp_path, capsys):
+    # Finite, but the generator overflows: LAPACK gives up on steady, and the
+    # RK4 step guard sees a non-finite norm on evolve.
+    cfg = _config(tmp_path, "J = 1.0\nGamma = 1e308\nphi = 4.71\nt_max = 0.1\ndt = 0.002\n")
+    with np.errstate(all="ignore"):
+        assert main(["steady", "--config", cfg]) == 3
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["dissipair", "dissipair.cli"])
+def test_module_entry_point(tmp_path, module):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dissipair.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", module, "figure", "2b", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    data = np.loadtxt(tmp_path / "fig2b.csv", delimiter=",", skiprows=1)
+    assert data.shape == (2501, 5)

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dissipair import dynamics, model
 from dissipair.dynamics import (
+    INITIAL_STATE_NAMES,
     Liouvillian,
     TimeGrid,
     build_liouvillian,
@@ -24,6 +27,7 @@ from dissipair.errors import (
     ShapeMismatchError,
     StateInvariantViolatedError,
     StepTooLargeError,
+    ValidationError,
 )
 
 from oracles import five_point_derivative, random_density_matrix
@@ -138,6 +142,11 @@ def test_time_grid_validation():
         TimeGrid(t_max=1.0, dt=2.0)
     with pytest.raises(ShapeMismatchError):
         TimeGrid(t_max=1.0, dt=0.1, sample_every=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^t_max must be finite"):
+            TimeGrid(t_max=bad, dt=0.1)
+        with pytest.raises(ValidationError, match="^dt must be finite"):
+            TimeGrid(t_max=1.0, dt=bad)
 
 
 # ---- integrators ----
@@ -163,6 +172,11 @@ def test_rk4_step_guard():
     gen = liouvillian_from_params(ISO)
     with pytest.raises(StepTooLargeError):
         evolve_rk4(initial_state("EG"), gen, TimeGrid(5.0, 0.5))
+    # A NaN norm compares False against any bound; the guard must still fire.
+    matrix = liouvillian_from_params(ISO).matrix.copy()
+    matrix[3, 5] = math.nan
+    with pytest.raises(StepTooLargeError, match="not finite"):
+        evolve_rk4(initial_state("EG"), Liouvillian(matrix=matrix), TimeGrid(1.0, 0.002))
 
 
 def test_rk4_rejects_bad_initial_state():
@@ -178,6 +192,54 @@ def test_rk4_flags_trace_drift():
     gen = Liouvillian(matrix=-np.eye(16, dtype=complex))
     with pytest.raises(StateInvariantViolatedError):
         evolve_rk4(initial_state("GG"), gen, TimeGrid(0.1, 0.01))
+
+
+def _rk4_stepwise(rho0, gen, grid):
+    # Reference: four matvecs per step, sampled on the grid's stored steps.
+    dt = grid.dt
+    wanted = set(grid.sample_steps().tolist())
+    v = vec(rho0)
+    out = []
+    for k in range(grid.n_steps + 1):
+        if k in wanted:
+            out.append(unvec(v))
+        k1 = gen @ v
+        k2 = gen @ (v + (0.5 * dt) * k1)
+        k3 = gen @ (v + (0.5 * dt) * k2)
+        k4 = gen @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.array(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    J=st.complex_numbers(max_magnitude=2.0),
+    Gamma=st.floats(0.0, 3.0),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    kappa=st.floats(0.0, 0.5),
+    drive=st.none() | st.tuples(st.sampled_from([1, 2]), st.floats(0.0, 1.5)),
+    initial=st.sampled_from(INITIAL_STATE_NAMES),
+    step_fraction=st.floats(0.05, 1.0),
+    n_steps=st.integers(40, 160).filter(lambda n: n % 7 != 0),
+    sample_every=st.sampled_from([1, 7, 10, 50]),
+)
+def test_rk4_propagator_matches_stepwise_rk4(J, Gamma, phi, kappa, drive, initial,
+                                             step_fraction, n_steps, sample_every):
+    params = model.ModelParams(J=J, Gamma=Gamma, phi=phi, kappa=kappa,
+                               drive=None if drive is None else model.Drive(*drive))
+    gen = liouvillian_from_params(params)
+    norm = float(np.abs(gen.matrix).sum(axis=1).max())
+    assume(norm > 0.0)
+    dt = step_fraction * dynamics.MAX_STEP_NORM / norm
+    grid = TimeGrid(n_steps * dt, dt, sample_every)
+    assert grid.n_steps == n_steps
+    rho0 = initial_state(initial)
+    traj = evolve_rk4(rho0, gen, grid)
+    reference = _rk4_stepwise(rho0, gen.matrix, grid)
+    assert traj.states.shape == reference.shape
+    assert traj.states.flags.c_contiguous
+    assert traj.times[-1] == n_steps * dt
+    assert np.abs(traj.states - reference).max() <= 1e-10
 
 
 def test_expm_constant_under_zero_generator():

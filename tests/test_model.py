@@ -11,6 +11,7 @@ from dissipair.errors import (
     BadIndexError,
     BadWavelengthError,
     NegativeRateError,
+    ValidationError,
 )
 
 GG = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
@@ -137,6 +138,16 @@ def test_negative_rates_rejected():
         model.ModelParams(J=1.0, Gamma=-1.0)
     with pytest.raises(NegativeRateError):
         model.ModelParams(J=1.0, kappa=-0.5)
+
+
+@pytest.mark.parametrize("field", ["J", "Gamma", "phi", "kappa", "omega0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(field, value):
+    # NaN slips through every `< 0` check, so it needs its own test.
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        model.ModelParams(**{field: value})
+    with pytest.raises(ValidationError, match="^amplitude must be finite"):
+        model.Drive(target=1, amplitude=value)
 
 
 def test_collective_jump_annihilates_ground_state():
