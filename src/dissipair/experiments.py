@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .errors import (
     UnknownPresetError,
     ValidationError,
 )
-from .model import Drive, ModelParams
+from .model import Drive, ModelParams, require_finite
 from .observables import COLLECTIVE_TRANSFORM, concurrence, damping_forces
 
 OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
@@ -184,6 +184,7 @@ def _model_from_entries(e: _Entries) -> ModelParams:
     omega_d = e.take_float("omega_d", None)
     target = e.take_int("drive_target", None)
     amplitude = e.take_float("drive_amplitude", None)
+    require_finite(omega0=omega0)
     if Gamma < 0.0:
         raise ValidationError(f"Gamma must be >= 0, got {Gamma}")
     if kappa < 0.0:
@@ -202,7 +203,7 @@ def _model_from_entries(e: _Entries) -> ModelParams:
         if target not in (1, 2):
             raise ValidationError(f"drive_target must be 1 or 2, got {target}")
         drive = Drive(target=target, amplitude=0.0 if amplitude is None else amplitude)
-    return ModelParams(J=J, Gamma=Gamma, phi=phi, kappa=kappa, drive=drive, omega0=omega0)
+    return ModelParams(J=J, Gamma=Gamma, phi=phi, kappa=kappa, drive=drive)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -254,6 +255,7 @@ def _axis_from_entries(e: _Entries, which: str) -> AxisSpec:
     count = e.take_int(f"{which}_count", None)
     if name is None or lo is None or hi is None or count is None:
         raise ValidationError(f"{which} needs {which}_name, {which}_min, {which}_max, {which}_count")
+    require_finite(**{f"{which}_min": lo, f"{which}_max": hi})
     if name not in SWEEP_AXES:
         raise ValidationError(f"{which}_name must be one of {SWEEP_AXES}, got {name!r}")
     if count < 2:
@@ -286,28 +288,30 @@ def parse_sweep_config(text: str) -> SweepConfig:
 # ---- CSV writing -----------------------------------------------------------
 
 
-def _format_cell(x) -> str:
-    value = float(x)
-    if not math.isfinite(value):
-        raise IoError(f"refusing to serialize non-finite value {value!r}")
-    return format(value, ".15g")
-
-
 def write_csv(path, header, rows) -> str:
-    """Write a numeric table deterministically.
+    """Write a numeric table deterministically and atomically.
 
     The header line is always present; every cell goes through ``%.15g``;
-    line endings are ``\\n`` regardless of platform.
+    line endings are ``\\n`` regardless of platform.  A temporary file
+    beside `path` replaces it only once complete.
     """
-    lines = [",".join(str(name) for name in header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(x) for x in row))
-    payload = "\n".join(lines) + "\n"
+    table = np.asarray(rows, dtype=float)
+    bad = table[~np.isfinite(table)]
+    if bad.size:
+        raise IoError(f"refusing to serialize non-finite value {float(bad[0])!r}")
+    template = ",".join(["%.15g"] * table.shape[-1]) + "\n"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(payload)
+        with open(tmp, "x", encoding="ascii", newline="") as fh:
+            fh.write(",".join(str(name) for name in header) + "\n")
+            for row in table:
+                fh.write(template % tuple(row))
+        os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return str(path)
 
 
@@ -371,21 +375,6 @@ def _join_out(out_dir: str, name: str) -> str:
 # ---- sweeps ----------------------------------------------------------------
 
 
-def _with_axis_value(params: ModelParams, name: str, value: float) -> ModelParams:
-    if name == "J":
-        return replace(params, J=value)
-    if name == "Gamma":
-        return replace(params, Gamma=value)
-    if name == "phi":
-        return replace(params, phi=value)
-    if name == "kappa":
-        return replace(params, kappa=value)
-    if name == "drive_amplitude":
-        target = params.drive.target if params.drive is not None else 1
-        return replace(params, drive=Drive(target=target, amplitude=value))
-    raise ValidationError(f"unsupported sweep axis {name!r}")
-
-
 def _steady_concurrence_cell(params: ModelParams) -> tuple[float, float]:
     try:
         result = steady_state(liouvillian_from_params(params))
@@ -404,19 +393,27 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     value -1 there instead of a concurrence.
     """
     spec = config.spec
-    rows = []
-    degenerate_column = spec.observable == "steady_concurrence"
-    for a in spec.axis1.values():
-        base_a = _with_axis_value(config.base, spec.axis1.name, float(a))
-        for b in spec.axis2.values():
-            params = _with_axis_value(base_a, spec.axis2.name, float(b))
-            if spec.observable == "delta_F":
-                rows.append((a, b, damping_forces(params.J, params.Gamma, params.phi).delta_F))
-            else:
-                value, flag = _steady_concurrence_cell(params)
-                rows.append((a, b, value, flag))
-    header = ["axis1", "axis2", "value"] + (["degenerate"] if degenerate_column else [])
-    return write_csv(_join_out(out_dir, config.output_path), header, rows)
+    for axis in (spec.axis1, spec.axis2):
+        if axis.name not in SWEEP_AXES:
+            raise ValidationError(f"unsupported sweep axis {axis.name!r}")
+    base = config.base
+    drive = base.drive or Drive(target=1, amplitude=0.0)
+    a, b = np.meshgrid(spec.axis1.values(), spec.axis2.values(), indexing="ij")
+    fields = {"J": base.J, "Gamma": base.Gamma, "phi": base.phi, "kappa": base.kappa,
+              "drive_amplitude": drive.amplitude, spec.axis1.name: a, spec.axis2.name: b}
+    if spec.observable == "delta_F":
+        header = ["axis1", "axis2", "value"]
+        value = damping_forces(fields["J"], fields["Gamma"], fields["phi"]).delta_F
+        cells = np.broadcast_to(value, a.shape).reshape(-1, 1)
+    else:
+        header = ["axis1", "axis2", "value", "degenerate"]
+        grid = zip(*(np.broadcast_to(fields[name], a.shape).ravel().tolist() for name in SWEEP_AXES))
+        cells = [
+            _steady_concurrence_cell(ModelParams(J=j, Gamma=g, phi=p, kappa=k, drive=Drive(drive.target, w)))
+            for j, g, p, k, w in grid
+        ]
+    table = np.column_stack([a.ravel(), b.ravel(), cells])
+    return write_csv(_join_out(out_dir, config.output_path), header, table)
 
 
 # ---- figure presets --------------------------------------------------------

@@ -40,10 +40,12 @@ TRANSMON_RATIO_FLOOR = 10.0
 
 
 def require_finite(**fields) -> None:
-    """Raise ValidationError naming the first field that is NaN or infinite."""
+    """Raise ValidationError naming the first field (scalar or array) with a NaN or inf, and its value."""
     for name, value in fields.items():
-        if not cmath.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+        value = np.asarray(value)
+        bad = value[~np.isfinite(value)]
+        if bad.size:
+            raise ValidationError(f"{name} must be finite, got {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +76,9 @@ class ModelParams:
     phi: float = 0.0
     kappa: float = 0.0
     drive: Drive | None = None
-    omega0: float = 0.0
 
     def __post_init__(self):
-        require_finite(J=self.J, Gamma=self.Gamma, phi=self.phi, kappa=self.kappa, omega0=self.omega0)
+        require_finite(J=self.J, Gamma=self.Gamma, phi=self.phi, kappa=self.kappa)
         if self.Gamma < 0.0:
             raise NegativeRateError(f"Gamma must be >= 0, got {self.Gamma}")
         if self.kappa < 0.0:

@@ -112,24 +112,28 @@ def collective_populations(rho) -> CollectivePopulations:
     return CollectivePopulations(*(float(x) for x in diag))
 
 
-def damping_forces(J: complex, Gamma: float, phi: float) -> IsolationReport:
+def damping_forces(J, Gamma, phi) -> IsolationReport:
     """Directional damping forces and their imbalance.
 
     F12 = |1j J + (Gamma/2) exp(1j phi)| measures how strongly qubit 2
     pushes on qubit 1; F21 mirrors it with conjugated coupling and phase.
     delta_F normalizes the difference to [-1, 1] and is defined as 0 when
-    both forces vanish.
+    both forces vanish.  The inputs broadcast against each other: scalars
+    give a report of floats, arrays a report of arrays of the broadcast
+    shape.
     """
     require_finite(J=J, Gamma=Gamma, phi=phi)
-    if Gamma < 0.0:
-        raise NegativeRateError(f"Gamma must be >= 0, got {Gamma}")
-    J = complex(J)
-    half = 0.5 * Gamma
-    f12 = abs(1j * J + half * cmath.exp(1j * phi))
-    f21 = abs(1j * J.conjugate() + half * cmath.exp(-1j * phi))
+    J, Gamma, phi = np.asarray(J, dtype=complex), np.asarray(Gamma, dtype=float), np.asarray(phi, dtype=float)
+    if (Gamma < 0.0).any():
+        raise NegativeRateError(f"Gamma must be >= 0, got {Gamma.min()}")
+    half_e = 0.5 * Gamma * np.exp(1j * phi)
+    f12 = np.abs(1j * J + half_e)
+    f21 = np.abs(1j * J.conj() + half_e.conj())
     total = f12 + f21
-    delta = (f12 - f21) / total if total > 0.0 else 0.0
-    return IsolationReport(F12=float(f12), F21=float(f21), delta_F=float(delta))
+    delta = np.divide(f12 - f21, total, out=np.zeros_like(total), where=total > 0.0)
+    if delta.ndim == 0:
+        return IsolationReport(F12=float(f12), F21=float(f21), delta_F=float(delta))
+    return IsolationReport(F12=f12, F21=f21, delta_F=delta)
 
 
 def effective_decay_amplitudes(Gamma: float, phi: float) -> tuple[complex, complex, complex, complex]:
@@ -153,10 +157,5 @@ def effective_decay_amplitudes(Gamma: float, phi: float) -> tuple[complex, compl
 
 def isolation_map(J: complex, gamma_values, phi_values) -> np.ndarray:
     """delta_F on a grid: rows follow `gamma_values`, columns `phi_values`."""
-    gamma_values = np.asarray(gamma_values, dtype=float)
-    phi_values = np.asarray(phi_values, dtype=float)
-    out = np.empty((gamma_values.size, phi_values.size), dtype=float)
-    for i, g in enumerate(gamma_values):
-        for j, p in enumerate(phi_values):
-            out[i, j] = damping_forces(J, float(g), float(p)).delta_F
-    return out
+    gammas = np.asarray(gamma_values, dtype=float)
+    return damping_forces(J, gammas[:, None], np.asarray(phi_values, dtype=float)[None, :]).delta_F

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_sweep_command(tmp_path):
     assert main(["sweep", "--config", cfg]) == 0
     data = np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1)
     assert data.shape == (4, 3)
+
+
+def test_sweep_non_finite_axis_exit_code(tmp_path, capsys):
+    text = (
+        "observable = delta_F\n"
+        "axis1_name = Gamma\naxis1_min = 0\naxis1_max = inf\naxis1_count = 2\n"
+        "axis2_name = phi\naxis2_min = 0\naxis2_max = 3.14\naxis2_count = 2\n"
+        f"output_path = {tmp_path / 'grid.csv'}\n"
+    )
+    cfg = _config(tmp_path, text, name="sweep.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", cfg]) == 2
+    assert "axis1_max must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
 
 
 @pytest.mark.parametrize("field, value, named", [

