@@ -23,7 +23,7 @@ from .errors import (
     StateInvariantViolatedError,
     StepTooLargeError,
 )
-from .linalg import dagger, hermitian_eigensystem, kron, matrix_exponential
+from .linalg import DEFAULT_TOL, dagger, hermitian_eigensystem, kron, matrix_exponential
 from .model import ModelParams, build_hamiltonian, build_jump_operators, require_finite
 
 # Hard ceiling on dt * ||L||_inf; above this RK4 accuracy degrades fast.
@@ -43,13 +43,15 @@ INITIAL_STATE_NAMES = ("EE", "EG", "GE", "GG", "E", "PLUS", "MINUS", "G")
 
 
 def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(x, dtype=complex).flatten(order="F")
+    """Column-stacking vectorization of a matrix, or of each matrix of a stack."""
+    x = np.asarray(x, dtype=complex)
+    return np.swapaxes(x, -1, -2).reshape(*x.shape[:-2], -1)
 
 
 def unvec(v: np.ndarray, dim: int = _DIM) -> np.ndarray:
-    """Inverse of `vec`."""
-    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
+    """Inverse of `vec`, over the last axis."""
+    v = np.asarray(v, dtype=complex)
+    return np.swapaxes(v.reshape(*v.shape[:-1], dim, dim), -1, -2)
 
 
 def initial_state(name: str) -> np.ndarray:
@@ -144,9 +146,8 @@ def build_liouvillian(
     hamiltonian: np.ndarray,
     jump_operators: list[np.ndarray] | tuple[np.ndarray, ...] = (),
     params: ModelParams | None = None,
-    tol: float = 1e-10,
 ) -> Liouvillian:
-    """Assemble the master-equation generator.
+    """Assemble the master-equation generator, or a stack of them.
 
     L = -1j (I kron H - H.T kron I)
         + sum_k [ conj(L_k) kron L_k
@@ -155,38 +156,47 @@ def build_liouvillian(
     Parameters
     ----------
     hamiltonian : array_like
-        Hermitian within `tol`.
+        (..., n, n), Hermitian within DEFAULT_TOL.
     jump_operators : sequence of array_like
-        Collapse operators with rates absorbed into their amplitudes.
+        Collapse operators with rates absorbed into their amplitudes; each
+        (..., n, n) and broadcasting against the Hamiltonian.
     params : ModelParams, optional
         Carried along as metadata only.
+
+    Returns
+    -------
+    Liouvillian
+        Its matrix is (..., n^2, n^2) over the broadcast leading axes.
     """
     h = np.asarray(hamiltonian, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ShapeMismatchError(f"hamiltonian must be square, got {h.shape}")
-    defect = float(np.abs(h - h.conj().T).max())
-    if defect > tol:
-        raise NotHermitianError(f"hamiltonian defect {defect:.3e} exceeds {tol:.3e}")
-    n = h.shape[0]
+    defect = float(np.abs(h - dagger(h)).max())
+    if defect > DEFAULT_TOL:
+        raise NotHermitianError(f"hamiltonian defect {defect:.3e} exceeds {DEFAULT_TOL:.3e}")
+    n = h.shape[-1]
     eye = np.eye(n, dtype=complex)
-    gen = -1j * (kron(eye, h) - kron(h.T, eye))
+    gen = -1j * (kron(eye, h) - kron(np.swapaxes(h, -1, -2), eye))
     for op in jump_operators:
         op = np.asarray(op, dtype=complex)
-        if op.shape != (n, n):
+        if op.shape[-2:] != (n, n):
             raise ShapeMismatchError(f"jump operator shape {op.shape} does not match {h.shape}")
         square = dagger(op) @ op
         gen = gen + kron(op.conj(), op)
         gen = gen - 0.5 * kron(eye, square)
-        gen = gen - 0.5 * kron(square.T, eye)
+        gen = gen - 0.5 * kron(np.swapaxes(square, -1, -2), eye)
     return Liouvillian(matrix=gen, params=params)
 
 
 def liouvillian_from_params(params: ModelParams) -> Liouvillian:
-    """Generator for the standard model: exchange, collective decay, dephasing."""
+    """Generator for the standard model: exchange, collective decay, dephasing.
+
+    Array fields in `params` give a (..., 16, 16) stack over their broadcast shape.
+    """
     return build_liouvillian(build_hamiltonian(params), build_jump_operators(params), params=params)
 
 
-def validate_density_matrix(rho, tol: float = 1e-10) -> StateDiagnostics:
+def validate_density_matrix(rho) -> StateDiagnostics:
     """Report Hermiticity defect, trace defect, and minimum eigenvalue.
 
     Purely diagnostic; thresholds are the caller's business.
@@ -197,7 +207,7 @@ def validate_density_matrix(rho, tol: float = 1e-10) -> StateDiagnostics:
     herm = float(np.abs(rho - rho.conj().T).max())
     trace = float(abs(rho.trace() - 1.0))
     sym = 0.5 * (rho + rho.conj().T)
-    es = hermitian_eigensystem(sym, tol=max(tol, 10.0 * herm + 1e-12))
+    es = hermitian_eigensystem(sym, tol=max(DEFAULT_TOL, 10.0 * herm + 1e-12))
     return StateDiagnostics(herm, trace, float(es.values[0]))
 
 
@@ -217,6 +227,14 @@ def _check_samples(states: np.ndarray, provenance: str) -> None:
         raise StateInvariantViolatedError(
             f"{provenance}: negativity {lows[k]:.3e} at sample {k} exceeds {NEGATIVITY_TOL:.1e}"
         )
+
+
+def _single_generator(liouvillian: Liouvillian) -> np.ndarray:
+    """The generator matrix, refused when it is a stack: the integrators evolve one model at a time."""
+    gen = liouvillian.matrix
+    if gen.ndim != 2:
+        raise ShapeMismatchError(f"integrators take one generator, got a stack of shape {gen.shape}")
+    return gen
 
 
 def _propagate(rho0, gen: np.ndarray, grid: TimeGrid, stride_matrix, provenance: str) -> Trajectory:
@@ -263,7 +281,7 @@ def evolve_rk4(rho0, liouvillian: Liouvillian, grid: TimeGrid) -> Trajectory:
     Trajectory
         Stored samples, each re-validated for trace and positivity drift.
     """
-    gen = liouvillian.matrix
+    gen = _single_generator(liouvillian)
     bound = grid.dt * float(np.abs(gen).sum(axis=1).max())
     if not bound <= MAX_STEP_NORM:  # a NaN bound fails here too
         if not math.isfinite(bound):
@@ -280,42 +298,47 @@ def evolve_expm(rho0, liouvillian: Liouvillian, grid: TimeGrid) -> Trajectory:
 
     Independent of the Runge-Kutta route; used to cross-check it.
     """
-    gen = liouvillian.matrix
+    gen = _single_generator(liouvillian)
     return _propagate(rho0, gen, grid, lambda span: matrix_exponential(gen * (span * grid.dt)),
                       f"expm dt={grid.dt:g}")
 
 
-def steady_state(liouvillian: Liouvillian, gap_threshold: float = UNIQUE_GAP) -> SteadyStateResult:
-    """Stationary state from the null space of the generator.
+def steady_state(liouvillian: Liouvillian) -> SteadyStateResult:
+    """Stationary state from the null space of the generator, or of each in a stack.
 
     The singular values and null directions come from the SVD of L itself;
     forming L' L instead would square the singular values and bury any
     gap below about 1e-8 ||L|| in roundoff.  When the second-smallest
-    singular value sits at or below `gap_threshold` the stationary
-    manifold is degenerate: `unique` is False and the returned state is
-    just one Hermitized, unit-trace element of the manifold, with no
-    attempt to resolve the rest.
+    singular value sits at or below UNIQUE_GAP the stationary manifold is
+    degenerate: `unique` is False and the returned state is just one
+    Hermitized, unit-trace element of the manifold, with no attempt to
+    resolve the rest.  One (n^2, n^2) generator gives a float gap and a
+    bool; a (..., n^2, n^2) stack gives arrays over its leading axes and
+    (..., n, n) states, from one batched SVD.
     """
     gen = liouvillian.matrix
     _, sing, vh = np.linalg.svd(gen)
-    # Ascending singular values; row i of `null` is the right singular vector of sing[i].
-    sing, null = sing[::-1], vh[::-1].conj()
-    gap = float(sing[1])
-    unique = gap > gap_threshold
-    n = int(round(math.sqrt(gen.shape[0])))
-    best = None
-    best_trace = 0.0
-    for i in range(max(1, int(np.count_nonzero(sing <= gap_threshold)))):
-        cand = unvec(null[i], n)
-        tr = complex(cand.trace())
-        if abs(tr) > abs(best_trace):
-            best, best_trace = cand, tr
-    if best is None or abs(best_trace) < 1e-9:
+    # Ascending singular values; row i of `null` is the right singular vector of sing[..., i].
+    sing, null = sing[..., ::-1], vh[..., ::-1, :].conj()
+    gap = sing[..., 1]
+    unique = gap > UNIQUE_GAP
+    n = int(round(math.sqrt(gen.shape[-1])))
+    candidates = unvec(null, n)
+    # Of the near-null vectors (always at least the first), take the one of largest |trace|.
+    near_null = (sing <= UNIQUE_GAP) | (np.arange(sing.shape[-1]) == 0)
+    traces = np.where(near_null, np.abs(np.trace(candidates, axis1=-2, axis2=-1)), -1.0)
+    pick = np.argmax(traces, axis=-1)[..., None, None, None]
+    best = np.take_along_axis(candidates, pick, axis=-3)[..., 0, :, :]
+    best_trace = np.trace(best, axis1=-2, axis2=-1)[..., None, None]
+    if np.any(np.abs(best_trace) < 1e-9):
         raise NotAStateError("null space holds no unit-trace Hermitian element within tolerance")
     # Dividing by the complex trace first removes the arbitrary phase of the singular vector.
     rho = best / best_trace
-    rho = 0.5 * (rho + rho.conj().T)
-    residual = float(np.linalg.norm(gen @ vec(rho)))
-    if unique and residual > 1e-8 * (1.0 + float(np.abs(gen).max())):
-        raise NoConvergenceError(f"stationary residual {residual:.3e} too large")
+    rho = 0.5 * (rho + dagger(rho))
+    residual = np.linalg.norm(gen @ vec(rho)[..., None], axis=(-2, -1))
+    bad = unique & (residual > 1e-8 * (1.0 + np.abs(gen).max(axis=(-2, -1))))
+    if np.any(bad):
+        raise NoConvergenceError(f"stationary residual {np.max(residual[bad]):.3e} too large")
+    if gap.ndim == 0:
+        return SteadyStateResult(state=rho, spectral_gap=float(gap), unique=bool(unique))
     return SteadyStateResult(state=rho, spectral_gap=gap, unique=unique)

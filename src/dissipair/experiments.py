@@ -40,15 +40,9 @@ from .dynamics import (
     liouvillian_from_params,
     steady_state,
 )
-from .errors import (
-    IoError,
-    NotAStateError,
-    ParseError,
-    UnknownPresetError,
-    ValidationError,
-)
+from .errors import IoError, ParseError, UnknownPresetError, ValidationError
 from .model import Drive, ModelParams, require_finite
-from .observables import COLLECTIVE_TRANSFORM, concurrence, damping_forces
+from .observables import collective_populations, concurrence, damping_forces, populations
 
 OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
 SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
@@ -318,16 +312,16 @@ def write_csv(path, header, rows) -> str:
 # ---- trajectory tables -----------------------------------------------------
 
 
-def _population_columns(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p1 = (states[:, 0, 0] + states[:, 1, 1]).real
-    p2 = (states[:, 0, 0] + states[:, 2, 2]).real
-    return p1, p2
-
-
-def _collective_columns(states: np.ndarray) -> np.ndarray:
-    t = COLLECTIVE_TRANSFORM
-    rotated = np.matmul(np.matmul(t, states), t.conj().T)
-    return np.diagonal(rotated, axis1=1, axis2=2).real
+def _output_columns(states: np.ndarray, kind: str) -> dict[str, np.ndarray]:
+    """One output group of a trajectory table, column name to column, in table order."""
+    if kind == "populations":
+        return dict(zip(("P1", "P2"), populations(states)))
+    if kind == "concurrence":
+        return {"C": concurrence(states)}
+    if kind == "collective":
+        return vars(collective_populations(states))
+    return {f"rho_{part}_{i}{j}": values[:, i, j]
+            for i in range(4) for j in range(4) for part, values in (("re", states.real), ("im", states.imag))}
 
 
 def trajectory_table(traj: Trajectory, outputs=("populations",)) -> tuple[list[str], np.ndarray]:
@@ -338,24 +332,11 @@ def trajectory_table(traj: Trajectory, outputs=("populations",)) -> tuple[list[s
     """
     header = ["t"]
     columns = [np.asarray(traj.times, dtype=float)]
-    if "populations" in outputs:
-        p1, p2 = _population_columns(traj.states)
-        header += ["P1", "P2"]
-        columns += [p1, p2]
-    if "concurrence" in outputs:
-        header.append("C")
-        columns.append(concurrence(traj.states))
-    if "collective" in outputs:
-        header += ["P_E", "P_plus", "P_minus", "P_G"]
-        pops = _collective_columns(traj.states)
-        columns += [pops[:, 0], pops[:, 1], pops[:, 2], pops[:, 3]]
-    if "states" in outputs:
-        for i in range(4):
-            for j in range(4):
-                header.append(f"rho_re_{i}{j}")
-                columns.append(traj.states[:, i, j].real.copy())
-                header.append(f"rho_im_{i}{j}")
-                columns.append(traj.states[:, i, j].imag.copy())
+    for kind in OUTPUT_KINDS:
+        if kind in outputs:
+            group = _output_columns(traj.states, kind)
+            header += list(group)
+            columns += list(group.values())
     return header, np.column_stack(columns)
 
 
@@ -373,16 +354,6 @@ def _join_out(out_dir: str, name: str) -> str:
 
 
 # ---- sweeps ----------------------------------------------------------------
-
-
-def _steady_concurrence_cell(params: ModelParams) -> tuple[float, float]:
-    try:
-        result = steady_state(liouvillian_from_params(params))
-    except NotAStateError:
-        return DEGENERATE_SENTINEL, 1.0
-    if not result.unique:
-        return DEGENERATE_SENTINEL, 1.0
-    return concurrence(result.state), 0.0
 
 
 def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
@@ -407,11 +378,16 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
         cells = np.broadcast_to(value, a.shape).reshape(-1, 1)
     else:
         header = ["axis1", "axis2", "value", "degenerate"]
-        grid = zip(*(np.broadcast_to(fields[name], a.shape).ravel().tolist() for name in SWEEP_AXES))
-        cells = [
-            _steady_concurrence_cell(ModelParams(J=j, Gamma=g, phi=p, kappa=k, drive=Drive(drive.target, w)))
-            for j, g, p, k, w in grid
-        ]
+        # One axis1 row per call: a stack of the whole grid would hold every
+        # 16x16 Liouvillian and its SVD factors at once.
+        cells = np.empty(a.shape + (2,))
+        rows = zip(*np.broadcast_arrays(*(fields[name] for name in SWEEP_AXES)))
+        for row, (j, g, p, k, w) in enumerate(rows):
+            result = steady_state(liouvillian_from_params(ModelParams(j, g, p, k, Drive(drive.target, w))))
+            cells[row, :, 0] = DEGENERATE_SENTINEL
+            cells[row, result.unique, 0] = concurrence(result.state[result.unique])
+            cells[row, :, 1] = ~result.unique
+        cells = cells.reshape(-1, 2)
     table = np.column_stack([a.ravel(), b.ravel(), cells])
     return write_csv(_join_out(out_dir, config.output_path), header, table)
 
@@ -503,43 +479,17 @@ def _run(run: TrajectoryRun) -> Trajectory:
     return evolve_rk4(initial_state(run.initial), liouvillian_from_params(run.params), run.grid)
 
 
-def _figure_populations(runs, labels) -> tuple[list[str], np.ndarray]:
-    columns = []
-    header = ["t"]
-    times = None
-    for run, label in zip(runs, labels):
-        traj = _run(run)
-        times = traj.times
-        p1, p2 = _population_columns(traj.states)
-        header += [f"P1_{label}", f"P2_{label}"] if len(runs) > 1 else ["P1", "P2"]
-        columns += [p1, p2]
-    return header, np.column_stack([times] + columns)
-
-
-def _figure_concurrences(runs, names) -> tuple[list[str], np.ndarray]:
+def _figure_table(runs, kind: str) -> tuple[list[str], np.ndarray]:
+    """Time column, then one output group per run; several runs suffix each name with the run label."""
+    joiner = "_from_" if kind == "collective" else "_"
     header = ["t"]
     columns = []
-    times = None
-    for run, name in zip(runs, names):
+    for run in runs:
         traj = _run(run)
-        times = traj.times
-        header.append(name)
-        columns.append(concurrence(traj.states))
-    return header, np.column_stack([times] + columns)
-
-
-def _figure_collective(runs, suffixes) -> tuple[list[str], np.ndarray]:
-    header = ["t"]
-    columns = []
-    times = None
-    for run, suffix in zip(runs, suffixes):
-        traj = _run(run)
-        times = traj.times
-        pops = _collective_columns(traj.states)
-        for k, name in enumerate(("P_E", "P_plus", "P_minus", "P_G")):
-            header.append(f"{name}{suffix}")
-            columns.append(pops[:, k])
-    return header, np.column_stack([times] + columns)
+        for name, column in _output_columns(traj.states, kind).items():
+            header.append(f"{name}{joiner}{run.label}" if len(runs) > 1 else name)
+            columns.append(column)
+    return header, np.column_stack([traj.times] + columns)
 
 
 def run_figure(figure_id: str, out_dir: str = ".") -> str:
@@ -549,15 +499,11 @@ def run_figure(figure_id: str, out_dir: str = ".") -> str:
         raise UnknownPresetError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")
     if fig == "2a":
         return run_sweep(SWEEP_2A, out_dir)
-    runs = figure_trajectory_runs()[fig]
     if fig in ("2b", "2c", "2d"):
-        header, table = _figure_populations(runs, [r.label for r in runs])
-    elif fig in ("3a", "3b", "4a", "4b"):
-        header, table = _figure_concurrences(runs, [f"C_{r.label}" for r in runs])
-    elif fig in ("5b", "5c", "5d"):
-        header, table = _figure_collective(runs, [f"_from_{r.label}" for r in runs])
-    elif fig in ("6a", "6b"):
-        header, table = _figure_collective(runs, [""])
-    else:  # 6c, 6d
-        header, table = _figure_concurrences(runs, [f"C_{r.label}" for r in runs])
+        kind = "populations"
+    elif fig in ("5b", "5c", "5d", "6a", "6b"):
+        kind = "collective"
+    else:  # 3a, 3b, 4a, 4b, 6c, 6d
+        kind = "concurrence"
+    header, table = _figure_table(figure_trajectory_runs()[fig], kind)
     return write_csv(_join_out(out_dir, f"fig{fig}.csv"), header, table)

@@ -39,13 +39,19 @@ def _as_square(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor owning the slow index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with the left factor owning the slow index, per matrix over leading axes.
+
+    One broadcast multiply, the same one `np.kron` makes, so a stack gives
+    bitwise the products of its per-matrix calls.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(np.asarray(a, dtype=complex).conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -97,12 +103,12 @@ def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (b + np.swapaxes(b.conj(), -1, -2))
 
 
-def matrix_exponential(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def matrix_exponential(a) -> np.ndarray:
     """exp(a) by scaling and squaring around a truncated power series.
 
     The argument is halved until its max-row-sum norm drops to 0.5, the
-    series is summed until terms fall below the working tolerance, and the
-    result is squared back up.
+    series is summed until a term's norm falls to 1e-16 of max(1, norm of
+    the sum), and the result is squared back up.
     """
     a = _as_square(a)
     n = a.shape[0]
@@ -113,11 +119,10 @@ def matrix_exponential(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     b = a / (2.0 ** squarings)
     total = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
-    floor = min(tol, 1e-16)
     for k in range(1, _MAX_SERIES_TERMS + 1):
         term = term @ b / k
         total = total + term
-        if float(np.abs(term).sum(axis=1).max()) <= floor * max(1.0, float(np.abs(total).sum(axis=1).max())):
+        if float(np.abs(term).sum(axis=1).max()) <= 1e-16 * max(1.0, float(np.abs(total).sum(axis=1).max())):
             break
     else:
         raise NoConvergenceError("series for matrix exponential did not settle")

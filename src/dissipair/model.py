@@ -48,9 +48,16 @@ def require_finite(**fields) -> None:
             raise ValidationError(f"{name} must be finite, got {bad[0]}")
 
 
+def require_non_negative(**rates) -> None:
+    """Raise NegativeRateError naming the first rate (scalar or array) below zero, and its lowest value."""
+    for name, value in rates.items():
+        if np.any(np.asarray(value) < 0.0):
+            raise NegativeRateError(f"{name} must be >= 0, got {np.min(value)}")
+
+
 @dataclass(frozen=True)
 class Drive:
-    """Resonant drive on one qubit: target in {1, 2}, amplitude >= 0."""
+    """Resonant drive on one qubit: target in {1, 2}, amplitude >= 0 (a scalar or an array)."""
 
     target: int
     amplitude: float
@@ -59,8 +66,7 @@ class Drive:
         require_finite(amplitude=self.amplitude)
         if self.target not in (1, 2):
             raise BadIndexError(f"drive target must be 1 or 2, got {self.target}")
-        if self.amplitude < 0.0:
-            raise NegativeRateError(f"drive amplitude must be >= 0, got {self.amplitude}")
+        require_non_negative(**{"drive amplitude": self.amplitude})
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,9 @@ class ModelParams:
     """Rates and phases in units of the exchange coupling.
 
     phi is stored as given; every operator built from it only ever uses
-    exp(1j * phi), so adding 2 pi changes nothing.
+    exp(1j * phi), so adding 2 pi changes nothing.  Each field (and the
+    drive amplitude) may be an array; they broadcast against each other,
+    and every builder then returns a stack over the broadcast shape.
     """
 
     J: complex = 1.0
@@ -79,10 +87,7 @@ class ModelParams:
 
     def __post_init__(self):
         require_finite(J=self.J, Gamma=self.Gamma, phi=self.phi, kappa=self.kappa)
-        if self.Gamma < 0.0:
-            raise NegativeRateError(f"Gamma must be >= 0, got {self.Gamma}")
-        if self.kappa < 0.0:
-            raise NegativeRateError(f"kappa must be >= 0, got {self.kappa}")
+        require_non_negative(Gamma=self.Gamma, kappa=self.kappa)
 
 
 @dataclass(frozen=True)
@@ -149,22 +154,27 @@ def sigma_z(qubit: int) -> np.ndarray:
     return _embed(SIGMA_Z_2, qubit)
 
 
+def _column(x, dtype=complex) -> np.ndarray:
+    """A scalar or array of coefficients shaped to scale a stack of matrices."""
+    return np.asarray(x, dtype=dtype)[..., None, None]
+
+
 def build_coherent_hamiltonian(J: complex) -> np.ndarray:
-    """Excitation-exchange Hamiltonian J s1+ s2- + conj(J) s1- s2+."""
-    J = complex(J)
-    return J * (sigma_plus(1) @ sigma_minus(2)) + J.conjugate() * (sigma_minus(1) @ sigma_plus(2))
+    """Excitation-exchange Hamiltonian J s1+ s2- + conj(J) s1- s2+, stacked over an array J."""
+    J = _column(J)
+    return J * (sigma_plus(1) @ sigma_minus(2)) + J.conj() * (sigma_minus(1) @ sigma_plus(2))
 
 
 def build_drive_hamiltonian(target: int, amplitude: float) -> np.ndarray:
-    """Resonant drive amplitude * (s+ + s-) on the target qubit."""
-    drive = Drive(target, float(amplitude))
-    return drive.amplitude * (sigma_plus(drive.target) + sigma_minus(drive.target))
+    """Resonant drive amplitude * (s+ + s-) on the target qubit, stacked over an array amplitude."""
+    drive = Drive(target, amplitude)
+    return _column(drive.amplitude, float) * (sigma_plus(drive.target) + sigma_minus(drive.target))
 
 
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """Full coherent generator: exchange term plus any drive."""
     h = build_coherent_hamiltonian(params.J)
-    if params.drive is not None and params.drive.amplitude != 0.0:
+    if params.drive is not None and np.any(np.asarray(params.drive.amplitude) != 0.0):
         h = h + build_drive_hamiltonian(params.drive.target, params.drive.amplitude)
     return h
 
@@ -174,13 +184,15 @@ def build_jump_operators(params: ModelParams) -> list[np.ndarray]:
 
     The shared channel contributes a single collective operator
     sqrt(Gamma) * (s1- + exp(1j phi) s2-); dephasing adds sqrt(kappa) * s_z
-    per qubit when kappa > 0.  The rates were validated by ModelParams.
+    per qubit.  Array fields give stacks; a jump is left out only when
+    its rate is zero on every cell.  The rates were validated by ModelParams.
     """
     jumps = []
-    if params.Gamma > 0.0:
-        jumps.append(math.sqrt(params.Gamma) * (sigma_minus(1) + cmath.exp(1j * params.phi) * sigma_minus(2)))
-    if params.kappa > 0.0:
-        root = math.sqrt(params.kappa)
+    if np.any(np.asarray(params.Gamma) > 0.0):
+        phase = _column(np.exp(1j * np.asarray(params.phi, dtype=float)))
+        jumps.append(_column(np.sqrt(params.Gamma), float) * (sigma_minus(1) + phase * sigma_minus(2)))
+    if np.any(np.asarray(params.kappa) > 0.0):
+        root = _column(np.sqrt(params.kappa), float)
         jumps.append(root * sigma_z(1))
         jumps.append(root * sigma_z(2))
     return jumps

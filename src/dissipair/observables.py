@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidStateError, NegativeRateError, ShapeMismatchError
 from .linalg import kron, psd_sqrt
-from .model import SIGMA_Y_2, require_finite
+from .model import SIGMA_Y_2, require_finite, require_non_negative
 
 # Spin-flip kernel sigma_y kron sigma_y; real in the fixed basis.
 _FLIP = kron(SIGMA_Y_2, SIGMA_Y_2).real.astype(complex)
@@ -71,12 +71,17 @@ def _require_state(rho, stacked: bool = False) -> np.ndarray:
     return rho
 
 
+def _per_state(x):
+    """A float for one state, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def populations(rho) -> tuple[float, float]:
-    """Excited-state population of each qubit."""
-    rho = _require_state(rho)
-    p1 = float((rho[0, 0] + rho[1, 1]).real)
-    p2 = float((rho[0, 0] + rho[2, 2]).real)
-    return p1, p2
+    """Excited-state population of each qubit: floats for one state, arrays for an (N, 4, 4) stack."""
+    rho = _require_state(rho, stacked=True)
+    p1 = (rho[..., 0, 0] + rho[..., 1, 1]).real
+    p2 = (rho[..., 0, 0] + rho[..., 2, 2]).real
+    return _per_state(p1), _per_state(p2)
 
 
 def concurrence(rho):
@@ -95,21 +100,20 @@ def concurrence(rho):
     # their error at O(eps): a square root would lift eigenvalues at
     # roundoff level to ~1e-8 on (near-)separable states.
     r = np.linalg.svd(root @ _FLIP @ root.conj(), compute_uv=False)
-    c = np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
-    return float(c) if c.ndim == 0 else c
+    return _per_state(np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3]))
 
 
 def to_collective_basis(rho) -> np.ndarray:
-    """Rewrite a state in the collective basis |ee>, |+>, |->, |gg>."""
-    rho = _require_state(rho)
+    """Rewrite a state, or each of an (N, 4, 4) stack, in the collective basis |ee>, |+>, |->, |gg>."""
+    rho = _require_state(rho, stacked=True)
     t = COLLECTIVE_TRANSFORM
     return t @ rho @ t.conj().T
 
 
 def collective_populations(rho) -> CollectivePopulations:
-    """Diagonal of the state in the collective basis."""
-    diag = np.diagonal(to_collective_basis(rho)).real
-    return CollectivePopulations(*(float(x) for x in diag))
+    """Diagonal in the collective basis: floats for one state, arrays for an (N, 4, 4) stack."""
+    diag = np.diagonal(to_collective_basis(rho), axis1=-2, axis2=-1).real
+    return CollectivePopulations(*(_per_state(diag[..., k]) for k in range(4)))
 
 
 def damping_forces(J, Gamma, phi) -> IsolationReport:
@@ -123,9 +127,8 @@ def damping_forces(J, Gamma, phi) -> IsolationReport:
     shape.
     """
     require_finite(J=J, Gamma=Gamma, phi=phi)
+    require_non_negative(Gamma=Gamma)
     J, Gamma, phi = np.asarray(J, dtype=complex), np.asarray(Gamma, dtype=float), np.asarray(phi, dtype=float)
-    if (Gamma < 0.0).any():
-        raise NegativeRateError(f"Gamma must be >= 0, got {Gamma.min()}")
     half_e = 0.5 * Gamma * np.exp(1j * phi)
     f12 = np.abs(1j * J + half_e)
     f21 = np.abs(1j * J.conj() + half_e.conj())

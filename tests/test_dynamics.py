@@ -22,6 +22,7 @@ from dissipair.dynamics import (
     vec,
 )
 from dissipair.errors import (
+    CONFIG_ERRORS,
     NotAStateError,
     NotHermitianError,
     ShapeMismatchError,
@@ -187,6 +188,15 @@ def test_rk4_rejects_bad_initial_state():
         evolve_rk4(2.0 * initial_state("EG"), gen, TimeGrid(1.0, 0.002))
 
 
+def test_integrators_reject_a_stacked_generator():
+    gen = liouvillian_from_params(model.ModelParams(J=1.0, Gamma=np.array([1.0, 2.0])))
+    assert gen.matrix.shape == (2, 16, 16)
+    assert ShapeMismatchError in CONFIG_ERRORS  # the command line exits 2 on it
+    for evolve in (evolve_rk4, evolve_expm):
+        with pytest.raises(ShapeMismatchError, match=r"stack of shape \(2, 16, 16\)"):
+            evolve(initial_state("EG"), gen, TimeGrid(1.0, 0.002))
+
+
 def test_rk4_flags_trace_drift():
     # a generator that shrinks everything is not trace preserving
     gen = Liouvillian(matrix=-np.eye(16, dtype=complex))
@@ -324,6 +334,35 @@ def test_steady_state_driven_matches_long_time_limit():
     traj = evolve_rk4(initial_state("GG"), gen, TimeGrid(50.0, 0.002, sample_every=250))
     assert np.abs(traj.states[-1] - result.state).max() <= 1e-6
     assert np.linalg.norm(gen.matrix @ vec(result.state)) <= 1e-9
+
+
+_CELL = st.tuples(
+    st.complex_numbers(max_magnitude=2.0),
+    st.just(0.0) | st.floats(0.0, 3.0),
+    st.sampled_from([0.0, math.pi]) | st.floats(0.0, 2.0 * math.pi),
+    st.just(0.0) | st.floats(0.0, 0.5),
+    st.just(0.0) | st.floats(0.0, 1.5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(_CELL, min_size=1, max_size=6), target=st.sampled_from([1, 2]))
+def test_stacked_model_matches_per_cell_builds(cells, target):
+    J, Gamma, phi, kappa, amplitude = (np.array(column) for column in zip(*cells))
+    stacked = liouvillian_from_params(model.ModelParams(J=J, Gamma=Gamma, phi=phi, kappa=kappa,
+                                                        drive=model.Drive(target, amplitude)))
+    singles = [liouvillian_from_params(model.ModelParams(j, g, p, k, drive=model.Drive(target, w)))
+               for j, g, p, k, w in cells]
+    np.testing.assert_array_equal(stacked.matrix, [single.matrix for single in singles])
+    result = steady_state(stacked)
+    assert result.state.shape == (len(cells), 4, 4)
+    for k, single in enumerate(singles):
+        one = steady_state(single)
+        assert type(one.unique) is bool and type(one.spectral_gap) is float
+        assert result.unique[k] == one.unique
+        assert abs(result.spectral_gap[k] - one.spectral_gap) <= 1e-12
+        if one.unique:
+            assert np.abs(result.state[k] - one.state).max() <= 1e-10
 
 
 # ---- dark states ----

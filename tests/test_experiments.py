@@ -277,22 +277,22 @@ def test_run_sweep_steady_concurrence_flags(tmp_path):
 
 def test_run_sweep_driven_cell_matches_direct_steady_state(tmp_path):
     drive = model.Drive(target=1, amplitude=8.0 / 11.0)
+    phis, amplitudes = AxisSpec("phi", math.pi, 1.5 * math.pi, 3), AxisSpec("drive_amplitude", 0.0, 8.0 / 11.0, 3)
     config = SweepConfig(
-        spec=SweepSpec(
-            AxisSpec("phi", math.pi, 1.5 * math.pi, 2),
-            AxisSpec("drive_amplitude", 0.4, 8.0 / 11.0, 2),
-            "steady_concurrence",
-        ),
+        spec=SweepSpec(phis, amplitudes, "steady_concurrence"),
         base=model.ModelParams(J=1.0, Gamma=2.0, drive=drive),
         output_path=str(tmp_path / "driven.csv"),
     )
     _, data = _read_table(run_sweep(config))
-    params = model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi, drive=drive)
-    expected = concurrence(steady_state(liouvillian_from_params(params)).state)
-    cell = data[(np.abs(data[:, 0] - 1.5 * math.pi) < 1e-12) & (np.abs(data[:, 1] - 8.0 / 11.0) < 1e-12)]
-    assert cell.shape[0] == 1
-    assert abs(cell[0, 2] - expected) <= 1e-12
-    assert cell[0, 3] == 0.0
+    cells = [(phi, w) for phi in phis.values() for w in amplitudes.values()]
+    assert data.shape == (len(cells), 4)
+    for (phi, w), (_, _, value, degenerate) in zip(cells, data):
+        params = model.ModelParams(J=1.0, Gamma=2.0, phi=phi, drive=model.Drive(target=1, amplitude=w))
+        result = steady_state(liouvillian_from_params(params))
+        assert degenerate == (0.0 if result.unique else 1.0)
+        assert abs(value - (concurrence(result.state) if result.unique else -1.0)) <= 1e-12
+    # The undriven phi = pi cell keeps its dark state; every driven cell is unique.
+    assert data[:, 3].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 # ---- figure presets ----

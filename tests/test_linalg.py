@@ -56,6 +56,16 @@ def test_kron_mixed_product():
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
+def test_kron_acts_per_matrix_over_leading_axes():
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
+    b = _random_complex(rng, 4, 2)
+    stacked = linalg.kron(a, b)
+    assert stacked.shape == (3, 8, 6)
+    for k in range(3):
+        np.testing.assert_array_equal(stacked[k], np.kron(a[k], b))
+
+
 # ---- dagger ----
 
 
@@ -65,6 +75,8 @@ def test_dagger():
     rng = np.random.default_rng(5)
     a = _random_complex(rng, 3, 5)
     np.testing.assert_array_equal(linalg.dagger(linalg.dagger(a)), a)
+    stack = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+    np.testing.assert_array_equal(linalg.dagger(stack), [m.conj().T for m in stack])
 
 
 # ---- hermitian_eigensystem ----

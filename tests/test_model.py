@@ -150,6 +150,32 @@ def test_non_finite_parameters_rejected(field, value):
         model.Drive(target=1, amplitude=value)
 
 
+def test_array_fields_give_stacks():
+    phi = np.array([0.0, 0.7, math.pi])
+    params = model.ModelParams(J=1.0, Gamma=np.array([[0.0], [2.0]]), phi=phi,
+                               drive=model.Drive(target=1, amplitude=np.array([0.0, 0.5, 1.0])))
+    h = model.build_hamiltonian(params)
+    assert h.shape == (3, 4, 4)
+    np.testing.assert_array_equal(h[1], model.build_hamiltonian(model.ModelParams(J=1.0, drive=model.Drive(1, 0.5))))
+    (jump,) = model.build_jump_operators(params)
+    assert jump.shape == (2, 3, 4, 4)
+    assert np.abs(jump[0]).max() == 0.0
+    np.testing.assert_array_equal(jump[1, 1], model.build_jump_operators(model.ModelParams(Gamma=2.0, phi=0.7))[0])
+    # A jump is left out only when its rate vanishes on every cell.
+    assert model.build_jump_operators(model.ModelParams(Gamma=np.zeros(3), kappa=np.zeros(3))) == []
+
+
+def test_array_fields_validated_per_cell():
+    with pytest.raises(NegativeRateError, match="^Gamma must be >= 0, got -1.0$"):
+        model.ModelParams(Gamma=np.array([1.0, -1.0]))
+    with pytest.raises(NegativeRateError, match="^kappa must be >= 0"):
+        model.ModelParams(kappa=np.array([[0.0], [-0.5]]))
+    with pytest.raises(NegativeRateError, match="^drive amplitude must be >= 0"):
+        model.Drive(target=2, amplitude=np.array([0.5, -0.1]))
+    with pytest.raises(ValidationError, match="^phi must be finite, got nan"):
+        model.ModelParams(phi=np.array([0.0, math.nan]))
+
+
 def test_collective_jump_annihilates_ground_state():
     for phi in (0.0, 0.7, math.pi, 1.5 * math.pi):
         jumps = model.build_jump_operators(model.ModelParams(J=1.0, Gamma=2.0, phi=phi))

@@ -52,6 +52,26 @@ def test_populations_rejects_invalid_states():
         populations(np.eye(2))
 
 
+def test_population_observables_take_stacks():
+    rng = np.random.default_rng(127)
+    states = np.array([random_density_matrix(rng) for _ in range(5)])
+    p1, p2 = populations(states)
+    rotated = to_collective_basis(states)
+    pops = collective_populations(states)
+    assert p1.shape == p2.shape == pops.P_E.shape == (5,)
+    for k, rho in enumerate(states):
+        assert (p1[k], p2[k]) == populations(rho)
+        np.testing.assert_array_equal(rotated[k], to_collective_basis(rho))
+        one = collective_populations(rho)
+        assert (pops.P_E[k], pops.P_plus[k], pops.P_minus[k], pops.P_G[k]) == (
+            one.P_E, one.P_plus, one.P_minus, one.P_G)
+    assert type(one.P_E) is float
+    states[3] *= 2.0
+    for observable in (populations, to_collective_basis, collective_populations):
+        with pytest.raises(InvalidStateError, match="at sample 3"):
+            observable(states)
+
+
 # ---- concurrence ----
 
 
