@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .dynamics import liouvillian_from_params, steady_state
-from .errors import CONFIG_ERRORS, NUMERIC_ERRORS, IoError
+from .errors import CONFIG_ERRORS, NUMERIC_ERRORS, DegenerateSteadyStateError, IoError
 from .experiments import parse_config, parse_sweep_config, run_experiment, run_figure, run_sweep
 from .observables import collective_populations, concurrence, damping_forces, populations
 
@@ -52,6 +52,8 @@ def _cmd_steady(args) -> None:
     result = steady_state(liouvillian_from_params(config.model))
     print(f"unique: {'yes' if result.unique else 'no'}")
     print(f"spectral_gap: {_fmt(result.spectral_gap)}")
+    if not result.unique:
+        raise DegenerateSteadyStateError("the stationary manifold is degenerate: no unique steady state to report")
     p1, p2 = populations(result.state)
     print(f"P1: {_fmt(p1)}")
     print(f"P2: {_fmt(p2)}")

@@ -3,9 +3,9 @@
 Density matrices are vectorized by stacking columns, so vec(A X B) equals
 (B.T kron A) vec(X) and the master equation becomes a single dense
 generator acting on a length-16 vector.  Both integrators share one core
-that applies a stride matrix once per stored sample; they differ only in how
-the matrix is built: a power of the RK4 one-step matrix for production runs,
-or a scaled-and-squared exponential that cross-checks it independently.
+that fills the stored samples with powers of a stride matrix, built as a
+power of the RK4 one-step matrix for production runs or as a scaled-and-
+squared exponential that cross-checks it independently.
 """
 
 from __future__ import annotations
@@ -113,10 +113,9 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense generator in column-stacked convention plus its provenance."""
+    """Dense generator in column-stacked convention."""
 
     matrix: np.ndarray
-    params: ModelParams | None = None
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,6 @@ class StateDiagnostics:
 def build_liouvillian(
     hamiltonian: np.ndarray,
     jump_operators: list[np.ndarray] | tuple[np.ndarray, ...] = (),
-    params: ModelParams | None = None,
 ) -> Liouvillian:
     """Assemble the master-equation generator, or a stack of them.
 
@@ -160,8 +158,6 @@ def build_liouvillian(
     jump_operators : sequence of array_like
         Collapse operators with rates absorbed into their amplitudes; each
         (..., n, n) and broadcasting against the Hamiltonian.
-    params : ModelParams, optional
-        Carried along as metadata only.
 
     Returns
     -------
@@ -185,7 +181,7 @@ def build_liouvillian(
         gen = gen + kron(op.conj(), op)
         gen = gen - 0.5 * kron(eye, square)
         gen = gen - 0.5 * kron(np.swapaxes(square, -1, -2), eye)
-    return Liouvillian(matrix=gen, params=params)
+    return Liouvillian(matrix=gen)
 
 
 def liouvillian_from_params(params: ModelParams) -> Liouvillian:
@@ -193,7 +189,7 @@ def liouvillian_from_params(params: ModelParams) -> Liouvillian:
 
     Array fields in `params` give a (..., 16, 16) stack over their broadcast shape.
     """
-    return build_liouvillian(build_hamiltonian(params), build_jump_operators(params), params=params)
+    return build_liouvillian(build_hamiltonian(params), build_jump_operators(params))
 
 
 def validate_density_matrix(rho) -> StateDiagnostics:
@@ -212,8 +208,7 @@ def validate_density_matrix(rho) -> StateDiagnostics:
 
 
 def _check_samples(states: np.ndarray, provenance: str) -> None:
-    # Batch validation of every stored sample; np.linalg handles the
-    # stacked 4x4 eigenvalue problems far faster than checking one by one.
+    # Every stored sample at once: one batched eigvalsh over the (N, 4, 4) stack.
     traces = np.abs(np.einsum("kii->k", states) - 1.0)
     if float(traces.max()) > TRACE_DRIFT_TOL:
         k = int(traces.argmax())
@@ -238,7 +233,11 @@ def _single_generator(liouvillian: Liouvillian) -> np.ndarray:
 
 
 def _propagate(rho0, gen: np.ndarray, grid: TimeGrid, stride_matrix, provenance: str) -> Trajectory:
-    """Apply `stride_matrix(span)`, column-stacked over `span` steps, once per stored sample."""
+    """Fill the stored samples with powers of `stride_matrix(span)`, column-stacked over `span` steps.
+
+    Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start to the next,
+    and one batched product with S^1..S^m fills every block.  A shorter tail takes one more product.
+    """
     n = int(round(math.sqrt(gen.shape[0])))
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (n, n):
@@ -246,16 +245,27 @@ def _propagate(rho0, gen: np.ndarray, grid: TimeGrid, stride_matrix, provenance:
     if float(np.abs(rho0 - rho0.conj().T).max()) > 1e-8 or abs(rho0.trace() - 1.0) > 1e-8:
         raise NotAStateError("initial state must be Hermitian with unit trace")
     steps = grid.sample_steps()
+    spans = np.diff(steps).tolist()
+    count = len(spans) - (spans[-1] != spans[0])
     # Buffer rows hold rho row-major, so they reshape into C-contiguous
-    # states without a copy; `order` permutes each stride matrix to match.
+    # states without a copy; `perm` permutes each stride matrix to match.
     order = np.arange(n * n).reshape(n, n).T.ravel()
+    perm = np.ix_(order, order)
+    m = math.isqrt(count)
+    powers = np.empty((m, n * n, n * n), dtype=complex)
+    powers[0] = stride_matrix(spans[0])[perm]
+    for j in range(1, m):
+        np.matmul(powers[j - 1], powers[0], out=powers[j])
+    starts = np.empty((-(-count // m), n * n), dtype=complex)
+    starts[0] = rho0.ravel()
+    for b in range(1, len(starts)):
+        np.matmul(powers[-1], starts[b - 1], out=starts[b])
     buf = np.empty((len(steps), n * n), dtype=complex)
-    buf[0] = rho0.ravel()
-    strides: dict[int, np.ndarray] = {}  # the tail interval may be shorter
-    for i, span in enumerate(np.diff(steps).tolist(), start=1):
-        if span not in strides:
-            strides[span] = stride_matrix(span)[np.ix_(order, order)]
-        np.matmul(strides[span], buf[i - 1], out=buf[i])
+    buf[0] = starts[0]
+    # Entry (j, :, b) is S^(j+1) applied to block start b, which is sample b*m + j + 1.
+    buf[1:count + 1] = np.matmul(powers, starts.T).transpose(2, 0, 1).reshape(-1, n * n)[:count]
+    if count < len(spans):
+        buf[-1] = stride_matrix(spans[-1])[perm] @ buf[count]
     states = buf.reshape(len(steps), n, n)
     _check_samples(states, provenance)
     return Trajectory(times=grid.sample_times(), states=states, provenance=provenance)

@@ -53,6 +53,10 @@ class NotAStateError(Exception):
     """Null vector cannot be turned into a unit-trace Hermitian state."""
 
 
+class DegenerateSteadyStateError(Exception):
+    """The stationary manifold is degenerate, so no single steady state exists."""
+
+
 class ParseError(ValueError):
     """Config text is malformed; message carries the line number."""
 
@@ -88,4 +92,5 @@ NUMERIC_ERRORS = (
     StepTooLargeError,
     StateInvariantViolatedError,
     NotAStateError,
+    DegenerateSteadyStateError,
 )

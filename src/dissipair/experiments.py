@@ -48,6 +48,7 @@ OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
 SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
 SWEEP_AXES = ("J", "Gamma", "phi", "kappa", "drive_amplitude")
 DEGENERATE_SENTINEL = -1.0
+_CSV_BLOCK_ROWS = 512  # rows per `%` call in write_csv; bounds its temporary tuple of cells
 
 ISOLATION_PHASE = 1.5 * math.pi
 PRESET_GAMMA = 2.0
@@ -298,8 +299,10 @@ def write_csv(path, header, rows) -> str:
     try:
         with open(tmp, "x", encoding="ascii", newline="") as fh:
             fh.write(",".join(str(name) for name in header) + "\n")
-            for row in table:
-                fh.write(template % tuple(row))
+            # `tolist` hands `%` Python floats: same bytes as numpy scalars, formatted faster.
+            for start in range(0, len(table), _CSV_BLOCK_ROWS):
+                block = table[start:start + _CSV_BLOCK_ROWS]
+                fh.write((template * len(block)) % tuple(block.ravel().tolist()))
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -412,14 +415,6 @@ def _preset_params(phi: float, drive_target: int | None = None) -> ModelParams:
     return ModelParams(J=1.0, Gamma=PRESET_GAMMA, phi=phi, kappa=0.0, drive=drive)
 
 
-def _transient_grid() -> TimeGrid:
-    return TimeGrid(TRANSIENT_T_MAX, PRESET_DT, 1)
-
-
-def _driven_grid() -> TimeGrid:
-    return TimeGrid(DRIVEN_T_MAX, PRESET_DT, DRIVEN_SAMPLE_EVERY)
-
-
 SWEEP_2A = SweepConfig(
     spec=SweepSpec(
         axis1=AxisSpec("Gamma", 0.0, 4.0, 201),
@@ -438,8 +433,8 @@ def figure_trajectory_runs() -> dict[str, tuple[TrajectoryRun, ...]]:
     opposed = _preset_params(math.pi)
     drive1 = _preset_params(ISOLATION_PHASE, drive_target=1)
     drive2 = _preset_params(ISOLATION_PHASE, drive_target=2)
-    short = _transient_grid()
-    long = _driven_grid()
+    short = TimeGrid(TRANSIENT_T_MAX, PRESET_DT, 1)
+    long = TimeGrid(DRIVEN_T_MAX, PRESET_DT, DRIVEN_SAMPLE_EVERY)
     collective_initials = (("E", "E"), ("plus", "PLUS"), ("minus", "MINUS"), ("G", "G"))
 
     runs: dict[str, tuple[TrajectoryRun, ...]] = {

@@ -112,7 +112,8 @@ def to_collective_basis(rho) -> np.ndarray:
 
 def collective_populations(rho) -> CollectivePopulations:
     """Diagonal in the collective basis: floats for one state, arrays for an (N, 4, 4) stack."""
-    diag = np.diagonal(to_collective_basis(rho), axis1=-2, axis2=-1).real
+    t = COLLECTIVE_TRANSFORM
+    diag = np.einsum("ki,...ij,kj->...k", t, _require_state(rho, stacked=True), t.conj()).real
     return CollectivePopulations(*(_per_state(diag[..., k]) for k in range(4)))
 
 

@@ -71,6 +71,18 @@ def test_steady_command(tmp_path, capsys):
     assert "concurrence: 0.2" in out
 
 
+def test_steady_degenerate_exit_code(tmp_path, capsys):
+    # Undriven at phi = pi the antisymmetric state is dark: the stationary
+    # manifold is degenerate, so no observables of an arbitrary element are printed.
+    cfg = _config(tmp_path, "J = 1.0\nGamma = 2.0\nphi = 3.141592653589793\n")
+    assert main(["steady", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "unique: no"
+    assert captured.out.splitlines()[1].startswith("spectral_gap: ")
+    assert len(captured.out.splitlines()) == 2
+    assert "degenerate" in captured.err
+
+
 def test_sweep_command(tmp_path):
     text = (
         "observable = delta_F\n"

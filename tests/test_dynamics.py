@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dissipair import dynamics, model
@@ -221,6 +221,9 @@ def _rk4_stepwise(rho0, gen, grid):
     return np.array(out)
 
 
+_EDGE_MODEL = dict(J=1.0, Gamma=2.0, phi=1.5 * math.pi, kappa=0.1, drive=(1, 0.7), initial="EG", step_fraction=1.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     J=st.complex_numbers(max_magnitude=2.0),
@@ -230,9 +233,19 @@ def _rk4_stepwise(rho0, gen, grid):
     drive=st.none() | st.tuples(st.sampled_from([1, 2]), st.floats(0.0, 1.5)),
     initial=st.sampled_from(INITIAL_STATE_NAMES),
     step_fraction=st.floats(0.05, 1.0),
-    n_steps=st.integers(40, 160).filter(lambda n: n % 7 != 0),
+    n_steps=st.integers(1, 400),
     sample_every=st.sampled_from([1, 7, 10, 50]),
 )
+# The propagator fills uniform samples in blocks of isqrt(count) and steps a
+# shorter tail span on its own: pin sample counts at 1, at a perfect square
+# and one past it, each with and without a tail.
+@example(**_EDGE_MODEL, n_steps=3, sample_every=7)  # one sample, span shorter than the stride
+@example(**_EDGE_MODEL, n_steps=7, sample_every=7)  # one sample, no tail
+@example(**_EDGE_MODEL, n_steps=9, sample_every=7)  # one sample, then a tail
+@example(**_EDGE_MODEL, n_steps=16, sample_every=1)  # 16 samples, no tail
+@example(**_EDGE_MODEL, n_steps=115, sample_every=7)  # 16 samples, then a tail
+@example(**_EDGE_MODEL, n_steps=170, sample_every=10)  # 17 samples, no tail
+@example(**_EDGE_MODEL, n_steps=122, sample_every=7)  # 17 samples, then a tail
 def test_rk4_propagator_matches_stepwise_rk4(J, Gamma, phi, kappa, drive, initial,
                                              step_fraction, n_steps, sample_every):
     params = model.ModelParams(J=J, Gamma=Gamma, phi=phi, kappa=kappa,

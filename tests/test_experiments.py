@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dissipair import model
 from dissipair.dynamics import TimeGrid, evolve_rk4, initial_state, liouvillian_from_params, steady_state
@@ -142,6 +144,26 @@ def test_write_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(path, ["t", "P1"], [])
     assert path.read_bytes() == b"t,P1\n"
+
+
+_CSV_CELLS = (
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e300, -1e300, 0.1, 1.0 / 3.0])
+    | st.integers(-(10**16), 10**16).map(float)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(0, 1300), cols=st.integers(1, 17), cells=st.lists(_CSV_CELLS, min_size=1, max_size=64))
+def test_write_csv_matches_per_cell_format(tmp_path, rows, cols, cells):
+    # Row counts cross the writer's block boundary; the reference formats
+    # every numpy cell on its own, one line per row.
+    table = np.resize(np.array(cells, dtype=float), (rows, cols))
+    header = [f"c{k}" for k in range(cols)]
+    expected = ",".join(header) + "\n" + "".join(",".join("%.15g" % x for x in row) + "\n" for row in table)
+    path = tmp_path / "table.csv"
+    write_csv(path, header, table)
+    assert path.read_bytes() == expected.encode("ascii")
 
 
 def test_write_csv_refuses_non_finite(tmp_path):
