@@ -10,7 +10,6 @@ pins the pair to an entangled stationary state.
 
 from .dynamics import (
     INITIAL_STATE_NAMES,
-    Liouvillian,
     SteadyStateResult,
     TimeGrid,
     Trajectory,
@@ -21,7 +20,6 @@ from .dynamics import (
     liouvillian_from_params,
     steady_state,
     unvec,
-    validate_density_matrix,
     vec,
 )
 from .experiments import (
@@ -38,21 +36,15 @@ from .experiments import (
     write_csv,
 )
 from .model import (
-    CircuitParams,
     Drive,
-    GeometryParams,
     ModelParams,
     build_coherent_hamiltonian,
     build_drive_hamiltonian,
     build_hamiltonian,
     build_jump_operators,
-    collective_decay_matrix,
-    coupling_from_circuit,
-    phase_from_separation,
     sigma_minus,
     sigma_plus,
     sigma_z,
-    transmon_frequency,
 )
 from .observables import (
     COLLECTIVE_TRANSFORM,

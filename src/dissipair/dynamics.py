@@ -23,7 +23,7 @@ from .errors import (
     StateInvariantViolatedError,
     StepTooLargeError,
 )
-from .linalg import DEFAULT_TOL, dagger, hermitian_eigensystem, kron, matrix_exponential
+from .linalg import DEFAULT_TOL, dagger, kron, matrix_exponential
 from .model import ModelParams, build_hamiltonian, build_jump_operators, require_finite
 
 # Hard ceiling on dt * ||L||_inf; above this RK4 accuracy degrades fast.
@@ -112,19 +112,11 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class Liouvillian:
-    """Dense generator in column-stacked convention."""
-
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled states along one evolution."""
 
     times: np.ndarray
     states: np.ndarray
-    provenance: str = ""
 
 
 @dataclass(frozen=True)
@@ -134,17 +126,10 @@ class SteadyStateResult:
     unique: bool
 
 
-@dataclass(frozen=True)
-class StateDiagnostics:
-    hermiticity_defect: float
-    trace_defect: float
-    min_eigenvalue: float
-
-
 def build_liouvillian(
     hamiltonian: np.ndarray,
     jump_operators: list[np.ndarray] | tuple[np.ndarray, ...] = (),
-) -> Liouvillian:
+) -> np.ndarray:
     """Assemble the master-equation generator, or a stack of them.
 
     L = -1j (I kron H - H.T kron I)
@@ -161,8 +146,8 @@ def build_liouvillian(
 
     Returns
     -------
-    Liouvillian
-        Its matrix is (..., n^2, n^2) over the broadcast leading axes.
+    ndarray
+        (..., n^2, n^2) over the broadcast leading axes.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
@@ -181,10 +166,10 @@ def build_liouvillian(
         gen = gen + kron(op.conj(), op)
         gen = gen - 0.5 * kron(eye, square)
         gen = gen - 0.5 * kron(np.swapaxes(square, -1, -2), eye)
-    return Liouvillian(matrix=gen)
+    return gen
 
 
-def liouvillian_from_params(params: ModelParams) -> Liouvillian:
+def liouvillian_from_params(params: ModelParams) -> np.ndarray:
     """Generator for the standard model: exchange, collective decay, dephasing.
 
     Array fields in `params` give a (..., 16, 16) stack over their broadcast shape.
@@ -192,47 +177,32 @@ def liouvillian_from_params(params: ModelParams) -> Liouvillian:
     return build_liouvillian(build_hamiltonian(params), build_jump_operators(params))
 
 
-def validate_density_matrix(rho) -> StateDiagnostics:
-    """Report Hermiticity defect, trace defect, and minimum eigenvalue.
-
-    Purely diagnostic; thresholds are the caller's business.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ShapeMismatchError(f"state must be square, got {rho.shape}")
-    herm = float(np.abs(rho - rho.conj().T).max())
-    trace = float(abs(rho.trace() - 1.0))
-    sym = 0.5 * (rho + rho.conj().T)
-    es = hermitian_eigensystem(sym, tol=max(DEFAULT_TOL, 10.0 * herm + 1e-12))
-    return StateDiagnostics(herm, trace, float(es.values[0]))
-
-
-def _check_samples(states: np.ndarray, provenance: str) -> None:
+def _check_samples(states: np.ndarray, label: str) -> None:
     # Every stored sample at once: one batched eigvalsh over the (N, 4, 4) stack.
     traces = np.abs(np.einsum("kii->k", states) - 1.0)
     if float(traces.max()) > TRACE_DRIFT_TOL:
         k = int(traces.argmax())
         raise StateInvariantViolatedError(
-            f"{provenance}: trace drift {traces[k]:.3e} at sample {k} exceeds {TRACE_DRIFT_TOL:.1e}"
+            f"{label}: trace drift {traces[k]:.3e} at sample {k} exceeds {TRACE_DRIFT_TOL:.1e}"
         )
     sym = 0.5 * (states + np.conj(np.transpose(states, (0, 2, 1))))
     lows = np.linalg.eigvalsh(sym)[:, 0]
     if float(lows.min()) < -NEGATIVITY_TOL:
         k = int(lows.argmin())
         raise StateInvariantViolatedError(
-            f"{provenance}: negativity {lows[k]:.3e} at sample {k} exceeds {NEGATIVITY_TOL:.1e}"
+            f"{label}: negativity {lows[k]:.3e} at sample {k} exceeds {NEGATIVITY_TOL:.1e}"
         )
 
 
-def _single_generator(liouvillian: Liouvillian) -> np.ndarray:
-    """The generator matrix, refused when it is a stack: the integrators evolve one model at a time."""
-    gen = liouvillian.matrix
+def _single_generator(liouvillian: np.ndarray) -> np.ndarray:
+    """The generator, refused when it is a stack: the integrators evolve one model at a time."""
+    gen = np.asarray(liouvillian)
     if gen.ndim != 2:
         raise ShapeMismatchError(f"integrators take one generator, got a stack of shape {gen.shape}")
     return gen
 
 
-def _propagate(rho0, gen: np.ndarray, grid: TimeGrid, stride_matrix, provenance: str) -> Trajectory:
+def _propagate(rho0, gen: np.ndarray, grid: TimeGrid, stride_matrix, label: str) -> Trajectory:
     """Fill the stored samples with powers of `stride_matrix(span)`, column-stacked over `span` steps.
 
     Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start to the next,
@@ -267,11 +237,11 @@ def _propagate(rho0, gen: np.ndarray, grid: TimeGrid, stride_matrix, provenance:
     if count < len(spans):
         buf[-1] = stride_matrix(spans[-1])[perm] @ buf[count]
     states = buf.reshape(len(steps), n, n)
-    _check_samples(states, provenance)
-    return Trajectory(times=grid.sample_times(), states=states, provenance=provenance)
+    _check_samples(states, label)
+    return Trajectory(times=grid.sample_times(), states=states)
 
 
-def evolve_rk4(rho0, liouvillian: Liouvillian, grid: TimeGrid) -> Trajectory:
+def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Fixed-step classical Runge-Kutta propagation.
 
     On a constant generator one step is exactly v <- P v, with P the degree-4
@@ -281,8 +251,8 @@ def evolve_rk4(rho0, liouvillian: Liouvillian, grid: TimeGrid) -> Trajectory:
     ----------
     rho0 : array_like
         Initial density matrix.
-    liouvillian : Liouvillian
-        Generator; dt * ||matrix||_inf must stay at or below 0.1.
+    liouvillian : ndarray
+        One (n^2, n^2) generator; dt * ||L||_inf must stay at or below 0.1.
     grid : TimeGrid
         Step size and sampling stride.
 
@@ -303,7 +273,7 @@ def evolve_rk4(rho0, liouvillian: Liouvillian, grid: TimeGrid) -> Trajectory:
     return _propagate(rho0, gen, grid, lambda span: np.linalg.matrix_power(step, span), f"rk4 dt={grid.dt:g}")
 
 
-def evolve_expm(rho0, liouvillian: Liouvillian, grid: TimeGrid) -> Trajectory:
+def evolve_expm(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Propagation by the exact exponential map over each sample interval.
 
     Independent of the Runge-Kutta route; used to cross-check it.
@@ -313,7 +283,7 @@ def evolve_expm(rho0, liouvillian: Liouvillian, grid: TimeGrid) -> Trajectory:
                       f"expm dt={grid.dt:g}")
 
 
-def steady_state(liouvillian: Liouvillian) -> SteadyStateResult:
+def steady_state(liouvillian: np.ndarray) -> SteadyStateResult:
     """Stationary state from the null space of the generator, or of each in a stack.
 
     The singular values and null directions come from the SVD of L itself;
@@ -326,7 +296,7 @@ def steady_state(liouvillian: Liouvillian) -> SteadyStateResult:
     bool; a (..., n^2, n^2) stack gives arrays over its leading axes and
     (..., n, n) states, from one batched SVD.
     """
-    gen = liouvillian.matrix
+    gen = np.asarray(liouvillian)
     _, sing, vh = np.linalg.svd(gen)
     # Ascending singular values; row i of `null` is the right singular vector of sing[..., i].
     sing, null = sing[..., ::-1], vh[..., ::-1, :].conj()

@@ -21,22 +21,6 @@ class NotPSDError(Exception):
     """Matrix has an eigenvalue below the allowed negative tolerance."""
 
 
-class BadIndexError(ValueError):
-    """Qubit index outside {1, 2}."""
-
-
-class NegativeRateError(ValueError):
-    """A decay or dephasing rate is negative."""
-
-
-class BadWavelengthError(ValueError):
-    """Wavelength must be positive."""
-
-
-class BadEnergyError(ValueError):
-    """Circuit energy must be positive."""
-
-
 class InvalidStateError(Exception):
     """Density matrix fails basic state checks."""
 
@@ -65,6 +49,14 @@ class ValidationError(ValueError):
     """Config value fails validation; message names the field."""
 
 
+class BadIndexError(ValidationError):
+    """Qubit index outside {1, 2}."""
+
+
+class NegativeRateError(ValidationError):
+    """A decay or dephasing rate is negative."""
+
+
 class UnknownPresetError(ValueError):
     """Figure preset id is not registered."""
 
@@ -77,10 +69,6 @@ CONFIG_ERRORS = (
     ParseError,
     ValidationError,
     UnknownPresetError,
-    BadIndexError,
-    NegativeRateError,
-    BadWavelengthError,
-    BadEnergyError,
     ShapeMismatchError,
 )
 

@@ -7,8 +7,6 @@ rather than ignored.  Keys for a trajectory run:
     J, Gamma, phi, kappa          model rates (J real here; library users
                                   can pass complex J directly)
     drive_target, drive_amplitude resonant drive on one qubit
-    omega_d, omega0               drive detuning guard; omega_d, when
-                                  given, must equal omega0
     initial                       EE, EG, GE, GG, E, PLUS, MINUS, G
     t_max, dt, sample_every       integration window, step, output stride
     outputs                       comma list of populations, concurrence,
@@ -175,28 +173,12 @@ def _model_from_entries(e: _Entries) -> ModelParams:
     Gamma = e.take_float("Gamma", 0.0)
     phi = e.take_float("phi", 0.0)
     kappa = e.take_float("kappa", 0.0)
-    omega0 = e.take_float("omega0", 0.0)
-    omega_d = e.take_float("omega_d", None)
     target = e.take_int("drive_target", None)
     amplitude = e.take_float("drive_amplitude", None)
-    require_finite(omega0=omega0)
-    if Gamma < 0.0:
-        raise ValidationError(f"Gamma must be >= 0, got {Gamma}")
-    if kappa < 0.0:
-        raise ValidationError(f"kappa must be >= 0, got {kappa}")
-    if omega_d is not None and omega_d != omega0:
-        raise ValidationError(
-            f"omega_d must equal omega0 (resonant drive only), got {omega_d} vs {omega0}"
-        )
+    if amplitude is not None and target is None:
+        raise ValidationError("drive_amplitude given without drive_target")
     drive = None
-    if amplitude is not None:
-        if amplitude < 0.0:
-            raise ValidationError(f"drive_amplitude must be >= 0, got {amplitude}")
-        if target is None:
-            raise ValidationError("drive_amplitude given without drive_target")
     if target is not None:
-        if target not in (1, 2):
-            raise ValidationError(f"drive_target must be 1 or 2, got {target}")
         drive = Drive(target=target, amplitude=0.0 if amplitude is None else amplitude)
     return ModelParams(J=J, Gamma=Gamma, phi=phi, kappa=kappa, drive=drive)
 

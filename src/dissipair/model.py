@@ -13,20 +13,11 @@ along the channel.  Individual dephasing enters at rate kappa.
 
 from __future__ import annotations
 
-import cmath
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadEnergyError,
-    BadIndexError,
-    BadWavelengthError,
-    NegativeRateError,
-    ValidationError,
-)
+from .errors import BadIndexError, NegativeRateError, ValidationError
 from .linalg import kron
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -34,9 +25,6 @@ LOWER_2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 RAISE_2 = LOWER_2.conj().T
 SIGMA_Z_2 = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_Y_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-# Below this E_J / E_C ratio the charge-insensitive regime assumption is shaky.
-TRANSMON_RATIO_FLOOR = 10.0
 
 
 def require_finite(**fields) -> None:
@@ -88,43 +76,6 @@ class ModelParams:
     def __post_init__(self):
         require_finite(J=self.J, Gamma=self.Gamma, phi=self.phi, kappa=self.kappa)
         require_non_negative(Gamma=self.Gamma, kappa=self.kappa)
-
-
-@dataclass(frozen=True)
-class GeometryParams:
-    """Positions along the channel: separation >= 0, wavelength > 0."""
-
-    separation: float
-    wavelength: float
-
-    def __post_init__(self):
-        if self.separation < 0.0:
-            raise BadWavelengthError(f"separation must be >= 0, got {self.separation}")
-        if self.wavelength <= 0.0:
-            raise BadWavelengthError(f"wavelength must be > 0, got {self.wavelength}")
-
-
-@dataclass(frozen=True)
-class CircuitParams:
-    """Charging and Josephson energies of two transmons and their coupler."""
-
-    E_C1: float
-    E_C2: float
-    E_J1: float
-    E_J2: float
-    E_Cc: float
-
-    def __post_init__(self):
-        for name in ("E_C1", "E_C2", "E_J1", "E_J2", "E_Cc"):
-            if getattr(self, name) <= 0.0:
-                raise BadEnergyError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name, ej, ec in (("1", self.E_J1, self.E_C1), ("2", self.E_J2, self.E_C2)):
-            if ej / ec < TRANSMON_RATIO_FLOOR:
-                warnings.warn(
-                    f"qubit {name}: E_J/E_C = {ej / ec:.3g} below {TRANSMON_RATIO_FLOOR}, "
-                    "outside the charge-insensitive regime",
-                    stacklevel=2,
-                )
 
 
 def _check_qubit(qubit: int) -> None:
@@ -196,48 +147,3 @@ def build_jump_operators(params: ModelParams) -> list[np.ndarray]:
         jumps.append(root * sigma_z(1))
         jumps.append(root * sigma_z(2))
     return jumps
-
-
-def phase_from_separation(geometry: GeometryParams) -> float:
-    """Propagation phase 2 pi separation / wavelength picked up between qubits."""
-    return 2.0 * math.pi * geometry.separation / geometry.wavelength
-
-
-def collective_decay_matrix(Gamma: float, phi: float) -> np.ndarray:
-    """2x2 decay matrix of the shared channel.
-
-    Diagonal entries Gamma / 2, off-diagonal (Gamma / 2) exp(1j phi); the
-    off-diagonal phase encodes the travel distance between the qubits.
-    """
-    if Gamma < 0.0:
-        raise NegativeRateError(f"Gamma must be >= 0, got {Gamma}")
-    half = 0.5 * Gamma
-    cross = half * cmath.exp(1j * phi)
-    return np.array([[half, cross], [cross, half]], dtype=complex)
-
-
-def transmon_frequency(E_C: float, E_J: float) -> float:
-    """Transition frequency sqrt(8 E_C E_J) - E_C of a single transmon."""
-    if E_C <= 0.0:
-        raise BadEnergyError(f"E_C must be > 0, got {E_C}")
-    if E_J <= 0.0:
-        raise BadEnergyError(f"E_J must be > 0, got {E_J}")
-    if E_J / E_C < TRANSMON_RATIO_FLOOR:
-        warnings.warn(
-            f"E_J/E_C = {E_J / E_C:.3g} below {TRANSMON_RATIO_FLOOR}, "
-            "outside the charge-insensitive regime",
-            stacklevel=2,
-        )
-    return math.sqrt(8.0 * E_C * E_J) - E_C
-
-
-def coupling_from_circuit(circuit: CircuitParams) -> float:
-    """Exchange amplitude produced by a capacitive coupler.
-
-    Coefficient of (s1+ s2- + s1- s2+):
-    (2 E_C1 E_C2 / E_Cc) * (E_J1 / (2 E_C1))**(1/4) * (E_J2 / (2 E_C2))**(1/4),
-    in the same energy units as the inputs.
-    """
-    prefactor = 2.0 * circuit.E_C1 * circuit.E_C2 / circuit.E_Cc
-    ratio = (circuit.E_J1 / (2.0 * circuit.E_C1)) * (circuit.E_J2 / (2.0 * circuit.E_C2))
-    return prefactor * ratio ** 0.25

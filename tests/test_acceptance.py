@@ -81,7 +81,13 @@ def test_criterion_1_isolation_extremes():
         abs(damping_forces(1.0, 2.0, 0.5 * math.pi).delta_F - 1.0),
     ]
     defects += [abs(damping_forces(1.0, 2.0, n * math.pi).delta_F) for n in (0, 1, 2)]
-    _report(1, "isolation ratio hits -1, +1 and vanishes at multiples of pi", max(defects) <= 1e-12)
+    # The paper's geometry: a separation d = (4n + 3) lambda0 / 4 gives phi = 2 pi d / lambda0 = 3 pi/2 mod 2 pi.
+    wavelength = 0.3
+    for n in range(4):
+        phi = 2.0 * math.pi * ((4 * n + 3) * wavelength / 4.0) / wavelength
+        defects += [abs(phi % (2.0 * math.pi) - 1.5 * math.pi), abs(damping_forces(1.0, 2.0, phi).delta_F + 1.0)]
+    _report(1, "isolation ratio hits -1 at (4n+3)/4-wavelength separations, +1, and vanishes at multiples of pi",
+            max(defects) <= 1e-12)
 
 
 def test_criterion_2_analytic_decay():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import dissipair
+from dissipair import errors
 from dissipair.cli import main
+from dissipair.errors import CONFIG_ERRORS, NUMERIC_ERRORS, IoError
 
 ISO_LINES = "J = 1.0\nGamma = 2.0\nphi = 4.712388980384690\n"
 
@@ -33,9 +35,26 @@ def test_evolve_writes_trajectory(tmp_path):
     assert data.shape == (51, 8)
 
 
-def test_evolve_config_error_exit_code(tmp_path):
-    cfg = _config(tmp_path, "Gamma = -1\n")
-    assert main(["evolve", "--config", cfg]) == 2
+@pytest.mark.parametrize("entries, message", [
+    ("Gamma = -1\n", "Gamma must be >= 0"),
+    ("kappa = -0.1\n", "kappa must be >= 0"),
+    ("drive_target = 1\ndrive_amplitude = -0.5\n", "drive amplitude must be >= 0"),
+    ("drive_target = 3\n", "drive target must be 1 or 2"),
+    ("omega0 = 5\n", "unknown key 'omega0'"),
+], ids=["Gamma", "kappa", "drive_amplitude", "drive_target", "omega0"])
+def test_evolve_config_error_exit_code(tmp_path, capsys, entries, message):
+    cfg = _config(tmp_path, entries + "t_max = 0.1\noutput_path = out.csv\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_every_error_has_an_exit_code():
+    defined = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == errors.__name__]
+    assert IoError in defined
+    mapped = (*CONFIG_ERRORS, *NUMERIC_ERRORS, IoError)
+    assert [cls.__name__ for cls in defined if not issubclass(cls, mapped)] == []
 
 
 def test_evolve_numeric_error_exit_code(tmp_path):
@@ -117,7 +136,6 @@ def test_sweep_non_finite_axis_exit_code(tmp_path, capsys):
     ("J", "nan", "J"),
     ("phi", "inf", "phi"),
     ("kappa", "nan", "kappa"),
-    ("omega0", "-inf", "omega0"),
     ("drive_amplitude", "nan", "amplitude"),
     ("t_max", "inf", "t_max"),
     ("dt", "nan", "dt"),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dissipair import dynamics, model
 from dissipair.dynamics import (
     INITIAL_STATE_NAMES,
-    Liouvillian,
     TimeGrid,
     build_liouvillian,
     evolve_expm,
@@ -18,7 +17,6 @@ from dissipair.dynamics import (
     liouvillian_from_params,
     steady_state,
     unvec,
-    validate_density_matrix,
     vec,
 )
 from dissipair.errors import (
@@ -66,7 +64,7 @@ def test_vec_sandwich_identity():
 
 def test_zero_generator():
     gen = build_liouvillian(np.zeros((4, 4)), [])
-    np.testing.assert_array_equal(gen.matrix, np.zeros((16, 16)))
+    np.testing.assert_array_equal(gen, np.zeros((16, 16)))
 
 
 def test_generator_matches_direct_master_equation():
@@ -75,7 +73,7 @@ def test_generator_matches_direct_master_equation():
                                drive=model.Drive(target=1, amplitude=0.4))
     h = model.build_hamiltonian(params)
     jumps = model.build_jump_operators(params)
-    gen = build_liouvillian(h, jumps).matrix
+    gen = build_liouvillian(h, jumps)
     for _ in range(10):
         rho = random_density_matrix(rng)
         direct = -1j * (h @ rho - rho @ h)
@@ -91,7 +89,7 @@ def test_generator_preserves_trace_row():
         model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi, drive=model.Drive(1, 8.0 / 11.0)),
     )
     for params in probes:
-        gen = liouvillian_from_params(params).matrix
+        gen = liouvillian_from_params(params)
         row = vec(np.eye(4)).conj() @ gen
         assert np.abs(row).max() <= 1e-12
 
@@ -154,11 +152,10 @@ def test_time_grid_validation():
 
 
 def test_rk4_constant_under_zero_generator():
-    gen = Liouvillian(matrix=np.zeros((16, 16), dtype=complex))
+    gen = np.zeros((16, 16), dtype=complex)
     rho0 = initial_state("PLUS")
     traj = evolve_rk4(rho0, gen, TimeGrid(1.0, 0.01))
     assert np.abs(traj.states - rho0).max() == 0.0
-    assert traj.provenance.startswith("rk4")
 
 
 def test_rk4_analytic_decay_point():
@@ -174,10 +171,10 @@ def test_rk4_step_guard():
     with pytest.raises(StepTooLargeError):
         evolve_rk4(initial_state("EG"), gen, TimeGrid(5.0, 0.5))
     # A NaN norm compares False against any bound; the guard must still fire.
-    matrix = liouvillian_from_params(ISO).matrix.copy()
-    matrix[3, 5] = math.nan
+    broken = gen.copy()
+    broken[3, 5] = math.nan
     with pytest.raises(StepTooLargeError, match="not finite"):
-        evolve_rk4(initial_state("EG"), Liouvillian(matrix=matrix), TimeGrid(1.0, 0.002))
+        evolve_rk4(initial_state("EG"), broken, TimeGrid(1.0, 0.002))
 
 
 def test_rk4_rejects_bad_initial_state():
@@ -190,7 +187,7 @@ def test_rk4_rejects_bad_initial_state():
 
 def test_integrators_reject_a_stacked_generator():
     gen = liouvillian_from_params(model.ModelParams(J=1.0, Gamma=np.array([1.0, 2.0])))
-    assert gen.matrix.shape == (2, 16, 16)
+    assert gen.shape == (2, 16, 16)
     assert ShapeMismatchError in CONFIG_ERRORS  # the command line exits 2 on it
     for evolve in (evolve_rk4, evolve_expm):
         with pytest.raises(ShapeMismatchError, match=r"stack of shape \(2, 16, 16\)"):
@@ -199,8 +196,8 @@ def test_integrators_reject_a_stacked_generator():
 
 def test_rk4_flags_trace_drift():
     # a generator that shrinks everything is not trace preserving
-    gen = Liouvillian(matrix=-np.eye(16, dtype=complex))
-    with pytest.raises(StateInvariantViolatedError):
+    gen = -np.eye(16, dtype=complex)
+    with pytest.raises(StateInvariantViolatedError, match="^rk4 dt=0.01: trace drift"):
         evolve_rk4(initial_state("GG"), gen, TimeGrid(0.1, 0.01))
 
 
@@ -251,14 +248,14 @@ def test_rk4_propagator_matches_stepwise_rk4(J, Gamma, phi, kappa, drive, initia
     params = model.ModelParams(J=J, Gamma=Gamma, phi=phi, kappa=kappa,
                                drive=None if drive is None else model.Drive(*drive))
     gen = liouvillian_from_params(params)
-    norm = float(np.abs(gen.matrix).sum(axis=1).max())
+    norm = float(np.abs(gen).sum(axis=1).max())
     assume(norm > 0.0)
     dt = step_fraction * dynamics.MAX_STEP_NORM / norm
     grid = TimeGrid(n_steps * dt, dt, sample_every)
     assert grid.n_steps == n_steps
     rho0 = initial_state(initial)
     traj = evolve_rk4(rho0, gen, grid)
-    reference = _rk4_stepwise(rho0, gen.matrix, grid)
+    reference = _rk4_stepwise(rho0, gen, grid)
     assert traj.states.shape == reference.shape
     assert traj.states.flags.c_contiguous
     assert traj.times[-1] == n_steps * dt
@@ -266,7 +263,7 @@ def test_rk4_propagator_matches_stepwise_rk4(J, Gamma, phi, kappa, drive, initia
 
 
 def test_expm_constant_under_zero_generator():
-    gen = Liouvillian(matrix=np.zeros((16, 16), dtype=complex))
+    gen = np.zeros((16, 16), dtype=complex)
     rho0 = initial_state("GE")
     traj = evolve_expm(rho0, gen, TimeGrid(1.0, 0.01))
     assert np.abs(traj.states - rho0).max() == 0.0
@@ -334,7 +331,7 @@ def test_steady_state_gap_resolved_near_zero_phase():
     gen = liouvillian_from_params(model.ModelParams(J=1.0, Gamma=2.0, phi=1e-5))
     result = steady_state(gen)
     assert not result.unique
-    expected = np.sort(np.linalg.svd(gen.matrix, compute_uv=False))[1]
+    expected = np.sort(np.linalg.svd(gen, compute_uv=False))[1]
     assert abs(result.spectral_gap - expected) <= 1e-12
 
 
@@ -346,7 +343,7 @@ def test_steady_state_driven_matches_long_time_limit():
     assert result.unique
     traj = evolve_rk4(initial_state("GG"), gen, TimeGrid(50.0, 0.002, sample_every=250))
     assert np.abs(traj.states[-1] - result.state).max() <= 1e-6
-    assert np.linalg.norm(gen.matrix @ vec(result.state)) <= 1e-9
+    assert np.linalg.norm(gen @ vec(result.state)) <= 1e-9
 
 
 _CELL = st.tuples(
@@ -366,7 +363,7 @@ def test_stacked_model_matches_per_cell_builds(cells, target):
                                                         drive=model.Drive(target, amplitude)))
     singles = [liouvillian_from_params(model.ModelParams(j, g, p, k, drive=model.Drive(target, w)))
                for j, g, p, k, w in cells]
-    np.testing.assert_array_equal(stacked.matrix, [single.matrix for single in singles])
+    np.testing.assert_array_equal(stacked, singles)
     result = steady_state(stacked)
     assert result.state.shape == (len(cells), 4, 4)
     for k, single in enumerate(singles):
@@ -388,20 +385,3 @@ def test_dark_states_stay_put():
         rho0 = initial_state(name)
         traj = evolve_rk4(rho0, gen, TimeGrid(5.0, 0.002, sample_every=100))
         assert np.abs(traj.states - rho0).max() <= 1e-8
-
-
-# ---- diagnostics ----
-
-
-def test_validate_density_matrix():
-    clean = validate_density_matrix(np.eye(4) / 4.0)
-    assert clean.hermiticity_defect == 0.0
-    assert clean.trace_defect == 0.0
-    assert abs(clean.min_eigenvalue - 0.25) <= 1e-12
-
-    pure = validate_density_matrix(initial_state("EG"))
-    assert pure.trace_defect <= 1e-15
-    assert abs(pure.min_eigenvalue) <= 1e-12
-
-    inflated = validate_density_matrix((1.0 + 1e-3) * np.eye(4) / 4.0)
-    assert abs(inflated.trace_defect - 1e-3) <= 1e-12

@@ -93,11 +93,6 @@ def test_parse_config_rejects_bad_values():
             parse_config(text)
 
 
-def test_parse_config_resonance_guard_accepts_matching_frequencies():
-    config = parse_config("omega0 = 5.1\nomega_d = 5.1\ndrive_target = 1\ndrive_amplitude = 0.3")
-    assert config.model.drive.amplitude == 0.3
-
-
 # ---- sweep config parsing ----
 
 SWEEP_TEXT = (

@@ -1,18 +1,10 @@
-import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from dissipair import linalg, model
-from dissipair.errors import (
-    BadEnergyError,
-    BadIndexError,
-    BadWavelengthError,
-    NegativeRateError,
-    ValidationError,
-)
+from dissipair.errors import BadIndexError, NegativeRateError, ValidationError
 
 GG = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 
@@ -176,6 +168,29 @@ def test_array_fields_validated_per_cell():
         model.ModelParams(phi=np.array([0.0, math.nan]))
 
 
+def _jump_coefficients(jump):
+    # Hilbert-Schmidt projections of a collective jump onto sigma_minus(1) and sigma_minus(2).
+    return [np.vdot(model.sigma_minus(q), jump) / np.vdot(model.sigma_minus(q), model.sigma_minus(q)) for q in (1, 2)]
+
+
+def test_phase_from_separation():
+    lam = 1.0
+    # phi = 2 pi d / lambda0: d = 0, lambda0/2 and 3 lambda0/4 give jumps s1 + s2, s1 - s2 and s1 - i s2.
+    for separation, expected in ((0.0, 1.0), (0.5 * lam, -1.0), (0.75 * lam, -1j)):
+        phi = 2.0 * math.pi * separation / lam
+        jump = model.build_jump_operators(model.ModelParams(J=1.0, Gamma=1.0, phi=phi))[0]
+        assert np.abs(jump - (model.sigma_minus(1) + expected * model.sigma_minus(2))).max() <= 2e-15
+
+
+def test_collective_decay_phase_matches_geometry():
+    separation, wavelength = 0.3, 1.1
+    phi = 2.0 * math.pi * separation / wavelength
+    jump = model.build_jump_operators(model.ModelParams(J=1.0, Gamma=2.0, phi=phi))[0]
+    c1, c2 = _jump_coefficients(jump)
+    assert abs(abs(c1) - math.sqrt(2.0)) <= 1e-12 and abs(abs(c2) - math.sqrt(2.0)) <= 1e-12
+    assert abs(np.angle(c2 / c1) % (2.0 * math.pi) - phi % (2.0 * math.pi)) <= 1e-12
+
+
 def test_collective_jump_annihilates_ground_state():
     for phi in (0.0, 0.7, math.pi, 1.5 * math.pi):
         jumps = model.build_jump_operators(model.ModelParams(J=1.0, Gamma=2.0, phi=phi))
@@ -187,89 +202,3 @@ def test_jump_operators_phase_periodicity():
         a = model.build_jump_operators(model.ModelParams(J=1.0, Gamma=2.0, phi=phi))[0]
         b = model.build_jump_operators(model.ModelParams(J=1.0, Gamma=2.0, phi=phi + 2.0 * math.pi))[0]
         assert np.abs(a - b).max() <= 1e-15
-
-
-# ---- geometry and circuit conversions ----
-
-
-def test_phase_from_separation():
-    lam = 1.0
-    assert abs(model.phase_from_separation(model.GeometryParams(0.75 * lam, lam)) - 1.5 * math.pi) <= 2e-15
-    assert model.phase_from_separation(model.GeometryParams(0.0, lam)) == 0.0
-    assert abs(model.phase_from_separation(model.GeometryParams(0.5 * lam, lam)) - math.pi) <= 2e-15
-    with pytest.raises(BadWavelengthError):
-        model.GeometryParams(1.0, 0.0)
-    with pytest.raises(BadWavelengthError):
-        model.GeometryParams(-1.0, 1.0)
-
-
-def test_collective_decay_matrix():
-    np.testing.assert_allclose(model.collective_decay_matrix(2.0, 0.0), np.ones((2, 2)), atol=1e-15)
-    m = model.collective_decay_matrix(2.0, 1.5 * math.pi)
-    np.testing.assert_allclose(np.diagonal(m), [1.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(m[0, 1], -1j, atol=1e-15)
-    np.testing.assert_array_equal(model.collective_decay_matrix(0.0, 0.4), np.zeros((2, 2)))
-    with pytest.raises(NegativeRateError):
-        model.collective_decay_matrix(-1.0, 0.0)
-
-
-def test_collective_decay_phase_matches_geometry():
-    geometry = model.GeometryParams(separation=0.3, wavelength=1.1)
-    phi = model.phase_from_separation(geometry)
-    m = model.collective_decay_matrix(2.0, phi)
-    assert abs(cmath.phase(m[0, 1]) % (2.0 * math.pi) - phi % (2.0 * math.pi)) <= 1e-12
-
-
-def test_transmon_frequency_values():
-    assert model.transmon_frequency(1.0, 20.0) == math.sqrt(160.0) - 1.0
-    assert abs(model.transmon_frequency(0.2, 10.0) - 3.8) <= 1e-12
-    with pytest.warns(UserWarning):
-        assert abs(model.transmon_frequency(1.0, 2.0) - 3.0) <= 1e-12
-    with pytest.warns(UserWarning):
-        eighth = 1.0 / 8.0
-        assert abs(model.transmon_frequency(eighth, eighth) - (math.sqrt(eighth) - eighth)) <= 1e-15
-
-
-def test_transmon_frequency_validation():
-    with pytest.raises(BadEnergyError):
-        model.transmon_frequency(0.0, 1.0)
-    with pytest.raises(BadEnergyError):
-        model.transmon_frequency(1.0, -1.0)
-
-
-def test_transmon_regime_warning_boundary():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        model.transmon_frequency(1.0, 10.0)
-    with pytest.warns(UserWarning):
-        model.transmon_frequency(1.0, 9.9)
-
-
-def test_coupling_from_circuit_direct_value():
-    with pytest.warns(UserWarning):
-        circuit = model.CircuitParams(E_C1=1.0, E_C2=1.0, E_J1=2.0, E_J2=2.0, E_Cc=1.0)
-    assert abs(model.coupling_from_circuit(circuit) - 2.0) <= 1e-14
-
-
-def test_coupling_from_circuit_quarter_power_scaling():
-    base = model.CircuitParams(E_C1=0.05, E_C2=0.05, E_J1=2.0, E_J2=2.0, E_Cc=1.0)
-    j0 = model.coupling_from_circuit(base)
-    one = model.CircuitParams(E_C1=0.05, E_C2=0.05, E_J1=32.0, E_J2=2.0, E_Cc=1.0)
-    assert abs(model.coupling_from_circuit(one) / j0 - 2.0) <= 1e-12
-    both = model.CircuitParams(E_C1=0.05, E_C2=0.05, E_J1=32.0, E_J2=32.0, E_Cc=1.0)
-    assert abs(model.coupling_from_circuit(both) / j0 - 4.0) <= 1e-12
-
-
-def test_coupling_vanishes_with_large_coupler_energy():
-    small = model.CircuitParams(E_C1=0.05, E_C2=0.05, E_J1=2.0, E_J2=2.0, E_Cc=1.0)
-    large = model.CircuitParams(E_C1=0.05, E_C2=0.05, E_J1=2.0, E_J2=2.0, E_Cc=1e6)
-    assert model.coupling_from_circuit(large) <= 1e-6 * model.coupling_from_circuit(small)
-
-
-def test_circuit_params_validation():
-    with pytest.raises(BadEnergyError):
-        model.CircuitParams(E_C1=0.0, E_C2=1.0, E_J1=20.0, E_J2=20.0, E_Cc=1.0)
-    with pytest.raises(BadEnergyError):
-        model.CircuitParams(E_C1=1.0, E_C2=1.0, E_J1=20.0, E_J2=-20.0, E_Cc=1.0)
-    with pytest.warns(UserWarning):
-        model.CircuitParams(E_C1=1.0, E_C2=1.0, E_J1=5.0, E_J2=20.0, E_Cc=1.0)
