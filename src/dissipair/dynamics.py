@@ -28,8 +28,8 @@ from .model import ModelParams, build_hamiltonian, build_jump_operators, require
 
 # Hard ceiling on dt * ||L||_inf; above this RK4 accuracy degrades fast.
 MAX_STEP_NORM = 0.1
-# Spectral gap below which the stationary manifold is reported degenerate.
-UNIQUE_GAP = 1e-8
+# Relative spectral gap, gap / ||L||_2, at or below which the stationary manifold is degenerate.
+GAP_EPS = 1e-9
 # Per-sample drift tolerances while integrating.
 TRACE_DRIFT_TOL = 1e-6
 NEGATIVITY_TOL = 1e-6
@@ -286,37 +286,46 @@ def evolve_expm(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
 def steady_state(liouvillian: np.ndarray) -> SteadyStateResult:
     """Stationary state from the null space of the generator, or of each in a stack.
 
-    The singular values and null directions come from the SVD of L itself;
-    forming L' L instead would square the singular values and bury any
-    gap below about 1e-8 ||L|| in roundoff.  When the second-smallest
-    singular value sits at or below UNIQUE_GAP the stationary manifold is
-    degenerate: `unique` is False and the returned state is just one
-    Hermitized, unit-trace element of the manifold, with no attempt to
-    resolve the rest.  One (n^2, n^2) generator gives a float gap and a
-    bool; a (..., n^2, n^2) stack gives arrays over its leading axes and
-    (..., n, n) states, from one batched SVD.
+    The verdict comes from the singular values of L (those of L' L would
+    bury small gaps in roundoff): the state is unique when the second-
+    smallest exceeds GAP_EPS ||L||_2, a bound free of units.  A unique
+    state solves L with its first row replaced by the trace row vec(I)^T
+    and right-hand side e_0; trace preservation makes that row redundant,
+    so the system is regular exactly when the state is unique.  Only a
+    degenerate cell gets a full SVD; it returns one Hermitized, unit-trace
+    element of its manifold, the near-null vector of largest |trace|.  One
+    (n^2, n^2) generator gives a float gap and a bool; a stack gives arrays
+    over its leading axes and (..., n, n) states.
     """
     gen = np.asarray(liouvillian)
-    _, sing, vh = np.linalg.svd(gen)
-    # Ascending singular values; row i of `null` is the right singular vector of sing[..., i].
-    sing, null = sing[..., ::-1], vh[..., ::-1, :].conj()
-    gap = sing[..., 1]
-    unique = gap > UNIQUE_GAP
-    n = int(round(math.sqrt(gen.shape[-1])))
-    candidates = unvec(null, n)
-    # Of the near-null vectors (always at least the first), take the one of largest |trace|.
-    near_null = (sing <= UNIQUE_GAP) | (np.arange(sing.shape[-1]) == 0)
-    traces = np.where(near_null, np.abs(np.trace(candidates, axis1=-2, axis2=-1)), -1.0)
-    pick = np.argmax(traces, axis=-1)[..., None, None, None]
-    best = np.take_along_axis(candidates, pick, axis=-3)[..., 0, :, :]
-    best_trace = np.trace(best, axis1=-2, axis2=-1)[..., None, None]
-    if np.any(np.abs(best_trace) < 1e-9):
-        raise NotAStateError("null space holds no unit-trace Hermitian element within tolerance")
-    # Dividing by the complex trace first removes the arbitrary phase of the singular vector.
-    rho = best / best_trace
-    rho = 0.5 * (rho + dagger(rho))
+    sing = np.linalg.svd(gen, compute_uv=False)
+    # Descending: sing[..., 0] is ||L||_2 and sing[..., -2] the gap.
+    gap, bound = sing[..., -2], GAP_EPS * sing[..., 0]
+    unique = gap > bound
+    size = gen.shape[-1]
+    n = int(round(math.sqrt(size)))
+    stack, flags = gen.reshape(-1, size, size), unique.reshape(-1)
+    rho = np.empty((len(stack), n, n), dtype=complex)
+    bordered = stack[flags]
+    bordered[:, 0] = vec(np.eye(n))
+    rho[flags] = unvec(np.linalg.solve(bordered, np.eye(size, 1))[..., 0], n)
+    if not flags.all():
+        _, values, vh = np.linalg.svd(stack[~flags])
+        # Ascending singular values; candidate i is the right singular vector of values[:, i].
+        values, candidates = values[:, ::-1], unvec(vh[:, ::-1].conj(), n)
+        # Of the near-null vectors (always at least the first), take the one of largest |trace|.
+        near_null = (values <= bound.reshape(-1)[~flags, None]) | (np.arange(size) == 0)
+        traces = np.where(near_null, np.abs(np.trace(candidates, axis1=-2, axis2=-1)), -1.0)
+        best = candidates[np.arange(len(candidates)), np.argmax(traces, axis=-1)]
+        best_trace = np.trace(best, axis1=-2, axis2=-1)[:, None, None]
+        if np.any(np.abs(best_trace) < 1e-9):
+            raise NotAStateError("null space holds no unit-trace Hermitian element within tolerance")
+        # Dividing by the complex trace first removes the arbitrary phase of the singular vector.
+        rho[~flags] = best / best_trace
+    rho = (0.5 * (rho + dagger(rho))).reshape(gen.shape[:-2] + (n, n))
     residual = np.linalg.norm(gen @ vec(rho)[..., None], axis=(-2, -1))
-    bad = unique & (residual > 1e-8 * (1.0 + np.abs(gen).max(axis=(-2, -1))))
+    # Written so that a NaN residual counts as too large.
+    bad = unique & ~(residual <= 1e-8 * np.abs(gen).max(axis=(-2, -1)))
     if np.any(bad):
         raise NoConvergenceError(f"stationary residual {np.max(residual[bad]):.3e} too large")
     if gap.ndim == 0:

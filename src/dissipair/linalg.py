@@ -2,10 +2,10 @@
 
 Everything here targets the 4x4 density matrices and 16x16 superoperators
 used elsewhere in the package.  Hermitian eigenproblems go to numpy's
-LAPACK driver (`np.linalg.eigh`), which also diagonalizes a whole stack
-of matrices in one call, so per-sample work runs without a Python loop.
-The matrix exponential uses scaling and squaring with a truncated series,
-which keeps the run-time dependencies at numpy alone.
+LAPACK driver (`np.linalg.eigh`) over whole stacks in one call; the
+concurrence factors each state from this one eigensystem.  The matrix
+exponential uses scaling and squaring with a truncated series, which
+keeps the run-time dependencies at numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     NoConvergenceError,
     NotHermitianError,
-    NotPSDError,
     ShapeMismatchError,
 )
 
@@ -86,21 +85,6 @@ def hermitian_eigensystem(a, tol: float = DEFAULT_TOL) -> EigenSystem:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
     values, vectors = np.linalg.eigh(0.5 * (a + herm))
     return EigenSystem(values, vectors)
-
-
-def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix or (N, n, n) stack.
-
-    Eigenvalues in [-tol, 0) are clamped to zero; anything lower raises
-    NotPSDError.
-    """
-    es = hermitian_eigensystem(a, max(tol, DEFAULT_TOL))
-    low = float(es.values.min()) if es.values.size else 0.0
-    if low < -tol:
-        raise NotPSDError(f"eigenvalue {low:.3e} below -tol {-tol:.3e}")
-    roots = np.sqrt(np.clip(es.values, 0.0, None))
-    b = (es.vectors * roots[..., None, :]) @ np.swapaxes(es.vectors.conj(), -1, -2)
-    return 0.5 * (b + np.swapaxes(b.conj(), -1, -2))
 
 
 def matrix_exponential(a) -> np.ndarray:

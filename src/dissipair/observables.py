@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NegativeRateError, ShapeMismatchError
-from .linalg import kron, psd_sqrt
+from .errors import InvalidStateError, NotPSDError, ShapeMismatchError
+from .linalg import hermitian_eigensystem, kron
 from .model import SIGMA_Y_2, require_finite, require_non_negative
 
 # Spin-flip kernel sigma_y kron sigma_y; real in the fixed basis.
@@ -91,15 +91,19 @@ def concurrence(rho):
     sqrt(rho) sqrt(rho_tilde), with rho_tilde = (sy kron sy) conj(rho)
     (sy kron sy), and the result is max(0, r1 - r2 - r3 - r4): a float
     for one 4x4 state, an array of length N for an (N, 4, 4) stack.
+    Eigenvalues below -1e-6 raise NotPSDError; higher ones clamp to zero.
     """
     rho = _require_state(rho, stacked=True)
-    root = psd_sqrt(rho, tol=_STATE_TOL)
-    # sqrt(rho_tilde) = F conj(sqrt(rho)) F, and the trailing unitary F does
-    # not move singular values.  Taking r_i as singular values rather than
-    # square roots of eigenvalues of sqrt(rho) rho_tilde sqrt(rho) keeps
-    # their error at O(eps): a square root would lift eigenvalues at
-    # roundoff level to ~1e-8 on (near-)separable states.
-    r = np.linalg.svd(root @ _FLIP @ root.conj(), compute_uv=False)
+    es = hermitian_eigensystem(rho, _STATE_TOL)
+    low = float(es.values.min(initial=0.0))
+    if low < -_STATE_TOL:
+        raise NotPSDError(f"state eigenvalue {low:.3e} below {-_STATE_TOL:.1e}")
+    # rho = C C' with C = V diag(sqrt(lam)), so sqrt(rho) = C V' and C^T F C
+    # is sqrt(rho) F conj(sqrt(rho)) up to unitary factors.  Singular values
+    # keep the r_i at O(eps); square roots of eigenvalues of sqrt(rho)
+    # rho_tilde sqrt(rho) would lift roundoff to ~1e-8 on separable states.
+    factor = es.vectors * np.sqrt(np.clip(es.values, 0.0, None))[..., None, :]
+    r = np.linalg.svd(np.swapaxes(factor, -1, -2) @ _FLIP @ factor, compute_uv=False)
     return _per_state(np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3]))
 
 
@@ -147,8 +151,8 @@ def effective_decay_amplitudes(Gamma: float, phi: float) -> tuple[complex, compl
     e = exp(1j phi).  A zero amplitude pair marks a dark state: |-> at
     phi = 0, |+> at phi = pi.
     """
-    if Gamma < 0.0:
-        raise NegativeRateError(f"Gamma must be >= 0, got {Gamma}")
+    require_finite(Gamma=Gamma, phi=phi)
+    require_non_negative(Gamma=Gamma)
     root = math.sqrt(0.5 * Gamma)
     e = cmath.exp(1j * phi)
     return (

@@ -375,6 +375,87 @@ def test_stacked_model_matches_per_cell_builds(cells, target):
             assert np.abs(result.state[k] - one.state).max() <= 1e-10
 
 
+_UNIT_CELL = st.tuples(
+    st.just(0.0) | st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+    st.just(0.0) | st.floats(0.1, 3.0),
+    st.sampled_from([0.0, math.pi]) | st.floats(0.0, 2.0 * math.pi),
+    st.just(0.0) | st.floats(0.01, 0.5),
+    st.just(0.0) | st.floats(0.1, 1.5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell=_UNIT_CELL, exponent=st.floats(-9.0, 9.0))
+def test_steady_state_verdict_is_free_of_units(cell, exponent):
+    J, Gamma, phi, kappa, amplitude = cell
+    c = 10.0 ** exponent
+    one = steady_state(liouvillian_from_params(model.ModelParams(J, Gamma, phi, kappa, model.Drive(1, amplitude))))
+    scaled = steady_state(liouvillian_from_params(
+        model.ModelParams(c * J, c * Gamma, phi, c * kappa, model.Drive(1, c * amplitude))))
+    assert scaled.unique == one.unique
+
+
+@settings(max_examples=40, deadline=None)
+@given(J=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1), Gamma=st.floats(0.1, 3.0), k=st.integers(-2, 3),
+       exponent=st.floats(-9.0, 9.0))
+def test_undriven_dark_phase_is_degenerate_at_every_scale(J, Gamma, k, exponent):
+    c = 10.0 ** exponent
+    result = steady_state(liouvillian_from_params(model.ModelParams(J=c * J, Gamma=c * Gamma, phi=k * math.pi)))
+    assert not result.unique
+    assert abs(result.state.trace() - 1.0) <= 1e-9
+
+
+_DRIVEN = st.tuples(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0), st.floats(0.1, 3.0),
+                    st.floats(0.0, 2.0 * math.pi), st.just(0.0) | st.floats(0.01, 0.5), st.floats(0.2, 1.5))
+_DARK = st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 3.0), st.integers(-2, 3).map(lambda k: k * math.pi),
+                  st.just(0.0), st.just(0.0))
+# Gap / ||L||_2 within a factor 10 above GAP_EPS: a small phase off the dark line, or a weak drive on it.
+_NEAR_BOUND = (st.floats(1.2e-4, 3.4e-4).map(lambda phi: (1.0, 2.0, phi, 0.0, 0.0))
+               | st.floats(1.4e-4, 3.8e-4).map(lambda w: (1.0, 2.0, 0.0, 0.0, w)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.lists(st.tuples(st.just("driven"), _DRIVEN) | st.tuples(st.just("dark"), _DARK)
+                      | st.tuples(st.just("near"), _NEAR_BOUND), min_size=1, max_size=8))
+def test_steady_state_matches_svd_null_vector(cells):
+    gens = np.array([liouvillian_from_params(model.ModelParams(j, g, p, k, model.Drive(1, w)))
+                     for _, (j, g, p, k, w) in cells])
+    before = gens.copy()
+    result = steady_state(gens)
+    np.testing.assert_array_equal(gens, before)
+    for (kind, _), gen, rho, unique in zip(cells, gens, result.state, result.unique):
+        _, sing, vh = np.linalg.svd(gen)
+        ratio = sing[-2] / sing[0]
+        assert unique == (ratio > dynamics.GAP_EPS)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        if kind == "dark":
+            assert not unique
+        if kind == "near":
+            assert dynamics.GAP_EPS < ratio < 10.0 * dynamics.GAP_EPS and unique
+        if unique:
+            null = unvec(vh[-1].conj())
+            null = null / np.trace(null)
+            assert np.abs(rho - 0.5 * (null + null.conj().T)).max() <= 1e-10
+
+
+def test_steady_state_takes_singular_vectors_only_on_degenerate_cells(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append((kwargs.get("compute_uv", args[1] if len(args) > 1 else True), np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    driven = model.ModelParams(J=1.0, Gamma=2.0, phi=np.linspace(0.0, 2.0 * math.pi, 9), drive=model.Drive(1, 1.0))
+    assert steady_state(liouvillian_from_params(driven)).unique.all()
+    assert calls == [(False, (9,))]
+    calls.clear()
+    mixed = model.ModelParams(J=1.0, Gamma=2.0, phi=np.array([0.0, 1.0, math.pi]))
+    assert steady_state(liouvillian_from_params(mixed)).unique.tolist() == [False, True, False]
+    assert calls == [(False, (3,)), (True, (2,))]
+
+
 # ---- dark states ----
 
 

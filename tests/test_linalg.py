@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from dissipair import linalg
-from dissipair.errors import NotHermitianError, NotPSDError, ShapeMismatchError
+from dissipair.errors import NotHermitianError, ShapeMismatchError
 
 from oracles import random_unitary
 
@@ -130,41 +130,6 @@ def test_eigensystem_rejects_bad_shapes():
         linalg.hermitian_eigensystem(np.ones((2, 3)))
     with pytest.raises(ShapeMismatchError):
         linalg.hermitian_eigensystem(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-# ---- psd_sqrt ----
-
-
-def test_psd_sqrt_examples():
-    np.testing.assert_allclose(linalg.psd_sqrt(np.eye(4)), np.eye(4), atol=1e-14)
-    np.testing.assert_allclose(
-        linalg.psd_sqrt(np.diag([4.0, 0.0, 0.0, 0.0])),
-        np.diag([2.0, 0.0, 0.0, 0.0]),
-        atol=1e-14,
-    )
-
-
-def test_psd_sqrt_roundtrip_random():
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        frame = random_unitary(rng, 4)
-        spectrum = rng.uniform(0.0, 2.0, size=4)
-        b = (frame * spectrum) @ frame.conj().T
-        b = 0.5 * (b + b.conj().T)
-        a = b @ b
-        root = linalg.psd_sqrt(a)
-        assert np.linalg.norm(root - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
-        assert np.linalg.norm(root @ root - a) <= 1e-9 * max(1.0, np.linalg.norm(a))
-
-
-def test_psd_sqrt_clamps_roundoff_negatives():
-    root = linalg.psd_sqrt(np.diag([1.0, -1e-12]), tol=1e-10)
-    np.testing.assert_allclose(root, np.diag([1.0, 0.0]), atol=1e-6)
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(NotPSDError):
-        linalg.psd_sqrt(np.diag([1.0, -1.0]))
 
 
 # ---- matrix_exponential ----

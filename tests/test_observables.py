@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dissipair import model, observables
 from dissipair.dynamics import initial_state
-from dissipair.errors import InvalidStateError, NegativeRateError, ShapeMismatchError, ValidationError
+from dissipair.errors import InvalidStateError, NegativeRateError, NotPSDError, ShapeMismatchError, ValidationError
 from dissipair.observables import (
     collective_populations,
     concurrence,
@@ -119,6 +119,23 @@ def test_concurrence_local_unitary_invariance():
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
         assert abs(concurrence(rotated) - concurrence(rho)) <= 1e-8
+
+
+def _state_with_spectrum(seed, spectrum):
+    frame = random_unitary(np.random.default_rng(seed), 4)
+    rho = (frame * np.asarray(spectrum)) @ frame.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def test_concurrence_rejects_negative_eigenvalue():
+    with pytest.raises(NotPSDError):
+        concurrence(_state_with_spectrum(113, [0.6, 0.401, 0.0, -1e-3]))
+
+
+def test_concurrence_clamps_roundoff_negative_eigenvalue():
+    value = concurrence(_state_with_spectrum(127, [0.6, 0.4 + 1e-12, 0.0, -1e-12]))
+    assert math.isfinite(value)
+    assert abs(value - concurrence(_state_with_spectrum(127, [0.6, 0.4 + 1e-12, 0.0, 0.0]))) <= 1e-9
 
 
 def _concurrence_rank2(rho):
@@ -335,6 +352,15 @@ def test_decay_amplitudes_balanced_phase():
 def test_decay_amplitudes_rejects_negative_rate():
     with pytest.raises(NegativeRateError):
         effective_decay_amplitudes(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("Gamma, phi, field", [
+    (math.nan, 0.0, "Gamma"), (math.inf, 0.0, "Gamma"), (-math.inf, 0.0, "Gamma"),
+    (2.0, math.nan, "phi"), (2.0, math.inf, "phi"), (2.0, -math.inf, "phi"),
+])
+def test_decay_amplitudes_reject_non_finite(Gamma, phi, field):
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        effective_decay_amplitudes(Gamma, phi)
 
 
 # ---- isolation map ----
