@@ -44,7 +44,7 @@ def _cmd_figure(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    print(f"wrote {run_sweep(parse_sweep_config(_read(args.config)))}")
+    print(f"wrote {run_sweep(parse_sweep_config(_read(args.config)), args.out)}")
 
 
 def _cmd_steady(args) -> None:
@@ -91,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="evaluate an observable over a parameter grid")
     sweep.add_argument("--config", required=True, help="path to sweep config")
+    sweep.add_argument("--out", default=".", help="output directory")
     sweep.set_defaults(func=_cmd_sweep)
 
     steady = sub.add_parser("steady", help="report the stationary state of a configured model")

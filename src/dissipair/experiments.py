@@ -47,6 +47,8 @@ SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
 SWEEP_AXES = ("J", "Gamma", "phi", "kappa", "drive_amplitude")
 DEGENERATE_SENTINEL = -1.0
 _CSV_BLOCK_ROWS = 512  # rows per `%` call in write_csv; bounds its temporary tuple of cells
+# Cells per steady_state call in a steady_concurrence sweep: about 4 MB of generators per block.
+_SWEEP_BLOCK_CELLS = 1024
 
 ISOLATION_PHASE = 1.5 * math.pi
 PRESET_GAMMA = 2.0
@@ -363,16 +365,17 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
         cells = np.broadcast_to(value, a.shape).reshape(-1, 1)
     else:
         header = ["axis1", "axis2", "value", "degenerate"]
-        # One axis1 row per call: a stack of the whole grid would hold every
-        # 16x16 Liouvillian and its SVD factors at once.
-        cells = np.empty(a.shape + (2,))
-        rows = zip(*np.broadcast_arrays(*(fields[name] for name in SWEEP_AXES)))
-        for row, (j, g, p, k, w) in enumerate(rows):
-            result = steady_state(liouvillian_from_params(ModelParams(j, g, p, k, Drive(drive.target, w))))
-            cells[row, :, 0] = DEGENERATE_SENTINEL
-            cells[row, result.unique, 0] = concurrence(result.state[result.unique])
-            cells[row, :, 1] = ~result.unique
-        cells = cells.reshape(-1, 2)
+        # Fixed blocks of the flattened grid: a stack of the whole grid would
+        # hold every 16x16 Liouvillian and its SVD factors at once.
+        j, g, p, k, w = (np.ravel(x) for x in np.broadcast_arrays(*(fields[name] for name in SWEEP_AXES)))
+        cells = np.full((a.size, 2), DEGENERATE_SENTINEL)
+        for start in range(0, a.size, _SWEEP_BLOCK_CELLS):
+            s = slice(start, start + _SWEEP_BLOCK_CELLS)
+            params = ModelParams(j[s], g[s], p[s], k[s], Drive(drive.target, w[s]))
+            result = steady_state(liouvillian_from_params(params))
+            block = cells[s]
+            block[result.unique, 0] = concurrence(result.state[result.unique])
+            block[:, 1] = ~result.unique
     table = np.column_stack([a.ravel(), b.ravel(), cells])
     return write_csv(_join_out(out_dir, config.output_path), header, table)
 

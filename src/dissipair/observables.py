@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NotPSDError, ShapeMismatchError
-from .linalg import hermitian_eigensystem, kron
+from .linalg import dagger, kron
 from .model import SIGMA_Y_2, require_finite, require_non_negative
 
 # Spin-flip kernel sigma_y kron sigma_y; real in the fixed basis.
@@ -53,20 +53,23 @@ class CollectivePopulations:
     P_G: float
 
 
-def _require_state(rho, stacked: bool = False) -> np.ndarray:
+def _require_state(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4) or rho.ndim not in ((2, 3) if stacked else (2,)):
-        kind = "4x4 or an (N, 4, 4) stack" if stacked else "4x4"
-        raise ShapeMismatchError(f"state must be {kind}, got {rho.shape}")
-    defects = np.abs(rho - np.swapaxes(rho.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
+        raise ShapeMismatchError(f"state must be 4x4 or an (N, 4, 4) stack, got {rho.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
+        defects = np.abs(rho - np.swapaxes(rho.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
     drifts = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     for values, problem in (
         (defects, "is not Hermitian within tolerance"),
         (drifts, "trace deviates from 1 beyond tolerance"),
     ):
-        bad = np.flatnonzero(values > _STATE_TOL)
+        # Written so that a NaN, from any NaN or inf entry, fails too.
+        bad = np.flatnonzero(~(values <= _STATE_TOL))
         if bad.size:
             where = f" at sample {bad[0]}" if rho.ndim == 3 else ""
+            if not np.isfinite(values.flat[bad[0]]):
+                problem = "is not finite"
             raise InvalidStateError(f"state{where} {problem}")
     return rho
 
@@ -78,7 +81,7 @@ def _per_state(x):
 
 def populations(rho) -> tuple[float, float]:
     """Excited-state population of each qubit: floats for one state, arrays for an (N, 4, 4) stack."""
-    rho = _require_state(rho, stacked=True)
+    rho = _require_state(rho)
     p1 = (rho[..., 0, 0] + rho[..., 1, 1]).real
     p2 = (rho[..., 0, 0] + rho[..., 2, 2]).real
     return _per_state(p1), _per_state(p2)
@@ -93,23 +96,24 @@ def concurrence(rho):
     for one 4x4 state, an array of length N for an (N, 4, 4) stack.
     Eigenvalues below -1e-6 raise NotPSDError; higher ones clamp to zero.
     """
-    rho = _require_state(rho, stacked=True)
-    es = hermitian_eigensystem(rho, _STATE_TOL)
-    low = float(es.values.min(initial=0.0))
+    rho = _require_state(rho)
+    # _require_state bounded the Hermiticity defect; eigh reads the Hermitian part.
+    values, vectors = np.linalg.eigh(0.5 * (rho + dagger(rho)))
+    low = float(values.min(initial=0.0))
     if low < -_STATE_TOL:
         raise NotPSDError(f"state eigenvalue {low:.3e} below {-_STATE_TOL:.1e}")
     # rho = C C' with C = V diag(sqrt(lam)), so sqrt(rho) = C V' and C^T F C
     # is sqrt(rho) F conj(sqrt(rho)) up to unitary factors.  Singular values
     # keep the r_i at O(eps); square roots of eigenvalues of sqrt(rho)
     # rho_tilde sqrt(rho) would lift roundoff to ~1e-8 on separable states.
-    factor = es.vectors * np.sqrt(np.clip(es.values, 0.0, None))[..., None, :]
+    factor = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
     r = np.linalg.svd(np.swapaxes(factor, -1, -2) @ _FLIP @ factor, compute_uv=False)
     return _per_state(np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3]))
 
 
 def to_collective_basis(rho) -> np.ndarray:
     """Rewrite a state, or each of an (N, 4, 4) stack, in the collective basis |ee>, |+>, |->, |gg>."""
-    rho = _require_state(rho, stacked=True)
+    rho = _require_state(rho)
     t = COLLECTIVE_TRANSFORM
     return t @ rho @ t.conj().T
 
@@ -117,7 +121,7 @@ def to_collective_basis(rho) -> np.ndarray:
 def collective_populations(rho) -> CollectivePopulations:
     """Diagonal in the collective basis: floats for one state, arrays for an (N, 4, 4) stack."""
     t = COLLECTIVE_TRANSFORM
-    diag = np.einsum("ki,...ij,kj->...k", t, _require_state(rho, stacked=True), t.conj()).real
+    diag = np.einsum("ki,...ij,kj->...k", t, _require_state(rho), t.conj()).real
     return CollectivePopulations(*(_per_state(diag[..., k]) for k in range(4)))
 
 

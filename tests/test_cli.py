@@ -115,6 +115,23 @@ def test_sweep_command(tmp_path):
     assert data.shape == (4, 3)
 
 
+def test_sweep_out_directory(tmp_path, capsys):
+    text = (
+        "observable = delta_F\n"
+        "axis1_name = Gamma\naxis1_min = 0\naxis1_max = 2\naxis1_count = 2\n"
+        "axis2_name = phi\naxis2_min = 0\naxis2_max = 3.14\naxis2_count = 2\n"
+    )
+    (tmp_path / "maps").mkdir()
+    cfg = _config(tmp_path, text + "output_path = grid.csv\n", name="sweep.cfg")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "maps")]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'maps' / 'grid.csv'}\n"
+    # An absolute output_path stays where it names.
+    cfg = _config(tmp_path, text + f"output_path = {tmp_path / 'abs.csv'}\n", name="abs.cfg")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "maps")]) == 0
+    assert (tmp_path / "abs.csv").exists() and not (tmp_path / "maps" / "abs.csv").exists()
+    assert sorted(os.listdir(tmp_path / "maps")) == ["grid.csv"]
+
+
 def test_sweep_non_finite_axis_exit_code(tmp_path, capsys):
     text = (
         "observable = delta_F\n"
@@ -160,13 +177,14 @@ def test_isolation_non_finite_exit_code(capsys):
 
 
 def test_overflowing_generator_exit_code(tmp_path, capsys):
-    # Finite, but the generator overflows: LAPACK gives up on steady, and the
-    # RK4 step guard sees a non-finite norm on evolve.
+    # Finite, but the generator overflows: steady refuses it before any LAPACK
+    # call, and the RK4 step guard sees a non-finite norm on evolve.
     cfg = _config(tmp_path, "J = 1.0\nGamma = 1e308\nphi = 4.71\nt_max = 0.1\ndt = 0.002\n")
     with np.errstate(all="ignore"):
         assert main(["steady", "--config", cfg]) == 3
+        assert "the generator is not finite" in capsys.readouterr().err
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert "not finite" in capsys.readouterr().err
+        assert "not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["dissipair", "dissipair.cli"])

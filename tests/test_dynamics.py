@@ -21,6 +21,7 @@ from dissipair.dynamics import (
 )
 from dissipair.errors import (
     CONFIG_ERRORS,
+    NoConvergenceError,
     NotAStateError,
     NotHermitianError,
     ShapeMismatchError,
@@ -101,6 +102,35 @@ def test_generator_rejects_bad_inputs():
         build_liouvillian(np.zeros((4, 4)), [np.zeros((2, 2))])
     with pytest.raises(ShapeMismatchError):
         build_liouvillian(np.zeros((4, 3)), [])
+
+
+_RATES = st.tuples(
+    st.complex_numbers(max_magnitude=50.0),
+    st.just(0.0) | st.floats(0.0, 50.0),
+    st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]) | st.floats(-10.0, 10.0),
+    st.floats(0.0, 50.0),
+    st.just(0.0) | st.floats(0.0, 50.0),
+    st.sampled_from([1, 2]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rates=_RATES)
+def test_rate_basis_generator_matches_master_equation(rates):
+    J, Gamma, phi, kappa, amplitude, target = rates
+    params = model.ModelParams(J, Gamma, phi, kappa, model.Drive(target, amplitude))
+    gen = liouvillian_from_params(params)
+    s1, s2 = model.sigma_minus(1), model.sigma_minus(2)
+    h = (J * model.sigma_plus(1) @ s2 + np.conj(J) * s1 @ model.sigma_plus(2)
+         + amplitude * (model.sigma_plus(target) + model.sigma_minus(target)))
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        rho = random_density_matrix(rng)
+        direct = -1j * (h @ rho - rho @ h) + Gamma * _dissipator(s1 + cmath.exp(1j * phi) * s2, rho)
+        direct = direct + kappa * (_dissipator(model.sigma_z(1), rho) + _dissipator(model.sigma_z(2), rho))
+        assert np.abs(unvec(gen @ vec(rho)) - direct).max() <= 1e-12 * (1.0 + max(abs(J), Gamma, kappa, amplitude))
+    built = build_liouvillian(model.build_hamiltonian(params), model.build_jump_operators(params))
+    assert np.abs(gen - built).max() <= 1e-14 * np.abs(gen).max()
 
 
 # ---- initial states ----
@@ -454,6 +484,19 @@ def test_steady_state_takes_singular_vectors_only_on_degenerate_cells(monkeypatc
     mixed = model.ModelParams(J=1.0, Gamma=2.0, phi=np.array([0.0, 1.0, math.pi]))
     assert steady_state(liouvillian_from_params(mixed)).unique.tolist() == [False, True, False]
     assert calls == [(False, (3,)), (True, (2,))]
+
+
+def test_steady_state_refuses_a_non_finite_generator(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd reached with a non-finite generator")
+
+    gens = np.array([liouvillian_from_params(ISO)] * 3)
+    gens[1, 2, 3] = np.nan
+    gens[2, 0, 0] = np.inf
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for bad in (gens, gens[1], gens[2]):
+        with pytest.raises(NoConvergenceError, match="the generator is not finite"):
+            steady_state(bad)
 
 
 # ---- dark states ----

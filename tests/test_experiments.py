@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dissipair import model
+from dissipair import experiments, model
 from dissipair.dynamics import TimeGrid, evolve_rk4, initial_state, liouvillian_from_params, steady_state
 from dissipair.errors import IoError, ParseError, UnknownPresetError, ValidationError
 from dissipair.experiments import (
@@ -310,6 +310,23 @@ def test_run_sweep_driven_cell_matches_direct_steady_state(tmp_path):
         assert abs(value - (concurrence(result.state) if result.unique else -1.0)) <= 1e-12
     # The undriven phi = pi cell keeps its dark state; every driven cell is unique.
     assert data[:, 3].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_run_sweep_steady_concurrence_blocks_write_the_same_bytes(tmp_path, monkeypatch):
+    config = SweepConfig(
+        spec=SweepSpec(AxisSpec("drive_amplitude", 0.0, 1.0, 3), AxisSpec("phi", 0.0, 2.0 * math.pi, 5),
+                       "steady_concurrence"),
+        base=model.ModelParams(J=1.0, Gamma=2.0, drive=model.Drive(target=2, amplitude=0.5)),
+    )
+    (tmp_path / "one").mkdir()
+    (tmp_path / "fours").mkdir()
+    run_sweep(config, str(tmp_path / "one"))
+    monkeypatch.setattr(experiments, "_SWEEP_BLOCK_CELLS", 4)
+    run_sweep(config, str(tmp_path / "fours"))
+    assert (tmp_path / "fours" / "sweep.csv").read_bytes() == (tmp_path / "one" / "sweep.csv").read_bytes()
+    _, data = _read_table(tmp_path / "fours" / "sweep.csv")
+    # The undriven row keeps its dark states at phi = 0, pi and 2 pi; the last block holds three cells.
+    assert data[:, 3].tolist() == [1.0, 0.0, 1.0, 0.0, 1.0] + [0.0] * 10
 
 
 # ---- figure presets ----

@@ -5,23 +5,17 @@ import pytest
 import scipy.linalg
 
 from dissipair import linalg
-from dissipair.errors import NotHermitianError, ShapeMismatchError
+from dissipair.errors import ShapeMismatchError
 
 from oracles import random_unitary
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
 LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 def _random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def _random_hermitian(rng, n):
-    a = _random_complex(rng, n, n)
-    return 0.5 * (a + a.conj().T)
 
 
 # ---- kron ----
@@ -79,59 +73,6 @@ def test_dagger():
     np.testing.assert_array_equal(linalg.dagger(stack), [m.conj().T for m in stack])
 
 
-# ---- hermitian_eigensystem ----
-
-
-def test_eigensystem_sigma_z():
-    es = linalg.hermitian_eigensystem(SZ)
-    np.testing.assert_allclose(es.values, [-1.0, 1.0], atol=1e-14)
-    for k in range(2):
-        resid = SZ @ es.vectors[:, k] - es.values[k] * es.vectors[:, k]
-        assert np.abs(resid).max() <= 1e-12
-
-
-def test_eigensystem_identity():
-    es = linalg.hermitian_eigensystem(np.eye(4, dtype=complex))
-    np.testing.assert_allclose(es.values, np.ones(4), atol=1e-15)
-
-
-def test_eigensystem_bell_projector():
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
-    proj = np.outer(phi, phi.conj())
-    es = linalg.hermitian_eigensystem(proj)
-    np.testing.assert_allclose(es.values, [0.0, 0.0, 0.0, 1.0], atol=1e-13)
-    top = es.vectors[:, 3]
-    assert abs(abs(np.vdot(top, phi)) - 1.0) <= 1e-12
-
-
-def test_eigensystem_random_reconstruction():
-    rng = np.random.default_rng(17)
-    for n in (2, 3, 4, 8, 16):
-        for _ in range(8):
-            a = _random_hermitian(rng, n)
-            es = linalg.hermitian_eigensystem(a)
-            scale = np.linalg.norm(a)
-            rebuilt = (es.vectors * es.values) @ es.vectors.conj().T
-            assert np.linalg.norm(rebuilt - a) <= 1e-10 * max(scale, 1.0)
-            gram = es.vectors.conj().T @ es.vectors
-            assert np.abs(gram - np.eye(n)).max() <= 1e-10
-            assert np.all(np.diff(es.values) >= -1e-12)
-            np.testing.assert_allclose(es.values, np.linalg.eigvalsh(a), atol=1e-10 * max(scale, 1.0))
-
-
-def test_eigensystem_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        linalg.hermitian_eigensystem(LOWER)
-
-
-def test_eigensystem_rejects_bad_shapes():
-    with pytest.raises(ShapeMismatchError):
-        linalg.hermitian_eigensystem(np.ones((2, 3)))
-    with pytest.raises(ShapeMismatchError):
-        linalg.hermitian_eigensystem(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
 # ---- matrix_exponential ----
 
 
@@ -165,3 +106,9 @@ def test_expm_matches_scipy():
         mine = linalg.matrix_exponential(a)
         ref = scipy.linalg.expm(a)
         assert np.abs(mine - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+def test_expm_rejects_bad_shapes():
+    for bad in (np.ones((2, 3)), np.ones((2, 2, 2)), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ShapeMismatchError):
+            linalg.matrix_exponential(bad)

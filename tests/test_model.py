@@ -69,12 +69,12 @@ def test_coherent_hamiltonian_hermitian_for_complex_coupling():
 def test_coherent_hamiltonian_spectrum():
     # real J splits the single-excitation doublet into |+-> at energies +-J
     j = 0.8
-    es = linalg.hermitian_eigensystem(model.build_coherent_hamiltonian(j))
-    np.testing.assert_allclose(es.values, [-j, 0.0, 0.0, j], atol=1e-14)
+    values, vectors = np.linalg.eigh(model.build_coherent_hamiltonian(j))
+    np.testing.assert_allclose(values, [-j, 0.0, 0.0, j], atol=1e-14)
     plus = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
     minus = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    assert abs(abs(np.vdot(es.vectors[:, 3], plus)) - 1.0) <= 1e-12
-    assert abs(abs(np.vdot(es.vectors[:, 0], minus)) - 1.0) <= 1e-12
+    assert abs(abs(np.vdot(vectors[:, 3], plus)) - 1.0) <= 1e-12
+    assert abs(abs(np.vdot(vectors[:, 0], minus)) - 1.0) <= 1e-12
 
 
 def test_drive_hamiltonian():

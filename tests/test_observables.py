@@ -72,6 +72,20 @@ def test_population_observables_take_stacks():
             observable(states)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_observables_reject_non_finite_states(value):
+    single = initial_state("PLUS")
+    single[1, 2] = single[2, 1] = value
+    diagonal = initial_state("EG")
+    diagonal[1, 1] = value
+    stack = np.array([initial_state("GG")] * 3)
+    stack[2, 0, 0] = value
+    for observable in (populations, collective_populations, to_collective_basis, concurrence):
+        for rho, where in ((single, "state is"), (diagonal, "state is"), (stack, "state at sample 2 is")):
+            with pytest.raises(InvalidStateError, match=f"{where} not finite"):
+                observable(rho)
+
+
 # ---- concurrence ----
 
 
