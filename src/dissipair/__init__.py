@@ -19,8 +19,6 @@ from .dynamics import (
     initial_state,
     liouvillian_from_params,
     steady_state,
-    unvec,
-    vec,
 )
 from .experiments import (
     FIGURE_IDS,

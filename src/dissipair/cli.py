@@ -7,6 +7,7 @@ violation, 4 output failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -107,8 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built by the first command, not at import; parsing leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except CONFIG_ERRORS as exc:

@@ -1,13 +1,13 @@
-"""Open-system evolution in Liouville space.
+"""Open-system evolution as one real 16x16 generator R_ab = Tr(B_a L(B_b)).
 
-Density matrices are vectorized by stacking columns, so vec(A X B) equals
-(B.T kron A) vec(X) and the master equation becomes a single dense
-generator acting on a length-16 vector.  The model's generator is linear
-in seven real rates, so it is their product with a constant basis of
-seven generators, assembled once at import.  Both integrators share one core
-that fills the stored samples with powers of a stride matrix, built as a
-power of the RK4 one-step matrix for production runs or as a scaled-and-
-squared exponential that cross-checks it independently.
+B is the orthonormal Hermitian matrix-unit basis E_ii, (E_ij + E_ji)/sqrt2,
+i(E_ji - E_ij)/sqrt2 (i < j): a unitary change from vectorized matrices, so R
+keeps their singular values, and real since L preserves Hermiticity.  The
+model's R is linear in seven real rates: their product with a constant basis
+built at import.  Both integrators fill the stored samples with powers of a
+real stride matrix on the raw coordinates (rho_ii, Re rho_ij, Im rho_ij), from
+the RK4 step or, as an independent cross-check, the exponential, and place
+each state exactly, so it is Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -25,18 +25,22 @@ from .errors import (
     StateInvariantViolatedError,
     StepTooLargeError,
 )
-from .linalg import DEFAULT_TOL, dagger, kron, matrix_exponential
+from .linalg import DEFAULT_TOL, dagger, matrix_exponential
 from .model import ModelParams, build_coherent_hamiltonian, build_drive_hamiltonian, require_finite, sigma_minus, sigma_z
 
-# Hard ceiling on dt * ||L||_inf; above this RK4 accuracy degrades fast.
+# Hard ceiling on dt * ||R||_inf; above this RK4 accuracy degrades fast.
 MAX_STEP_NORM = 0.1
-# Relative spectral gap, gap / ||L||_2, at or below which the stationary manifold is degenerate.
+# Relative spectral gap, gap / ||R||_2, at or below which the stationary manifold is degenerate.
 GAP_EPS = 1e-9
 # Per-sample drift tolerances while integrating.
 TRACE_DRIFT_TOL = 1e-6
 NEGATIVITY_TOL = 1e-6
 
-_DIM = 4
+_DIM, _SIZE = 4, 16
+_DIAG, (_ROWS, _COLS) = np.arange(_DIM), np.triu_indices(_DIM, 1)
+# Orthonormal coordinates Tr(B_a rho) are the raw ones times _SCALE; the trace row is the same in both.
+_SCALE = np.repeat([1.0, math.sqrt(2.0), -math.sqrt(2.0)], [4, 6, 6])
+_TRACE_ROW = np.repeat([1.0, 0.0], [4, 12])
 
 _PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 _MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -44,16 +48,24 @@ _MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 INITIAL_STATE_NAMES = ("EE", "EG", "GE", "GG", "E", "PLUS", "MINUS", "G")
 
 
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a matrix, or of each matrix of a stack."""
-    x = np.asarray(x, dtype=complex)
-    return np.swapaxes(x, -1, -2).reshape(*x.shape[:-2], -1)
+def _coordinates(rho: np.ndarray) -> np.ndarray:
+    """Raw coordinates (rho_ii, Re rho_ij, Im rho_ij for i < j) of a state, or of each in a stack."""
+    return np.concatenate([rho[..., _DIAG, _DIAG].real, rho[..., _ROWS, _COLS].real, rho[..., _ROWS, _COLS].imag], -1)
 
 
-def unvec(v: np.ndarray, dim: int = _DIM) -> np.ndarray:
-    """Inverse of `vec`, over the last axis."""
-    v = np.asarray(v, dtype=complex)
-    return np.swapaxes(v.reshape(*v.shape[:-1], dim, dim), -1, -2)
+def _states(coords: np.ndarray) -> np.ndarray:
+    """Inverse of `_coordinates`: each entry placed exactly, so every state is Hermitian by construction."""
+    rho = np.zeros(coords.shape[:-1] + (_DIM, _DIM), dtype=complex)
+    rho.real[..., _DIAG, _DIAG] = coords[..., :4]
+    rho.real[..., _ROWS, _COLS] = rho.real[..., _COLS, _ROWS] = coords[..., 4:10]
+    # 0 - x, not -x: an exact zero stays +0 and prints as 0, not -0.
+    rho.imag[..., _ROWS, _COLS], rho.imag[..., _COLS, _ROWS] = coords[..., 10:], 0.0 - coords[..., 10:]
+    return rho
+
+
+_BASIS = _states(np.eye(_SIZE) / _SCALE)  # B_a: orthonormal coordinates e_a
+# The generator on raw coordinates y = x / s is R_ab s_b / s_a; the factors on its diagonal are exactly 1.
+_SIMILARITY = _SCALE[None, :] / _SCALE[:, None]
 
 
 def initial_state(name: str) -> np.ndarray:
@@ -132,47 +144,34 @@ def build_liouvillian(
     hamiltonian: np.ndarray,
     jump_operators: list[np.ndarray] | tuple[np.ndarray, ...] = (),
 ) -> np.ndarray:
-    """Assemble the master-equation generator, or a stack of them.
+    """The real master-equation generator R_ab = Tr(B_a L(B_b)), or a stack of them.
 
-    L = -1j (I kron H - H.T kron I)
-        + sum_k [ conj(L_k) kron L_k
-                  - (I kron L_k' L_k + (L_k' L_k).T kron I) / 2 ]
-
-    Parameters
-    ----------
-    hamiltonian : array_like
-        (..., n, n), Hermitian within DEFAULT_TOL.
-    jump_operators : sequence of array_like
-        Collapse operators with rates absorbed into their amplitudes; each
-        (..., n, n) and broadcasting against the Hamiltonian.
-
-    Returns
-    -------
-    ndarray
-        (..., n^2, n^2) over the broadcast leading axes.
+    L(B) = -1j [H, B] + sum_k (L_k B L_k' - {L_k' L_k, B} / 2), from a
+    (..., 4, 4) Hamiltonian, Hermitian within DEFAULT_TOL, and collapse
+    operators with rates absorbed into their amplitudes, each (..., 4, 4);
+    all broadcast to the leading axes of the real (..., 16, 16) result.
     """
     h = np.asarray(hamiltonian, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise ShapeMismatchError(f"hamiltonian must be square, got {h.shape}")
+    if h.shape[-2:] != (_DIM, _DIM):
+        raise ShapeMismatchError(f"hamiltonian must be ({_DIM}, {_DIM}) or a stack of them, got {h.shape}")
     defect = float(np.abs(h - dagger(h)).max())
     if defect > DEFAULT_TOL:
         raise NotHermitianError(f"hamiltonian defect {defect:.3e} exceeds {DEFAULT_TOL:.3e}")
-    n = h.shape[-1]
-    eye = np.eye(n, dtype=complex)
-    gen = -1j * (kron(eye, h) - kron(np.swapaxes(h, -1, -2), eye))
+    h = h[..., None, :, :]
+    images = -1j * (h @ _BASIS - _BASIS @ h)
     for op in jump_operators:
         op = np.asarray(op, dtype=complex)
-        if op.shape[-2:] != (n, n):
-            raise ShapeMismatchError(f"jump operator shape {op.shape} does not match {h.shape}")
+        if op.shape[-2:] != (_DIM, _DIM):
+            raise ShapeMismatchError(f"jump operator shape {op.shape} does not match {h.shape[-2:]}")
+        op = op[..., None, :, :]
         square = dagger(op) @ op
-        gen = gen + kron(op.conj(), op)
-        gen = gen - 0.5 * kron(eye, square)
-        gen = gen - 0.5 * kron(np.swapaxes(square, -1, -2), eye)
-    return gen
+        images = images + op @ _BASIS @ dagger(op) - 0.5 * (square @ _BASIS + _BASIS @ square)
+    # Tr(B_a X) = sum_ij (B_a)_ji X_ij, real up to roundoff for a Hermitian H.
+    return np.einsum("aji,...bij->...ab", _BASIS, images).real
 
 
 def _model_basis() -> np.ndarray:
-    """The generators that the rates of `liouvillian_from_params` multiply, as (7, 512) real rows per drive target.
+    """The generators that the rates of `liouvillian_from_params` multiply, as (7, 256) rows per drive target.
 
     D[s1 + e s2] = P + Re(e) Q + Im(e) R, with P and Q half the sum and half
     the difference of D[s1 + s2] and D[s1 - s2], and R = D[s1 + i s2] - P.
@@ -185,8 +184,7 @@ def _model_basis() -> np.ndarray:
     decay = 0.5 * (plus + minus)
     terms = [[coherent[0], coherent[1], drive, decay, 0.5 * (plus - minus), twisted - decay, dephasing]
              for drive in coherent[2:]]
-    # Viewed as real pairs, a real rate scales both parts of an entry in one real product.
-    return np.array(terms).reshape(2, 7, -1).view(float)
+    return np.array(terms).reshape(2, 7, -1)
 
 
 _MODEL_BASIS = _model_basis()  # indexed by drive target - 1
@@ -198,7 +196,7 @@ def liouvillian_from_params(params: ModelParams) -> np.ndarray:
     It is the product of the rates (Re J, Im J, Omega, Gamma, Gamma cos phi,
     Gamma sin phi, kappa) with the constant basis of `_model_basis`, the
     same generator `build_liouvillian` assembles from the model's operators.
-    Array fields in `params` give a (..., 16, 16) stack over their broadcast shape.
+    Array fields in `params` give a real (..., 16, 16) stack over their broadcast shape.
     """
     J, Gamma, phi = np.asarray(params.J, dtype=complex), np.asarray(params.Gamma, dtype=float), params.phi
     target, amplitude = (1, 0.0) if params.drive is None else (params.drive.target, params.drive.amplitude)
@@ -207,70 +205,76 @@ def liouvillian_from_params(params: ModelParams) -> np.ndarray:
                                          params.kappa), axis=-1)
     # einsum, not `@`: OpenBLAS threads the gemm of a large block, and its spinning workers
     # took 8 ms instead of 0.5 ms for 1024 cells beside one busy process on two cores.
-    gen = np.einsum("...k,kj->...j", rates, _MODEL_BASIS[target - 1]).view(complex)
-    return gen.reshape(rates.shape[:-1] + (_DIM * _DIM, _DIM * _DIM))
+    gen = np.einsum("...k,kj->...j", rates, _MODEL_BASIS[target - 1])
+    return gen.reshape(rates.shape[:-1] + (_SIZE, _SIZE))
 
 
 def _check_samples(states: np.ndarray, label: str) -> None:
-    # Every stored sample at once: one batched eigvalsh over the (N, 4, 4) stack.
-    traces = np.abs(np.einsum("kii->k", states) - 1.0)
+    # Hermitian by construction: the traces are real, and one batched Cholesky of
+    # rho + tol I passes exactly when no eigenvalue lies below -tol.
+    traces = np.abs(np.einsum("kii->k", states.real) - 1.0)
     if float(traces.max()) > TRACE_DRIFT_TOL:
         k = int(traces.argmax())
-        raise StateInvariantViolatedError(
-            f"{label}: trace drift {traces[k]:.3e} at sample {k} exceeds {TRACE_DRIFT_TOL:.1e}"
-        )
-    sym = 0.5 * (states + np.conj(np.transpose(states, (0, 2, 1))))
-    lows = np.linalg.eigvalsh(sym)[:, 0]
-    if float(lows.min()) < -NEGATIVITY_TOL:
-        k = int(lows.argmin())
-        raise StateInvariantViolatedError(
-            f"{label}: negativity {lows[k]:.3e} at sample {k} exceeds {NEGATIVITY_TOL:.1e}"
-        )
+        message = f"{label}: trace drift {traces[k]:.3e} at sample {k} exceeds {TRACE_DRIFT_TOL:.1e}"
+        raise StateInvariantViolatedError(message)
+    try:
+        np.linalg.cholesky(states + NEGATIVITY_TOL * np.eye(_DIM))
+    except np.linalg.LinAlgError:  # only now name the sample: eigvalsh costs several Choleskys
+        lows = np.linalg.eigvalsh(states)[:, 0]
+        if float(lows.min()) < -NEGATIVITY_TOL:
+            k = int(lows.argmin())
+            message = f"{label}: negativity {lows[k]:.3e} at sample {k} exceeds {NEGATIVITY_TOL:.1e}"
+            raise StateInvariantViolatedError(message) from None
 
 
-def _single_generator(liouvillian: np.ndarray) -> np.ndarray:
-    """The generator, refused when it is a stack: the integrators evolve one model at a time."""
+def _real_generator(liouvillian) -> np.ndarray:
+    """The generator as a real array; any non-zero imaginary part raises NotHermitianError (exit code 3)."""
     gen = np.asarray(liouvillian)
-    if gen.ndim != 2:
-        raise ShapeMismatchError(f"integrators take one generator, got a stack of shape {gen.shape}")
+    if np.iscomplexobj(gen) and np.any(gen.imag != 0.0):
+        raise NotHermitianError("the generator has an imaginary part: it does not preserve Hermiticity")
+    return gen.real.astype(float, copy=False)
+
+
+def _single_generator(liouvillian) -> np.ndarray:
+    """The real generator, refused unless it is one (16, 16) matrix: the integrators evolve one model at a time."""
+    gen = _real_generator(liouvillian)
+    if gen.shape != (_SIZE, _SIZE):
+        stack = "a stack of " if gen.ndim > 2 else ""
+        raise ShapeMismatchError(f"integrators take one ({_SIZE}, {_SIZE}) generator, got {stack}shape {gen.shape}")
     return gen
 
 
-def _propagate(rho0, gen: np.ndarray, grid: TimeGrid, stride_matrix, label: str) -> Trajectory:
-    """Fill the stored samples with powers of `stride_matrix(span)`, column-stacked over `span` steps.
+def _propagate(rho0, grid: TimeGrid, stride_matrix, label: str) -> Trajectory:
+    """Fill the stored samples with powers of `stride_matrix(span)`, the map of raw coordinates over `span` steps.
 
     Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start to the next,
     and one batched product with S^1..S^m fills every block.  A shorter tail takes one more product.
     """
-    n = int(round(math.sqrt(gen.shape[0])))
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (n, n):
-        raise ShapeMismatchError(f"initial state shape {rho0.shape}, expected {(n, n)}")
+    if rho0.shape != (_DIM, _DIM):
+        raise ShapeMismatchError(f"initial state shape {rho0.shape}, expected {(_DIM, _DIM)}")
     if float(np.abs(rho0 - rho0.conj().T).max()) > 1e-8 or abs(rho0.trace() - 1.0) > 1e-8:
         raise NotAStateError("initial state must be Hermitian with unit trace")
     steps = grid.sample_steps()
     spans = np.diff(steps).tolist()
     count = len(spans) - (spans[-1] != spans[0])
-    # Buffer rows hold rho row-major, so they reshape into C-contiguous
-    # states without a copy; `perm` permutes each stride matrix to match.
-    order = np.arange(n * n).reshape(n, n).T.ravel()
-    perm = np.ix_(order, order)
     m = math.isqrt(count)
-    powers = np.empty((m, n * n, n * n), dtype=complex)
-    powers[0] = stride_matrix(spans[0])[perm]
+    powers = np.empty((m, _SIZE, _SIZE))
+    powers[0] = stride_matrix(spans[0])
     for j in range(1, m):
         np.matmul(powers[j - 1], powers[0], out=powers[j])
-    starts = np.empty((-(-count // m), n * n), dtype=complex)
-    starts[0] = rho0.ravel()
+    starts = np.empty((-(-count // m), _SIZE))
+    starts[0] = _coordinates(rho0)
     for b in range(1, len(starts)):
         np.matmul(powers[-1], starts[b - 1], out=starts[b])
-    buf = np.empty((len(steps), n * n), dtype=complex)
-    buf[0] = starts[0]
+    coords = np.empty((len(steps), _SIZE))
+    coords[0] = starts[0]
     # Entry (j, :, b) is S^(j+1) applied to block start b, which is sample b*m + j + 1.
-    buf[1:count + 1] = np.matmul(powers, starts.T).transpose(2, 0, 1).reshape(-1, n * n)[:count]
+    coords[1:count + 1] = np.matmul(powers, starts.T).transpose(2, 0, 1).reshape(-1, _SIZE)[:count]
     if count < len(spans):
-        buf[-1] = stride_matrix(spans[-1])[perm] @ buf[count]
-    states = buf.reshape(len(steps), n, n)
+        coords[-1] = stride_matrix(spans[-1]) @ coords[count]
+    states = _states(coords)
+    del coords  # freed before the check allocates two more stacks the size of `states`
     _check_samples(states, label)
     return Trajectory(times=grid.sample_times(), states=states)
 
@@ -279,91 +283,70 @@ def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Fixed-step classical Runge-Kutta propagation.
 
     On a constant generator one step is exactly v <- P v, with P the degree-4
-    Taylor polynomial of dt L, so a sample interval of `span` steps applies P^span.
-
-    Parameters
-    ----------
-    rho0 : array_like
-        Initial density matrix.
-    liouvillian : ndarray
-        One (n^2, n^2) generator; dt * ||L||_inf must stay at or below 0.1.
-    grid : TimeGrid
-        Step size and sampling stride.
-
-    Returns
-    -------
-    Trajectory
-        Stored samples, each re-validated for trace and positivity drift.
+    Taylor polynomial of dt R, so a sample interval of `span` steps applies P^span.
+    `liouvillian` is one real (16, 16) generator with dt * ||R||_inf <= 0.1; each
+    stored sample, Hermitian by construction, is re-validated for trace and positivity.
     """
     gen = _single_generator(liouvillian)
     bound = grid.dt * float(np.abs(gen).sum(axis=1).max())
     if not bound <= MAX_STEP_NORM:  # a NaN bound fails here too
         if not math.isfinite(bound):
-            raise StepTooLargeError(f"dt * ||L||_inf is {bound}: the generator is not finite")
-        raise StepTooLargeError(f"dt * ||L||_inf = {bound:.3e} exceeds {MAX_STEP_NORM}; shrink dt")
-    a = grid.dt * gen
-    eye = np.eye(len(gen), dtype=complex)
+            raise StepTooLargeError(f"dt * ||R||_inf is {bound}: the generator is not finite")
+        raise StepTooLargeError(f"dt * ||R||_inf = {bound:.3e} exceeds {MAX_STEP_NORM}; shrink dt")
+    a = grid.dt * gen * _SIMILARITY
+    eye = np.eye(_SIZE)
     step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
-    return _propagate(rho0, gen, grid, lambda span: np.linalg.matrix_power(step, span), f"rk4 dt={grid.dt:g}")
+    return _propagate(rho0, grid, lambda span: np.linalg.matrix_power(step, span), f"rk4 dt={grid.dt:g}")
 
 
 def evolve_expm(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
-    """Propagation by the exact exponential map over each sample interval.
-
-    Independent of the Runge-Kutta route; used to cross-check it.
-    """
-    gen = _single_generator(liouvillian)
-    return _propagate(rho0, gen, grid, lambda span: matrix_exponential(gen * (span * grid.dt)),
-                      f"expm dt={grid.dt:g}")
+    """Propagation by the exact exponential map over each sample interval, an independent cross-check of RK4."""
+    gen = _single_generator(liouvillian) * _SIMILARITY
+    return _propagate(rho0, grid, lambda span: matrix_exponential(gen * (span * grid.dt)), f"expm dt={grid.dt:g}")
 
 
 def steady_state(liouvillian: np.ndarray) -> SteadyStateResult:
-    """Stationary state from the null space of the generator, or of each in a stack.
+    """Stationary state from the null space of the real generator, or of each in a stack.
 
-    The verdict comes from the singular values of L (those of L' L would
-    bury small gaps in roundoff): the state is unique when the second-
-    smallest exceeds GAP_EPS ||L||_2, a bound free of units.  A unique
-    state solves L with its first row replaced by the trace row vec(I)^T
-    and right-hand side e_0; trace preservation makes that row redundant,
-    so the system is regular exactly when the state is unique.  Only a
-    degenerate cell gets a full SVD; it returns one Hermitized, unit-trace
-    element of its manifold, the near-null vector of largest |trace|.  One
-    (n^2, n^2) generator gives a float gap and a bool; a stack gives arrays
-    over its leading axes and (..., n, n) states.
+    The verdict comes from the singular values of R (those of R' R would bury
+    small gaps in roundoff): the state is unique when the second-smallest
+    exceeds GAP_EPS ||R||_2, a bound free of units.  A unique state solves R
+    with its first row, redundant under trace preservation, replaced by the
+    trace row (ones on the diagonal coordinates) and right-hand side e_0.  Only
+    a degenerate cell gets a full SVD, for its near-null vector of largest
+    |trace|.  One (16, 16) generator gives a float gap and a bool; a stack
+    gives arrays over its leading axes and (..., 4, 4) states.
     """
-    gen = np.asarray(liouvillian)
+    gen = _real_generator(liouvillian)
     if not np.isfinite(gen).all():
         raise NoConvergenceError("the generator is not finite")
     sing = np.linalg.svd(gen, compute_uv=False)
-    # Descending: sing[..., 0] is ||L||_2 and sing[..., -2] the gap.
+    # Descending: sing[..., 0] is ||R||_2 and sing[..., -2] the gap.
     gap, bound = sing[..., -2], GAP_EPS * sing[..., 0]
     unique = gap > bound
-    size = gen.shape[-1]
-    n = int(round(math.sqrt(size)))
-    stack, flags = gen.reshape(-1, size, size), unique.reshape(-1)
-    rho = np.empty((len(stack), n, n), dtype=complex)
+    stack, flags = gen.reshape(-1, _SIZE, _SIZE), unique.reshape(-1)
+    coords = np.empty((len(stack), _SIZE))
     bordered = stack[flags]
-    bordered[:, 0] = vec(np.eye(n))
-    rho[flags] = unvec(np.linalg.solve(bordered, np.eye(size, 1))[..., 0], n)
+    bordered[:, 0] = _TRACE_ROW
+    coords[flags] = np.linalg.solve(bordered, np.eye(_SIZE, 1))[..., 0]
     if not flags.all():
         _, values, vh = np.linalg.svd(stack[~flags])
         # Ascending singular values; candidate i is the right singular vector of values[:, i].
-        values, candidates = values[:, ::-1], unvec(vh[:, ::-1].conj(), n)
+        values, candidates = values[:, ::-1], vh[:, ::-1]
         # Of the near-null vectors (always at least the first), take the one of largest |trace|.
-        near_null = (values <= bound.reshape(-1)[~flags, None]) | (np.arange(size) == 0)
-        traces = np.where(near_null, np.abs(np.trace(candidates, axis1=-2, axis2=-1)), -1.0)
-        best = candidates[np.arange(len(candidates)), np.argmax(traces, axis=-1)]
-        best_trace = np.trace(best, axis1=-2, axis2=-1)[:, None, None]
-        if np.any(np.abs(best_trace) < 1e-9):
+        near_null = (values <= bound.reshape(-1)[~flags, None]) | (np.arange(_SIZE) == 0)
+        traces = candidates @ _TRACE_ROW
+        cells = np.arange(len(candidates))
+        best = np.argmax(np.where(near_null, np.abs(traces), -1.0), axis=-1)
+        if np.any(np.abs(traces[cells, best]) < 1e-9):
             raise NotAStateError("null space holds no unit-trace Hermitian element within tolerance")
-        # Dividing by the complex trace first removes the arbitrary phase of the singular vector.
-        rho[~flags] = best / best_trace
-    rho = (0.5 * (rho + dagger(rho))).reshape(gen.shape[:-2] + (n, n))
-    residual = np.linalg.norm(gen @ vec(rho)[..., None], axis=(-2, -1))
+        coords[~flags] = candidates[cells, best] / traces[cells, best, None]
+    residual = np.linalg.norm((stack @ coords[..., None])[..., 0], axis=-1).reshape(unique.shape)
     # Written so that a NaN residual counts as too large.
     bad = unique & ~(residual <= 1e-8 * np.abs(gen).max(axis=(-2, -1)))
     if np.any(bad):
         raise NoConvergenceError(f"stationary residual {np.max(residual[bad]):.3e} too large")
+    rho = _states(coords / _SCALE).reshape(gen.shape[:-2] + (_DIM, _DIM))
     if gap.ndim == 0:
         return SteadyStateResult(state=rho, spectral_gap=float(gap), unique=bool(unique))
     return SteadyStateResult(state=rho, spectral_gap=gap, unique=unique)

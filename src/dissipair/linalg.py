@@ -1,4 +1,4 @@
-"""Dense complex linear algebra sized for small operator spaces.
+"""Dense linear algebra sized for small operator spaces.
 
 Everything here targets the 4x4 density matrices and 16x16 superoperators
 used elsewhere in the package: Kronecker products and conjugate transposes
@@ -41,9 +41,9 @@ def matrix_exponential(a) -> np.ndarray:
 
     The argument is halved until its max-row-sum norm drops to 0.5, the
     series is summed until a term's norm falls to 1e-16 of max(1, norm of
-    the sum), and the result is squared back up.
+    the sum), and the result is squared back up.  A real matrix gives a real result.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -54,8 +54,8 @@ def matrix_exponential(a) -> np.ndarray:
     if norm > 0.5:
         squarings = int(math.ceil(math.log2(norm / 0.5)))
     b = a / (2.0 ** squarings)
-    total = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
+    total = np.eye(n, dtype=a.dtype)
+    term = np.eye(n, dtype=a.dtype)
     for k in range(1, _MAX_SERIES_TERMS + 1):
         term = term @ b / k
         total = total + term

@@ -43,8 +43,22 @@ def require_non_negative(**rates) -> None:
             raise NegativeRateError(f"{name} must be >= 0, got {np.min(value)}")
 
 
-@dataclass(frozen=True)
-class Drive:
+class _FieldwiseEquality:
+    """Equality field by field with np.array_equal, so array fields compare too; only scalar fields hash."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
+
+    def __hash__(self):
+        if any(isinstance(value, np.ndarray) for value in vars(self).values()):
+            raise TypeError(f"{type(self).__name__} with array fields is unhashable: its arrays are mutable")
+        return hash(tuple(vars(self).values()))
+
+
+@dataclass(frozen=True, eq=False)
+class Drive(_FieldwiseEquality):
     """Resonant drive on one qubit: target in {1, 2}, amplitude >= 0 (a scalar or an array)."""
 
     target: int
@@ -57,8 +71,8 @@ class Drive:
         require_non_negative(**{"drive amplitude": self.amplitude})
 
 
-@dataclass(frozen=True)
-class ModelParams:
+@dataclass(frozen=True, eq=False)
+class ModelParams(_FieldwiseEquality):
     """Rates and phases in units of the exchange coupling.
 
     phi is stored as given; every operator built from it only ever uses

@@ -8,6 +8,7 @@ gate well under a minute.
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -202,6 +203,6 @@ def test_criterion_9_deterministic_output(tmp_path):
     second = tmp_path / "second"
     first.mkdir()
     second.mkdir()
-    a = open(run_figure("2a", str(first)), "rb").read()
-    b = open(run_figure("2a", str(second)), "rb").read()
+    a = Path(run_figure("2a", str(first))).read_bytes()
+    b = Path(run_figure("2a", str(second))).read_bytes()
     _report(9, "repeated figure 2a runs are byte-identical", a == b)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dissipair
-from dissipair import errors
+from dissipair import cli, errors
 from dissipair.cli import main
 from dissipair.errors import CONFIG_ERRORS, NUMERIC_ERRORS, IoError
 
@@ -174,6 +174,28 @@ def test_steady_non_finite_gamma_exit_code(tmp_path):
 def test_isolation_non_finite_exit_code(capsys):
     assert main(["isolation", "--J", "1", "--Gamma", "nan", "--phi", "1"]) == 2
     assert "Gamma must be finite" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    cli._parser.cache_clear()
+    cfg = _config(tmp_path, ISO_LINES)
+    assert main(["isolation", "--J", "1", "--Gamma", "2", "--phi", "4.712388980384690"]) == 0
+    assert "delta_F = -1" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as bad:
+        main(["steady", "--no-such-flag"])
+    assert bad.value.code == 2
+    assert main(["steady", "--config", cfg]) == 0
+    assert "unique: yes" in capsys.readouterr().out
+    assert main(["isolation", "--J", "1", "--Gamma", "2", "--phi", "1.5707963267948966"]) == 0
+    assert "delta_F = 1" in capsys.readouterr().out
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # Importing the package builds nothing.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dissipair.__file__)))
+    probe = "import dissipair.cli as c; print(c._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "0", done.stderr
 
 
 def test_overflowing_generator_exit_code(tmp_path, capsys):

@@ -16,11 +16,10 @@ from dissipair.dynamics import (
     initial_state,
     liouvillian_from_params,
     steady_state,
-    unvec,
-    vec,
 )
 from dissipair.errors import (
     CONFIG_ERRORS,
+    NUMERIC_ERRORS,
     NoConvergenceError,
     NotAStateError,
     NotHermitianError,
@@ -30,7 +29,7 @@ from dissipair.errors import (
     ValidationError,
 )
 
-from oracles import five_point_derivative, random_density_matrix
+from oracles import five_point_derivative, random_density_matrix, random_unitary
 
 ISO = model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi)
 
@@ -40,24 +39,87 @@ def _dissipator(op, rho):
     return op @ rho @ op.conj().T - 0.5 * (square @ rho + rho @ square)
 
 
-# ---- vectorization ----
+def _master_equation(J, Gamma, phi, kappa, amplitude, target):
+    """The model's right-hand side on a 4x4 rho, written out term by term."""
+    s1, s2 = model.sigma_minus(1), model.sigma_minus(2)
+    h = (J * model.sigma_plus(1) @ s2 + np.conj(J) * s1 @ model.sigma_plus(2)
+         + amplitude * (model.sigma_plus(target) + model.sigma_minus(target)))
+    collective = s1 + cmath.exp(1j * phi) * s2
+
+    def rhs(rho):
+        dephasing = _dissipator(model.sigma_z(1), rho) + _dissipator(model.sigma_z(2), rho)
+        return -1j * (h @ rho - rho @ h) + Gamma * _dissipator(collective, rho) + kappa * dephasing
+
+    return rhs
 
 
-def test_vec_unvec_roundtrip():
+def _hermitian_basis():
+    """E_ii, then (E_ij + E_ji)/sqrt2, then i(E_ji - E_ij)/sqrt2 over the pairs i < j in row order."""
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # units[4 * i + j] is E_ij
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    return np.array([units[5 * i] for i in range(4)]
+                    + [(units[4 * i + j] + units[4 * j + i]) / math.sqrt(2.0) for i, j in pairs]
+                    + [1j * (units[4 * j + i] - units[4 * i + j]) / math.sqrt(2.0) for i, j in pairs])
+
+
+_B = _hermitian_basis()
+
+
+def _coords(rho):
+    """Orthonormal coordinates Tr(B_a rho)."""
+    return np.einsum("aji,...ij->...a", _B, rho).real
+
+
+def _matrix(x):
+    return np.einsum("...a,aij->...ij", x, _B)
+
+
+def _column_stacked(h, jumps):
+    """The complex generator on column-stacked rho, from vec(A X B) = (B.T kron A) vec(X)."""
+    eye = np.eye(4)
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for op in jumps:
+        square = op.conj().T @ op
+        gen = gen + np.kron(op.conj(), op) - 0.5 * (np.kron(eye, square) + np.kron(square.T, eye))
+    return gen
+
+
+def _generator_of(rhs):
+    """R_ab = Tr(B_a L(B_b)) of a map given on (stacks of) 4x4 matrices."""
+    return np.einsum("aji,bij->ab", _B, rhs(_B))
+
+
+# ---- the Hermitian basis ----
+
+
+def test_state_coordinates_roundtrip():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    np.testing.assert_array_equal(unvec(vec(x)), x)
-    # column stacking: first four slots hold the first column
-    np.testing.assert_array_equal(vec(x)[:4], x[:, 0])
+    assert np.abs(np.einsum("aij,bji->ab", _B, _B) - np.eye(16)).max() <= 1e-15
+    np.testing.assert_array_equal(dynamics._BASIS, _B)
+    mixed = np.array([random_density_matrix(rng) for _ in range(5)])
+    stack = np.concatenate([0.5 * (mixed + mixed.conj().swapaxes(1, 2)), [initial_state(n) for n in INITIAL_STATE_NAMES]])
+    raw = dynamics._coordinates(stack)
+    assert raw.dtype == float and raw.shape == (len(stack), 16)
+    # Exact both ways: entries are placed, not computed.
+    np.testing.assert_array_equal(dynamics._states(raw), stack)
+    assert np.abs(raw * dynamics._SCALE - _coords(stack)).max() <= 1e-15
 
 
-def test_vec_sandwich_identity():
+def test_generator_is_the_column_stacked_form_in_the_hermitian_basis():
     rng = np.random.default_rng(7)
+    columns = np.array([b.T.ravel() for b in _B]).T  # vec(B_a), a unitary change of basis
+    assert np.abs(columns.conj().T @ columns - np.eye(16)).max() <= 1e-15
     for _ in range(10):
-        a, x, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
-        lhs = vec(a @ x @ b)
-        rhs = np.kron(b.T, a) @ vec(x)
-        assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = g + g.conj().T
+        jumps = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
+        stacked = _column_stacked(h, jumps)
+        gen = build_liouvillian(h, jumps)
+        scale = np.abs(stacked).max()
+        assert gen.dtype == float
+        assert np.abs(gen - columns.conj().T @ stacked @ columns).max() <= 1e-14 * scale
+        np.testing.assert_allclose(np.linalg.svd(gen, compute_uv=False),
+                                   np.linalg.svd(stacked, compute_uv=False), rtol=0.0, atol=1e-13 * scale)
 
 
 # ---- Liouvillian assembly ----
@@ -75,12 +137,19 @@ def test_generator_matches_direct_master_equation():
     h = model.build_hamiltonian(params)
     jumps = model.build_jump_operators(params)
     gen = build_liouvillian(h, jumps)
+
+    def direct(rho):
+        out = -1j * (h @ rho - rho @ h)
+        for op in jumps:
+            out = out + _dissipator(op, rho)
+        return out
+
+    expected = _generator_of(direct)
+    assert np.abs(expected.imag).max() <= 1e-15
+    assert np.abs(gen - expected.real).max() <= 1e-12
     for _ in range(10):
         rho = random_density_matrix(rng)
-        direct = -1j * (h @ rho - rho @ h)
-        for op in jumps:
-            direct = direct + _dissipator(op, rho)
-        assert np.abs(unvec(gen @ vec(rho)) - direct).max() <= 1e-12
+        assert np.abs(_matrix(gen @ _coords(rho)) - direct(rho)).max() <= 1e-12
 
 
 def test_generator_preserves_trace_row():
@@ -91,7 +160,7 @@ def test_generator_preserves_trace_row():
     )
     for params in probes:
         gen = liouvillian_from_params(params)
-        row = vec(np.eye(4)).conj() @ gen
+        row = _coords(np.eye(4)) @ gen
         assert np.abs(row).max() <= 1e-12
 
 
@@ -120,15 +189,13 @@ def test_rate_basis_generator_matches_master_equation(rates):
     J, Gamma, phi, kappa, amplitude, target = rates
     params = model.ModelParams(J, Gamma, phi, kappa, model.Drive(target, amplitude))
     gen = liouvillian_from_params(params)
-    s1, s2 = model.sigma_minus(1), model.sigma_minus(2)
-    h = (J * model.sigma_plus(1) @ s2 + np.conj(J) * s1 @ model.sigma_plus(2)
-         + amplitude * (model.sigma_plus(target) + model.sigma_minus(target)))
+    direct = _master_equation(J, Gamma, phi, kappa, amplitude, target)
+    scale = 1.0 + max(abs(J), Gamma, kappa, amplitude)
+    assert np.abs(gen - _generator_of(direct).real).max() <= 1e-12 * scale
     rng = np.random.default_rng(41)
     for _ in range(3):
         rho = random_density_matrix(rng)
-        direct = -1j * (h @ rho - rho @ h) + Gamma * _dissipator(s1 + cmath.exp(1j * phi) * s2, rho)
-        direct = direct + kappa * (_dissipator(model.sigma_z(1), rho) + _dissipator(model.sigma_z(2), rho))
-        assert np.abs(unvec(gen @ vec(rho)) - direct).max() <= 1e-12 * (1.0 + max(abs(J), Gamma, kappa, amplitude))
+        assert np.abs(_matrix(gen @ _coords(rho)) - direct(rho)).max() <= 1e-12 * scale
     built = build_liouvillian(model.build_hamiltonian(params), model.build_jump_operators(params))
     assert np.abs(gen - built).max() <= 1e-14 * np.abs(gen).max()
 
@@ -231,20 +298,61 @@ def test_rk4_flags_trace_drift():
         evolve_rk4(initial_state("GG"), gen, TimeGrid(0.1, 0.01))
 
 
-def _rk4_stepwise(rho0, gen, grid):
-    # Reference: four matvecs per step, sampled on the grid's stored steps.
+def test_integrators_flag_negativity():
+    # Minus a decay dissipator preserves the trace but pumps |gg> into |eg>: P_gg = 1 - e^t < 0.
+    gen = -build_liouvillian(np.zeros((4, 4)), [model.sigma_minus(1)])
+    assert np.abs(_coords(np.eye(4)) @ gen).max() <= 1e-15
+    for evolve, name in ((evolve_rk4, "rk4"), (evolve_expm, "expm")):
+        with pytest.raises(StateInvariantViolatedError,
+                           match=rf"^{name} dt=0.01: negativity -1\.052e-01 at sample 10 exceeds 1\.0e-06$"):
+            evolve(initial_state("EG"), gen, TimeGrid(0.1, 0.01))
+
+
+def test_negativity_check_spares_samples_within_tolerance():
+    rng = np.random.default_rng(11)
+    tol = dynamics.NEGATIVITY_TOL
+
+    def rotated(lowest):
+        u = random_unitary(rng, 4)
+        rho = u @ np.diag([0.6, 0.4 - lowest, 0.0, lowest]) @ u.conj().T
+        return 0.5 * (rho + rho.conj().T)
+
+    within = np.array([initial_state("PLUS"), rotated(-0.5 * tol)])
+    assert np.linalg.eigvalsh(within)[1, 0] < -0.4 * tol
+    dynamics._check_samples(within, "probe")
+    beyond = np.array([initial_state("PLUS"), rotated(-0.5 * tol), rotated(-1.5 * tol), rotated(0.0)])
+    with pytest.raises(StateInvariantViolatedError, match=r"^probe: negativity -1\.500e-06 at sample 2 exceeds"):
+        dynamics._check_samples(beyond, "probe")
+
+
+def test_integrators_refuse_a_generator_with_an_imaginary_part():
+    assert NotHermitianError in NUMERIC_ERRORS  # the command line exits 3 on it
+    gen = liouvillian_from_params(ISO).astype(complex)
+    # An imaginary part that is exactly zero is not refused.
+    np.testing.assert_array_equal(evolve_rk4(initial_state("EG"), gen, TimeGrid(0.1, 0.002)).states,
+                                  evolve_rk4(initial_state("EG"), gen.real, TimeGrid(0.1, 0.002)).states)
+    gen[4, 10] += 1e-300j
+    for refuse in (lambda g: evolve_rk4(initial_state("EG"), g, TimeGrid(0.1, 0.002)),
+                   lambda g: evolve_expm(initial_state("EG"), g, TimeGrid(0.1, 0.002)),
+                   steady_state, lambda g: steady_state(np.array([g.real, g]))):
+        with pytest.raises(NotHermitianError, match="imaginary part"):
+            refuse(gen)
+
+
+def _rk4_stepwise(rho0, rhs, grid):
+    # Reference: four evaluations of the master equation on 4x4 rho per step, sampled on the grid's stored steps.
     dt = grid.dt
     wanted = set(grid.sample_steps().tolist())
-    v = vec(rho0)
+    rho = rho0
     out = []
     for k in range(grid.n_steps + 1):
         if k in wanted:
-            out.append(unvec(v))
-        k1 = gen @ v
-        k2 = gen @ (v + (0.5 * dt) * k1)
-        k3 = gen @ (v + (0.5 * dt) * k2)
-        k4 = gen @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out.append(rho)
+        k1 = rhs(rho)
+        k2 = rhs(rho + (0.5 * dt) * k1)
+        k3 = rhs(rho + (0.5 * dt) * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return np.array(out)
 
 
@@ -285,11 +393,32 @@ def test_rk4_propagator_matches_stepwise_rk4(J, Gamma, phi, kappa, drive, initia
     assert grid.n_steps == n_steps
     rho0 = initial_state(initial)
     traj = evolve_rk4(rho0, gen, grid)
-    reference = _rk4_stepwise(rho0, gen, grid)
+    stacked = _column_stacked(model.build_hamiltonian(params), model.build_jump_operators(params))
+    reference = _rk4_stepwise(rho0, lambda rho: (stacked @ rho.T.ravel()).reshape(4, 4).T, grid)
     assert traj.states.shape == reference.shape
     assert traj.states.flags.c_contiguous
     assert traj.times[-1] == n_steps * dt
     assert np.abs(traj.states - reference).max() <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(J=st.complex_numbers(max_magnitude=2.0), Gamma=st.floats(0.0, 3.0), phi=st.floats(0.0, 2.0 * math.pi),
+       kappa=st.floats(0.0, 0.5), amplitude=st.floats(0.0, 1.5), target=st.sampled_from([1, 2]),
+       initial=st.sampled_from(INITIAL_STATE_NAMES) | st.integers(0, 2 ** 16))
+def test_rk4_states_are_hermitian_with_unit_trace(J, Gamma, phi, kappa, amplitude, target, initial):
+    if isinstance(initial, str):
+        rho0 = initial_state(initial)
+    else:
+        rho0 = random_density_matrix(np.random.default_rng(initial))
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
+    gen = liouvillian_from_params(model.ModelParams(J, Gamma, phi, kappa, model.Drive(target, amplitude)))
+    dt = 0.1 * dynamics.MAX_STEP_NORM / max(1.0, float(np.abs(gen).sum(axis=1).max()))
+    states = evolve_rk4(rho0, gen, TimeGrid(2500 * dt, dt, sample_every=3)).states
+    np.testing.assert_array_equal(states, states.conj().swapaxes(1, 2))
+    assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-12
+    short = TimeGrid(40 * dt, dt)
+    reference = _rk4_stepwise(rho0, _master_equation(J, Gamma, phi, kappa, amplitude, target), short)
+    assert np.abs(evolve_rk4(rho0, gen, short).states - reference).max() <= 1e-10
 
 
 def test_expm_constant_under_zero_generator():
@@ -373,7 +502,7 @@ def test_steady_state_driven_matches_long_time_limit():
     assert result.unique
     traj = evolve_rk4(initial_state("GG"), gen, TimeGrid(50.0, 0.002, sample_every=250))
     assert np.abs(traj.states[-1] - result.state).max() <= 1e-6
-    assert np.linalg.norm(gen @ vec(result.state)) <= 1e-9
+    assert np.linalg.norm(gen @ _coords(result.state)) <= 1e-9
 
 
 _CELL = st.tuples(
@@ -453,8 +582,8 @@ def test_steady_state_matches_svd_null_vector(cells):
     before = gens.copy()
     result = steady_state(gens)
     np.testing.assert_array_equal(gens, before)
-    for (kind, _), gen, rho, unique in zip(cells, gens, result.state, result.unique):
-        _, sing, vh = np.linalg.svd(gen)
+    for (kind, (j, g, p, k, w)), gen, rho, unique in zip(cells, gens, result.state, result.unique):
+        sing = np.linalg.svd(gen, compute_uv=False)
         ratio = sing[-2] / sing[0]
         assert unique == (ratio > dynamics.GAP_EPS)
         assert abs(np.trace(rho) - 1.0) <= 1e-12
@@ -463,7 +592,11 @@ def test_steady_state_matches_svd_null_vector(cells):
         if kind == "near":
             assert dynamics.GAP_EPS < ratio < 10.0 * dynamics.GAP_EPS and unique
         if unique:
-            null = unvec(vh[-1].conj())
+            # The null vector of the test's own column-stacked form: near the bound, that of the
+            # real R is only good to ~1e-8 (against a 30-digit reference; the state to ~6e-16).
+            params = model.ModelParams(j, g, p, k, model.Drive(1, w))
+            vh = np.linalg.svd(_column_stacked(model.build_hamiltonian(params), model.build_jump_operators(params)))[2]
+            null = vh[-1].conj().reshape(4, 4).T
             null = null / np.trace(null)
             assert np.abs(rho - 0.5 * (null + null.conj().T)).max() <= 1e-10
 

@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,7 +246,7 @@ def test_run_sweep_deterministic(tmp_path):
     (tmp_path / "b").mkdir()
     a = run_sweep(config, str(tmp_path / "a"))
     b = run_sweep(config, str(tmp_path / "b"))
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 @pytest.mark.parametrize("axis1", [AxisSpec("J", 0.0, 2.0, 5), AxisSpec("kappa", 0.0, 2.0, 5)])
@@ -357,7 +358,7 @@ def test_figure_2a_equals_equivalent_sweep(tmp_path):
     (tmp_path / "sweep").mkdir()
     a = run_figure("2a", str(tmp_path / "fig"))
     b = run_sweep(SWEEP_2A, str(tmp_path / "sweep"))
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_figure_2b_reciprocal_symmetry(tmp_path):

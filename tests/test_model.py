@@ -168,6 +168,32 @@ def test_array_fields_validated_per_cell():
         model.ModelParams(phi=np.array([0.0, math.nan]))
 
 
+def test_params_with_array_fields_compare_field_by_field():
+    def stacked(gamma=(1.0, 2.0), amplitude=(0.5, 1.0), target=1):
+        return model.ModelParams(J=1.0, Gamma=np.array(gamma), drive=model.Drive(target, np.array(amplitude)))
+
+    assert stacked() == stacked() and not stacked() != stacked()
+    assert stacked() != stacked(gamma=(1.0, 3.0))
+    assert stacked() != stacked(gamma=(1.0, 2.0, 2.0))
+    assert stacked() != stacked(amplitude=(0.5, 1.5))
+    assert stacked() != stacked(target=2)
+    assert stacked() != model.ModelParams(J=1.0, Gamma=np.array([1.0, 2.0]))
+    assert model.ModelParams(Gamma=np.array([1.0, 2.0])) != (1.0, 2.0)
+    for params in (stacked(), model.ModelParams(Gamma=np.array(2.0)), model.Drive(1, np.array([0.5]))):
+        with pytest.raises(TypeError, match="with array fields is unhashable"):
+            hash(params)
+
+
+def test_scalar_params_hash_consistently_with_equality():
+    a = model.ModelParams(J=1.0, Gamma=2.0, phi=0.5, drive=model.Drive(1, 0.25))
+    b = model.ModelParams(J=1, Gamma=np.float64(2.0), phi=0.5, drive=model.Drive(1, 0.25))
+    assert a == b and hash(a) == hash(b)
+    assert {a: "cached"}[b] == "cached"
+    assert a != model.ModelParams(J=1.0, Gamma=2.0, phi=0.5, drive=model.Drive(2, 0.25))
+    assert a != model.ModelParams(J=1.0, Gamma=2.0, phi=0.5)
+    assert len({a, b, model.ModelParams(J=1.0, Gamma=2.0, phi=0.5)}) == 2
+
+
 def _jump_coefficients(jump):
     # Hilbert-Schmidt projections of a collective jump onto sigma_minus(1) and sigma_minus(2).
     return [np.vdot(model.sigma_minus(q), jump) / np.vdot(model.sigma_minus(q), model.sigma_minus(q)) for q in (1, 2)]
