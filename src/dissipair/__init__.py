@@ -21,7 +21,6 @@ from .dynamics import (
     steady_state,
 )
 from .experiments import (
-    FIGURE_IDS,
     ExperimentConfig,
     SweepConfig,
     SweepSpec,
@@ -38,23 +37,17 @@ from .model import (
     ModelParams,
     build_coherent_hamiltonian,
     build_drive_hamiltonian,
-    build_hamiltonian,
-    build_jump_operators,
     sigma_minus,
     sigma_plus,
     sigma_z,
 )
 from .observables import (
-    COLLECTIVE_TRANSFORM,
     CollectivePopulations,
     IsolationReport,
     collective_populations,
     concurrence,
     damping_forces,
-    effective_decay_amplitudes,
-    isolation_map,
     populations,
-    to_collective_basis,
 )
 
 __version__ = "0.1.0"

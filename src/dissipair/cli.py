@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical invariant
-violation, 4 output failure.
+violation, 4 output failure (including running out of memory).
 """
 
 from __future__ import annotations
@@ -123,6 +123,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except IoError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"io error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

@@ -24,6 +24,7 @@ from .errors import (
     ShapeMismatchError,
     StateInvariantViolatedError,
     StepTooLargeError,
+    ValidationError,
 )
 from .linalg import DEFAULT_TOL, dagger, matrix_exponential
 from .model import ModelParams, build_coherent_hamiltonian, build_drive_hamiltonian, require_finite, sigma_minus, sigma_z
@@ -90,10 +91,12 @@ def initial_state(name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, n dt] with an output stride.
+    """Uniform grid on [0, t_max] in steps of dt, with an output stride.
 
-    The integrator always steps by dt; `sample_every` only thins what gets
-    stored.  The final step is stored regardless of the stride.
+    t_max must be a whole number of steps, within a relative 1e-9, so the
+    last sample lands on it.  The integrator always steps by dt;
+    `sample_every` only thins what gets stored.  The final step is stored
+    regardless of the stride.  Every rule raises ValidationError (exit code 2).
     """
 
     t_max: float
@@ -103,17 +106,18 @@ class TimeGrid:
     def __post_init__(self):
         require_finite(t_max=self.t_max, dt=self.dt)
         if self.dt <= 0.0:
-            raise ShapeMismatchError(f"dt must be > 0, got {self.dt}")
+            raise ValidationError(f"dt must be > 0, got {self.dt}")
         if self.t_max <= 0.0:
-            raise ShapeMismatchError(f"t_max must be > 0, got {self.t_max}")
-        if self.dt > self.t_max:
-            raise ShapeMismatchError(f"dt {self.dt} exceeds t_max {self.t_max}")
+            raise ValidationError(f"t_max must be > 0, got {self.t_max}")
+        steps = self.t_max / self.dt  # inf when the division overflows
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * round(steps)):
+            raise ValidationError(f"t_max must be a whole multiple of dt, got t_max {self.t_max}, dt {self.dt}")
         if int(self.sample_every) < 1:
-            raise ShapeMismatchError(f"sample_every must be >= 1, got {self.sample_every}")
+            raise ValidationError(f"sample_every must be >= 1, got {self.sample_every}")
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(math.ceil(self.t_max / self.dt - 1e-9)))
+        return round(self.t_max / self.dt)
 
     def sample_steps(self) -> np.ndarray:
         steps = np.arange(0, self.n_steps + 1, int(self.sample_every))
@@ -135,6 +139,15 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
+    """Stationary state and its uniqueness verdict.
+
+    `spectral_gap` is the second-smallest singular value of the generator R,
+    the quantity the verdict compares with GAP_EPS ||R||_2.  It is not the
+    relaxation rate -Re lambda_1 of the slowest decaying eigenmode: R is not
+    normal, and with the 8/11 drive on qubit 1 at phi = 3 pi/2 the two are
+    0.515 and 0.859.
+    """
+
     state: np.ndarray
     spectral_gap: float
     unique: bool

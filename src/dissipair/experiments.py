@@ -8,7 +8,8 @@ rather than ignored.  Keys for a trajectory run:
                                   can pass complex J directly)
     drive_target, drive_amplitude resonant drive on one qubit
     initial                       EE, EG, GE, GG, E, PLUS, MINUS, G
-    t_max, dt, sample_every       integration window, step, output stride
+    t_max, dt, sample_every       integration window (a whole number of
+                                  steps), step, output stride
     outputs                       comma list of populations, concurrence,
                                   collective, states
     output_path                   CSV file name
@@ -58,15 +59,6 @@ TRANSIENT_T_MAX = 5.0
 DRIVEN_T_MAX = 50.0
 DRIVEN_SAMPLE_EVERY = 10
 
-FIGURE_IDS = (
-    "2a", "2b", "2c", "2d",
-    "3a", "3b",
-    "4a", "4b",
-    "5b", "5c", "5d",
-    "6a", "6b", "6c", "6d",
-)
-
-
 # ---- config parsing -------------------------------------------------------
 
 
@@ -74,9 +66,7 @@ FIGURE_IDS = (
 class ExperimentConfig:
     model: ModelParams
     initial: str = "EG"
-    t_max: float = TRANSIENT_T_MAX
-    dt: float = PRESET_DT
-    sample_every: int = 1
+    grid: TimeGrid = TimeGrid(TRANSIENT_T_MAX, PRESET_DT)
     outputs: tuple[str, ...] = ("populations", "concurrence", "collective")
     output_path: str = "trajectory.csv"
 
@@ -87,6 +77,10 @@ class AxisSpec:
     lo: float
     hi: float
     count: int
+
+    def __post_init__(self):
+        if self.name not in SWEEP_AXES:
+            raise ValidationError(f"unsupported sweep axis {self.name!r}, expected one of {SWEEP_AXES}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -198,14 +192,7 @@ def parse_config(text: str) -> ExperimentConfig:
     e.finish()
     if initial not in INITIAL_STATE_NAMES:
         raise ValidationError(f"initial must be one of {INITIAL_STATE_NAMES}, got {initial!r}")
-    if t_max <= 0.0:
-        raise ValidationError(f"t_max must be > 0, got {t_max}")
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
-    if dt > t_max:
-        raise ValidationError(f"dt {dt} exceeds t_max {t_max}")
-    if sample_every < 1:
-        raise ValidationError(f"sample_every must be >= 1, got {sample_every}")
+    grid = TimeGrid(t_max, dt, sample_every)
     if outputs_raw is None:
         outputs = ("populations", "concurrence", "collective")
     else:
@@ -216,15 +203,7 @@ def parse_config(text: str) -> ExperimentConfig:
         outputs = tuple(kind for kind in OUTPUT_KINDS if kind in asked)
     if not output_path:
         raise ValidationError("output_path must not be empty")
-    return ExperimentConfig(
-        model=model,
-        initial=initial,
-        t_max=t_max,
-        dt=dt,
-        sample_every=sample_every,
-        outputs=outputs,
-        output_path=output_path,
-    )
+    return ExperimentConfig(model=model, initial=initial, grid=grid, outputs=outputs, output_path=output_path)
 
 
 def _axis_from_entries(e: _Entries, which: str) -> AxisSpec:
@@ -235,8 +214,6 @@ def _axis_from_entries(e: _Entries, which: str) -> AxisSpec:
     if name is None or lo is None or hi is None or count is None:
         raise ValidationError(f"{which} needs {which}_name, {which}_min, {which}_max, {which}_count")
     require_finite(**{f"{which}_min": lo, f"{which}_max": hi})
-    if name not in SWEEP_AXES:
-        raise ValidationError(f"{which}_name must be one of {SWEEP_AXES}, got {name!r}")
     if count < 2:
         raise ValidationError(f"{which}_count must be >= 2, got {count}")
     if not lo < hi:
@@ -329,9 +306,8 @@ def trajectory_table(traj: Trajectory, outputs=("populations",)) -> tuple[list[s
 
 def run_experiment(config: ExperimentConfig, out_dir: str = ".") -> str:
     """Integrate one configured trajectory and write its CSV."""
-    grid = TimeGrid(config.t_max, config.dt, config.sample_every)
     gen = liouvillian_from_params(config.model)
-    traj = evolve_rk4(initial_state(config.initial), gen, grid)
+    traj = evolve_rk4(initial_state(config.initial), gen, config.grid)
     header, rows = trajectory_table(traj, config.outputs)
     return write_csv(_join_out(out_dir, config.output_path), header, rows)
 
@@ -351,9 +327,6 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     value -1 there instead of a concurrence.
     """
     spec = config.spec
-    for axis in (spec.axis1, spec.axis2):
-        if axis.name not in SWEEP_AXES:
-            raise ValidationError(f"unsupported sweep axis {axis.name!r}")
     base = config.base
     drive = base.drive or Drive(target=1, amplitude=0.0)
     a, b = np.meshgrid(spec.axis1.values(), spec.axis2.values(), indexing="ij")
@@ -411,8 +384,11 @@ SWEEP_2A = SweepConfig(
 )
 
 
-def figure_trajectory_runs() -> dict[str, tuple[TrajectoryRun, ...]]:
-    """Every integration behind the trajectory presets, keyed by figure id."""
+def _figure_presets() -> dict[str, tuple[str, SweepConfig | tuple[TrajectoryRun, ...]]]:
+    """Every figure preset, id -> (kind, runs): "sweep" and its config, or an output group and its integrations.
+
+    Built on call, so importing the package builds none of it.
+    """
     iso = _preset_params(ISOLATION_PHASE)
     aligned = _preset_params(0.0)
     opposed = _preset_params(math.pi)
@@ -420,39 +396,36 @@ def figure_trajectory_runs() -> dict[str, tuple[TrajectoryRun, ...]]:
     drive2 = _preset_params(ISOLATION_PHASE, drive_target=2)
     short = TimeGrid(TRANSIENT_T_MAX, PRESET_DT, 1)
     long = TimeGrid(DRIVEN_T_MAX, PRESET_DT, DRIVEN_SAMPLE_EVERY)
-    collective_initials = (("E", "E"), ("plus", "PLUS"), ("minus", "MINUS"), ("G", "G"))
 
-    runs: dict[str, tuple[TrajectoryRun, ...]] = {
-        "2b": (
-            TrajectoryRun("1e", opposed, "EG", short),
-            TrajectoryRun("2e", opposed, "GE", short),
-        ),
-        "2c": (TrajectoryRun("1e", iso, "EG", short),),
-        "2d": (TrajectoryRun("2e", iso, "GE", short),),
-        "3a": (
-            TrajectoryRun("1e", iso, "EG", short),
-            TrajectoryRun("2e", iso, "GE", short),
-        ),
-        "3b": (
-            TrajectoryRun("1e", aligned, "EG", short),
-            TrajectoryRun("2e", aligned, "GE", short),
-        ),
-        "4a": (
-            TrajectoryRun("1e", drive1, "EG", long),
-            TrajectoryRun("2e", drive2, "GE", long),
-        ),
-        "4b": (
-            TrajectoryRun("1e", drive2, "EG", long),
-            TrajectoryRun("2e", drive1, "GE", long),
-        ),
-        "6a": (TrajectoryRun("E", drive1, "E", long),),
-        "6b": (TrajectoryRun("G", drive1, "G", long),),
+    def from_each_qubit(first, second, grid):
+        return TrajectoryRun("1e", first, "EG", grid), TrajectoryRun("2e", second, "GE", grid)
+
+    def from_each_collective_state(params, grid):
+        starts = (("E", "E"), ("plus", "PLUS"), ("minus", "MINUS"), ("G", "G"))
+        return tuple(TrajectoryRun(label, params, name, grid) for label, name in starts)
+
+    return {
+        "2a": ("sweep", SWEEP_2A),
+        "2b": ("populations", from_each_qubit(opposed, opposed, short)),
+        "2c": ("populations", (TrajectoryRun("1e", iso, "EG", short),)),
+        "2d": ("populations", (TrajectoryRun("2e", iso, "GE", short),)),
+        "3a": ("concurrence", from_each_qubit(iso, iso, short)),
+        "3b": ("concurrence", from_each_qubit(aligned, aligned, short)),
+        "4a": ("concurrence", from_each_qubit(drive1, drive2, long)),
+        "4b": ("concurrence", from_each_qubit(drive2, drive1, long)),
+        "5b": ("collective", from_each_collective_state(iso, short)),
+        "5c": ("collective", from_each_collective_state(aligned, short)),
+        "5d": ("collective", from_each_collective_state(opposed, short)),
+        "6a": ("collective", (TrajectoryRun("E", drive1, "E", long),)),
+        "6b": ("collective", (TrajectoryRun("G", drive1, "G", long),)),
+        "6c": ("concurrence", from_each_collective_state(drive1, long)),
+        "6d": ("concurrence", from_each_collective_state(drive2, long)),
     }
-    for fig, params in (("5b", iso), ("5c", aligned), ("5d", opposed)):
-        runs[fig] = tuple(TrajectoryRun(label, params, name, short) for label, name in collective_initials)
-    for fig, params in (("6c", drive1), ("6d", drive2)):
-        runs[fig] = tuple(TrajectoryRun(label, params, name, long) for label, name in collective_initials)
-    return runs
+
+
+def figure_trajectory_runs() -> dict[str, tuple[TrajectoryRun, ...]]:
+    """Every integration behind the trajectory presets, keyed by figure id."""
+    return {fig: runs for fig, (kind, runs) in _figure_presets().items() if kind != "sweep"}
 
 
 def _run(run: TrajectoryRun) -> Trajectory:
@@ -475,15 +448,11 @@ def _figure_table(runs, kind: str) -> tuple[list[str], np.ndarray]:
 def run_figure(figure_id: str, out_dir: str = ".") -> str:
     """Produce the named preset dataset and return the written path."""
     fig = str(figure_id).strip().lower()
-    if fig not in FIGURE_IDS:
-        raise UnknownPresetError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")
-    if fig == "2a":
-        return run_sweep(SWEEP_2A, out_dir)
-    if fig in ("2b", "2c", "2d"):
-        kind = "populations"
-    elif fig in ("5b", "5c", "5d", "6a", "6b"):
-        kind = "collective"
-    else:  # 3a, 3b, 4a, 4b, 6c, 6d
-        kind = "concurrence"
-    header, table = _figure_table(figure_trajectory_runs()[fig], kind)
+    presets = _figure_presets()
+    if fig not in presets:
+        raise UnknownPresetError(f"unknown figure id {figure_id!r}, expected one of {tuple(presets)}")
+    kind, runs = presets[fig]
+    if kind == "sweep":
+        return run_sweep(runs, out_dir)
+    header, table = _figure_table(runs, kind)
     return write_csv(_join_out(out_dir, f"fig{fig}.csv"), header, table)

@@ -1,9 +1,9 @@
 """Dense linear algebra sized for small operator spaces.
 
 Everything here targets the 4x4 density matrices and 16x16 superoperators
-used elsewhere in the package: Kronecker products and conjugate transposes
-over stacks, and a matrix exponential by scaling and squaring with a
-truncated series, which keeps the run-time dependencies at numpy alone.
+used elsewhere in the package: conjugate transposes over stacks, and a
+matrix exponential by scaling and squaring with a truncated series, which
+keeps the run-time dependencies at numpy alone.
 Eigen- and singular-value problems go straight to numpy's LAPACK routines.
 """
 
@@ -18,17 +18,6 @@ from .errors import NoConvergenceError, ShapeMismatchError
 DEFAULT_TOL = 1e-10
 
 _MAX_SERIES_TERMS = 64
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor owning the slow index, per matrix over leading axes.
-
-    One broadcast multiply, the same one `np.kron` makes, so a stack gives
-    bitwise the products of its per-matrix calls.
-    """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def dagger(a) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndexError, NegativeRateError, ValidationError
-from .linalg import kron
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 LOWER_2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -78,7 +77,7 @@ class ModelParams(_FieldwiseEquality):
     phi is stored as given; every operator built from it only ever uses
     exp(1j * phi), so adding 2 pi changes nothing.  Each field (and the
     drive amplitude) may be an array; they broadcast against each other,
-    and every builder then returns a stack over the broadcast shape.
+    and `liouvillian_from_params` then returns a stack over the broadcast shape.
     """
 
     J: complex = 1.0
@@ -98,7 +97,7 @@ def _check_qubit(qubit: int) -> None:
 
 
 def _embed(op: np.ndarray, qubit: int) -> np.ndarray:
-    return kron(op, IDENTITY_2) if qubit == 1 else kron(IDENTITY_2, op)
+    return np.kron(op, IDENTITY_2) if qubit == 1 else np.kron(IDENTITY_2, op)
 
 
 def sigma_minus(qubit: int) -> np.ndarray:
@@ -134,30 +133,3 @@ def build_drive_hamiltonian(target: int, amplitude: float) -> np.ndarray:
     """Resonant drive amplitude * (s+ + s-) on the target qubit, stacked over an array amplitude."""
     drive = Drive(target, amplitude)
     return _column(drive.amplitude, float) * (sigma_plus(drive.target) + sigma_minus(drive.target))
-
-
-def build_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Full coherent generator: exchange term plus any drive."""
-    h = build_coherent_hamiltonian(params.J)
-    if params.drive is not None and np.any(np.asarray(params.drive.amplitude) != 0.0):
-        h = h + build_drive_hamiltonian(params.drive.target, params.drive.amplitude)
-    return h
-
-
-def build_jump_operators(params: ModelParams) -> list[np.ndarray]:
-    """Collapse operators with rates absorbed into the amplitudes.
-
-    The shared channel contributes a single collective operator
-    sqrt(Gamma) * (s1- + exp(1j phi) s2-); dephasing adds sqrt(kappa) * s_z
-    per qubit.  Array fields give stacks; a jump is left out only when
-    its rate is zero on every cell.  The rates were validated by ModelParams.
-    """
-    jumps = []
-    if np.any(np.asarray(params.Gamma) > 0.0):
-        phase = _column(np.exp(1j * np.asarray(params.phi, dtype=float)))
-        jumps.append(_column(np.sqrt(params.Gamma), float) * (sigma_minus(1) + phase * sigma_minus(2)))
-    if np.any(np.asarray(params.kappa) > 0.0):
-        root = _column(np.sqrt(params.kappa), float)
-        jumps.append(root * sigma_z(1))
-        jumps.append(root * sigma_z(2))
-    return jumps

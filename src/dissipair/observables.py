@@ -1,29 +1,28 @@
 """Quantities read out from two-qubit states and model parameters.
 
 Includes the excited-state populations, the entanglement of formation
-witness (concurrence), the change of basis to the collective states
+witness (concurrence), the populations of the collective states
 {|ee>, (|eg>+|ge>)/sqrt2, (|eg>-|ge>)/sqrt2, |gg>}, and the damping-force
 bookkeeping that quantifies how one-way the qubit-qubit influence is.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStateError, NotPSDError, ShapeMismatchError
-from .linalg import dagger, kron
+from .linalg import dagger
 from .model import SIGMA_Y_2, require_finite, require_non_negative
 
 # Spin-flip kernel sigma_y kron sigma_y; real in the fixed basis.
-_FLIP = kron(SIGMA_Y_2, SIGMA_Y_2).real.astype(complex)
+_FLIP = np.kron(SIGMA_Y_2, SIGMA_Y_2).real.astype(complex)
 
 # Rows map computational amplitudes onto |ee>, |+>, |->, |gg>.
 _SQ2 = 1.0 / math.sqrt(2.0)
-COLLECTIVE_TRANSFORM = np.array(
+_COLLECTIVE_TRANSFORM = np.array(
     [
         [1.0, 0.0, 0.0, 0.0],
         [0.0, _SQ2, _SQ2, 0.0],
@@ -111,16 +110,9 @@ def concurrence(rho):
     return _per_state(np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3]))
 
 
-def to_collective_basis(rho) -> np.ndarray:
-    """Rewrite a state, or each of an (N, 4, 4) stack, in the collective basis |ee>, |+>, |->, |gg>."""
-    rho = _require_state(rho)
-    t = COLLECTIVE_TRANSFORM
-    return t @ rho @ t.conj().T
-
-
 def collective_populations(rho) -> CollectivePopulations:
     """Diagonal in the collective basis: floats for one state, arrays for an (N, 4, 4) stack."""
-    t = COLLECTIVE_TRANSFORM
+    t = _COLLECTIVE_TRANSFORM
     diag = np.einsum("ki,...ij,kj->...k", t, _require_state(rho), t.conj()).real
     return CollectivePopulations(*(_per_state(diag[..., k]) for k in range(4)))
 
@@ -146,28 +138,3 @@ def damping_forces(J, Gamma, phi) -> IsolationReport:
     if delta.ndim == 0:
         return IsolationReport(F12=float(f12), F21=float(f21), delta_F=float(delta))
     return IsolationReport(F12=f12, F21=f21, delta_F=delta)
-
-
-def effective_decay_amplitudes(Gamma: float, phi: float) -> tuple[complex, complex, complex, complex]:
-    """Collective-basis decay amplitudes, ordered (E->+, +->G, E->-, -->G).
-
-    sqrt(Gamma/2) times (1 + e), (1 + e), (-1 + e), (1 - e) with
-    e = exp(1j phi).  A zero amplitude pair marks a dark state: |-> at
-    phi = 0, |+> at phi = pi.
-    """
-    require_finite(Gamma=Gamma, phi=phi)
-    require_non_negative(Gamma=Gamma)
-    root = math.sqrt(0.5 * Gamma)
-    e = cmath.exp(1j * phi)
-    return (
-        root * (1.0 + e),
-        root * (1.0 + e),
-        root * (-1.0 + e),
-        root * (1.0 - e),
-    )
-
-
-def isolation_map(J: complex, gamma_values, phi_values) -> np.ndarray:
-    """delta_F on a grid: rows follow `gamma_values`, columns `phi_values`."""
-    gammas = np.asarray(gamma_values, dtype=float)
-    return damping_forces(J, gammas[:, None], np.asarray(phi_values, dtype=float)[None, :]).delta_F

@@ -2,13 +2,81 @@
 
 Everything here is deliberately written by a different route than the
 library code it checks: characteristic-polynomial root finding instead
-of eigensolvers, closed-form state families instead of integrators.
+of eigensolvers, closed-form state families instead of integrators, and
+the master equation term by term on 4x4 matrices instead of a rate basis.
 """
+
+import cmath
+import math
 
 import numpy as np
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 FLIP = np.kron(SIGMA_Y, SIGMA_Y)
+
+# Qubit 1 is the left tensor factor of |ee>, |eg>, |ge>, |gg>; each qubit's basis is (|e>, |g>).
+_LOWER, _SIGMA_Z, _EYE = np.array([[0.0, 0.0], [1.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(2)
+S1, S2 = np.kron(_LOWER, _EYE), np.kron(_EYE, _LOWER)
+SZ1, SZ2 = np.kron(_SIGMA_Z, _EYE), np.kron(_EYE, _SIGMA_Z)
+
+
+def model_operators(J, Gamma, phi, kappa=0.0, amplitude=0.0, target=1):
+    """The model's Hamiltonian and its collapse operators, rates absorbed, written out term by term."""
+    driven = S1 if target == 1 else S2
+    h = J * S1.T @ S2 + np.conj(J) * S1 @ S2.T + amplitude * (driven + driven.T)
+    jumps = [math.sqrt(Gamma) * (S1 + cmath.exp(1j * phi) * S2), math.sqrt(kappa) * SZ1, math.sqrt(kappa) * SZ2]
+    return h, jumps
+
+
+def lindblad(h, jumps):
+    """The right-hand side -i[H, rho] + sum_k D[L_k] rho on a 4x4 rho, or on each of a stack."""
+
+    def dissipator(op, rho):
+        square = op.conj().T @ op
+        return op @ rho @ op.conj().T - 0.5 * (square @ rho + rho @ square)
+
+    def rhs(rho):
+        return -1j * (h @ rho - rho @ h) + sum(dissipator(op, rho) for op in jumps)
+
+    return rhs
+
+
+def master_equation(J, Gamma, phi, kappa=0.0, amplitude=0.0, target=1):
+    """The model's right-hand side on a 4x4 rho, or on each of a stack."""
+    return lindblad(*model_operators(J, Gamma, phi, kappa, amplitude, target))
+
+
+def _hermitian_basis():
+    """E_ii, then (E_ij + E_ji)/sqrt2, then i(E_ji - E_ij)/sqrt2 over the pairs i < j in row order."""
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # units[4 * i + j] is E_ij
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    return np.array([units[5 * i] for i in range(4)]
+                    + [(units[4 * i + j] + units[4 * j + i]) / math.sqrt(2.0) for i, j in pairs]
+                    + [1j * (units[4 * j + i] - units[4 * i + j]) / math.sqrt(2.0) for i, j in pairs])
+
+
+HERMITIAN_BASIS = _hermitian_basis()
+
+
+def hermitian_coordinates(rho):
+    """Orthonormal coordinates Tr(B_a rho) of a Hermitian matrix, or of each in a stack."""
+    return np.einsum("aji,...ij->...a", HERMITIAN_BASIS, rho).real
+
+
+def generator_of(rhs):
+    """R_ab = Tr(B_a L(B_b)) of a map given on (stacks of) 4x4 matrices; complex, real up to roundoff."""
+    return np.einsum("aji,bij->ab", HERMITIAN_BASIS, rhs(HERMITIAN_BASIS))
+
+
+def collective_transition_rates(gen):
+    """Rates |ee> -> |+>, |+> -> |gg>, |ee> -> |->, |-> -> |gg> read off a real generator R as Tr(P_to L(P_from)).
+
+    Tr(A B) of two Hermitian matrices is the dot product of their orthonormal coordinates.
+    """
+    ee, plus, minus, gg = hermitian_coordinates(np.array([np.outer(v, v) for v in (
+        [1.0, 0.0, 0.0, 0.0], np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0),
+        np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0), [0.0, 0.0, 0.0, 1.0])]))
+    return tuple(float(to @ gen @ start) for start, to in ((ee, plus), (plus, gg), (ee, minus), (minus, gg)))
 
 
 def random_density_matrix(rng, dim=4, rank=None):

@@ -41,7 +41,9 @@ def test_evolve_writes_trajectory(tmp_path):
     ("drive_target = 1\ndrive_amplitude = -0.5\n", "drive amplitude must be >= 0"),
     ("drive_target = 3\n", "drive target must be 1 or 2"),
     ("omega0 = 5\n", "unknown key 'omega0'"),
-], ids=["Gamma", "kappa", "drive_amplitude", "drive_target", "omega0"])
+    # 0.1 / 0.007 is not a whole number of steps: the last row would overshoot t_max.
+    ("dt = 0.007\n", "t_max must be a whole multiple of dt"),
+], ids=["Gamma", "kappa", "drive_amplitude", "drive_target", "omega0", "dt_off_grid"])
 def test_evolve_config_error_exit_code(tmp_path, capsys, entries, message):
     cfg = _config(tmp_path, entries + "t_max = 0.1\noutput_path = out.csv\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -55,6 +57,17 @@ def test_every_error_has_an_exit_code():
     assert IoError in defined
     mapped = (*CONFIG_ERRORS, *NUMERIC_ERRORS, IoError)
     assert [cls.__name__ for cls in defined if not issubclass(cls, mapped)] == []
+
+
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    for detail, shown in (("Unable to allocate 8 GiB", "Unable to allocate 8 GiB"), ("", "an allocation failed")):
+        def exhausted(figure_id, out_dir, detail=detail):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(cli, "run_figure", exhausted)
+        assert main(["figure", "2a", "--out", str(tmp_path)]) == 4
+        # The whole of stderr: the message, and no traceback.
+        assert capsys.readouterr().err == f"io error: out of memory: {shown}\n"
 
 
 def test_evolve_numeric_error_exit_code(tmp_path):

@@ -29,49 +29,22 @@ from dissipair.errors import (
     ValidationError,
 )
 
-from oracles import five_point_derivative, random_density_matrix, random_unitary
+from oracles import (
+    HERMITIAN_BASIS,
+    five_point_derivative,
+    generator_of,
+    hermitian_coordinates,
+    master_equation,
+    model_operators,
+    random_density_matrix,
+    random_unitary,
+)
 
 ISO = model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi)
 
 
-def _dissipator(op, rho):
-    square = op.conj().T @ op
-    return op @ rho @ op.conj().T - 0.5 * (square @ rho + rho @ square)
-
-
-def _master_equation(J, Gamma, phi, kappa, amplitude, target):
-    """The model's right-hand side on a 4x4 rho, written out term by term."""
-    s1, s2 = model.sigma_minus(1), model.sigma_minus(2)
-    h = (J * model.sigma_plus(1) @ s2 + np.conj(J) * s1 @ model.sigma_plus(2)
-         + amplitude * (model.sigma_plus(target) + model.sigma_minus(target)))
-    collective = s1 + cmath.exp(1j * phi) * s2
-
-    def rhs(rho):
-        dephasing = _dissipator(model.sigma_z(1), rho) + _dissipator(model.sigma_z(2), rho)
-        return -1j * (h @ rho - rho @ h) + Gamma * _dissipator(collective, rho) + kappa * dephasing
-
-    return rhs
-
-
-def _hermitian_basis():
-    """E_ii, then (E_ij + E_ji)/sqrt2, then i(E_ji - E_ij)/sqrt2 over the pairs i < j in row order."""
-    units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # units[4 * i + j] is E_ij
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    return np.array([units[5 * i] for i in range(4)]
-                    + [(units[4 * i + j] + units[4 * j + i]) / math.sqrt(2.0) for i, j in pairs]
-                    + [1j * (units[4 * j + i] - units[4 * i + j]) / math.sqrt(2.0) for i, j in pairs])
-
-
-_B = _hermitian_basis()
-
-
-def _coords(rho):
-    """Orthonormal coordinates Tr(B_a rho)."""
-    return np.einsum("aji,...ij->...a", _B, rho).real
-
-
 def _matrix(x):
-    return np.einsum("...a,aij->...ij", x, _B)
+    return np.einsum("...a,aij->...ij", x, HERMITIAN_BASIS)
 
 
 def _column_stacked(h, jumps):
@@ -84,30 +57,25 @@ def _column_stacked(h, jumps):
     return gen
 
 
-def _generator_of(rhs):
-    """R_ab = Tr(B_a L(B_b)) of a map given on (stacks of) 4x4 matrices."""
-    return np.einsum("aji,bij->ab", _B, rhs(_B))
-
-
 # ---- the Hermitian basis ----
 
 
 def test_state_coordinates_roundtrip():
     rng = np.random.default_rng(2)
-    assert np.abs(np.einsum("aij,bji->ab", _B, _B) - np.eye(16)).max() <= 1e-15
-    np.testing.assert_array_equal(dynamics._BASIS, _B)
+    assert np.abs(np.einsum("aij,bji->ab", HERMITIAN_BASIS, HERMITIAN_BASIS) - np.eye(16)).max() <= 1e-15
+    np.testing.assert_array_equal(dynamics._BASIS, HERMITIAN_BASIS)
     mixed = np.array([random_density_matrix(rng) for _ in range(5)])
     stack = np.concatenate([0.5 * (mixed + mixed.conj().swapaxes(1, 2)), [initial_state(n) for n in INITIAL_STATE_NAMES]])
     raw = dynamics._coordinates(stack)
     assert raw.dtype == float and raw.shape == (len(stack), 16)
     # Exact both ways: entries are placed, not computed.
     np.testing.assert_array_equal(dynamics._states(raw), stack)
-    assert np.abs(raw * dynamics._SCALE - _coords(stack)).max() <= 1e-15
+    assert np.abs(raw * dynamics._SCALE - hermitian_coordinates(stack)).max() <= 1e-15
 
 
 def test_generator_is_the_column_stacked_form_in_the_hermitian_basis():
     rng = np.random.default_rng(7)
-    columns = np.array([b.T.ravel() for b in _B]).T  # vec(B_a), a unitary change of basis
+    columns = np.array([b.T.ravel() for b in HERMITIAN_BASIS]).T  # vec(B_a), a unitary change of basis
     assert np.abs(columns.conj().T @ columns - np.eye(16)).max() <= 1e-15
     for _ in range(10):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -132,24 +100,14 @@ def test_zero_generator():
 
 def test_generator_matches_direct_master_equation():
     rng = np.random.default_rng(13)
-    params = model.ModelParams(J=0.9, Gamma=1.7, phi=0.6, kappa=0.2,
-                               drive=model.Drive(target=1, amplitude=0.4))
-    h = model.build_hamiltonian(params)
-    jumps = model.build_jump_operators(params)
-    gen = build_liouvillian(h, jumps)
-
-    def direct(rho):
-        out = -1j * (h @ rho - rho @ h)
-        for op in jumps:
-            out = out + _dissipator(op, rho)
-        return out
-
-    expected = _generator_of(direct)
+    gen = build_liouvillian(*model_operators(0.9, 1.7, 0.6, kappa=0.2, amplitude=0.4, target=1))
+    direct = master_equation(0.9, 1.7, 0.6, kappa=0.2, amplitude=0.4, target=1)
+    expected = generator_of(direct)
     assert np.abs(expected.imag).max() <= 1e-15
     assert np.abs(gen - expected.real).max() <= 1e-12
     for _ in range(10):
         rho = random_density_matrix(rng)
-        assert np.abs(_matrix(gen @ _coords(rho)) - direct(rho)).max() <= 1e-12
+        assert np.abs(_matrix(gen @ hermitian_coordinates(rho)) - direct(rho)).max() <= 1e-12
 
 
 def test_generator_preserves_trace_row():
@@ -160,7 +118,7 @@ def test_generator_preserves_trace_row():
     )
     for params in probes:
         gen = liouvillian_from_params(params)
-        row = _coords(np.eye(4)) @ gen
+        row = hermitian_coordinates(np.eye(4)) @ gen
         assert np.abs(row).max() <= 1e-12
 
 
@@ -189,14 +147,14 @@ def test_rate_basis_generator_matches_master_equation(rates):
     J, Gamma, phi, kappa, amplitude, target = rates
     params = model.ModelParams(J, Gamma, phi, kappa, model.Drive(target, amplitude))
     gen = liouvillian_from_params(params)
-    direct = _master_equation(J, Gamma, phi, kappa, amplitude, target)
+    direct = master_equation(J, Gamma, phi, kappa, amplitude, target)
     scale = 1.0 + max(abs(J), Gamma, kappa, amplitude)
-    assert np.abs(gen - _generator_of(direct).real).max() <= 1e-12 * scale
+    assert np.abs(gen - generator_of(direct).real).max() <= 1e-12 * scale
     rng = np.random.default_rng(41)
     for _ in range(3):
         rho = random_density_matrix(rng)
-        assert np.abs(_matrix(gen @ _coords(rho)) - direct(rho)).max() <= 1e-12 * scale
-    built = build_liouvillian(model.build_hamiltonian(params), model.build_jump_operators(params))
+        assert np.abs(_matrix(gen @ hermitian_coordinates(rho)) - direct(rho)).max() <= 1e-12 * scale
+    built = build_liouvillian(*model_operators(J, Gamma, phi, kappa, amplitude, target))
     assert np.abs(gen - built).max() <= 1e-14 * np.abs(gen).max()
 
 
@@ -230,19 +188,34 @@ def test_time_grid_steps():
 
 
 def test_time_grid_validation():
-    with pytest.raises(ShapeMismatchError):
+    assert ValidationError in CONFIG_ERRORS  # the command line exits 2 on it
+    with pytest.raises(ValidationError, match="^t_max must be > 0"):
         TimeGrid(t_max=0.0, dt=0.1)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="^dt must be > 0"):
         TimeGrid(t_max=1.0, dt=0.0)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="^t_max must be a whole multiple of dt"):
         TimeGrid(t_max=1.0, dt=2.0)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="^sample_every must be >= 1"):
         TimeGrid(t_max=1.0, dt=0.1, sample_every=0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="^t_max must be finite"):
             TimeGrid(t_max=bad, dt=0.1)
         with pytest.raises(ValidationError, match="^dt must be finite"):
             TimeGrid(t_max=1.0, dt=bad)
+
+
+def test_time_grid_ends_on_t_max():
+    # 1 / 0.007 is 142.86 steps: the grid used to round up and store a last row at t = 1.001.
+    for t_max, dt in ((1.0, 0.007), (5.0, 0.003), (1e308, 1e-10)):
+        with pytest.raises(ValidationError, match="^t_max must be a whole multiple of dt"):
+            TimeGrid(t_max, dt)
+    # Whole multiples pass within a relative 1e-9, and the last sample lands on t_max.
+    for t_max, dt, steps in ((5.0, 0.002, 2500), (0.3, 0.1, 3), (50.0, 0.002, 25000), (1e6, 1e-3, 10 ** 9),
+                             (1.0 + 5e-10, 1.0, 1), (0.3 * (1.0 - 1e-10), 0.1, 3)):
+        grid = TimeGrid(t_max, dt, sample_every=7)
+        assert grid.n_steps == steps
+        assert abs(grid.n_steps * dt - t_max) <= 1e-9 * t_max
+    assert TimeGrid(0.3, 0.1).sample_times()[-1] == 3 * 0.1
 
 
 # ---- integrators ----
@@ -301,7 +274,7 @@ def test_rk4_flags_trace_drift():
 def test_integrators_flag_negativity():
     # Minus a decay dissipator preserves the trace but pumps |gg> into |eg>: P_gg = 1 - e^t < 0.
     gen = -build_liouvillian(np.zeros((4, 4)), [model.sigma_minus(1)])
-    assert np.abs(_coords(np.eye(4)) @ gen).max() <= 1e-15
+    assert np.abs(hermitian_coordinates(np.eye(4)) @ gen).max() <= 1e-15
     for evolve, name in ((evolve_rk4, "rk4"), (evolve_expm, "expm")):
         with pytest.raises(StateInvariantViolatedError,
                            match=rf"^{name} dt=0.01: negativity -1\.052e-01 at sample 10 exceeds 1\.0e-06$"):
@@ -393,7 +366,8 @@ def test_rk4_propagator_matches_stepwise_rk4(J, Gamma, phi, kappa, drive, initia
     assert grid.n_steps == n_steps
     rho0 = initial_state(initial)
     traj = evolve_rk4(rho0, gen, grid)
-    stacked = _column_stacked(model.build_hamiltonian(params), model.build_jump_operators(params))
+    target, amplitude = drive or (1, 0.0)
+    stacked = _column_stacked(*model_operators(J, Gamma, phi, kappa, amplitude, target))
     reference = _rk4_stepwise(rho0, lambda rho: (stacked @ rho.T.ravel()).reshape(4, 4).T, grid)
     assert traj.states.shape == reference.shape
     assert traj.states.flags.c_contiguous
@@ -417,7 +391,7 @@ def test_rk4_states_are_hermitian_with_unit_trace(J, Gamma, phi, kappa, amplitud
     np.testing.assert_array_equal(states, states.conj().swapaxes(1, 2))
     assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() <= 1e-12
     short = TimeGrid(40 * dt, dt)
-    reference = _rk4_stepwise(rho0, _master_equation(J, Gamma, phi, kappa, amplitude, target), short)
+    reference = _rk4_stepwise(rho0, master_equation(J, Gamma, phi, kappa, amplitude, target), short)
     assert np.abs(evolve_rk4(rho0, gen, short).states - reference).max() <= 1e-10
 
 
@@ -502,7 +476,7 @@ def test_steady_state_driven_matches_long_time_limit():
     assert result.unique
     traj = evolve_rk4(initial_state("GG"), gen, TimeGrid(50.0, 0.002, sample_every=250))
     assert np.abs(traj.states[-1] - result.state).max() <= 1e-6
-    assert np.linalg.norm(gen @ _coords(result.state)) <= 1e-9
+    assert np.linalg.norm(gen @ hermitian_coordinates(result.state)) <= 1e-9
 
 
 _CELL = st.tuples(
@@ -594,8 +568,7 @@ def test_steady_state_matches_svd_null_vector(cells):
         if unique:
             # The null vector of the test's own column-stacked form: near the bound, that of the
             # real R is only good to ~1e-8 (against a 30-digit reference; the state to ~6e-16).
-            params = model.ModelParams(j, g, p, k, model.Drive(1, w))
-            vh = np.linalg.svd(_column_stacked(model.build_hamiltonian(params), model.build_jump_operators(params)))[2]
+            vh = np.linalg.svd(_column_stacked(*model_operators(j, g, p, k, w)))[2]
             null = vh[-1].conj().reshape(4, 4).T
             null = null / np.trace(null)
             assert np.abs(rho - 0.5 * (null + null.conj().T)).max() <= 1e-10

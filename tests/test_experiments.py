@@ -43,9 +43,7 @@ def test_parse_config_isolation_preset():
     config = parse_config(ISO_TEXT)
     assert config.model == model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi)
     assert config.initial == "EG"
-    assert config.t_max == 5.0
-    assert config.dt == 0.002
-    assert config.sample_every == 1
+    assert config.grid == TimeGrid(5.0, 0.002, 1)
     assert config.outputs == ("populations", "concurrence", "collective")
     assert config.output_path == "trajectory.csv"
 
@@ -64,7 +62,7 @@ def test_parse_config_comments_and_drive():
     assert config.model.drive == model.Drive(target=2, amplitude=0.727)
     # canonical column order regardless of how the list was written
     assert config.outputs == ("populations", "concurrence")
-    assert config.sample_every == 10
+    assert config.grid.sample_every == 10
 
 
 def test_parse_config_rejects_malformed_text():
@@ -82,6 +80,7 @@ def test_parse_config_rejects_bad_values():
         "t_max = 0",
         "dt = -0.1",
         "t_max = 1\ndt = 2",
+        "t_max = 1\ndt = 0.007",
         "sample_every = 0",
         "outputs = populations, nonsense",
         "omega_d = 1.5",
@@ -267,9 +266,11 @@ def test_run_sweep_delta_F_matches_cells(tmp_path, axis1):
 
 
 def test_run_sweep_rejects_unknown_axis(tmp_path):
-    spec = SweepSpec(AxisSpec("t_max", 1.0, 2.0, 2), AxisSpec("phi", 0.0, 1.0, 2), "delta_F")
+    # The axis refuses the name when it is built, so no sweep can silently ignore it.
     with pytest.raises(ValidationError, match="unsupported sweep axis 't_max'"):
+        spec = SweepSpec(AxisSpec("t_max", 1.0, 2.0, 2), AxisSpec("phi", 0.0, 1.0, 2), "delta_F")
         run_sweep(SweepConfig(spec=spec, base=model.ModelParams(J=1.0)), str(tmp_path))
+    assert os.listdir(tmp_path) == []
 
 
 def test_run_sweep_steady_concurrence_flags(tmp_path):

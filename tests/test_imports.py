@@ -1,8 +1,10 @@
-"""Every top-level import in the package modules is used.
+"""Every top-level import in the package modules is used, and every private top-level name is read.
 
 No linter ships with the test extras, so this walks each module's syntax
 tree with the standard library.  `__init__.py` is exempt: its imports are
-the package's re-exports.
+the package's re-exports.  A private name (`_function`, `_Class`,
+`_CONSTANT`) that its own module never reads is dead code: nothing else
+should reach for it.
 """
 
 import ast
@@ -29,6 +31,25 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Private names bound at the top level of `source` (by def, class or assignment) that nothing in it reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import math\nimport os\nfrom .errors import A, B\nprint(os.sep, A)\n") == [
         "line 1: math",
@@ -39,3 +60,18 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_unread_private_name():
+    source = (
+        "_USED = 1\n_UNUSED = 2\n_A, (_B, _C) = 1, (2, 3)\n__all__ = []\n"
+        "def _helper():\n    return _USED + _B\n"
+        "class _Spare:\n    _field = 0\n"
+        "def public():\n    _local = _helper()\n    return _local\n"
+    )
+    assert unread_private_names(source) == ["line 2: _UNUSED", "line 3: _A", "line 3: _C", "line 7: _Spare"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -18,48 +18,6 @@ def _random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-# ---- kron ----
-
-
-def test_kron_identities():
-    np.testing.assert_array_equal(linalg.kron(I2, I2), np.eye(4))
-    np.testing.assert_array_equal(
-        linalg.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])),
-        np.diag([3.0, 4.0, 6.0, 8.0]).astype(complex),
-    )
-
-
-def test_kron_lowering_embedding():
-    # left factor owns the slow index, so sigma- on qubit 1 hits rows 2, 3
-    out = linalg.kron(LOWER, I2)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[2, 0] = 1.0
-    expected[3, 1] = 1.0
-    np.testing.assert_array_equal(out, expected)
-
-
-def test_kron_mixed_product():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = _random_complex(rng, 2, 3)
-        c = _random_complex(rng, 3, 2)
-        b = _random_complex(rng, 4, 2)
-        d = _random_complex(rng, 2, 4)
-        lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-        rhs = linalg.kron(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
-
-
-def test_kron_acts_per_matrix_over_leading_axes():
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
-    b = _random_complex(rng, 4, 2)
-    stacked = linalg.kron(a, b)
-    assert stacked.shape == (3, 8, 6)
-    for k in range(3):
-        np.testing.assert_array_equal(stacked[k], np.kron(a[k], b))
-
-
 # ---- dagger ----
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import warnings
 
@@ -8,20 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissipair import model, observables
-from dissipair.dynamics import initial_state
+from dissipair.dynamics import initial_state, liouvillian_from_params
 from dissipair.errors import InvalidStateError, NegativeRateError, NotPSDError, ShapeMismatchError, ValidationError
-from dissipair.observables import (
-    collective_populations,
-    concurrence,
-    damping_forces,
-    effective_decay_amplitudes,
-    isolation_map,
-    populations,
-    to_collective_basis,
-)
+from dissipair.observables import collective_populations, concurrence, damping_forces, populations
 
 from oracles import (
     FLIP,
+    collective_transition_rates,
     concurrence_charpoly,
     concurrence_pure,
     random_density_matrix,
@@ -56,18 +50,16 @@ def test_population_observables_take_stacks():
     rng = np.random.default_rng(127)
     states = np.array([random_density_matrix(rng) for _ in range(5)])
     p1, p2 = populations(states)
-    rotated = to_collective_basis(states)
     pops = collective_populations(states)
     assert p1.shape == p2.shape == pops.P_E.shape == (5,)
     for k, rho in enumerate(states):
         assert (p1[k], p2[k]) == populations(rho)
-        np.testing.assert_array_equal(rotated[k], to_collective_basis(rho))
         one = collective_populations(rho)
         assert (pops.P_E[k], pops.P_plus[k], pops.P_minus[k], pops.P_G[k]) == (
             one.P_E, one.P_plus, one.P_minus, one.P_G)
     assert type(one.P_E) is float
     states[3] *= 2.0
-    for observable in (populations, to_collective_basis, collective_populations):
+    for observable in (populations, collective_populations):
         with pytest.raises(InvalidStateError, match="at sample 3"):
             observable(states)
 
@@ -80,7 +72,7 @@ def test_observables_reject_non_finite_states(value):
     diagonal[1, 1] = value
     stack = np.array([initial_state("GG")] * 3)
     stack[2, 0, 0] = value
-    for observable in (populations, collective_populations, to_collective_basis, concurrence):
+    for observable in (populations, collective_populations, concurrence):
         for rho, where in ((single, "state is"), (diagonal, "state is"), (stack, "state at sample 2 is")):
             with pytest.raises(InvalidStateError, match=f"{where} not finite"):
                 observable(rho)
@@ -219,31 +211,6 @@ def test_concurrence_vanishes_on_product_states(seed, size):
 # ---- collective basis ----
 
 
-def test_to_collective_basis_single_excitation():
-    out = to_collective_basis(initial_state("EG"))
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[1:3, 1:3] = 0.5
-    np.testing.assert_allclose(out, expected, atol=1e-15)
-    out_ge = to_collective_basis(initial_state("GE"))
-    assert abs(out_ge[1, 2] + 0.5) <= 1e-15
-
-
-def test_to_collective_basis_projectors():
-    np.testing.assert_allclose(to_collective_basis(initial_state("EE")), initial_state("EE"), atol=1e-15)
-    np.testing.assert_allclose(
-        np.diagonal(to_collective_basis(initial_state("PLUS"))).real,
-        [0.0, 1.0, 0.0, 0.0],
-        atol=1e-15,
-    )
-
-
-def test_to_collective_basis_preserves_trace():
-    rng = np.random.default_rng(109)
-    for _ in range(20):
-        rho = random_density_matrix(rng)
-        assert abs(to_collective_basis(rho).trace() - 1.0) <= 1e-12
-
-
 def test_collective_populations_examples():
     pops = collective_populations(initial_state("GG"))
     assert (pops.P_E, pops.P_plus, pops.P_minus, pops.P_G) == (0.0, 0.0, 0.0, 1.0)
@@ -344,49 +311,37 @@ def test_damping_forces_rejects_negative_rate():
         damping_forces(1.0, 2.0, np.array([[0.0, np.inf], [np.nan, 1.0]]))
 
 
-# ---- effective decay amplitudes ----
+# ---- collective decay rates ----
+
+
+def test_collective_decay_rates_of_the_generator():
+    # Rates |ee> -> |+>, |+> -> |gg>, |ee> -> |->, |-> -> |gg> are Gamma |1 + e|^2 / 2 twice, then
+    # Gamma |1 - e|^2 / 2 twice, e = exp(i phi): |-> is dark at phi = 0, |+> at pi, and all four balance at 3 pi/2.
+    for Gamma, phi in itertools.product((0.7, 2.0, 5e5), (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 1.0)):
+        rates = collective_transition_rates(
+            liouvillian_from_params(model.ModelParams(J=1.0, Gamma=Gamma, phi=phi, kappa=0.3)))
+        e = cmath.exp(1j * phi)
+        expected = 2 * [0.5 * Gamma * abs(1.0 + e) ** 2] + 2 * [0.5 * Gamma * abs(1.0 - e) ** 2]
+        assert np.abs(np.subtract(rates, expected)).max() <= 1e-12 * Gamma
+
+
+def _decay_amplitude_moduli(Gamma, phi):
+    # Moduli of the amplitudes of |ee> -> |+>, |+> -> |gg>, |ee> -> |->, |-> -> |gg>, read off the generator.
+    rates = collective_transition_rates(
+        liouvillian_from_params(model.ModelParams(J=1.0, Gamma=Gamma, phi=phi, kappa=0.3)))
+    return np.sqrt(np.maximum(rates, 0.0))
 
 
 def test_decay_amplitudes_dark_phases():
-    e_plus, plus_g, e_minus, minus_g = effective_decay_amplitudes(2.0, 0.0)
-    assert abs(e_minus) == 0.0 and abs(minus_g) == 0.0
-    assert abs(e_plus - 2.0) <= 1e-15 and abs(plus_g - 2.0) <= 1e-15
+    e_plus, plus_g, e_minus, minus_g = _decay_amplitude_moduli(2.0, 0.0)
+    assert e_minus <= 1e-6 and minus_g <= 1e-6
+    assert abs(e_plus - 2.0) <= 1e-12 and abs(plus_g - 2.0) <= 1e-12
 
-    e_plus, plus_g, e_minus, minus_g = effective_decay_amplitudes(2.0, math.pi)
-    assert abs(e_plus) <= 1e-15 and abs(plus_g) <= 1e-15
-    assert abs(e_minus + 2.0) <= 1e-15 and abs(minus_g - 2.0) <= 1e-15
+    e_plus, plus_g, e_minus, minus_g = _decay_amplitude_moduli(2.0, math.pi)
+    assert e_plus <= 1e-6 and plus_g <= 1e-6
+    assert abs(e_minus - 2.0) <= 1e-12 and abs(minus_g - 2.0) <= 1e-12
 
 
 def test_decay_amplitudes_balanced_phase():
-    amps = effective_decay_amplitudes(2.0, 1.5 * math.pi)
-    for amp in amps:
-        assert abs(abs(amp) - math.sqrt(2.0)) <= 1e-12
-
-
-def test_decay_amplitudes_rejects_negative_rate():
-    with pytest.raises(NegativeRateError):
-        effective_decay_amplitudes(-1.0, 0.0)
-
-
-@pytest.mark.parametrize("Gamma, phi, field", [
-    (math.nan, 0.0, "Gamma"), (math.inf, 0.0, "Gamma"), (-math.inf, 0.0, "Gamma"),
-    (2.0, math.nan, "phi"), (2.0, math.inf, "phi"), (2.0, -math.inf, "phi"),
-])
-def test_decay_amplitudes_reject_non_finite(Gamma, phi, field):
-    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
-        effective_decay_amplitudes(Gamma, phi)
-
-
-# ---- isolation map ----
-
-
-def test_isolation_map_grid():
-    gammas = np.array([0.0, 2.0])
-    phis = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
-    grid = isolation_map(1.0, gammas, phis)
-    assert grid.shape == (2, 4)
-    np.testing.assert_allclose(grid[0], np.zeros(4), atol=1e-15)
-    assert abs(grid[1, 0]) <= 1e-15
-    assert abs(grid[1, 1] - 1.0) <= 1e-12
-    assert abs(grid[1, 2]) <= 1e-15
-    assert abs(grid[1, 3] + 1.0) <= 1e-12
+    for amp in _decay_amplitude_moduli(2.0, 1.5 * math.pi):
+        assert abs(amp - math.sqrt(2.0)) <= 1e-12
