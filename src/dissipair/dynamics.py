@@ -112,7 +112,9 @@ class TimeGrid:
         steps = self.t_max / self.dt  # inf when the division overflows
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * round(steps)):
             raise ValidationError(f"t_max must be a whole multiple of dt, got t_max {self.t_max}, dt {self.dt}")
-        if int(self.sample_every) < 1:
+        if not isinstance(self.sample_every, (int, np.integer)):
+            raise ValidationError(f"sample_every must be an integer, got {self.sample_every!r}")
+        if self.sample_every < 1:
             raise ValidationError(f"sample_every must be >= 1, got {self.sample_every}")
 
     @property
@@ -120,7 +122,7 @@ class TimeGrid:
         return round(self.t_max / self.dt)
 
     def sample_steps(self) -> np.ndarray:
-        steps = np.arange(0, self.n_steps + 1, int(self.sample_every))
+        steps = np.arange(0, self.n_steps + 1, self.sample_every)
         if steps[-1] != self.n_steps:
             steps = np.append(steps, self.n_steps)
         return steps

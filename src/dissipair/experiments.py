@@ -244,6 +244,28 @@ def parse_sweep_config(text: str) -> SweepConfig:
 # ---- CSV writing -----------------------------------------------------------
 
 
+def _write_text(path, header, cells: np.ndarray, chunks) -> str:
+    """Write the header and the text `chunks` of a table atomically, unless one of its `cells` is non-finite.
+
+    The first non-finite value in `cells`, which hold the table's numbers in row order, is named.
+    """
+    bad = cells[~np.isfinite(cells)]
+    if bad.size:
+        raise IoError(f"refusing to serialize non-finite value {float(bad[0])!r}")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="ascii", newline="") as fh:
+            fh.write(",".join(str(name) for name in header) + "\n")
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return str(path)
+
+
 def write_csv(path, header, rows) -> str:
     """Write a numeric table deterministically and atomically.
 
@@ -252,25 +274,11 @@ def write_csv(path, header, rows) -> str:
     beside `path` replaces it only once complete.
     """
     table = np.asarray(rows, dtype=float)
-    bad = table[~np.isfinite(table)]
-    if bad.size:
-        raise IoError(f"refusing to serialize non-finite value {float(bad[0])!r}")
     template = ",".join(["%.15g"] * table.shape[-1]) + "\n"
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    try:
-        with open(tmp, "x", encoding="ascii", newline="") as fh:
-            fh.write(",".join(str(name) for name in header) + "\n")
-            # `tolist` hands `%` Python floats: same bytes as numpy scalars, formatted faster.
-            for start in range(0, len(table), _CSV_BLOCK_ROWS):
-                block = table[start:start + _CSV_BLOCK_ROWS]
-                fh.write((template * len(block)) % tuple(block.ravel().tolist()))
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-    return str(path)
+    # `tolist` hands `%` Python floats: same bytes as numpy scalars, formatted faster.
+    chunks = ((template * len(block)) % tuple(block.ravel().tolist())
+              for block in np.split(table, range(_CSV_BLOCK_ROWS, len(table), _CSV_BLOCK_ROWS)))
+    return _write_text(path, header, table, chunks)
 
 
 # ---- trajectory tables -----------------------------------------------------
@@ -349,8 +357,16 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
             block = cells[s]
             block[result.unique, 0] = concurrence(result.state[result.unique])
             block[:, 1] = ~result.unique
-    table = np.column_stack([a.ravel(), b.ravel(), cells])
-    return write_csv(_join_out(out_dir, config.output_path), header, table)
+    # Each axis value is formatted once.  A block of at most _CSV_BLOCK_ROWS rows shares one axis1
+    # string, which one join puts before each axis2 string to make its template; `%` fills the cells.
+    firsts, seconds = (["%.15g," % x for x in axis.tolist()] for axis in (a[:, 0], b[0]))
+    rests = [second + ",".join(["%.15g"] * cells.shape[-1]) + "\n" for second in seconds]
+    starts = range(0, len(rests), _CSV_BLOCK_ROWS)
+    chunks = ((first + first.join(rests[s:s + _CSV_BLOCK_ROWS])) % tuple(rows[s:s + _CSV_BLOCK_ROWS].ravel().tolist())
+              for first, rows in zip(firsts, cells.reshape(a.shape + (-1,))) for s in starts)
+    # Cells in the row order of a first non-finite one: values are finite wherever an axis is not (used axes are checked).
+    numbers = np.concatenate([a[:1, 0], b[0], a[1:, 0], cells.ravel()])
+    return _write_text(_join_out(out_dir, config.output_path), header, numbers, chunks)
 
 
 # ---- figure presets --------------------------------------------------------

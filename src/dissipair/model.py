@@ -118,18 +118,13 @@ def sigma_z(qubit: int) -> np.ndarray:
     return _embed(SIGMA_Z_2, qubit)
 
 
-def _column(x, dtype=complex) -> np.ndarray:
-    """A scalar or array of coefficients shaped to scale a stack of matrices."""
-    return np.asarray(x, dtype=dtype)[..., None, None]
-
-
 def build_coherent_hamiltonian(J: complex) -> np.ndarray:
-    """Excitation-exchange Hamiltonian J s1+ s2- + conj(J) s1- s2+, stacked over an array J."""
-    J = _column(J)
-    return J * (sigma_plus(1) @ sigma_minus(2)) + J.conj() * (sigma_minus(1) @ sigma_plus(2))
+    """Excitation-exchange Hamiltonian J s1+ s2- + conj(J) s1- s2+ for one coupling J."""
+    J = complex(J)
+    return J * (sigma_plus(1) @ sigma_minus(2)) + J.conjugate() * (sigma_minus(1) @ sigma_plus(2))
 
 
 def build_drive_hamiltonian(target: int, amplitude: float) -> np.ndarray:
-    """Resonant drive amplitude * (s+ + s-) on the target qubit, stacked over an array amplitude."""
+    """Resonant drive amplitude * (s+ + s-) on the target qubit, for one amplitude."""
     drive = Drive(target, amplitude)
-    return _column(drive.amplitude, float) * (sigma_plus(drive.target) + sigma_minus(drive.target))
+    return float(drive.amplitude) * (sigma_plus(drive.target) + sigma_minus(drive.target))

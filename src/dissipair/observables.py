@@ -33,6 +33,7 @@ _COLLECTIVE_TRANSFORM = np.array(
 )
 
 _STATE_TOL = 1e-6
+_ROWS, _COLS = np.triu_indices(4)  # the ten entries i <= j
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,18 @@ class CollectivePopulations:
     P_G: float
 
 
+def _state_defects(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity defect max |rho_ij - conj rho_ji| (equal at (i, j) and (j, i)) and trace drift |Tr rho - 1|."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused by _require_state
+        defects = np.abs(rho[..., _ROWS, _COLS] - rho[..., _COLS, _ROWS].conj()).max(axis=-1)
+    return defects, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+
+
 def _require_state(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ShapeMismatchError(f"state must be 4x4 or an (N, 4, 4) stack, got {rho.shape}")
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
-        defects = np.abs(rho - np.swapaxes(rho.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
-    drifts = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    defects, drifts = _state_defects(rho)
     for values, problem in (
         (defects, "is not Hermitian within tolerance"),
         (drifts, "trace deviates from 1 beyond tolerance"),

@@ -142,3 +142,10 @@ def werner_state(p):
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
     return p * np.outer(phi, phi.conj()) + (1.0 - p) * np.eye(4) / 4.0
+
+
+def state_defects_full_matrix(rho):
+    """Hermiticity defect max |rho - rho'| over all sixteen entries and trace drift |Tr rho - 1|, or each in a stack."""
+    with np.errstate(invalid="ignore"):
+        defects = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return defects, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)

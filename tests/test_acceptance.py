@@ -11,6 +11,8 @@ import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dissipair import model
 from dissipair.dynamics import (
@@ -24,7 +26,14 @@ from dissipair.dynamics import (
 from dissipair.experiments import figure_trajectory_runs, run_figure
 from dissipair.observables import concurrence, damping_forces
 
-from oracles import collective_transition_rates, concurrence_charpoly, five_point_derivative, random_density_matrix
+from oracles import (
+    collective_transition_rates,
+    concurrence_charpoly,
+    five_point_derivative,
+    hermitian_coordinates,
+    lindblad,
+    random_density_matrix,
+)
 
 ISO = model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi)
 ALIGNED = model.ModelParams(J=1.0, Gamma=2.0, phi=0.0)
@@ -206,3 +215,68 @@ def test_criterion_9_deterministic_output(tmp_path):
     a = Path(run_figure("2a", str(first))).read_bytes()
     b = Path(run_figure("2a", str(second))).read_bytes()
     _report(9, "repeated figure 2a runs are byte-identical", a == b)
+
+
+# One qubit, basis (|e>, |g>): the orthonormal Hermitian basis I, sx, sy, sz over sqrt2, and its lowering operator.
+_PAULI = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], np.diag([1.0, -1.0])])
+_PAULI = _PAULI / math.sqrt(2.0)
+_LOWER = np.array([[0.0, 0.0], [1.0, 0.0]])
+# Columns: orthonormal coordinates of qubit 1's operators b kron I / sqrt2, spanning a 4-dimensional subspace.
+_QUBIT1 = hermitian_coordinates(np.array([np.kron(b, np.eye(2)) for b in _PAULI]) / math.sqrt(2.0)).T
+
+
+def _cascade_defects(J, Gamma, phi, kappa, drive):
+    """Closure of qubit 1's operators under R^T, and their distance from qubit 1's own generator, over max|R|.
+
+    L1 is one qubit with decay Gamma, dephasing kappa and the drive if it acts on qubit 1.  Tr_2(L rho) =
+    L1(Tr_2 rho) for every rho exactly when R^T Q = Q R1^T, with Q the columns of _QUBIT1.
+    """
+    gen = liouvillian_from_params(model.ModelParams(J=J, Gamma=Gamma, phi=phi, kappa=kappa, drive=drive))
+    omega = drive.amplitude if drive is not None and drive.target == 1 else 0.0
+    rhs = lindblad(omega * math.sqrt(2.0) * _PAULI[1], [math.sqrt(Gamma) * _LOWER, math.sqrt(kappa * 2.0) * _PAULI[3]])
+    gen1 = np.einsum("aji,bij->ab", _PAULI, rhs(_PAULI)).real
+    heisenberg = gen.T @ _QUBIT1
+    scale = np.abs(gen).max()
+    closure = np.abs(heisenberg - _QUBIT1 @ (_QUBIT1.T @ heisenberg)).max() / scale
+    return closure, np.abs(heisenberg - _QUBIT1 @ gen1.T).max() / scale
+
+
+def test_criterion_10_exact_headline_claims():
+    # Cascaded closure: at Gamma = 2|J| and e^{i phi} = -2iJ/Gamma qubit 1 evolves on its own, whatever qubit 2 does.
+    worst, control = [0.0], [math.inf]
+
+    @settings(max_examples=150, deadline=None)
+    @given(exponent=st.floats(-6.0, 6.0), theta=st.floats(-math.pi, math.pi), kappa=st.floats(0.0, 2.0),
+           target=st.sampled_from([None, 1, 2]), amplitude=st.floats(0.0, 2.0))
+    def closure(exponent, theta, kappa, target, amplitude):
+        c = 10.0 ** exponent
+        drive = None if target is None else model.Drive(target, amplitude * c)
+        J = c * cmath.exp(1j * theta)
+        worst[0] = max(worst[0], *_cascade_defects(J, 2.0 * c, theta - 0.5 * math.pi, kappa * c, drive))
+        # Negative control: at the reciprocal phase theta + pi (pi for real J) qubit 2 acts back on qubit 1.
+        control[0] = min(control[0], _cascade_defects(J, 2.0 * c, theta + math.pi, kappa * c, drive)[0])
+
+    closure()
+    # Mollow: driven at rate Omega, qubit 1 settles where P1 = 4 Omega^2 / (Gamma^2 + 8 Omega^2), with Bloch vector
+    # (0, 4 Omega Gamma, -Gamma^2) / (Gamma^2 + 8 Omega^2); driving qubit 2 leaves it in |g>.
+    omega = np.append(np.linspace(0.05, 2.0, 40), 8.0 / 11.0)
+    bloch_ops = np.array([np.kron(b, np.eye(2)) for b in _PAULI[1:]]) * math.sqrt(2.0)
+    mollow = 0.0
+    for J, Gamma, phi in ((1.0, 2.0, 1.5 * math.pi), (1.3 * cmath.exp(0.7j), 2.6, 0.7 - 0.5 * math.pi)):
+        for target in (1, 2):
+            params = model.ModelParams(J=J, Gamma=Gamma, phi=phi, drive=model.Drive(target, omega))
+            result = steady_state(liouvillian_from_params(params))
+            assert result.unique.all()
+            p1 = _p1(result.state)
+            bloch = np.einsum("kij,bji->kb", result.state, bloch_ops).real
+            if target == 1:
+                denominator = Gamma ** 2 + 8.0 * omega ** 2
+                expected_p1 = 4.0 * omega ** 2 / denominator
+                expected = np.stack([np.zeros_like(omega), 4.0 * omega * Gamma, np.full_like(omega, -Gamma ** 2)], -1)
+                expected /= denominator[:, None]
+            else:
+                expected_p1, expected = 0.0, np.array([0.0, 0.0, -1.0])
+            mollow = max(mollow, float(np.abs(p1 - expected_p1).max()), float(np.abs(bloch - expected).max()))
+    ok = worst[0] <= 1e-13 and control[0] > 1e-2 and mollow <= 1e-12
+    _report(10, f"qubit 1 closes under the cascade to {worst[0]:.1e} of max|R| "
+                f"(at the reciprocal phase: {control[0]:.2f}); Mollow steady state to {mollow:.1e}", ok)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dissipair import experiments, model
@@ -12,6 +12,7 @@ from dissipair.dynamics import TimeGrid, evolve_rk4, initial_state, liouvillian_
 from dissipair.errors import IoError, ParseError, UnknownPresetError, ValidationError
 from dissipair.experiments import (
     SWEEP_2A,
+    SWEEP_AXES,
     AxisSpec,
     ExperimentConfig,
     SweepConfig,
@@ -329,6 +330,78 @@ def test_run_sweep_steady_concurrence_blocks_write_the_same_bytes(tmp_path, monk
     _, data = _read_table(tmp_path / "fours" / "sweep.csv")
     # The undriven row keeps its dark states at phi = 0, pi and 2 pi; the last block holds three cells.
     assert data[:, 3].tolist() == [1.0, 0.0, 1.0, 0.0, 1.0] + [0.0] * 10
+
+
+def _per_cell_text(header, table):
+    """The reference writer: every numpy cell formatted on its own, one line per row."""
+    return (",".join(header) + "\n" + "".join(",".join("%.15g" % x for x in row) + "\n" for row in table)).encode()
+
+
+# Axis bounds per name: J takes negative bounds and an upper bound of -0.0, which prints as -0.
+_AXIS_BOUNDS = {
+    "J": [(-2.0, -0.0), (-1.25, 0.75), (-0.0, 1.5), (0.1, 3.0)],
+    "phi": [(0.0, 2.0 * math.pi), (-math.pi, math.pi), (1.0, 1.5 * math.pi)],
+    "Gamma": [(0.0, 4.0), (0.5, 2.0), (1e-3, 1e3)],
+    "kappa": [(0.0, 4.0), (0.5, 2.0), (1e-3, 1e3)],
+    "drive_amplitude": [(0.0, 4.0), (0.5, 2.0), (1e-3, 1e3)],
+}
+
+
+@st.composite
+def _sweep_configs(draw):
+    observable = draw(st.sampled_from(["delta_F", "steady_concurrence"]))
+    name1, name2 = draw(st.permutations(SWEEP_AXES))[:2]
+    if observable == "delta_F":  # cheap cells: more than one 512-row block per axis1 value
+        count2 = draw(st.integers(2, 40) | st.integers(510, 515) | st.integers(1020, 1100))
+    else:
+        count2 = draw(st.integers(2, 12) | st.integers(510, 515))
+    axis1 = AxisSpec(name1, *draw(st.sampled_from(_AXIS_BOUNDS[name1])), draw(st.integers(2, 4)))
+    axis2 = AxisSpec(name2, *draw(st.sampled_from(_AXIS_BOUNDS[name2])), count2)
+    drive = draw(st.sampled_from([None, model.Drive(1, 0.6), model.Drive(2, 0.6)]))
+    base = model.ModelParams(J=0.8, Gamma=1.5, phi=draw(st.sampled_from([0.0, math.pi, 1.5 * math.pi])), drive=drive)
+    return SweepConfig(spec=SweepSpec(axis1, axis2, observable), base=base, output_path="sweep.csv")
+
+
+# Undriven and at phi = 0, pi and 2 pi, the zero-amplitude row keeps dark states: degenerate cells.
+_DEGENERATE_SWEEP = SweepConfig(
+    spec=SweepSpec(AxisSpec("drive_amplitude", 0.0, 1.0, 3), AxisSpec("phi", 0.0, 2.0 * math.pi, 513),
+                   "steady_concurrence"),
+    base=model.ModelParams(J=0.8, Gamma=1.5),
+)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_sweep_configs())
+@example(config=_DEGENERATE_SWEEP)
+def test_run_sweep_matches_per_cell_format(tmp_path, config):
+    spec, base = config.spec, config.base
+    drive = base.drive or model.Drive(target=1, amplitude=0.0)
+    a, b = np.meshgrid(spec.axis1.values(), spec.axis2.values(), indexing="ij")
+    fields = {"J": base.J, "Gamma": base.Gamma, "phi": base.phi, "kappa": base.kappa,
+              "drive_amplitude": drive.amplitude, spec.axis1.name: a, spec.axis2.name: b}
+    if spec.observable == "delta_F":
+        header = ["axis1", "axis2", "value"]
+        columns = [np.broadcast_to(damping_forces(fields["J"], fields["Gamma"], fields["phi"]).delta_F, a.shape)]
+    else:
+        header = ["axis1", "axis2", "value", "degenerate"]
+        params = model.ModelParams(fields["J"], fields["Gamma"], fields["phi"], fields["kappa"],
+                                   model.Drive(drive.target, fields["drive_amplitude"]))
+        result = steady_state(liouvillian_from_params(params))
+        unique = np.broadcast_to(result.unique, a.shape)
+        value = np.full(a.shape, -1.0)
+        value[unique] = concurrence(result.state[unique])
+        columns = [value, (~unique).astype(float)]
+    table = np.column_stack([a.ravel(), b.ravel()] + [column.ravel() for column in columns])
+    written = Path(run_sweep(config, str(tmp_path))).read_bytes()
+    assert written == _per_cell_text(header, table)
+    if spec.observable == "steady_concurrence":
+        # Degenerate rows end ",-1,1"; every other row ends ",0" after a concurrence in [0, 1].
+        rows = written.decode().splitlines()[1:]
+        assert [row.endswith(",-1,1") for row in rows] == (~unique).ravel().tolist()
+        assert all(row.endswith(",0") and 0.0 <= float(row.split(",")[2]) <= 1.0 for row, flag in
+                   zip(rows, (~unique).ravel()) if not flag)
+        if config is _DEGENERATE_SWEEP:
+            assert (~unique).sum() == 3
 
 
 # ---- figure presets ----

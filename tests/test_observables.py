@@ -21,6 +21,7 @@ from oracles import (
     random_density_matrix,
     random_pure_state,
     random_unitary,
+    state_defects_full_matrix,
     werner_state,
 )
 
@@ -76,6 +77,49 @@ def test_observables_reject_non_finite_states(value):
         for rho, where in ((single, "state is"), (diagonal, "state is"), (stack, "state at sample 2 is")):
             with pytest.raises(InvalidStateError, match=f"{where} not finite"):
                 observable(rho)
+
+
+def _full_matrix_refusal(rho):
+    """The full-matrix check's refusal of `rho`, or None: defect first, then drift, NaN or inf as not finite."""
+    defects, drifts = state_defects_full_matrix(rho)
+    for values, problem in ((defects, "is not Hermitian within tolerance"),
+                            (drifts, "trace deviates from 1 beyond tolerance")):
+        bad = np.flatnonzero(~(values <= 1e-6))
+        if bad.size:
+            where = f" at sample {bad[0]}" if rho.ndim == 3 else ""
+            return f"state{where} {'is not finite' if not np.isfinite(values.flat[bad[0]]) else problem}"
+    return None
+
+
+# A planted change: sample, row, column, real or imaginary part, and the amount added there.
+_PLANTS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 3), st.booleans(),
+                             st.sampled_from([1e-7, 5e-7, 1e-6, 3e-6, 1e-3, -2e-6, math.nan, math.inf, -math.inf])),
+                   max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 6), single=st.booleans(), plants=_PLANTS)
+def test_state_check_matches_full_matrix(seed, size, single, plants):
+    # The ten-entry check gives the full-matrix numbers exactly, so the same refusal and sample index.
+    rng = np.random.default_rng(seed)
+    rho = np.array([random_density_matrix(rng) for _ in range(size)]).reshape(size, 4, 4)
+    for k, i, j, imaginary, amount in plants:
+        if k < size:
+            with np.errstate(invalid="ignore"):  # inf + -inf planted twice is NaN
+                (rho.imag if imaginary else rho.real)[k, i, j] += amount
+    if single:
+        rho = rho[0] if size else random_density_matrix(rng)
+    expected_defects, expected_drifts = state_defects_full_matrix(rho)
+    defects, drifts = observables._state_defects(rho)
+    np.testing.assert_array_equal(defects, expected_defects)
+    np.testing.assert_array_equal(drifts, expected_drifts)
+    expected = _full_matrix_refusal(rho)
+    if expected is None:
+        assert observables._require_state(rho) is not None
+    else:
+        with pytest.raises(InvalidStateError) as info:
+            observables._require_state(rho)
+        assert str(info.value) == expected
 
 
 # ---- concurrence ----
