@@ -23,13 +23,11 @@ from .dynamics import (
 from .experiments import (
     ExperimentConfig,
     SweepConfig,
-    SweepSpec,
     parse_config,
     parse_sweep_config,
     run_experiment,
     run_figure,
     run_sweep,
-    trajectory_table,
     write_csv,
 )
 from .model import (

@@ -33,7 +33,6 @@ import numpy as np
 from .dynamics import (
     INITIAL_STATE_NAMES,
     TimeGrid,
-    Trajectory,
     evolve_rk4,
     initial_state,
     liouvillian_from_params,
@@ -59,20 +58,36 @@ TRANSIENT_T_MAX = 5.0
 DRIVEN_T_MAX = 50.0
 DRIVEN_SAMPLE_EVERY = 10
 
-# ---- config parsing -------------------------------------------------------
+# ---- configs: each dataclass owns its value rules, the parsers read text ---
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One trajectory run.  `outputs` is kept in table order (that of OUTPUT_KINDS), each kind once."""
+
     model: ModelParams
     initial: str = "EG"
     grid: TimeGrid = TimeGrid(TRANSIENT_T_MAX, PRESET_DT)
     outputs: tuple[str, ...] = ("populations", "concurrence", "collective")
     output_path: str = "trajectory.csv"
 
+    def __post_init__(self):
+        if self.initial not in INITIAL_STATE_NAMES:
+            raise ValidationError(f"initial must be one of {INITIAL_STATE_NAMES}, got {self.initial!r}")
+        for kind in self.outputs:
+            if kind not in OUTPUT_KINDS:
+                raise ValidationError(f"outputs entry {kind!r} not in {OUTPUT_KINDS}")
+        if not self.outputs:
+            raise ValidationError(f"outputs must name at least one of {OUTPUT_KINDS}")
+        if not self.output_path:
+            raise ValidationError("output_path must not be empty")
+        object.__setattr__(self, "outputs", tuple(kind for kind in OUTPUT_KINDS if kind in self.outputs))
+
 
 @dataclass(frozen=True)
 class AxisSpec:
+    """`count` evenly spaced values from `lo` up to `hi`, both finite, of one model field named in SWEEP_AXES."""
+
     name: str
     lo: float
     hi: float
@@ -81,23 +96,55 @@ class AxisSpec:
     def __post_init__(self):
         if self.name not in SWEEP_AXES:
             raise ValidationError(f"unsupported sweep axis {self.name!r}, expected one of {SWEEP_AXES}")
+        require_finite(**{f"{self.name} axis min": self.lo, f"{self.name} axis max": self.hi})
+        if not isinstance(self.count, (int, np.integer)) or self.count < 2:
+            raise ValidationError(f"{self.name} axis count must be an integer >= 2, got {self.count!r}")
+        if not self.lo < self.hi:
+            raise ValidationError(f"{self.name} axis min must be below its max, got {self.lo} >= {self.hi}")
+        with np.errstate(over="ignore", invalid="ignore"):  # finite bounds can still overflow their spacing
+            values = self.values()
+        require_finite(**{f"{self.name} axis values": values})
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepConfig:
+    """An observable over the grid of two distinct axes, every other model field taken from `base`."""
+
     axis1: AxisSpec
     axis2: AxisSpec
     observable: str
+    base: ModelParams
+    output_path: str = "sweep.csv"
+
+    def __post_init__(self):
+        if self.observable not in SWEEP_OBSERVABLES:
+            raise ValidationError(f"observable must be one of {SWEEP_OBSERVABLES}, got {self.observable!r}")
+        if self.axis1.name == self.axis2.name:
+            raise ValidationError(f"axis1 and axis2 must name different fields, both are {self.axis1.name!r}")
+        if not self.output_path:
+            raise ValidationError("output_path must not be empty")
+        self._params_at(self.axis1.lo, self.axis2.lo)  # the model's sign rules, at the corner each axis rises from
+
+    def _params_at(self, a, b) -> ModelParams:
+        """The model with axis1's field set to `a` and axis2's to `b` (scalars, or arrays that broadcast)."""
+        drive = self.base.drive or Drive(target=1, amplitude=0.0)
+        fields = {"J": self.base.J, "Gamma": self.base.Gamma, "phi": self.base.phi, "kappa": self.base.kappa,
+                  "drive_amplitude": drive.amplitude, self.axis1.name: a, self.axis2.name: b}
+        return ModelParams(fields["J"], fields["Gamma"], fields["phi"], fields["kappa"],
+                           Drive(drive.target, fields["drive_amplitude"]))
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    spec: SweepSpec
-    base: ModelParams
-    output_path: str = "sweep.csv"
+class TrajectoryRun:
+    """One integration behind a trajectory table."""
+
+    label: str
+    params: ModelParams
+    initial: str
+    grid: TimeGrid
 
 
 def _split_entries(text: str) -> dict[str, tuple[str, int]]:
@@ -128,35 +175,16 @@ class _Entries:
         self.raw = _split_entries(text)
         self.seen: set[str] = set()
 
-    def take(self, key: str) -> tuple[str, int] | None:
-        if key in self.raw:
-            self.seen.add(key)
-            return self.raw[key]
-        return None
-
-    def take_float(self, key: str, default: float | None) -> float | None:
-        got = self.take(key)
-        if got is None:
+    def take(self, key: str, default=None, convert=str):
+        """The value of `key` read by `convert`, or `default` when the text does not set it."""
+        if key not in self.raw:
             return default
-        value, lineno = got
+        self.seen.add(key)
+        value, lineno = self.raw[key]
         try:
-            return float(value)
+            return convert(value)
         except ValueError:
-            raise ParseError(f"line {lineno}: {key} value {value!r} is not a number") from None
-
-    def take_int(self, key: str, default: int | None) -> int | None:
-        got = self.take(key)
-        if got is None:
-            return default
-        value, lineno = got
-        try:
-            return int(value)
-        except ValueError:
-            raise ParseError(f"line {lineno}: {key} value {value!r} is not an integer") from None
-
-    def take_str(self, key: str, default: str | None) -> str | None:
-        got = self.take(key)
-        return default if got is None else got[0]
+            raise ParseError(f"line {lineno}: {key} value {value!r} is not a valid {convert.__name__}") from None
 
     def finish(self) -> None:
         for key, (_, lineno) in self.raw.items():
@@ -165,12 +193,12 @@ class _Entries:
 
 
 def _model_from_entries(e: _Entries) -> ModelParams:
-    J = e.take_float("J", 1.0)
-    Gamma = e.take_float("Gamma", 0.0)
-    phi = e.take_float("phi", 0.0)
-    kappa = e.take_float("kappa", 0.0)
-    target = e.take_int("drive_target", None)
-    amplitude = e.take_float("drive_amplitude", None)
+    J = e.take("J", 1.0, float)
+    Gamma = e.take("Gamma", 0.0, float)
+    phi = e.take("phi", 0.0, float)
+    kappa = e.take("kappa", 0.0, float)
+    target = e.take("drive_target", None, int)
+    amplitude = e.take("drive_amplitude", None, float)
     if amplitude is not None and target is None:
         raise ValidationError("drive_amplitude given without drive_target")
     drive = None
@@ -183,62 +211,34 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse trajectory-run config text."""
     e = _Entries(text)
     model = _model_from_entries(e)
-    initial = e.take_str("initial", "EG")
-    t_max = e.take_float("t_max", TRANSIENT_T_MAX)
-    dt = e.take_float("dt", PRESET_DT)
-    sample_every = e.take_int("sample_every", 1)
-    outputs_raw = e.take_str("outputs", None)
-    output_path = e.take_str("output_path", "trajectory.csv")
+    initial = e.take("initial", "EG")
+    grid = TimeGrid(e.take("t_max", TRANSIENT_T_MAX, float), e.take("dt", PRESET_DT, float),
+                    e.take("sample_every", 1, int))
+    outputs = e.take("outputs", "populations, concurrence, collective")
+    output_path = e.take("output_path", "trajectory.csv")
     e.finish()
-    if initial not in INITIAL_STATE_NAMES:
-        raise ValidationError(f"initial must be one of {INITIAL_STATE_NAMES}, got {initial!r}")
-    grid = TimeGrid(t_max, dt, sample_every)
-    if outputs_raw is None:
-        outputs = ("populations", "concurrence", "collective")
-    else:
-        asked = [tok.strip() for tok in outputs_raw.split(",")]
-        for tok in asked:
-            if tok not in OUTPUT_KINDS:
-                raise ValidationError(f"outputs entry {tok!r} not in {OUTPUT_KINDS}")
-        outputs = tuple(kind for kind in OUTPUT_KINDS if kind in asked)
-    if not output_path:
-        raise ValidationError("output_path must not be empty")
-    return ExperimentConfig(model=model, initial=initial, grid=grid, outputs=outputs, output_path=output_path)
+    return ExperimentConfig(model=model, initial=initial, grid=grid,
+                            outputs=tuple(tok.strip() for tok in outputs.split(",")), output_path=output_path)
 
 
 def _axis_from_entries(e: _Entries, which: str) -> AxisSpec:
-    name = e.take_str(f"{which}_name", None)
-    lo = e.take_float(f"{which}_min", None)
-    hi = e.take_float(f"{which}_max", None)
-    count = e.take_int(f"{which}_count", None)
-    if name is None or lo is None or hi is None or count is None:
+    fields = [e.take(f"{which}_{key}", None, convert)
+              for key, convert in (("name", str), ("min", float), ("max", float), ("count", int))]
+    if None in fields:
         raise ValidationError(f"{which} needs {which}_name, {which}_min, {which}_max, {which}_count")
-    require_finite(**{f"{which}_min": lo, f"{which}_max": hi})
-    if count < 2:
-        raise ValidationError(f"{which}_count must be >= 2, got {count}")
-    if not lo < hi:
-        raise ValidationError(f"{which}_min must be below {which}_max, got {lo} >= {hi}")
-    if name in ("Gamma", "kappa", "drive_amplitude") and lo < 0.0:
-        raise ValidationError(f"{which}_min for {name} must be >= 0, got {lo}")
-    return AxisSpec(name=name, lo=lo, hi=hi, count=count)
+    return AxisSpec(*fields)
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
     """Parse sweep config text: two axes, an observable, base model values."""
     e = _Entries(text)
     base = _model_from_entries(e)
-    observable = e.take_str("observable", None)
+    observable = e.take("observable")
     axis1 = _axis_from_entries(e, "axis1")
     axis2 = _axis_from_entries(e, "axis2")
-    output_path = e.take_str("output_path", "sweep.csv")
+    output_path = e.take("output_path", "sweep.csv")
     e.finish()
-    if observable is None or observable not in SWEEP_OBSERVABLES:
-        raise ValidationError(f"observable must be one of {SWEEP_OBSERVABLES}, got {observable!r}")
-    if axis1.name == axis2.name:
-        raise ValidationError(f"axis1_name and axis2_name must differ, both are {axis1.name!r}")
-    if not output_path:
-        raise ValidationError("output_path must not be empty")
-    return SweepConfig(spec=SweepSpec(axis1=axis1, axis2=axis2, observable=observable), base=base, output_path=output_path)
+    return SweepConfig(axis1, axis2, observable, base, output_path)
 
 
 # ---- CSV writing -----------------------------------------------------------
@@ -247,7 +247,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
 def _write_text(path, header, cells: np.ndarray, chunks) -> str:
     """Write the header and the text `chunks` of a table atomically, unless one of its `cells` is non-finite.
 
-    The first non-finite value in `cells`, which hold the table's numbers in row order, is named.
+    The first non-finite value in `cells`, the table's numbers (a sweep's finite axes left out) in row order, is named.
     """
     bad = cells[~np.isfinite(cells)]
     if bad.size:
@@ -296,27 +296,24 @@ def _output_columns(states: np.ndarray, kind: str) -> dict[str, np.ndarray]:
             for i in range(4) for j in range(4) for part, values in (("re", states.real), ("im", states.imag))}
 
 
-def trajectory_table(traj: Trajectory, outputs=("populations",)) -> tuple[list[str], np.ndarray]:
-    """Assemble the output table for one trajectory.
-
-    Column order is fixed: t, P1, P2, C, P_E, P_plus, P_minus, P_G, then
-    the raw state entries, with only the requested groups present.
-    """
+def _trajectory_table(runs, outputs) -> tuple[list[str], np.ndarray]:
+    """Integrate each run: t, then its output groups in the given order, names suffixed by label if several runs."""
     header = ["t"]
-    columns = [np.asarray(traj.times, dtype=float)]
-    for kind in OUTPUT_KINDS:
-        if kind in outputs:
-            group = _output_columns(traj.states, kind)
-            header += list(group)
-            columns += list(group.values())
-    return header, np.column_stack(columns)
+    columns = []
+    for run in runs:
+        traj = evolve_rk4(initial_state(run.initial), liouvillian_from_params(run.params), run.grid)
+        for kind in outputs:
+            joiner = "_from_" if kind == "collective" else "_"
+            for name, column in _output_columns(traj.states, kind).items():
+                header.append(f"{name}{joiner}{run.label}" if len(runs) > 1 else name)
+                columns.append(column)
+    return header, np.column_stack([traj.times] + columns)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str = ".") -> str:
-    """Integrate one configured trajectory and write its CSV."""
-    gen = liouvillian_from_params(config.model)
-    traj = evolve_rk4(initial_state(config.initial), gen, config.grid)
-    header, rows = trajectory_table(traj, config.outputs)
+    """Integrate one configured trajectory and write its CSV: t, then the output groups in OUTPUT_KINDS order."""
+    run = TrajectoryRun("", config.model, config.initial, config.grid)
+    header, rows = _trajectory_table((run,), config.outputs)
     return write_csv(_join_out(out_dir, config.output_path), header, rows)
 
 
@@ -334,26 +331,23 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     grid points whose stationary manifold is degenerate hold the sentinel
     value -1 there instead of a concurrence.
     """
-    spec = config.spec
-    base = config.base
-    drive = base.drive or Drive(target=1, amplitude=0.0)
-    a, b = np.meshgrid(spec.axis1.values(), spec.axis2.values(), indexing="ij")
-    fields = {"J": base.J, "Gamma": base.Gamma, "phi": base.phi, "kappa": base.kappa,
-              "drive_amplitude": drive.amplitude, spec.axis1.name: a, spec.axis2.name: b}
-    if spec.observable == "delta_F":
+    a, b = np.meshgrid(config.axis1.values(), config.axis2.values(), indexing="ij")
+    params = config._params_at(a, b)
+    if config.observable == "delta_F":
         header = ["axis1", "axis2", "value"]
-        value = damping_forces(fields["J"], fields["Gamma"], fields["phi"]).delta_F
+        value = damping_forces(params.J, params.Gamma, params.phi).delta_F
         cells = np.broadcast_to(value, a.shape).reshape(-1, 1)
     else:
         header = ["axis1", "axis2", "value", "degenerate"]
         # Fixed blocks of the flattened grid: a stack of the whole grid would
         # hold every 16x16 Liouvillian and its SVD factors at once.
-        j, g, p, k, w = (np.ravel(x) for x in np.broadcast_arrays(*(fields[name] for name in SWEEP_AXES)))
+        j, g, p, k, w = (np.ravel(x) for x in np.broadcast_arrays(params.J, params.Gamma, params.phi, params.kappa,
+                                                                  params.drive.amplitude))
         cells = np.full((a.size, 2), DEGENERATE_SENTINEL)
         for start in range(0, a.size, _SWEEP_BLOCK_CELLS):
             s = slice(start, start + _SWEEP_BLOCK_CELLS)
-            params = ModelParams(j[s], g[s], p[s], k[s], Drive(drive.target, w[s]))
-            result = steady_state(liouvillian_from_params(params))
+            block_params = ModelParams(j[s], g[s], p[s], k[s], Drive(params.drive.target, w[s]))
+            result = steady_state(liouvillian_from_params(block_params))
             block = cells[s]
             block[result.unique, 0] = concurrence(result.state[result.unique])
             block[:, 1] = ~result.unique
@@ -364,22 +358,10 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     starts = range(0, len(rests), _CSV_BLOCK_ROWS)
     chunks = ((first + first.join(rests[s:s + _CSV_BLOCK_ROWS])) % tuple(rows[s:s + _CSV_BLOCK_ROWS].ravel().tolist())
               for first, rows in zip(firsts, cells.reshape(a.shape + (-1,))) for s in starts)
-    # Cells in the row order of a first non-finite one: values are finite wherever an axis is not (used axes are checked).
-    numbers = np.concatenate([a[:1, 0], b[0], a[1:, 0], cells.ravel()])
-    return _write_text(_join_out(out_dir, config.output_path), header, numbers, chunks)
+    return _write_text(_join_out(out_dir, config.output_path), header, cells, chunks)
 
 
 # ---- figure presets --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrajectoryRun:
-    """One integration behind a figure preset."""
-
-    label: str
-    params: ModelParams
-    initial: str
-    grid: TimeGrid
 
 
 def _preset_params(phi: float, drive_target: int | None = None) -> ModelParams:
@@ -390,11 +372,9 @@ def _preset_params(phi: float, drive_target: int | None = None) -> ModelParams:
 
 
 SWEEP_2A = SweepConfig(
-    spec=SweepSpec(
-        axis1=AxisSpec("Gamma", 0.0, 4.0, 201),
-        axis2=AxisSpec("phi", 0.0, 2.0 * math.pi, 201),
-        observable="delta_F",
-    ),
+    axis1=AxisSpec("Gamma", 0.0, 4.0, 201),
+    axis2=AxisSpec("phi", 0.0, 2.0 * math.pi, 201),
+    observable="delta_F",
     base=ModelParams(J=1.0),
     output_path="fig2a.csv",
 )
@@ -444,23 +424,6 @@ def figure_trajectory_runs() -> dict[str, tuple[TrajectoryRun, ...]]:
     return {fig: runs for fig, (kind, runs) in _figure_presets().items() if kind != "sweep"}
 
 
-def _run(run: TrajectoryRun) -> Trajectory:
-    return evolve_rk4(initial_state(run.initial), liouvillian_from_params(run.params), run.grid)
-
-
-def _figure_table(runs, kind: str) -> tuple[list[str], np.ndarray]:
-    """Time column, then one output group per run; several runs suffix each name with the run label."""
-    joiner = "_from_" if kind == "collective" else "_"
-    header = ["t"]
-    columns = []
-    for run in runs:
-        traj = _run(run)
-        for name, column in _output_columns(traj.states, kind).items():
-            header.append(f"{name}{joiner}{run.label}" if len(runs) > 1 else name)
-            columns.append(column)
-    return header, np.column_stack([traj.times] + columns)
-
-
 def run_figure(figure_id: str, out_dir: str = ".") -> str:
     """Produce the named preset dataset and return the written path."""
     fig = str(figure_id).strip().lower()
@@ -470,5 +433,5 @@ def run_figure(figure_id: str, out_dir: str = ".") -> str:
     kind, runs = presets[fig]
     if kind == "sweep":
         return run_sweep(runs, out_dir)
-    header, table = _figure_table(runs, kind)
+    header, table = _trajectory_table(runs, (kind,))
     return write_csv(_join_out(out_dir, f"fig{fig}.csv"), header, table)

@@ -221,29 +221,34 @@ def test_criterion_9_deterministic_output(tmp_path):
 _PAULI = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], np.diag([1.0, -1.0])])
 _PAULI = _PAULI / math.sqrt(2.0)
 _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]])
-# Columns: orthonormal coordinates of qubit 1's operators b kron I / sqrt2, spanning a 4-dimensional subspace.
+# Columns: orthonormal coordinates of qubit 1's operators b kron I / sqrt2, spanning a 4-dimensional subspace,
+# and of qubit 2's operators I kron b / sqrt2.
 _QUBIT1 = hermitian_coordinates(np.array([np.kron(b, np.eye(2)) for b in _PAULI]) / math.sqrt(2.0)).T
+_QUBIT2 = hermitian_coordinates(np.array([np.kron(np.eye(2), b) for b in _PAULI]) / math.sqrt(2.0)).T
 
 
-def _cascade_defects(J, Gamma, phi, kappa, drive):
-    """Closure of qubit 1's operators under R^T, and their distance from qubit 1's own generator, over max|R|.
+def _cascade_defects(J, Gamma, phi, kappa, drive, qubit=1):
+    """Closure of one qubit's operators under R^T, and their distance from that qubit's own generator, over max|R|.
 
-    L1 is one qubit with decay Gamma, dephasing kappa and the drive if it acts on qubit 1.  Tr_2(L rho) =
-    L1(Tr_2 rho) for every rho exactly when R^T Q = Q R1^T, with Q the columns of _QUBIT1.
+    Lq is one qubit with decay Gamma, dephasing kappa and the drive if it acts on qubit q.  For qubit 1,
+    Tr_2(L rho) = L1(Tr_2 rho) for every rho exactly when R^T Q = Q R1^T, with Q the columns of _QUBIT1;
+    likewise for qubit 2 with _QUBIT2.
     """
     gen = liouvillian_from_params(model.ModelParams(J=J, Gamma=Gamma, phi=phi, kappa=kappa, drive=drive))
-    omega = drive.amplitude if drive is not None and drive.target == 1 else 0.0
+    omega = drive.amplitude if drive is not None and drive.target == qubit else 0.0
     rhs = lindblad(omega * math.sqrt(2.0) * _PAULI[1], [math.sqrt(Gamma) * _LOWER, math.sqrt(kappa * 2.0) * _PAULI[3]])
-    gen1 = np.einsum("aji,bij->ab", _PAULI, rhs(_PAULI)).real
-    heisenberg = gen.T @ _QUBIT1
+    gen_q = np.einsum("aji,bij->ab", _PAULI, rhs(_PAULI)).real
+    ops = _QUBIT1 if qubit == 1 else _QUBIT2
+    heisenberg = gen.T @ ops
     scale = np.abs(gen).max()
-    closure = np.abs(heisenberg - _QUBIT1 @ (_QUBIT1.T @ heisenberg)).max() / scale
-    return closure, np.abs(heisenberg - _QUBIT1 @ gen1.T).max() / scale
+    closure = np.abs(heisenberg - ops @ (ops.T @ heisenberg)).max() / scale
+    return closure, np.abs(heisenberg - ops @ gen_q.T).max() / scale
 
 
 def test_criterion_10_exact_headline_claims():
     # Cascaded closure: at Gamma = 2|J| and e^{i phi} = -2iJ/Gamma qubit 1 evolves on its own, whatever qubit 2 does.
-    worst, control = [0.0], [math.inf]
+    # Swapping the qubits maps (J, phi) to (J*, -phi), so at e^{i phi} = +2iJ/Gamma qubit 2 evolves on its own.
+    worst, control = [0.0, 0.0], [math.inf, math.inf]
 
     @settings(max_examples=150, deadline=None)
     @given(exponent=st.floats(-6.0, 6.0), theta=st.floats(-math.pi, math.pi), kappa=st.floats(0.0, 2.0),
@@ -253,8 +258,11 @@ def test_criterion_10_exact_headline_claims():
         drive = None if target is None else model.Drive(target, amplitude * c)
         J = c * cmath.exp(1j * theta)
         worst[0] = max(worst[0], *_cascade_defects(J, 2.0 * c, theta - 0.5 * math.pi, kappa * c, drive))
-        # Negative control: at the reciprocal phase theta + pi (pi for real J) qubit 2 acts back on qubit 1.
-        control[0] = min(control[0], _cascade_defects(J, 2.0 * c, theta + math.pi, kappa * c, drive)[0])
+        worst[1] = max(worst[1], *_cascade_defects(J, 2.0 * c, theta + 0.5 * math.pi, kappa * c, drive, qubit=2))
+        # Negative control: at the reciprocal phase theta + pi (pi for real J) each qubit acts back on the other.
+        for q in (1, 2):
+            control[q - 1] = min(control[q - 1],
+                                 _cascade_defects(J, 2.0 * c, theta + math.pi, kappa * c, drive, qubit=q)[0])
 
     closure()
     # Mollow: driven at rate Omega, qubit 1 settles where P1 = 4 Omega^2 / (Gamma^2 + 8 Omega^2), with Bloch vector
@@ -277,6 +285,7 @@ def test_criterion_10_exact_headline_claims():
             else:
                 expected_p1, expected = 0.0, np.array([0.0, 0.0, -1.0])
             mollow = max(mollow, float(np.abs(p1 - expected_p1).max()), float(np.abs(bloch - expected).max()))
-    ok = worst[0] <= 1e-13 and control[0] > 1e-2 and mollow <= 1e-12
-    _report(10, f"qubit 1 closes under the cascade to {worst[0]:.1e} of max|R| "
-                f"(at the reciprocal phase: {control[0]:.2f}); Mollow steady state to {mollow:.1e}", ok)
+    ok = max(worst) <= 1e-13 and min(control) > 1e-2 and mollow <= 1e-12
+    _report(10, f"qubit 1 closes under the cascade to {worst[0]:.1e} of max|R| and its mirror qubit 2 to "
+                f"{worst[1]:.1e} (at the reciprocal phase: {control[0]:.2f}, {control[1]:.2f}); "
+                f"Mollow steady state to {mollow:.1e}", ok)

@@ -146,18 +146,24 @@ def test_sweep_out_directory(tmp_path, capsys):
 
 
 def test_sweep_non_finite_axis_exit_code(tmp_path, capsys):
-    text = (
-        "observable = delta_F\n"
-        "axis1_name = Gamma\naxis1_min = 0\naxis1_max = inf\naxis1_count = 2\n"
-        "axis2_name = phi\naxis2_min = 0\naxis2_max = 3.14\naxis2_count = 2\n"
-        f"output_path = {tmp_path / 'grid.csv'}\n"
+    cases = (
+        ("axis1_max = inf\naxis2_min = 0\naxis2_max = 3.14\n", "Gamma axis max must be finite, got inf"),
+        # Finite bounds whose spacing overflows: refused without numpy's overflow warnings.
+        ("axis1_max = 4\naxis2_min = -1e308\naxis2_max = 1e308\n", "phi axis values must be finite, got nan"),
     )
-    cfg = _config(tmp_path, text, name="sweep.cfg")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["sweep", "--config", cfg]) == 2
-    assert "axis1_max must be finite" in capsys.readouterr().err
-    assert not (tmp_path / "grid.csv").exists()
+    for bounds, named in cases:
+        text = (
+            "observable = delta_F\n"
+            "axis1_name = Gamma\naxis1_min = 0\naxis1_count = 2\n"
+            f"axis2_name = phi\naxis2_count = 2\n{bounds}"
+            f"output_path = {tmp_path / 'grid.csv'}\n"
+        )
+        cfg = _config(tmp_path, text, name="sweep.cfg")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", cfg]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
 
 
 @pytest.mark.parametrize("field, value, named", [

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dissipair import experiments, model
-from dissipair.dynamics import TimeGrid, evolve_rk4, initial_state, liouvillian_from_params, steady_state
+from dissipair.dynamics import TimeGrid, liouvillian_from_params, steady_state
 from dissipair.errors import IoError, ParseError, UnknownPresetError, ValidationError
 from dissipair.experiments import (
     SWEEP_2A,
@@ -16,13 +16,11 @@ from dissipair.experiments import (
     AxisSpec,
     ExperimentConfig,
     SweepConfig,
-    SweepSpec,
     parse_config,
     parse_sweep_config,
     run_experiment,
     run_figure,
     run_sweep,
-    trajectory_table,
     write_csv,
 )
 from dissipair.observables import concurrence, damping_forces
@@ -105,10 +103,10 @@ SWEEP_TEXT = (
 
 def test_parse_sweep_config():
     config = parse_sweep_config(SWEEP_TEXT)
-    assert config.spec.observable == "delta_F"
-    assert config.spec.axis1 == AxisSpec("Gamma", 0.0, 4.0, 3)
-    assert config.spec.axis2.count == 5
-    np.testing.assert_allclose(config.spec.axis1.values(), [0.0, 2.0, 4.0])
+    assert config.observable == "delta_F"
+    assert config.axis1 == AxisSpec("Gamma", 0.0, 4.0, 3)
+    assert config.axis2.count == 5
+    np.testing.assert_allclose(config.axis1.values(), [0.0, 2.0, 4.0])
 
 
 def test_parse_sweep_config_rejects_bad_axes():
@@ -125,6 +123,41 @@ def test_parse_sweep_config_rejects_bad_axes():
     for text in bad:
         with pytest.raises(ValidationError):
             parse_sweep_config(text)
+
+
+def _sweep(out, axis1=("Gamma", 0.0, 4.0, 3), axis2=("phi", 0.0, math.pi, 3), observable="delta_F", name="s.csv"):
+    return SweepConfig(AxisSpec(*axis1), AxisSpec(*axis2), observable, model.ModelParams(J=1.0),
+                       os.path.join(out, name) if name else "")
+
+
+def _experiment(out, initial="EG", outputs=("populations",), name="t.csv"):
+    return ExperimentConfig(model.ModelParams(J=1.0), initial, TimeGrid(0.1, 0.002), outputs,
+                            os.path.join(out, name) if name else "")
+
+
+@pytest.mark.parametrize("build", [
+    lambda out: _sweep(out, axis2=("Gamma", 0.0, 4.0, 3)),
+    lambda out: _sweep(out, observable="delta_f"),
+    lambda out: _sweep(out, axis1=("Gamma", 0.0, 4.0, -1)),
+    lambda out: _sweep(out, axis1=("Gamma", 0.0, 4.0, 1)),
+    lambda out: _sweep(out, axis1=("Gamma", 0.0, 4.0, 2.5)),
+    lambda out: _sweep(out, axis1=("Gamma", 4.0, 0.0, 3)),
+    lambda out: _sweep(out, axis1=("kappa", 0.0, math.inf, 3)),
+    lambda out: _sweep(out, axis2=("phi", -1e308, 1e308, 3)),
+    lambda out: _sweep(out, axis1=("Gamma", -1.0, 4.0, 3)),
+    lambda out: _sweep(out, name=""),
+    lambda out: _experiment(out, outputs=("nonsense",)),
+    lambda out: _experiment(out, outputs=()),
+    lambda out: _experiment(out, initial="XY"),
+    lambda out: _experiment(out, name=""),
+], ids=["same-axis-twice", "unknown-observable", "count-negative", "count-one", "count-fractional",
+        "bounds-reversed", "bound-infinite", "spacing-overflows", "Gamma-negative", "sweep-no-path",
+        "unknown-output", "no-outputs", "unknown-initial", "trajectory-no-path"])
+def test_configs_built_in_python_are_refused(tmp_path, build):
+    # The dataclasses own every value rule, so a config built in Python is refused like the same config as text.
+    with pytest.raises(ValidationError):
+        build(str(tmp_path))
+    assert os.listdir(tmp_path) == []
 
 
 # ---- CSV writing ----
@@ -191,18 +224,19 @@ def test_write_csv_failed_replace_keeps_old_file(tmp_path, monkeypatch):
 # ---- trajectory tables ----
 
 
-def _short_trajectory():
-    params = model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi)
-    return evolve_rk4(initial_state("EG"), liouvillian_from_params(params), TimeGrid(0.1, 0.002))
+def _short_table(tmp_path, outputs):
+    config = ExperimentConfig(model=model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi), initial="EG",
+                              grid=TimeGrid(0.1, 0.002), outputs=outputs, output_path="short.csv")
+    return _read_table(run_experiment(config, str(tmp_path)))
 
 
-def test_trajectory_table_column_sets():
-    traj = _short_trajectory()
-    header, table = trajectory_table(traj, outputs=("populations",))
+def test_trajectory_table_column_sets(tmp_path):
+    header, table = _short_table(tmp_path, ("populations",))
     assert header == ["t", "P1", "P2"]
     assert table.shape == (51, 3)
 
-    header, table = trajectory_table(traj, outputs=("populations", "concurrence", "collective", "states"))
+    # Column groups come in table order, whatever order they are asked in.
+    header, table = _short_table(tmp_path, ("states", "collective", "concurrence", "populations"))
     assert len(header) == 40
     assert header[:4] == ["t", "P1", "P2", "C"]
     assert header[4:8] == ["P_E", "P_plus", "P_minus", "P_G"]
@@ -227,7 +261,7 @@ def test_run_experiment_writes_file(tmp_path):
 
 def test_run_sweep_smoke_grid(tmp_path):
     config = SweepConfig(
-        spec=SweepSpec(AxisSpec("Gamma", 0.0, 2.0, 2), AxisSpec("phi", 0.0, math.pi, 2), "delta_F"),
+        AxisSpec("Gamma", 0.0, 2.0, 2), AxisSpec("phi", 0.0, math.pi, 2), "delta_F",
         base=model.ModelParams(J=1.0),
         output_path=str(tmp_path / "grid.csv"),
     )
@@ -239,7 +273,7 @@ def test_run_sweep_smoke_grid(tmp_path):
 
 def test_run_sweep_deterministic(tmp_path):
     config = SweepConfig(
-        spec=SweepSpec(AxisSpec("Gamma", 0.0, 4.0, 5), AxisSpec("phi", 0.0, 2.0 * math.pi, 5), "delta_F"),
+        AxisSpec("Gamma", 0.0, 4.0, 5), AxisSpec("phi", 0.0, 2.0 * math.pi, 5), "delta_F",
         base=model.ModelParams(J=1.0),
     )
     (tmp_path / "a").mkdir()
@@ -252,7 +286,7 @@ def test_run_sweep_deterministic(tmp_path):
 @pytest.mark.parametrize("axis1", [AxisSpec("J", 0.0, 2.0, 5), AxisSpec("kappa", 0.0, 2.0, 5)])
 def test_run_sweep_delta_F_matches_cells(tmp_path, axis1):
     config = SweepConfig(
-        spec=SweepSpec(axis1, AxisSpec("phi", 0.0, 2.0 * math.pi, 7), "delta_F"),
+        axis1, AxisSpec("phi", 0.0, 2.0 * math.pi, 7), "delta_F",
         base=model.ModelParams(J=0.8, Gamma=2.0),
         output_path=str(tmp_path / "grid.csv"),
     )
@@ -269,18 +303,17 @@ def test_run_sweep_delta_F_matches_cells(tmp_path, axis1):
 def test_run_sweep_rejects_unknown_axis(tmp_path):
     # The axis refuses the name when it is built, so no sweep can silently ignore it.
     with pytest.raises(ValidationError, match="unsupported sweep axis 't_max'"):
-        spec = SweepSpec(AxisSpec("t_max", 1.0, 2.0, 2), AxisSpec("phi", 0.0, 1.0, 2), "delta_F")
-        run_sweep(SweepConfig(spec=spec, base=model.ModelParams(J=1.0)), str(tmp_path))
+        config = SweepConfig(AxisSpec("t_max", 1.0, 2.0, 2), AxisSpec("phi", 0.0, 1.0, 2), "delta_F",
+                             base=model.ModelParams(J=1.0))
+        run_sweep(config, str(tmp_path))
     assert os.listdir(tmp_path) == []
 
 
 def test_run_sweep_steady_concurrence_flags(tmp_path):
     config = SweepConfig(
-        spec=SweepSpec(
-            AxisSpec("phi", 0.0, 1.5 * math.pi, 2),
-            AxisSpec("Gamma", 1.0, 2.0, 2),
-            "steady_concurrence",
-        ),
+        AxisSpec("phi", 0.0, 1.5 * math.pi, 2),
+        AxisSpec("Gamma", 1.0, 2.0, 2),
+        "steady_concurrence",
         base=model.ModelParams(J=1.0),
         output_path=str(tmp_path / "steady.csv"),
     )
@@ -299,7 +332,7 @@ def test_run_sweep_driven_cell_matches_direct_steady_state(tmp_path):
     drive = model.Drive(target=1, amplitude=8.0 / 11.0)
     phis, amplitudes = AxisSpec("phi", math.pi, 1.5 * math.pi, 3), AxisSpec("drive_amplitude", 0.0, 8.0 / 11.0, 3)
     config = SweepConfig(
-        spec=SweepSpec(phis, amplitudes, "steady_concurrence"),
+        phis, amplitudes, "steady_concurrence",
         base=model.ModelParams(J=1.0, Gamma=2.0, drive=drive),
         output_path=str(tmp_path / "driven.csv"),
     )
@@ -317,8 +350,7 @@ def test_run_sweep_driven_cell_matches_direct_steady_state(tmp_path):
 
 def test_run_sweep_steady_concurrence_blocks_write_the_same_bytes(tmp_path, monkeypatch):
     config = SweepConfig(
-        spec=SweepSpec(AxisSpec("drive_amplitude", 0.0, 1.0, 3), AxisSpec("phi", 0.0, 2.0 * math.pi, 5),
-                       "steady_concurrence"),
+        AxisSpec("drive_amplitude", 0.0, 1.0, 3), AxisSpec("phi", 0.0, 2.0 * math.pi, 5), "steady_concurrence",
         base=model.ModelParams(J=1.0, Gamma=2.0, drive=model.Drive(target=2, amplitude=0.5)),
     )
     (tmp_path / "one").mkdir()
@@ -359,13 +391,12 @@ def _sweep_configs(draw):
     axis2 = AxisSpec(name2, *draw(st.sampled_from(_AXIS_BOUNDS[name2])), count2)
     drive = draw(st.sampled_from([None, model.Drive(1, 0.6), model.Drive(2, 0.6)]))
     base = model.ModelParams(J=0.8, Gamma=1.5, phi=draw(st.sampled_from([0.0, math.pi, 1.5 * math.pi])), drive=drive)
-    return SweepConfig(spec=SweepSpec(axis1, axis2, observable), base=base, output_path="sweep.csv")
+    return SweepConfig(axis1, axis2, observable, base=base, output_path="sweep.csv")
 
 
 # Undriven and at phi = 0, pi and 2 pi, the zero-amplitude row keeps dark states: degenerate cells.
 _DEGENERATE_SWEEP = SweepConfig(
-    spec=SweepSpec(AxisSpec("drive_amplitude", 0.0, 1.0, 3), AxisSpec("phi", 0.0, 2.0 * math.pi, 513),
-                   "steady_concurrence"),
+    AxisSpec("drive_amplitude", 0.0, 1.0, 3), AxisSpec("phi", 0.0, 2.0 * math.pi, 513), "steady_concurrence",
     base=model.ModelParams(J=0.8, Gamma=1.5),
 )
 
@@ -374,12 +405,12 @@ _DEGENERATE_SWEEP = SweepConfig(
 @given(config=_sweep_configs())
 @example(config=_DEGENERATE_SWEEP)
 def test_run_sweep_matches_per_cell_format(tmp_path, config):
-    spec, base = config.spec, config.base
+    base = config.base
     drive = base.drive or model.Drive(target=1, amplitude=0.0)
-    a, b = np.meshgrid(spec.axis1.values(), spec.axis2.values(), indexing="ij")
+    a, b = np.meshgrid(config.axis1.values(), config.axis2.values(), indexing="ij")
     fields = {"J": base.J, "Gamma": base.Gamma, "phi": base.phi, "kappa": base.kappa,
-              "drive_amplitude": drive.amplitude, spec.axis1.name: a, spec.axis2.name: b}
-    if spec.observable == "delta_F":
+              "drive_amplitude": drive.amplitude, config.axis1.name: a, config.axis2.name: b}
+    if config.observable == "delta_F":
         header = ["axis1", "axis2", "value"]
         columns = [np.broadcast_to(damping_forces(fields["J"], fields["Gamma"], fields["phi"]).delta_F, a.shape)]
     else:
@@ -394,7 +425,7 @@ def test_run_sweep_matches_per_cell_format(tmp_path, config):
     table = np.column_stack([a.ravel(), b.ravel()] + [column.ravel() for column in columns])
     written = Path(run_sweep(config, str(tmp_path))).read_bytes()
     assert written == _per_cell_text(header, table)
-    if spec.observable == "steady_concurrence":
+    if config.observable == "steady_concurrence":
         # Degenerate rows end ",-1,1"; every other row ends ",0" after a concurrence in [0, 1].
         rows = written.decode().splitlines()[1:]
         assert [row.endswith(",-1,1") for row in rows] == (~unique).ravel().tolist()
