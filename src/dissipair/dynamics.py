@@ -6,13 +6,15 @@ keeps their singular values, and real since L preserves Hermiticity.  The
 model's R is linear in seven real rates: their product with a constant basis
 built at import.  Both integrators fill the stored samples with powers of a
 real stride matrix on the raw coordinates (rho_ii, Re rho_ij, Im rho_ij), from
-the RK4 step or, as an independent cross-check, the exponential, and place
-each state exactly, so it is Hermitian by construction.
+the RK4 step or, as an independent cross-check, the exponential, and hand
+them on in checked row blocks.  A state is built from its coordinates by
+placing each entry exactly, so it is Hermitian by construction.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,12 @@ GAP_EPS = 1e-9
 # Per-sample drift tolerances while integrating.
 TRACE_DRIFT_TOL = 1e-6
 NEGATIVITY_TOL = 1e-6
+# Most samples per checked block of a run, a multiple of the CSV writer's 512-row chunks.
+_RUN_BLOCK_ROWS = 4096
+# Block starts per batched product.  BLAS picks its kernel by shape, so a sample's bits depend on the width
+# of the product that computes it: the widths are set by the run alone, never by the row blocks, and a run
+# of at most 4 096 uniform samples takes one product over all its block starts.
+_PRODUCT_STARTS = 64
 
 _DIM, _SIZE = 4, 16
 _DIAG, (_ROWS, _COLS) = np.arange(_DIM), np.triu_indices(_DIM, 1)
@@ -121,22 +129,30 @@ class TimeGrid:
     def n_steps(self) -> int:
         return round(self.t_max / self.dt)
 
-    def sample_steps(self) -> np.ndarray:
-        steps = np.arange(0, self.n_steps + 1, self.sample_every)
-        if steps[-1] != self.n_steps:
-            steps = np.append(steps, self.n_steps)
-        return steps
+    @property
+    def n_samples(self) -> int:
+        return -(-self.n_steps // self.sample_every) + 1
 
-    def sample_times(self) -> np.ndarray:
-        return self.sample_steps() * self.dt
+    def sample_steps(self, first: int = 0, stop: int | None = None) -> np.ndarray:
+        """Steps of the stored samples first..stop-1, all of them by default."""
+        stop = self.n_samples if stop is None else stop
+        return np.minimum(np.arange(first, stop) * self.sample_every, self.n_steps)
+
+    def sample_times(self, first: int = 0, stop: int | None = None) -> np.ndarray:
+        return self.sample_steps(first, stop) * self.dt
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states along one evolution."""
+    """Sampled states along one evolution, kept as their (N, 16) raw coordinates (rho_ii, Re rho_ij, Im rho_ij)."""
 
     times: np.ndarray
-    states: np.ndarray
+    coords: np.ndarray
+
+    @property
+    def states(self) -> np.ndarray:
+        """The (N, 4, 4) stack of states, built from `coords` on each access."""
+        return _states(self.coords)
 
 
 @dataclass(frozen=True)
@@ -224,21 +240,24 @@ def liouvillian_from_params(params: ModelParams) -> np.ndarray:
     return gen.reshape(rates.shape[:-1] + (_SIZE, _SIZE))
 
 
-def _check_samples(states: np.ndarray, label: str) -> None:
-    # Hermitian by construction: the traces are real, and one batched Cholesky of
-    # rho + tol I passes exactly when no eigenvalue lies below -tol.
-    traces = np.abs(np.einsum("kii->k", states.real) - 1.0)
+def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
+    """Refuse a trace drift or an eigenvalue beyond tolerance in the (N, 16) coordinates of samples first, ...
+
+    The trace is the sum of the four diagonal coordinates, and one batched Cholesky of rho + tol I,
+    Hermitian by construction, passes exactly when no eigenvalue lies below -tol.
+    """
+    traces = np.abs(coords[:, :4].sum(axis=1) - 1.0)
     if float(traces.max()) > TRACE_DRIFT_TOL:
         k = int(traces.argmax())
-        message = f"{label}: trace drift {traces[k]:.3e} at sample {k} exceeds {TRACE_DRIFT_TOL:.1e}"
+        message = f"{label}: trace drift {traces[k]:.3e} at sample {first + k} exceeds {TRACE_DRIFT_TOL:.1e}"
         raise StateInvariantViolatedError(message)
     try:
-        np.linalg.cholesky(states + NEGATIVITY_TOL * np.eye(_DIM))
+        np.linalg.cholesky(_states(coords + NEGATIVITY_TOL * _TRACE_ROW))
     except np.linalg.LinAlgError:  # only now name the sample: eigvalsh costs several Choleskys
-        lows = np.linalg.eigvalsh(states)[:, 0]
+        lows = np.linalg.eigvalsh(_states(coords))[:, 0]
         if float(lows.min()) < -NEGATIVITY_TOL:
             k = int(lows.argmin())
-            message = f"{label}: negativity {lows[k]:.3e} at sample {k} exceeds {NEGATIVITY_TOL:.1e}"
+            message = f"{label}: negativity {lows[k]:.3e} at sample {first + k} exceeds {NEGATIVITY_TOL:.1e}"
             raise StateInvariantViolatedError(message) from None
 
 
@@ -259,49 +278,57 @@ def _single_generator(liouvillian) -> np.ndarray:
     return gen
 
 
-def _propagate(rho0, grid: TimeGrid, stride_matrix, label: str) -> Trajectory:
-    """Fill the stored samples with powers of `stride_matrix(span)`, the map of raw coordinates over `span` steps.
+def _propagate(rho0, grid: TimeGrid, stride_matrix, label: str) -> Iterator[Trajectory]:
+    """Checked row blocks of the stored samples, filled with powers of `stride_matrix(span)`, the map of raw
+    coordinates over `span` steps.
 
-    Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start to the next,
-    and one batched product with S^1..S^m fills every block.  A shorter tail takes one more product.
+    Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start to the next, and
+    batched products of S^1..S^m with _PRODUCT_STARTS block starts at a time fill every block.  A shorter
+    tail takes one more product.  A product's samples are handed on in blocks of at most _RUN_BLOCK_ROWS
+    rows, so a run holds O(sqrt(count)) coordinates at once, and no value depends on the size of a block.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (_DIM, _DIM):
         raise ShapeMismatchError(f"initial state shape {rho0.shape}, expected {(_DIM, _DIM)}")
     if float(np.abs(rho0 - rho0.conj().T).max()) > 1e-8 or abs(rho0.trace() - 1.0) > 1e-8:
         raise NotAStateError("initial state must be Hermitian with unit trace")
-    steps = grid.sample_steps()
-    spans = np.diff(steps).tolist()
-    count = len(spans) - (spans[-1] != spans[0])
+    span = min(grid.sample_every, grid.n_steps)
+    count, tail = divmod(grid.n_steps, span)
     m = math.isqrt(count)
     powers = np.empty((m, _SIZE, _SIZE))
-    powers[0] = stride_matrix(spans[0])
+    powers[0] = stride_matrix(span)
     for j in range(1, m):
         np.matmul(powers[j - 1], powers[0], out=powers[j])
     starts = np.empty((-(-count // m), _SIZE))
     starts[0] = _coordinates(rho0)
     for b in range(1, len(starts)):
         np.matmul(powers[-1], starts[b - 1], out=starts[b])
-    coords = np.empty((len(steps), _SIZE))
-    coords[0] = starts[0]
-    # Entry (j, :, b) is S^(j+1) applied to block start b, which is sample b*m + j + 1.
-    coords[1:count + 1] = np.matmul(powers, starts.T).transpose(2, 0, 1).reshape(-1, _SIZE)[:count]
-    if count < len(spans):
-        coords[-1] = stride_matrix(spans[-1]) @ coords[count]
-    states = _states(coords)
-    del coords  # freed before the check allocates two more stacks the size of `states`
-    _check_samples(states, label)
-    return Trajectory(times=grid.sample_times(), states=states)
+    for g in range(0, len(starts), _PRODUCT_STARTS):
+        group = starts[g:g + _PRODUCT_STARTS]
+        lead = int(g == 0)  # the first product's rows follow sample 0
+        first = g * m + 1 - lead
+        coords = np.empty((lead + len(group) * m + 1, _SIZE))  # room for the tail
+        # Entry (j, :, b) of the product is S^(j+1) applied to block start g + b, which is sample (g + b) m + j + 1.
+        coords[lead:-1].reshape(-1, m, _SIZE)[...] = np.matmul(powers, group.T).transpose(2, 0, 1)
+        if lead:
+            coords[0] = starts[0]
+        end = min((g + _PRODUCT_STARTS) * m, count) + 1 - first
+        if tail and first + end == count + 1:
+            coords[end] = stride_matrix(tail) @ coords[end - 1]
+            end += 1
+        for lo in range(0, end, _RUN_BLOCK_ROWS):
+            block = coords[lo:min(lo + _RUN_BLOCK_ROWS, end)]
+            _check_samples(block, label, first + lo)
+            yield Trajectory(times=grid.sample_times(first + lo, first + lo + len(block)), coords=block)
 
 
-def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
-    """Fixed-step classical Runge-Kutta propagation.
+def _joined(blocks: Iterator[Trajectory]) -> Trajectory:
+    times, coords = zip(*((block.times, block.coords) for block in blocks))
+    return Trajectory(times=np.concatenate(times), coords=np.concatenate(coords))
 
-    On a constant generator one step is exactly v <- P v, with P the degree-4
-    Taylor polynomial of dt R, so a sample interval of `span` steps applies P^span.
-    `liouvillian` is one real (16, 16) generator with dt * ||R||_inf <= 0.1; each
-    stored sample, Hermitian by construction, is re-validated for trace and positivity.
-    """
+
+def _rk4_blocks(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Iterator[Trajectory]:
+    """The checked row blocks of `evolve_rk4`; the generator and its step bound are checked on call."""
     gen = _single_generator(liouvillian)
     bound = grid.dt * float(np.abs(gen).sum(axis=1).max())
     if not bound <= MAX_STEP_NORM:  # a NaN bound fails here too
@@ -314,10 +341,29 @@ def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     return _propagate(rho0, grid, lambda span: np.linalg.matrix_power(step, span), f"rk4 dt={grid.dt:g}")
 
 
+def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
+    """Fixed-step classical Runge-Kutta propagation.
+
+    On a constant generator one step is exactly v <- P v, with P the degree-4
+    Taylor polynomial of dt R, so a sample interval of `span` steps applies P^span.
+    `liouvillian` is one real (16, 16) generator with dt * ||R||_inf <= 0.1; each
+    stored sample, Hermitian by construction, is re-validated for trace and positivity.
+
+    The step guard reads ||R||_inf of the generator as given, in the orthonormal
+    basis.  That norm depends on the basis: on the model's generators
+    ||R||_inf / ||L||_inf is 0.92-1.34, with L the column-stacked superoperator.
+    dt ||R||_2 would be the basis-free bound, since ||R||_2 = ||L||_2 (the basis
+    change is unitary), at one values-only 16x16 SVD per run; the guard keeps the
+    row-sum norm, which differs from it by a bounded factor and costs one pass.
+    """
+    return _joined(_rk4_blocks(rho0, liouvillian, grid))
+
+
 def evolve_expm(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Propagation by the exact exponential map over each sample interval, an independent cross-check of RK4."""
     gen = _single_generator(liouvillian) * _SIMILARITY
-    return _propagate(rho0, grid, lambda span: matrix_exponential(gen * (span * grid.dt)), f"expm dt={grid.dt:g}")
+    return _joined(_propagate(rho0, grid, lambda span: matrix_exponential(gen * (span * grid.dt)),
+                              f"expm dt={grid.dt:g}"))
 
 
 def steady_state(liouvillian: np.ndarray) -> SteadyStateResult:

@@ -24,8 +24,10 @@ bytes; tables containing non-finite values are refused.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +35,15 @@ import numpy as np
 from .dynamics import (
     INITIAL_STATE_NAMES,
     TimeGrid,
-    evolve_rk4,
+    Trajectory,
+    _rk4_blocks,
     initial_state,
     liouvillian_from_params,
     steady_state,
 )
 from .errors import IoError, ParseError, UnknownPresetError, ValidationError
 from .model import Drive, ModelParams, require_finite
-from .observables import collective_populations, concurrence, damping_forces, populations
+from .observables import _collective_populations, _qubit_populations, concurrence, damping_forces
 
 OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
 SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
@@ -244,14 +247,16 @@ def parse_sweep_config(text: str) -> SweepConfig:
 # ---- CSV writing -----------------------------------------------------------
 
 
-def _write_text(path, header, cells: np.ndarray, chunks) -> str:
-    """Write the header and the text `chunks` of a table atomically, unless one of its `cells` is non-finite.
-
-    The first non-finite value in `cells`, the table's numbers (a sweep's finite axes left out) in row order, is named.
-    """
+def _refuse_non_finite(cells: np.ndarray) -> None:
+    """Raise IoError naming the first non-finite value in `cells`, in row order."""
     bad = cells[~np.isfinite(cells)]
     if bad.size:
         raise IoError(f"refusing to serialize non-finite value {float(bad[0])!r}")
+
+
+def _write_text(path, header, chunks) -> str:
+    """Write the header and the text `chunks` of a table to a temporary file beside `path`, which replaces it only
+    once complete; an error from `chunks` removes the temporary file and propagates."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="ascii", newline="") as fh:
@@ -266,55 +271,79 @@ def _write_text(path, header, cells: np.ndarray, chunks) -> str:
     return str(path)
 
 
+def _csv_chunks(blocks):
+    """The text of each row block, _CSV_BLOCK_ROWS rows per `%` call, after refusing a block with a non-finite value."""
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        _refuse_non_finite(block)
+        template = ",".join(["%.15g"] * block.shape[-1]) + "\n"
+        for lo in range(0, len(block), _CSV_BLOCK_ROWS):
+            rows = block[lo:lo + _CSV_BLOCK_ROWS]
+            # `tolist` hands `%` Python floats: same bytes as numpy scalars, formatted faster.
+            yield (template * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_csv(path, header, rows) -> str:
     """Write a numeric table deterministically and atomically.
 
-    The header line is always present; every cell goes through ``%.15g``;
-    line endings are ``\\n`` regardless of platform.  A temporary file
-    beside `path` replaces it only once complete.
+    `rows` is the table (a 2-D array or a sequence of rows), or an iterator of
+    2-D row blocks, written in order.  The header line is always present;
+    every cell goes through ``%.15g``; line endings are ``\\n`` regardless of
+    platform.  A temporary file beside `path` replaces it only once complete,
+    so a non-finite value, or an error while the blocks are produced, leaves
+    `path` as it was.
     """
-    table = np.asarray(rows, dtype=float)
-    template = ",".join(["%.15g"] * table.shape[-1]) + "\n"
-    # `tolist` hands `%` Python floats: same bytes as numpy scalars, formatted faster.
-    chunks = ((template * len(block)) % tuple(block.ravel().tolist())
-              for block in np.split(table, range(_CSV_BLOCK_ROWS, len(table), _CSV_BLOCK_ROWS)))
-    return _write_text(path, header, table, chunks)
+    blocks = rows if isinstance(rows, Iterator) else (rows,)
+    return _write_text(path, header, _csv_chunks(blocks))
 
 
 # ---- trajectory tables -----------------------------------------------------
 
 
-def _output_columns(states: np.ndarray, kind: str) -> dict[str, np.ndarray]:
-    """One output group of a trajectory table, column name to column, in table order."""
+def _output_columns(block: Trajectory, kind: str) -> dict[str, np.ndarray]:
+    """One output group of a block of a trajectory table, column name to column, in table order.
+
+    Populations are read straight off the coordinates; only concurrence and states build the 4x4 matrices.
+    """
     if kind == "populations":
-        return dict(zip(("P1", "P2"), populations(states)))
+        return dict(zip(("P1", "P2"), _qubit_populations(block.coords)))
     if kind == "concurrence":
-        return {"C": concurrence(states)}
+        return {"C": concurrence(block.states)}
     if kind == "collective":
-        return vars(collective_populations(states))
+        return vars(_collective_populations(block.coords))
+    states = block.states
     return {f"rho_{part}_{i}{j}": values[:, i, j]
             for i in range(4) for j in range(4) for part, values in (("re", states.real), ("im", states.imag))}
 
 
-def _trajectory_table(runs, outputs) -> tuple[list[str], np.ndarray]:
-    """Integrate each run: t, then its output groups in the given order, names suffixed by label if several runs."""
-    header = ["t"]
-    columns = []
-    for run in runs:
-        traj = evolve_rk4(initial_state(run.initial), liouvillian_from_params(run.params), run.grid)
-        for kind in outputs:
-            joiner = "_from_" if kind == "collective" else "_"
-            for name, column in _output_columns(traj.states, kind).items():
-                header.append(f"{name}{joiner}{run.label}" if len(runs) > 1 else name)
-                columns.append(column)
-    return header, np.column_stack([traj.times] + columns)
+def _trajectory_table(runs, outputs) -> tuple[list[str], Iterator[np.ndarray]]:
+    """Integrate the runs side by side: the header (t, then each run's output groups in the given order, names
+    suffixed by label if several runs) and an iterator of the table's row blocks.
+
+    The runs share one grid, so their block streams line up.  The first block is computed here, for the header.
+    """
+    streams = [_rk4_blocks(initial_state(run.initial), liouvillian_from_params(run.params), run.grid) for run in runs]
+
+    def block_table(blocks):
+        header, columns = ["t"], [blocks[0].times]
+        for run, block in zip(runs, blocks):
+            for kind in outputs:
+                joiner = "_from_" if kind == "collective" else "_"
+                for name, column in _output_columns(block, kind).items():
+                    header.append(f"{name}{joiner}{run.label}" if len(runs) > 1 else name)
+                    columns.append(column)
+        return header, np.column_stack(columns)
+
+    tables = map(block_table, zip(*streams, strict=True))
+    header, first = next(tables)
+    return header, itertools.chain((first,), (table for _, table in tables))
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str = ".") -> str:
     """Integrate one configured trajectory and write its CSV: t, then the output groups in OUTPUT_KINDS order."""
     run = TrajectoryRun("", config.model, config.initial, config.grid)
-    header, rows = _trajectory_table((run,), config.outputs)
-    return write_csv(_join_out(out_dir, config.output_path), header, rows)
+    header, blocks = _trajectory_table((run,), config.outputs)
+    return write_csv(_join_out(out_dir, config.output_path), header, blocks)
 
 
 def _join_out(out_dir: str, name: str) -> str:
@@ -358,7 +387,8 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     starts = range(0, len(rests), _CSV_BLOCK_ROWS)
     chunks = ((first + first.join(rests[s:s + _CSV_BLOCK_ROWS])) % tuple(rows[s:s + _CSV_BLOCK_ROWS].ravel().tolist())
               for first, rows in zip(firsts, cells.reshape(a.shape + (-1,))) for s in starts)
-    return _write_text(_join_out(out_dir, config.output_path), header, cells, chunks)
+    _refuse_non_finite(cells)
+    return _write_text(_join_out(out_dir, config.output_path), header, chunks)
 
 
 # ---- figure presets --------------------------------------------------------
@@ -433,5 +463,5 @@ def run_figure(figure_id: str, out_dir: str = ".") -> str:
     kind, runs = presets[fig]
     if kind == "sweep":
         return run_sweep(runs, out_dir)
-    header, table = _trajectory_table(runs, (kind,))
-    return write_csv(_join_out(out_dir, f"fig{fig}.csv"), header, table)
+    header, blocks = _trajectory_table(runs, (kind,))
+    return write_csv(_join_out(out_dir, f"fig{fig}.csv"), header, blocks)

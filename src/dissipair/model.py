@@ -23,14 +23,16 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 LOWER_2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 RAISE_2 = LOWER_2.conj().T
 SIGMA_Z_2 = np.diag([1.0, -1.0]).astype(complex)
-SIGMA_Y_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
 def require_finite(**fields) -> None:
-    """Raise ValidationError naming the first field (scalar or array) with a NaN or inf, and its value."""
+    """Raise ValidationError naming the first field (scalar or array) that is not a number or holds a NaN or inf."""
     for name, value in fields.items():
-        value = np.asarray(value)
-        bad = value[~np.isfinite(value)]
+        try:
+            finite = np.isfinite(value)
+        except (TypeError, ValueError):  # a string, None, or a ragged sequence
+            raise ValidationError(f"{name} must be a number, got {value!r}") from None
+        bad = np.asarray(value)[~finite]
         if bad.size:
             raise ValidationError(f"{name} must be finite, got {bad[0]}")
 

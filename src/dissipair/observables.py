@@ -8,29 +8,17 @@ bookkeeping that quantifies how one-way the qubit-qubit influence is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _coordinates
 from .errors import InvalidStateError, NotPSDError, ShapeMismatchError
 from .linalg import dagger
-from .model import SIGMA_Y_2, require_finite, require_non_negative
+from .model import require_finite, require_non_negative
 
-# Spin-flip kernel sigma_y kron sigma_y; real in the fixed basis.
-_FLIP = np.kron(SIGMA_Y_2, SIGMA_Y_2).real.astype(complex)
-
-# Rows map computational amplitudes onto |ee>, |+>, |->, |gg>.
-_SQ2 = 1.0 / math.sqrt(2.0)
-_COLLECTIVE_TRANSFORM = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, _SQ2, _SQ2, 0.0],
-        [0.0, _SQ2, -_SQ2, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ],
-    dtype=complex,
-)
+# sigma_y kron sigma_y is the anti-diagonal (-1, 1, 1, -1): X F is X with its columns reversed and signed.
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 _STATE_TOL = 1e-6
 _ROWS, _COLS = np.triu_indices(4)  # the ten entries i <= j
@@ -84,11 +72,27 @@ def _per_state(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+# The linear read-outs take raw coordinates y (`dynamics._coordinates`): y_i = rho_ii, then Re rho_ij and
+# Im rho_ij over the pairs i < j in row order, so y_7 = Re rho_12.
+
+
+def _qubit_populations(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P1 = rho_00 + rho_11 and P2 = rho_00 + rho_22, read off raw coordinates."""
+    return y[..., 0] + y[..., 1], y[..., 0] + y[..., 2]
+
+
+def _collective_populations(y: np.ndarray) -> CollectivePopulations:
+    """P_E = rho_00, P_plus/minus = (rho_11 + rho_22) / 2 +- Re rho_12 and P_G = rho_33, read off raw coordinates.
+
+    Each + 0.0 turns a -0.0 into +0, so no population prints as -0.
+    """
+    half = 0.5 * (y[..., 1] + y[..., 2]) + 0.0
+    return CollectivePopulations(y[..., 0] + 0.0, half + y[..., 7], half - y[..., 7], y[..., 3] + 0.0)
+
+
 def populations(rho) -> tuple[float, float]:
     """Excited-state population of each qubit: floats for one state, arrays for an (N, 4, 4) stack."""
-    rho = _require_state(rho)
-    p1 = (rho[..., 0, 0] + rho[..., 1, 1]).real
-    p2 = (rho[..., 0, 0] + rho[..., 2, 2]).real
+    p1, p2 = _qubit_populations(_coordinates(_require_state(rho)))
     return _per_state(p1), _per_state(p2)
 
 
@@ -112,15 +116,14 @@ def concurrence(rho):
     # keep the r_i at O(eps); square roots of eigenvalues of sqrt(rho)
     # rho_tilde sqrt(rho) would lift roundoff to ~1e-8 on separable states.
     factor = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
-    r = np.linalg.svd(np.swapaxes(factor, -1, -2) @ _FLIP @ factor, compute_uv=False)
+    r = np.linalg.svd((np.swapaxes(factor, -1, -2)[..., ::-1] * _FLIP_SIGNS) @ factor, compute_uv=False)
     return _per_state(np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3]))
 
 
 def collective_populations(rho) -> CollectivePopulations:
     """Diagonal in the collective basis: floats for one state, arrays for an (N, 4, 4) stack."""
-    t = _COLLECTIVE_TRANSFORM
-    diag = np.einsum("ki,...ij,kj->...k", t, _require_state(rho), t.conj()).real
-    return CollectivePopulations(*(_per_state(diag[..., k]) for k in range(4)))
+    pops = _collective_populations(_coordinates(_require_state(rho)))
+    return CollectivePopulations(*(_per_state(value) for value in vars(pops).values()))
 
 
 def damping_forces(J, Gamma, phi) -> IsolationReport:

@@ -149,3 +149,20 @@ def state_defects_full_matrix(rho):
     with np.errstate(invalid="ignore"):
         defects = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     return defects, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+
+
+# Rows map computational amplitudes onto |ee>, |+>, |->, |gg>.
+COLLECTIVE_TRANSFORM = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0],
+                                 [0.0, 0.0, 0.0, 1.0]]) / np.array([[1.0], [math.sqrt(2.0)], [math.sqrt(2.0)], [1.0]])
+EXCITED_1, EXCITED_2 = S1.T @ S1, S2.T @ S2
+
+
+def populations_full_matrix(rho):
+    """P1, P2, P_E, P_plus, P_minus, P_G of a state, or of each in a stack, from all sixteen entries of rho.
+
+    The qubit populations are Tr(rho n_q); the collective ones are <k| rho |k> through the transform.
+    """
+    qubits = [np.einsum("...ij,ji->...", rho, n).real for n in (EXCITED_1, EXCITED_2)]
+    t = COLLECTIVE_TRANSFORM
+    collective = np.einsum("ki,...ij,kj->...k", t, rho, t.conj()).real
+    return (*qubits, *np.moveaxis(collective, -1, 0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dissipair
-from dissipair import cli, errors
+from dissipair import cli, dynamics, errors, experiments
 from dissipair.cli import main
 from dissipair.errors import CONFIG_ERRORS, NUMERIC_ERRORS, IoError
 
@@ -74,6 +74,50 @@ def test_evolve_numeric_error_exit_code(tmp_path):
     # dt passes validation but violates the integrator step bound
     cfg = _config(tmp_path, ISO_LINES + "t_max = 5\ndt = 0.5\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+def test_evolve_negativity_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # Minus a weak decay dissipator keeps the trace but drains |gg> from |eg>: P_gg = 1 - e^(eps t) passes
+    # -1e-6 between samples 6 and 7, so with blocks of 4 rows the first block is written before the check fails.
+    gen = -1.5e-5 * dissipair.build_liouvillian(np.zeros((4, 4)), [dissipair.sigma_minus(1)])
+    monkeypatch.setattr(experiments, "liouvillian_from_params", lambda params: gen)
+    monkeypatch.setattr(dynamics, "_RUN_BLOCK_ROWS", 4)
+    cfg = _config(tmp_path, "initial = EG\nt_max = 0.2\ndt = 0.01\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+    assert "negativity -1.050e-06 at sample 7 exceeds" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# Spawns argv[1:] with stdout discarded and prints its exit code and peak RSS in kilobytes.  Linux carries
+# the spawning process's peak into the child's ru_maxrss at exec, so a launcher without numpy spawns the
+# run, not the far larger test process.
+_PEAK_RSS = """import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_evolve_memory_stays_bounded(tmp_path):
+    # 1e5 driven samples pass through in row blocks: the run's peak RSS stays far below the ~110 MB that
+    # holding every sample as a 4x4 complex state took.
+    cfg = _config(tmp_path, ISO_LINES + "drive_target = 1\ndrive_amplitude = 0.727272727272727\n"
+                  "t_max = 200\ndt = 0.002\noutputs = populations, collective\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dissipair.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "dissipair", "evolve", "--config", cfg,
+         "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, peak_kb = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    assert (tmp_path / "trajectory.csv").stat().st_size > 0
+    assert peak_kb / 1024.0 < 100.0, f"peak RSS {peak_kb / 1024.0:.1f} MB"
 
 
 def test_evolve_missing_config_exit_code(tmp_path):

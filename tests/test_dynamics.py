@@ -297,10 +297,10 @@ def test_negativity_check_spares_samples_within_tolerance():
 
     within = np.array([initial_state("PLUS"), rotated(-0.5 * tol)])
     assert np.linalg.eigvalsh(within)[1, 0] < -0.4 * tol
-    dynamics._check_samples(within, "probe")
+    dynamics._check_samples(dynamics._coordinates(within), "probe")
     beyond = np.array([initial_state("PLUS"), rotated(-0.5 * tol), rotated(-1.5 * tol), rotated(0.0)])
     with pytest.raises(StateInvariantViolatedError, match=r"^probe: negativity -1\.500e-06 at sample 2 exceeds"):
-        dynamics._check_samples(beyond, "probe")
+        dynamics._check_samples(dynamics._coordinates(beyond), "probe")
 
 
 def test_integrators_refuse_a_generator_with_an_imaginary_part():

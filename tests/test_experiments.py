@@ -7,10 +7,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dissipair import experiments, model
-from dissipair.dynamics import TimeGrid, liouvillian_from_params, steady_state
+from dissipair import dynamics, experiments, model
+from dissipair.dynamics import TimeGrid, evolve_rk4, initial_state, liouvillian_from_params, steady_state
 from dissipair.errors import IoError, ParseError, UnknownPresetError, ValidationError
 from dissipair.experiments import (
+    OUTPUT_KINDS,
     SWEEP_2A,
     SWEEP_AXES,
     AxisSpec,
@@ -23,7 +24,7 @@ from dissipair.experiments import (
     run_sweep,
     write_csv,
 )
-from dissipair.observables import concurrence, damping_forces
+from dissipair.observables import collective_populations, concurrence, damping_forces, populations
 
 ISO_TEXT = "J = 1.0\nGamma = 2.0\nphi = 4.712388980384690\ninitial = EG\nt_max = 5\ndt = 0.002"
 
@@ -245,6 +246,47 @@ def test_trajectory_table_column_sets(tmp_path):
     # t = 0 row reflects the initial projector on |eg>
     assert table[0, 1] == 1.0 and table[0, 2] == 0.0
     assert abs(table[0, 5] - 0.5) <= 1e-15 and abs(table[0, 6] - 0.5) <= 1e-15
+
+
+DRIVE1 = model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi, drive=model.Drive(1, 8.0 / 11.0))
+
+
+def test_trajectory_table_columns_are_the_public_observables():
+    # The table reads populations off the coordinates; the public functions read the same states.
+    grid = TimeGrid(1.0, 0.002, 3)
+    run = experiments.TrajectoryRun("", DRIVE1, "EG", grid)
+    header, blocks = experiments._trajectory_table((run,), OUTPUT_KINDS)
+    traj = evolve_rk4(initial_state("EG"), liouvillian_from_params(DRIVE1), grid)
+    states = traj.states
+    rho = [part[:, i, j] for i in range(4) for j in range(4) for part in (states.real, states.imag)]
+    expected = np.column_stack([traj.times, *populations(states), concurrence(states),
+                                *vars(collective_populations(states)).values(), *rho])
+    assert len(header) == expected.shape[1]
+    np.testing.assert_array_equal(np.concatenate(list(blocks)), expected)
+
+
+# 35 003 steps stored every 7th: 5 000 uniform samples in 72 block starts, two products, then a 3-step tail.
+LONG_STRIDED = ExperimentConfig(model=DRIVE1, initial="GG", grid=TimeGrid(70.006, 0.002, 7), outputs=OUTPUT_KINDS,
+                                output_path="strided.csv")
+
+
+def _write_block_cases(out):
+    os.mkdir(out)
+    return [run_figure("5b", str(out)), run_figure("4a", str(out)), run_experiment(LONG_STRIDED, str(out))]
+
+
+@pytest.mark.parametrize("rows", [7, 512])
+def test_row_blocks_leave_every_byte(tmp_path, monkeypatch, rows):
+    default = _write_block_cases(tmp_path / "default")
+    monkeypatch.setattr(dynamics, "_RUN_BLOCK_ROWS", rows)
+    small = _write_block_cases(tmp_path / "small")
+    for a, b in zip(default, small):
+        assert Path(a).read_bytes() == Path(b).read_bytes(), os.path.basename(a)
+    grid = LONG_STRIDED.grid
+    blocks = list(dynamics._rk4_blocks(initial_state("GG"), liouvillian_from_params(DRIVE1), grid))
+    assert max(len(block.times) for block in blocks) <= rows
+    np.testing.assert_array_equal(np.concatenate([block.times for block in blocks]), grid.sample_times())
+    assert grid.sample_steps()[-2:].tolist() == [35000, 35003]
 
 
 def test_run_experiment_writes_file(tmp_path):

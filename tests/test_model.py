@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from dissipair import linalg, model
-from dissipair.dynamics import liouvillian_from_params
+from dissipair.dynamics import TimeGrid, liouvillian_from_params
 from dissipair.errors import BadIndexError, NegativeRateError, ValidationError
+from dissipair.experiments import AxisSpec
 
 from oracles import S1, S2, SZ1, SZ2, generator_of, hermitian_coordinates, lindblad, model_operators
 
@@ -200,3 +201,14 @@ def test_jump_operators_phase_periodicity():
         a = _generator(Gamma=2.0, phi=phi)
         b = _generator(Gamma=2.0, phi=phi + 2.0 * math.pi)
         assert np.abs(a - b).max() <= 1e-14
+
+
+@pytest.mark.parametrize("build", [
+    lambda: model.ModelParams(J="1"),
+    lambda: model.ModelParams(Gamma=None),
+    lambda: AxisSpec("phi", "0", "1", 3),
+    lambda: TimeGrid("1", 0.1),
+], ids=["J-string", "Gamma-None", "axis-strings", "t_max-string"])
+def test_a_value_that_is_not_a_number_is_a_validation_error(build):
+    with pytest.raises(ValidationError, match="must be a number, got"):
+        build()

@@ -18,6 +18,7 @@ from oracles import (
     collective_transition_rates,
     concurrence_charpoly,
     concurrence_pure,
+    populations_full_matrix,
     random_density_matrix,
     random_pure_state,
     random_unitary,
@@ -45,6 +46,21 @@ def test_populations_rejects_invalid_states():
         populations(bad)
     with pytest.raises(ShapeMismatchError):
         populations(np.eye(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([None, 1, 9]), rank=st.integers(1, 4))
+def test_linear_readouts_match_full_matrix_formulas(seed, size, rank):
+    # Read off the raw coordinates, the six populations agree with the formulas over the whole matrix.
+    rng = np.random.default_rng(seed)
+    states = np.array([random_density_matrix(rng, rank=rank) for _ in range(size or 1)])
+    states = 0.5 * (states + states.conj().swapaxes(-1, -2))
+    rho = states if size else states[0]
+    pops = collective_populations(rho)
+    got = np.array([*populations(rho), pops.P_E, pops.P_plus, pops.P_minus, pops.P_G])
+    expected = np.array(populations_full_matrix(rho))
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-15 * np.abs(rho).max()
 
 
 def test_population_observables_take_stacks():

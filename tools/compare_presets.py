@@ -1,0 +1,81 @@
+"""Write every figure preset from two source trees and compare the CSVs cell by cell.
+
+    python tools/compare_presets.py OLD_SRC NEW_SRC [--tol TOL]
+
+OLD_SRC and NEW_SRC are directories that hold the `dissipair` package, such as
+the `src` of two checkouts.  Each tree writes the 15 presets in its own Python
+process.  For each preset the script prints "identical", or the number of
+changed cells, the columns they sit in and the largest |difference|.  It exits
+1 when a preset differs by more than TOL (default 0, so any change), when a
+header or a table shape differs, or when a cell of the new tree prints -0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+FIGURES = ("2a", "2b", "2c", "2d", "3a", "3b", "4a", "4b", "5b", "5c", "5d", "6a", "6b", "6c", "6d")
+_WRITE = ("import sys; from dissipair.cli import main; "
+          "sys.exit(max(main(['figure', f, '--out', sys.argv[1]]) for f in sys.argv[2:]))")
+
+
+def write_presets(src: str, out: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", _WRITE, out, *FIGURES], env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def _read(path: str) -> tuple[str, np.ndarray]:
+    with open(path, encoding="ascii") as fh:
+        header, *rows = fh.read().splitlines()
+    return header, np.array([row.split(",") for row in rows], dtype=str)
+
+
+def compare(old_path: str, new_path: str, tol: float) -> tuple[str, bool]:
+    """One line of report for a preset, and whether it passes."""
+    (old_header, old), (new_header, new) = _read(old_path), _read(new_path)
+    if old_header != new_header or old.shape != new.shape:
+        return f"header or shape differs: {old.shape} -> {new.shape}", False
+    negative_zeros = int(np.count_nonzero(new == "-0"))
+    changed = old != new
+    if not changed.any():
+        line = "identical"
+    else:
+        delta = float(np.abs(old[changed].astype(float) - new[changed].astype(float)).max())
+        columns = [name for name, hit in zip(new_header.split(","), changed.any(axis=0)) if hit]
+        line = (f"{int(changed.sum())} of {changed.size} cells changed, max |delta| {delta:.3g}, "
+                f"in {len(columns)} columns: {' '.join(columns)}")
+        if delta > tol:
+            return line + f"  ABOVE --tol {tol:g}", False
+    if negative_zeros:
+        return line + f"; {negative_zeros} cells print -0", False
+    return line, True
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", help="directory holding the old dissipair package")
+    parser.add_argument("new_src", help="directory holding the new dissipair package")
+    parser.add_argument("--tol", type=float, default=0.0, help="largest |difference| a changed cell may show")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        old_dir, new_dir = os.path.join(tmp, "old"), os.path.join(tmp, "new")
+        for src, out in ((args.old_src, old_dir), (args.new_src, new_dir)):
+            os.mkdir(out)
+            write_presets(src, out)
+        ok = True
+        for fig in FIGURES:
+            name = f"fig{fig}.csv"
+            line, passed = compare(os.path.join(old_dir, name), os.path.join(new_dir, name), args.tol)
+            ok &= passed
+            print(f"{fig}: {line}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
