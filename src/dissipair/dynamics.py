@@ -38,12 +38,8 @@ GAP_EPS = 1e-9
 # Per-sample drift tolerances while integrating.
 TRACE_DRIFT_TOL = 1e-6
 NEGATIVITY_TOL = 1e-6
-# Most samples per checked block of a run, a multiple of the CSV writer's 512-row chunks.
+# Samples per checked row block of a run: a block spans max(2, _RUN_BLOCK_ROWS // m) block starts of m samples.
 _RUN_BLOCK_ROWS = 4096
-# Block starts per batched product.  BLAS picks its kernel by shape, so a sample's bits depend on the width
-# of the product that computes it: the widths are set by the run alone, never by the row blocks, and a run
-# of at most 4 096 uniform samples takes one product over all its block starts.
-_PRODUCT_STARTS = 64
 
 _DIM, _SIZE = 4, 16
 _DIAG, (_ROWS, _COLS) = np.arange(_DIM), np.triu_indices(_DIM, 1)
@@ -282,10 +278,10 @@ def _propagate(rho0, grid: TimeGrid, stride_matrix, label: str) -> Iterator[Traj
     """Checked row blocks of the stored samples, filled with powers of `stride_matrix(span)`, the map of raw
     coordinates over `span` steps.
 
-    Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start to the next, and
-    batched products of S^1..S^m with _PRODUCT_STARTS block starts at a time fill every block.  A shorter
-    tail takes one more product.  A product's samples are handed on in blocks of at most _RUN_BLOCK_ROWS
-    rows, so a run holds O(sqrt(count)) coordinates at once, and no value depends on the size of a block.
+    Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start to the next, and a
+    batched product of S^1..S^m with max(2, _RUN_BLOCK_ROWS // m) block starts fills each row block, so a run
+    holds O(sqrt(count)) coordinates at once and a run of at most 4 096 uniform samples is one block.  A
+    shorter tail takes one more product.  Sample b m + j + 1 is always S^(j+1) applied to block start b.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (_DIM, _DIM):
@@ -303,26 +299,32 @@ def _propagate(rho0, grid: TimeGrid, stride_matrix, label: str) -> Iterator[Traj
     starts[0] = _coordinates(rho0)
     for b in range(1, len(starts)):
         np.matmul(powers[-1], starts[b - 1], out=starts[b])
-    for g in range(0, len(starts), _PRODUCT_STARTS):
-        group = starts[g:g + _PRODUCT_STARTS]
-        lead = int(g == 0)  # the first product's rows follow sample 0
-        first = g * m + 1 - lead
-        coords = np.empty((lead + len(group) * m + 1, _SIZE))  # room for the tail
+    # A product over one block start would go through BLAS's matrix-vector kernel, whose last digits differ
+    # from the matrix kernel's, so every product spans two starts or more and a last lone start is
+    # multiplied beside the one before it.
+    width = max(2, _RUN_BLOCK_ROWS // m)
+    for g in range(0, len(starts), width):
+        lo = max(min(g, len(starts) - 2), 0)
+        product = np.matmul(powers, starts[lo:g + width].T)[..., g - lo:]
+        lead = int(g == 0)  # the first block's rows begin with sample 0
+        coords = np.empty((lead + product.shape[-1] * m + 1, _SIZE))  # room for the tail
         # Entry (j, :, b) of the product is S^(j+1) applied to block start g + b, which is sample (g + b) m + j + 1.
-        coords[lead:-1].reshape(-1, m, _SIZE)[...] = np.matmul(powers, group.T).transpose(2, 0, 1)
-        if lead:
-            coords[0] = starts[0]
-        end = min((g + _PRODUCT_STARTS) * m, count) + 1 - first
-        if tail and first + end == count + 1:
+        coords[lead:-1].reshape(-1, m, _SIZE)[...] = product.transpose(2, 0, 1)
+        coords[:lead] = starts[:lead]
+        end = lead + min(width * m, count - g * m)  # rows up to the last uniform sample of the block
+        if tail and (g + width) * m >= count:
             coords[end] = stride_matrix(tail) @ coords[end - 1]
             end += 1
-        for lo in range(0, end, _RUN_BLOCK_ROWS):
-            block = coords[lo:min(lo + _RUN_BLOCK_ROWS, end)]
-            _check_samples(block, label, first + lo)
-            yield Trajectory(times=grid.sample_times(first + lo, first + lo + len(block)), coords=block)
+        first = g * m + 1 - lead
+        _check_samples(coords[:end], label, first)
+        yield Trajectory(times=grid.sample_times(first, first + end), coords=coords[:end])
 
 
 def _joined(blocks: Iterator[Trajectory]) -> Trajectory:
+    """The whole trajectory; a run of one block, every preset among them, is returned without a copy."""
+    blocks = list(blocks)
+    if len(blocks) == 1:
+        return blocks[0]
     times, coords = zip(*((block.times, block.coords) for block in blocks))
     return Trajectory(times=np.concatenate(times), coords=np.concatenate(coords))
 

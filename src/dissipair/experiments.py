@@ -37,6 +37,7 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     _rk4_blocks,
+    evolve_rk4,
     initial_state,
     liouvillian_from_params,
     steady_state,
@@ -316,13 +317,14 @@ def _output_columns(block: Trajectory, kind: str) -> dict[str, np.ndarray]:
             for i in range(4) for j in range(4) for part, values in (("re", states.real), ("im", states.imag))}
 
 
-def _trajectory_table(runs, outputs) -> tuple[list[str], Iterator[np.ndarray]]:
+def _trajectory_table(runs, outputs, integrate) -> tuple[list[str], Iterator[np.ndarray]]:
     """Integrate the runs side by side: the header (t, then each run's output groups in the given order, names
     suffixed by label if several runs) and an iterator of the table's row blocks.
 
-    The runs share one grid, so their block streams line up.  The first block is computed here, for the header.
+    `integrate(rho0, generator, grid)` gives a run's `Trajectory` row blocks.  The runs share one grid, so
+    their block streams line up.  The first block is computed here, for the header.
     """
-    streams = [_rk4_blocks(initial_state(run.initial), liouvillian_from_params(run.params), run.grid) for run in runs]
+    streams = [integrate(initial_state(run.initial), liouvillian_from_params(run.params), run.grid) for run in runs]
 
     def block_table(blocks):
         header, columns = ["t"], [blocks[0].times]
@@ -342,7 +344,7 @@ def _trajectory_table(runs, outputs) -> tuple[list[str], Iterator[np.ndarray]]:
 def run_experiment(config: ExperimentConfig, out_dir: str = ".") -> str:
     """Integrate one configured trajectory and write its CSV: t, then the output groups in OUTPUT_KINDS order."""
     run = TrajectoryRun("", config.model, config.initial, config.grid)
-    header, blocks = _trajectory_table((run,), config.outputs)
+    header, blocks = _trajectory_table((run,), config.outputs, _rk4_blocks)
     return write_csv(_join_out(out_dir, config.output_path), header, blocks)
 
 
@@ -463,5 +465,6 @@ def run_figure(figure_id: str, out_dir: str = ".") -> str:
     kind, runs = presets[fig]
     if kind == "sweep":
         return run_sweep(runs, out_dir)
-    header, blocks = _trajectory_table(runs, (kind,))
-    return write_csv(_join_out(out_dir, f"fig{fig}.csv"), header, blocks)
+    # A preset is at most 2 501 rows: each run is one whole `evolve_rk4` trajectory, so the table is one block.
+    header, (table,) = _trajectory_table(runs, (kind,), lambda *run: (evolve_rk4(*run),))
+    return write_csv(_join_out(out_dir, f"fig{fig}.csv"), header, table)

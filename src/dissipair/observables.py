@@ -72,13 +72,20 @@ def _per_state(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-# The linear read-outs take raw coordinates y (`dynamics._coordinates`): y_i = rho_ii, then Re rho_ij and
-# Im rho_ij over the pairs i < j in row order, so y_7 = Re rho_12.
+def _position(i: int, j: int) -> int:
+    """Where `dynamics._coordinates` puts rho_ii (i == j) or Re rho_ij (i < j), read off the map itself."""
+    unit = np.zeros((4, 4))
+    unit[i, j] = unit[j, i] = 1.0
+    return int(np.flatnonzero(_coordinates(unit))[0])
+
+
+# The linear read-outs take raw coordinates y at these positions, so the layout has one owner.
+_EE, _EG, _GE, _GG, _RE_EG_GE = (_position(i, j) for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2)))
 
 
 def _qubit_populations(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P1 = rho_00 + rho_11 and P2 = rho_00 + rho_22, read off raw coordinates."""
-    return y[..., 0] + y[..., 1], y[..., 0] + y[..., 2]
+    return y[..., _EE] + y[..., _EG], y[..., _EE] + y[..., _GE]
 
 
 def _collective_populations(y: np.ndarray) -> CollectivePopulations:
@@ -86,8 +93,8 @@ def _collective_populations(y: np.ndarray) -> CollectivePopulations:
 
     Each + 0.0 turns a -0.0 into +0, so no population prints as -0.
     """
-    half = 0.5 * (y[..., 1] + y[..., 2]) + 0.0
-    return CollectivePopulations(y[..., 0] + 0.0, half + y[..., 7], half - y[..., 7], y[..., 3] + 0.0)
+    half, coherence = 0.5 * (y[..., _EG] + y[..., _GE]) + 0.0, y[..., _RE_EG_GE]
+    return CollectivePopulations(y[..., _EE] + 0.0, half + coherence, half - coherence, y[..., _GG] + 0.0)
 
 
 def populations(rho) -> tuple[float, float]:

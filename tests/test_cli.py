@@ -78,15 +78,17 @@ def test_evolve_numeric_error_exit_code(tmp_path):
 
 def test_evolve_negativity_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, capsys):
     # Minus a weak decay dissipator keeps the trace but drains |gg> from |eg>: P_gg = 1 - e^(eps t) passes
-    # -1e-6 between samples 6 and 7, so with blocks of 4 rows the first block is written before the check fails.
-    gen = -1.5e-5 * dissipair.build_liouvillian(np.zeros((4, 4)), [dissipair.sigma_minus(1)])
+    # -1e-6 between samples 28 and 29.  100 samples make block starts of 10, and blocks of 4 rows span two
+    # of them, so the first block (samples 0-20) is written before the check fails on the second (21-40),
+    # which names its lowest eigenvalue, at its last sample.
+    gen = -3.5e-6 * dissipair.build_liouvillian(np.zeros((4, 4)), [dissipair.sigma_minus(1)])
     monkeypatch.setattr(experiments, "liouvillian_from_params", lambda params: gen)
     monkeypatch.setattr(dynamics, "_RUN_BLOCK_ROWS", 4)
-    cfg = _config(tmp_path, "initial = EG\nt_max = 0.2\ndt = 0.01\n")
+    cfg = _config(tmp_path, "initial = EG\nt_max = 1\ndt = 0.01\n")
     out = tmp_path / "out"
     out.mkdir()
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
-    assert "negativity -1.050e-06 at sample 7 exceeds" in capsys.readouterr().err
+    assert "negativity -1.400e-06 at sample 40 exceeds" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

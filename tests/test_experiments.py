@@ -255,7 +255,7 @@ def test_trajectory_table_columns_are_the_public_observables():
     # The table reads populations off the coordinates; the public functions read the same states.
     grid = TimeGrid(1.0, 0.002, 3)
     run = experiments.TrajectoryRun("", DRIVE1, "EG", grid)
-    header, blocks = experiments._trajectory_table((run,), OUTPUT_KINDS)
+    header, blocks = experiments._trajectory_table((run,), OUTPUT_KINDS, dynamics._rk4_blocks)
     traj = evolve_rk4(initial_state("EG"), liouvillian_from_params(DRIVE1), grid)
     states = traj.states
     rho = [part[:, i, j] for i in range(4) for j in range(4) for part in (states.real, states.imag)]
@@ -265,28 +265,46 @@ def test_trajectory_table_columns_are_the_public_observables():
     np.testing.assert_array_equal(np.concatenate(list(blocks)), expected)
 
 
-# 35 003 steps stored every 7th: 5 000 uniform samples in 72 block starts, two products, then a 3-step tail.
+# 35 003 steps stored every 7th: 5 000 uniform samples in 72 block starts of 70, two blocks, then a 3-step tail.
 LONG_STRIDED = ExperimentConfig(model=DRIVE1, initial="GG", grid=TimeGrid(70.006, 0.002, 7), outputs=OUTPUT_KINDS,
                                 output_path="strided.csv")
+# 4 095 samples: 65 block starts of 63, one block by default; smaller blocks leave a lone last start.
+ONE_BLOCK = ExperimentConfig(model=DRIVE1, initial="EG", grid=TimeGrid(8.19, 0.002), outputs=("populations",),
+                             output_path="one_block.csv")
 
 
 def _write_block_cases(out):
     os.mkdir(out)
-    return [run_figure("5b", str(out)), run_figure("4a", str(out)), run_experiment(LONG_STRIDED, str(out))]
+    return [run_figure("5b", str(out)), run_figure("4a", str(out)), run_experiment(LONG_STRIDED, str(out)),
+            run_experiment(ONE_BLOCK, str(out))]
+
+
+def _block_lengths(config):
+    blocks = dynamics._rk4_blocks(initial_state(config.initial), liouvillian_from_params(config.model), config.grid)
+    return [len(block.times) for block in blocks]
 
 
 @pytest.mark.parametrize("rows", [7, 512])
 def test_row_blocks_leave_every_byte(tmp_path, monkeypatch, rows):
     default = _write_block_cases(tmp_path / "default")
+    assert _block_lengths(LONG_STRIDED) == [1 + 58 * 70, 5000 - 58 * 70 + 1]
+    assert _block_lengths(ONE_BLOCK) == [4096]
     monkeypatch.setattr(dynamics, "_RUN_BLOCK_ROWS", rows)
     small = _write_block_cases(tmp_path / "small")
     for a, b in zip(default, small):
         assert Path(a).read_bytes() == Path(b).read_bytes(), os.path.basename(a)
-    grid = LONG_STRIDED.grid
-    blocks = list(dynamics._rk4_blocks(initial_state("GG"), liouvillian_from_params(DRIVE1), grid))
-    assert max(len(block.times) for block in blocks) <= rows
-    np.testing.assert_array_equal(np.concatenate([block.times for block in blocks]), grid.sample_times())
-    assert grid.sample_steps()[-2:].tolist() == [35000, 35003]
+    # Each block spans max(2, rows // m) block starts of m samples; the first adds sample 0, the last the tail.
+    for config, m, starts in ((LONG_STRIDED, 70, 72), (ONE_BLOCK, 63, 65)):
+        width = max(2, rows // m)
+        lengths = _block_lengths(config)
+        assert len(lengths) == -(-starts // width)
+        assert max(lengths) <= width * m + 2
+        assert sum(lengths) == config.grid.n_samples
+    np.testing.assert_array_equal(
+        np.concatenate([block.times for block in dynamics._rk4_blocks(
+            initial_state("GG"), liouvillian_from_params(DRIVE1), LONG_STRIDED.grid)]),
+        LONG_STRIDED.grid.sample_times())
+    assert LONG_STRIDED.grid.sample_steps()[-2:].tolist() == [35000, 35003]
 
 
 def test_run_experiment_writes_file(tmp_path):
