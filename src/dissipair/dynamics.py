@@ -243,7 +243,8 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
     Hermitian by construction, passes exactly when no eigenvalue lies below -tol.
     """
     traces = np.abs(coords[:, :4].sum(axis=1) - 1.0)
-    if float(traces.max()) > TRACE_DRIFT_TOL:
+    # Both comparisons are written so that a NaN fails them too; argmax and argmin name the first NaN.
+    if not float(traces.max()) <= TRACE_DRIFT_TOL:
         k = int(traces.argmax())
         message = f"{label}: trace drift {traces[k]:.3e} at sample {first + k} exceeds {TRACE_DRIFT_TOL:.1e}"
         raise StateInvariantViolatedError(message)
@@ -251,7 +252,7 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
         np.linalg.cholesky(_states(coords + NEGATIVITY_TOL * _TRACE_ROW))
     except np.linalg.LinAlgError:  # only now name the sample: eigvalsh costs several Choleskys
         lows = np.linalg.eigvalsh(_states(coords))[:, 0]
-        if float(lows.min()) < -NEGATIVITY_TOL:
+        if not float(lows.min()) >= -NEGATIVITY_TOL:
             k = int(lows.argmin())
             message = f"{label}: negativity {lows[k]:.3e} at sample {first + k} exceeds {NEGATIVITY_TOL:.1e}"
             raise StateInvariantViolatedError(message) from None
@@ -286,6 +287,8 @@ def _propagate(rho0, grid: TimeGrid, stride_matrix, label: str) -> Iterator[Traj
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (_DIM, _DIM):
         raise ShapeMismatchError(f"initial state shape {rho0.shape}, expected {(_DIM, _DIM)}")
+    if not np.isfinite(rho0).all():  # before any arithmetic, which would warn on inf - inf
+        raise NotAStateError("initial state is not finite")
     if float(np.abs(rho0 - rho0.conj().T).max()) > 1e-8 or abs(rho0.trace() - 1.0) > 1e-8:
         raise NotAStateError("initial state must be Hermitian with unit trace")
     span = min(grid.sample_every, grid.n_steps)

@@ -22,6 +22,10 @@ _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 _STATE_TOL = 1e-6
 _ROWS, _COLS = np.triu_indices(4)  # the ten entries i <= j
+# The blocks {ee, gg} and {eg, ge} of an X-shaped state, as (first, second) basis indices, and the eight
+# coherences between them, both triangles: the Hermitian part is X-shaped exactly when all eight are zero.
+_FIRST, _SECOND = [0, 1], [3, 2]
+_OFF_X_ROWS, _OFF_X_COLS = [0, 0, 1, 2, 1, 2, 3, 3], [1, 2, 3, 3, 0, 0, 1, 2]
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,41 @@ def populations(rho) -> tuple[float, float]:
     return _per_state(p1), _per_state(p2)
 
 
+def _x_route(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalues of the two blocks of each X-shaped state, and its concurrence in closed form.
+
+    With rho clipped to its positive part, C = 2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22))
+    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)).
+    """
+    first, second = states[:, _FIRST, _FIRST].real, states[:, _SECOND, _SECOND].real
+    # _require_state bounded the Hermiticity defect; the blocks are those of the Hermitian part.
+    coherence = np.abs(0.5 * (states[:, _FIRST, _SECOND] + states[:, _SECOND, _FIRST].conj()))
+    half, spread = 0.5 * (first + second), np.hypot(0.5 * (first - second), coherence)
+    low, high = half - spread, half + spread
+    root = np.sqrt(np.maximum(first * second, 0.0))
+    clipped = low < 0.0
+    if clipped.any():
+        # A clipped block is max(high, 0) times the projector (B - low) / (high - low) on its top eigenvector,
+        # whose coherence and diagonal root are both max(high, 0) |b| / (high - low).
+        edge = np.divide(np.maximum(high, 0.0) * coherence, high - low, out=np.zeros_like(high), where=high > low)
+        coherence, root = np.where(clipped, edge, coherence), np.where(clipped, edge, root)
+    # Column 1 of coherence is |rho_12| and column 0 of root is sqrt(rho_00 rho_33); + 0.0 turns a -0 into +0.
+    return low.min(axis=1), 2.0 * np.maximum(0.0, (coherence - root[:, ::-1]).max(axis=1)) + 0.0
+
+
+def _factored_route(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalue of each state and its concurrence from one eigh and one svd, for any state."""
+    # _require_state bounded the Hermiticity defect; eigh reads the Hermitian part.
+    values, vectors = np.linalg.eigh(0.5 * (states + dagger(states)))
+    # rho = C C' with C = V diag(sqrt(lam)), so sqrt(rho) = C V' and C^T F C
+    # is sqrt(rho) F conj(sqrt(rho)) up to unitary factors.  Singular values
+    # keep the r_i at O(eps); square roots of eigenvalues of sqrt(rho)
+    # rho_tilde sqrt(rho) would lift roundoff to ~1e-8 on separable states.
+    factor = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    r = np.linalg.svd((np.swapaxes(factor, -1, -2)[..., ::-1] * _FLIP_SIGNS) @ factor, compute_uv=False)
+    return values[:, 0], np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
+
+
 def concurrence(rho):
     """Entanglement monotone of a two-qubit mixed state, or of each in a stack.
 
@@ -111,20 +150,27 @@ def concurrence(rho):
     (sy kron sy), and the result is max(0, r1 - r2 - r3 - r4): a float
     for one 4x4 state, an array of length N for an (N, 4, 4) stack.
     Eigenvalues below -1e-6 raise NotPSDError; higher ones clamp to zero.
+
+    An X-shaped state, whose coherences between {ee, gg} and {eg, ge} are
+    all exactly zero, takes the closed form of `_x_route` instead, which
+    reads its two 2x2 blocks.  Undriven runs from the named initial states
+    keep that shape: their Hamiltonian and collective jump conserve the
+    excitation number.  Every other state is factored with one eigh and
+    its r_i taken with one svd.
     """
     rho = _require_state(rho)
-    # _require_state bounded the Hermiticity defect; eigh reads the Hermitian part.
-    values, vectors = np.linalg.eigh(0.5 * (rho + dagger(rho)))
-    low = float(values.min(initial=0.0))
+    stack = rho.reshape(-1, 4, 4)
+    x_shaped = ~stack[:, _OFF_X_ROWS, _OFF_X_COLS].any(axis=-1)
+    # A route that takes every sample reads the stack itself; only a mixed stack copies its parts.
+    routes = [(mask, route(stack if mask.all() else stack[mask]))
+              for mask, route in ((x_shaped, _x_route), (~x_shaped, _factored_route)) if mask.any()]
+    low = min([0.0, *(float(lows.min()) for _, (lows, _) in routes)])
     if low < -_STATE_TOL:
         raise NotPSDError(f"state eigenvalue {low:.3e} below {-_STATE_TOL:.1e}")
-    # rho = C C' with C = V diag(sqrt(lam)), so sqrt(rho) = C V' and C^T F C
-    # is sqrt(rho) F conj(sqrt(rho)) up to unitary factors.  Singular values
-    # keep the r_i at O(eps); square roots of eigenvalues of sqrt(rho)
-    # rho_tilde sqrt(rho) would lift roundoff to ~1e-8 on separable states.
-    factor = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
-    r = np.linalg.svd((np.swapaxes(factor, -1, -2)[..., ::-1] * _FLIP_SIGNS) @ factor, compute_uv=False)
-    return _per_state(np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3]))
+    values = np.empty(len(stack))
+    for mask, (_, route_values) in routes:
+        values[mask] = route_values
+    return _per_state(values.reshape(rho.shape[:-2]))
 
 
 def collective_populations(rho) -> CollectivePopulations:

@@ -260,6 +260,19 @@ def test_rk4_rejects_bad_initial_state():
         evolve_rk4(2.0 * initial_state("EG"), gen, TimeGrid(1.0, 0.002))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_states_are_refused(value):
+    assert NotAStateError in NUMERIC_ERRORS  # the command line exits 3 on it
+    gen = liouvillian_from_params(ISO)
+    for rho0 in (np.full((4, 4), value), np.diag([value, 0.0, 0.0, 1.0])):
+        for evolve in (evolve_rk4, evolve_expm):
+            with pytest.raises(NotAStateError, match="^initial state is not finite$"):
+                evolve(rho0, gen, TimeGrid(1.0, 0.002))
+    # Every comparison against a bound fails on a NaN, so the check must be written to refuse it.
+    with pytest.raises(StateInvariantViolatedError, match=r"^probe: trace drift (nan|inf) at sample 5 exceeds"):
+        dynamics._check_samples(np.full((3, 16), value), "probe", 5)
+
+
 def test_integrators_reject_a_stacked_generator():
     gen = liouvillian_from_params(model.ModelParams(J=1.0, Gamma=np.array([1.0, 2.0])))
     assert gen.shape == (2, 16, 16)

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -193,15 +194,84 @@ def _state_with_spectrum(seed, spectrum):
     return 0.5 * (rho + rho.conj().T)
 
 
+# The blocks {ee, gg} and {eg, ge} of an X-shaped state, and the entries between them.
+_OUTER, _INNER = [0, 3], [1, 2]
+_OFF_X = np.ones((4, 4), dtype=bool)
+_OFF_X[np.ix_(_OUTER, _OUTER)] = _OFF_X[np.ix_(_INNER, _INNER)] = False
+
+
+def _x_state_with_spectrum(seed, spectrum):
+    # Eigenvalues 0 and 3 go to the block {ee, gg}, 1 and 2 to {eg, ge}, each in a random frame.
+    rng = np.random.default_rng(seed)
+    rho = np.zeros((4, 4), dtype=complex)
+    for block, pair in ((_OUTER, [0, 3]), (_INNER, [1, 2])):
+        frame = random_unitary(rng, 2)
+        rho[np.ix_(block, block)] = (frame * np.asarray(spectrum)[pair]) @ frame.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
 def test_concurrence_rejects_negative_eigenvalue():
-    with pytest.raises(NotPSDError):
-        concurrence(_state_with_spectrum(113, [0.6, 0.401, 0.0, -1e-3]))
+    # The factored route and the closed form of an X-shaped state name the same eigenvalue.
+    for build in (_state_with_spectrum, _x_state_with_spectrum):
+        with pytest.raises(NotPSDError, match=r"^state eigenvalue -1\.000e-03 below -1\.0e-06$"):
+            concurrence(build(113, [0.6, 0.401, 0.0, -1e-3]))
 
 
 def test_concurrence_clamps_roundoff_negative_eigenvalue():
-    value = concurrence(_state_with_spectrum(127, [0.6, 0.4 + 1e-12, 0.0, -1e-12]))
-    assert math.isfinite(value)
-    assert abs(value - concurrence(_state_with_spectrum(127, [0.6, 0.4 + 1e-12, 0.0, 0.0]))) <= 1e-9
+    for build in (_state_with_spectrum, _x_state_with_spectrum):
+        value = concurrence(build(127, [0.6, 0.4 + 1e-12, 0.0, -1e-12]))
+        assert math.isfinite(value)
+        assert abs(value - concurrence(build(127, [0.6, 0.4 + 1e-12, 0.0, 0.0]))) <= 1e-9
+
+
+def _random_x_state(rng, ranks):
+    rho = np.zeros((4, 4), dtype=complex)
+    for block, rank in zip((_OUTER, _INNER), ranks):
+        g = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+        rho[np.ix_(block, block)] = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+_BELL_EE_GG = np.zeros((4, 4))
+_BELL_EE_GG[np.ix_(_OUTER, _OUTER)] = 0.5  # (|ee> + |gg>) / sqrt2, the pure state with rho_03 != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ranks=st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any),
+       named=st.sampled_from([None, None, None, "EE", "EG", "GE", "GG", "PLUS", "MINUS", "BELL_EE_GG"]))
+def test_x_states_match_their_local_unitary_rotations(seed, ranks, named):
+    # An X-shaped state takes the closed form; its rotation (u kron v) rho (u kron v)' is not X-shaped and takes
+    # the factored route.  Concurrence is invariant under local unitaries, so the two routes must agree.
+    rng = np.random.default_rng(seed)
+    if named is None:
+        rho = _random_x_state(rng, ranks)
+    else:
+        rho = _BELL_EE_GG if named == "BELL_EE_GG" else initial_state(named)
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    rotated = u @ rho @ u.conj().T
+    assert not rho[_OFF_X].any() and rotated[_OFF_X].any()
+    assert abs(concurrence(rho) - concurrence(rotated)) <= 1e-12
+
+
+def test_mixed_stack_routes_each_sample_and_matches_single_calls():
+    rng = np.random.default_rng(131)
+    x_states = [_random_x_state(rng, (2, 1)), initial_state("PLUS"), _random_x_state(rng, (1, 2))]
+    others = [random_density_matrix(rng, rank=rank) for rank in (4, 2, 1)]
+    stack = np.array([x_states[0], others[0], others[1], x_states[1], others[2], x_states[2]])
+    with mock.patch.object(observables, "_x_route", wraps=observables._x_route) as x_route, \
+            mock.patch.object(observables, "_factored_route", wraps=observables._factored_route) as factored:
+        batched = concurrence(stack)
+        assert [len(call.args[0]) for call in x_route.call_args_list] == [3]
+        assert [len(call.args[0]) for call in factored.call_args_list] == [3]
+        np.testing.assert_array_equal(batched, [concurrence(rho) for rho in stack])
+        # A stack whose samples all take one route hands that route the stack itself, not a copy.
+        for single_route in (np.array(x_states), np.array(others)):
+            x_route.reset_mock()
+            factored.reset_mock()
+            concurrence(single_route)
+            (call,) = x_route.call_args_list + factored.call_args_list
+            assert np.shares_memory(call.args[0], single_route)
 
 
 def _concurrence_rank2(rho):

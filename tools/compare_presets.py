@@ -5,7 +5,11 @@
 OLD_SRC and NEW_SRC are directories that hold the `dissipair` package, such as
 the `src` of two checkouts.  Each tree writes the 15 presets in its own Python
 process.  For each preset the script prints "identical", or the number of
-changed cells, the columns they sit in and the largest |difference|.  It exits
+changed cells, the columns they sit in and the largest |difference|, and then
+the wall time of the preset's write in each tree, old -> new, in ms.  Each
+time is one `dissipair figure <id>` call, timed once, in the tree's process
+after the presets listed before it; the first write also pays one-time costs.
+Treat the times as orders of magnitude.  It exits
 1 when a preset differs by more than TOL (default 0, so any change), when a
 header or a table shape differs, or when a cell of the new tree prints -0.
 """
@@ -21,13 +25,26 @@ import tempfile
 import numpy as np
 
 FIGURES = ("2a", "2b", "2c", "2d", "3a", "3b", "4a", "4b", "5b", "5c", "5d", "6a", "6b", "6c", "6d")
-_WRITE = ("import sys; from dissipair.cli import main; "
-          "sys.exit(max(main(['figure', f, '--out', sys.argv[1]]) for f in sys.argv[2:]))")
+_TIMED = "ms"
+_WRITE = f"""
+import sys, time
+from dissipair.cli import main
+status = 0
+for fig in sys.argv[2:]:
+    start = time.perf_counter()
+    status = max(status, main(["figure", fig, "--out", sys.argv[1]]))
+    print("{_TIMED}", fig, 1e3 * (time.perf_counter() - start))
+sys.exit(status)
+"""
 
 
-def write_presets(src: str, out: str) -> None:
+def write_presets(src: str, out: str) -> dict[str, float]:
+    """Write every preset into `out` with the package under `src`; the wall time of each write in ms."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    subprocess.run([sys.executable, "-c", _WRITE, out, *FIGURES], env=env, check=True, stdout=subprocess.DEVNULL)
+    done = subprocess.run([sys.executable, "-c", _WRITE, out, *FIGURES], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    lines = (line.split() for line in done.stdout.splitlines())
+    return {fields[1]: float(fields[2]) for fields in lines if fields[:1] == [_TIMED]}
 
 
 def _read(path: str) -> tuple[str, np.ndarray]:
@@ -65,15 +82,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         old_dir, new_dir = os.path.join(tmp, "old"), os.path.join(tmp, "new")
+        times = []
         for src, out in ((args.old_src, old_dir), (args.new_src, new_dir)):
             os.mkdir(out)
-            write_presets(src, out)
+            times.append(write_presets(src, out))
         ok = True
         for fig in FIGURES:
             name = f"fig{fig}.csv"
             line, passed = compare(os.path.join(old_dir, name), os.path.join(new_dir, name), args.tol)
             ok &= passed
-            print(f"{fig}: {line}")
+            print(f"{fig}: {line}; write {times[0][fig]:.1f} -> {times[1][fig]:.1f} ms")
     return 0 if ok else 1
 
 
