@@ -14,7 +14,6 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     build_liouvillian,
-    evolve_expm,
     evolve_rk4,
     initial_state,
     liouvillian_from_params,

@@ -4,10 +4,9 @@ B is the orthonormal Hermitian matrix-unit basis E_ii, (E_ij + E_ji)/sqrt2,
 i(E_ji - E_ij)/sqrt2 (i < j): a unitary change from vectorized matrices, so R
 keeps their singular values, and real since L preserves Hermiticity.  The
 model's R is linear in seven real rates: their product with a constant basis
-built at import.  Both integrators fill the stored samples with powers of a
-real stride matrix on the raw coordinates (rho_ii, Re rho_ij, Im rho_ij), from
-the RK4 step or, as an independent cross-check, the exponential, and hand
-them on in checked row blocks.  A state is built from its coordinates by
+built at import.  The RK4 integrator fills the stored samples with powers of
+its real step matrix on the raw coordinates (rho_ii, Re rho_ij, Im rho_ij) and
+hands them on in checked row blocks.  A state is built from its coordinates by
 placing each entry exactly, so it is Hermitian by construction.
 """
 
@@ -28,7 +27,6 @@ from .errors import (
     StepTooLargeError,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, dagger, matrix_exponential
 from .model import ModelParams, build_coherent_hamiltonian, build_drive_hamiltonian, require_finite, sigma_minus, sigma_z
 
 # Hard ceiling on dt * ||R||_inf; above this RK4 accuracy degrades fast.
@@ -174,16 +172,17 @@ def build_liouvillian(
     """The real master-equation generator R_ab = Tr(B_a L(B_b)), or a stack of them.
 
     L(B) = -1j [H, B] + sum_k (L_k B L_k' - {L_k' L_k, B} / 2), from a
-    (..., 4, 4) Hamiltonian, Hermitian within DEFAULT_TOL, and collapse
+    (..., 4, 4) Hamiltonian, Hermitian within 1e-10, and collapse
     operators with rates absorbed into their amplitudes, each (..., 4, 4);
     all broadcast to the leading axes of the real (..., 16, 16) result.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape[-2:] != (_DIM, _DIM):
         raise ShapeMismatchError(f"hamiltonian must be ({_DIM}, {_DIM}) or a stack of them, got {h.shape}")
-    defect = float(np.abs(h - dagger(h)).max())
-    if defect > DEFAULT_TOL:
-        raise NotHermitianError(f"hamiltonian defect {defect:.3e} exceeds {DEFAULT_TOL:.3e}")
+    tol = 1e-10
+    defect = float(np.abs(h - h.conj().swapaxes(-1, -2)).max())
+    if defect > tol:
+        raise NotHermitianError(f"hamiltonian defect {defect:.3e} exceeds {tol:.3e}")
     h = h[..., None, :, :]
     images = -1j * (h @ _BASIS - _BASIS @ h)
     for op in jump_operators:
@@ -191,8 +190,9 @@ def build_liouvillian(
         if op.shape[-2:] != (_DIM, _DIM):
             raise ShapeMismatchError(f"jump operator shape {op.shape} does not match {h.shape[-2:]}")
         op = op[..., None, :, :]
-        square = dagger(op) @ op
-        images = images + op @ _BASIS @ dagger(op) - 0.5 * (square @ _BASIS + _BASIS @ square)
+        op_dagger = op.conj().swapaxes(-1, -2)
+        square = op_dagger @ op
+        images = images + op @ _BASIS @ op_dagger - 0.5 * (square @ _BASIS + _BASIS @ square)
     # Tr(B_a X) = sum_ij (B_a)_ji X_ij, real up to roundoff for a Hermitian H.
     return np.einsum("aji,...bij->...ab", _BASIS, images).real
 
@@ -237,7 +237,8 @@ def liouvillian_from_params(params: ModelParams) -> np.ndarray:
 
 
 def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
-    """Refuse a trace drift or an eigenvalue beyond tolerance in the (N, 16) coordinates of samples first, ...
+    """Refuse a trace drift, a coordinate that is not finite or an eigenvalue beyond tolerance in the (N, 16)
+    coordinates of samples first, ...
 
     The trace is the sum of the four diagonal coordinates, and one batched Cholesky of rho + tol I,
     Hermitian by construction, passes exactly when no eigenvalue lies below -tol.
@@ -248,6 +249,11 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
         k = int(traces.argmax())
         message = f"{label}: trace drift {traces[k]:.3e} at sample {first + k} exceeds {TRACE_DRIFT_TOL:.1e}"
         raise StateInvariantViolatedError(message)
+    # Off the diagonal a NaN or inf leaves the trace alone, and Cholesky returns NaN rather than raising.
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise StateInvariantViolatedError(f"{label}: coordinates not finite at sample {first + k}")
     try:
         np.linalg.cholesky(_states(coords + NEGATIVITY_TOL * _TRACE_ROW))
     except np.linalg.LinAlgError:  # only now name the sample: eigvalsh costs several Choleskys
@@ -266,18 +272,9 @@ def _real_generator(liouvillian) -> np.ndarray:
     return gen.real.astype(float, copy=False)
 
 
-def _single_generator(liouvillian) -> np.ndarray:
-    """The real generator, refused unless it is one (16, 16) matrix: the integrators evolve one model at a time."""
-    gen = _real_generator(liouvillian)
-    if gen.shape != (_SIZE, _SIZE):
-        stack = "a stack of " if gen.ndim > 2 else ""
-        raise ShapeMismatchError(f"integrators take one ({_SIZE}, {_SIZE}) generator, got {stack}shape {gen.shape}")
-    return gen
-
-
-def _propagate(rho0, grid: TimeGrid, stride_matrix, label: str) -> Iterator[Trajectory]:
-    """Checked row blocks of the stored samples, filled with powers of `stride_matrix(span)`, the map of raw
-    coordinates over `span` steps.
+def _propagate(rho0, grid: TimeGrid, step: np.ndarray, label: str) -> Iterator[Trajectory]:
+    """Checked row blocks of the stored samples, filled with powers of the stride matrix S = step^span, the
+    map of raw coordinates over the `span` steps of a sample interval.
 
     Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start to the next, and a
     batched product of S^1..S^m with max(2, _RUN_BLOCK_ROWS // m) block starts fills each row block, so a run
@@ -295,7 +292,7 @@ def _propagate(rho0, grid: TimeGrid, stride_matrix, label: str) -> Iterator[Traj
     count, tail = divmod(grid.n_steps, span)
     m = math.isqrt(count)
     powers = np.empty((m, _SIZE, _SIZE))
-    powers[0] = stride_matrix(span)
+    powers[0] = np.linalg.matrix_power(step, span)
     for j in range(1, m):
         np.matmul(powers[j - 1], powers[0], out=powers[j])
     starts = np.empty((-(-count // m), _SIZE))
@@ -316,7 +313,7 @@ def _propagate(rho0, grid: TimeGrid, stride_matrix, label: str) -> Iterator[Traj
         coords[:lead] = starts[:lead]
         end = lead + min(width * m, count - g * m)  # rows up to the last uniform sample of the block
         if tail and (g + width) * m >= count:
-            coords[end] = stride_matrix(tail) @ coords[end - 1]
+            coords[end] = np.linalg.matrix_power(step, tail) @ coords[end - 1]
             end += 1
         first = g * m + 1 - lead
         _check_samples(coords[:end], label, first)
@@ -334,7 +331,10 @@ def _joined(blocks: Iterator[Trajectory]) -> Trajectory:
 
 def _rk4_blocks(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Iterator[Trajectory]:
     """The checked row blocks of `evolve_rk4`; the generator and its step bound are checked on call."""
-    gen = _single_generator(liouvillian)
+    gen = _real_generator(liouvillian)
+    if gen.shape != (_SIZE, _SIZE):
+        stack = "a stack of " if gen.ndim > 2 else ""
+        raise ShapeMismatchError(f"the integrator takes one ({_SIZE}, {_SIZE}) generator, got {stack}shape {gen.shape}")
     bound = grid.dt * float(np.abs(gen).sum(axis=1).max())
     if not bound <= MAX_STEP_NORM:  # a NaN bound fails here too
         if not math.isfinite(bound):
@@ -343,7 +343,7 @@ def _rk4_blocks(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Iterator[Traje
     a = grid.dt * gen * _SIMILARITY
     eye = np.eye(_SIZE)
     step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
-    return _propagate(rho0, grid, lambda span: np.linalg.matrix_power(step, span), f"rk4 dt={grid.dt:g}")
+    return _propagate(rho0, grid, step, f"rk4 dt={grid.dt:g}")
 
 
 def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
@@ -362,13 +362,6 @@ def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     row-sum norm, which differs from it by a bounded factor and costs one pass.
     """
     return _joined(_rk4_blocks(rho0, liouvillian, grid))
-
-
-def evolve_expm(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
-    """Propagation by the exact exponential map over each sample interval, an independent cross-check of RK4."""
-    gen = _single_generator(liouvillian) * _SIMILARITY
-    return _joined(_propagate(rho0, grid, lambda span: matrix_exponential(gen * (span * grid.dt)),
-                              f"expm dt={grid.dt:g}"))
 
 
 def steady_state(liouvillian: np.ndarray) -> SteadyStateResult:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .dynamics import _coordinates
 from .errors import InvalidStateError, NotPSDError, ShapeMismatchError
-from .linalg import dagger
 from .model import require_finite, require_non_negative
 
 # sigma_y kron sigma_y is the anti-diagonal (-1, 1, 1, -1): X F is X with its columns reversed and signed.
@@ -132,7 +131,7 @@ def _x_route(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _factored_route(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenvalue of each state and its concurrence from one eigh and one svd, for any state."""
     # _require_state bounded the Hermiticity defect; eigh reads the Hermitian part.
-    values, vectors = np.linalg.eigh(0.5 * (states + dagger(states)))
+    values, vectors = np.linalg.eigh(0.5 * (states + states.conj().swapaxes(-1, -2)))
     # rho = C C' with C = V diag(sqrt(lam)), so sqrt(rho) = C V' and C^T F C
     # is sqrt(rho) F conj(sqrt(rho)) up to unitary factors.  Singular values
     # keep the r_i at O(eps); square roots of eigenvalues of sqrt(rho)

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -285,3 +286,32 @@ def test_module_entry_point(tmp_path, module):
     assert done.returncode == 0, done.stderr
     data = np.loadtxt(tmp_path / "fig2b.csv", delimiter=",", skiprows=1)
     assert data.shape == (2501, 5)
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: scipy is a test oracle, so block it and write a preset.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dissipair.__file__)))
+    probe = ("import sys; sys.modules['scipy'] = None\n"
+             "from dissipair.cli import main\n"
+             "sys.exit(main(['figure', '2c', '--out', sys.argv[1]]))")
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "fig2c.csv").read_text().count("\n") == 2502
+
+
+def test_compare_presets_refuses_a_bad_tree(tmp_path, capsys):
+    # A bad tree exits 2, not 1 ("presets differ"): a checkout root passed in place of its src before anything
+    # is written, and a package that fails to write the presets.
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "compare_presets.py")
+    spec = importlib.util.spec_from_file_location("compare_presets", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    broken = tmp_path / "broken"
+    (broken / "dissipair").mkdir(parents=True)
+    (broken / "dissipair" / "__init__.py").write_text("raise ImportError('broken tree')\n")
+    for tree, message in ((tmp_path, "holds no dissipair/__init__.py; pass the src of a checkout"),
+                          (broken, "writing the presets failed with exit code 1")):
+        assert tool.main([str(tree), str(broken)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"compare_presets: {tree}: {message}\n"

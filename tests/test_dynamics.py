@@ -11,7 +11,6 @@ from dissipair.dynamics import (
     INITIAL_STATE_NAMES,
     TimeGrid,
     build_liouvillian,
-    evolve_expm,
     evolve_rk4,
     initial_state,
     liouvillian_from_params,
@@ -31,6 +30,9 @@ from dissipair.errors import (
 
 from oracles import (
     HERMITIAN_BASIS,
+    S1,
+    column_stacked,
+    exponential_trajectory,
     five_point_derivative,
     generator_of,
     hermitian_coordinates,
@@ -45,16 +47,6 @@ ISO = model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi)
 
 def _matrix(x):
     return np.einsum("...a,aij->...ij", x, HERMITIAN_BASIS)
-
-
-def _column_stacked(h, jumps):
-    """The complex generator on column-stacked rho, from vec(A X B) = (B.T kron A) vec(X)."""
-    eye = np.eye(4)
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for op in jumps:
-        square = op.conj().T @ op
-        gen = gen + np.kron(op.conj(), op) - 0.5 * (np.kron(eye, square) + np.kron(square.T, eye))
-    return gen
 
 
 # ---- the Hermitian basis ----
@@ -81,7 +73,7 @@ def test_generator_is_the_column_stacked_form_in_the_hermitian_basis():
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = g + g.conj().T
         jumps = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
-        stacked = _column_stacked(h, jumps)
+        stacked = column_stacked(h, jumps)
         gen = build_liouvillian(h, jumps)
         scale = np.abs(stacked).max()
         assert gen.dtype == float
@@ -265,21 +257,24 @@ def test_non_finite_states_are_refused(value):
     assert NotAStateError in NUMERIC_ERRORS  # the command line exits 3 on it
     gen = liouvillian_from_params(ISO)
     for rho0 in (np.full((4, 4), value), np.diag([value, 0.0, 0.0, 1.0])):
-        for evolve in (evolve_rk4, evolve_expm):
-            with pytest.raises(NotAStateError, match="^initial state is not finite$"):
-                evolve(rho0, gen, TimeGrid(1.0, 0.002))
+        with pytest.raises(NotAStateError, match="^initial state is not finite$"):
+            evolve_rk4(rho0, gen, TimeGrid(1.0, 0.002))
     # Every comparison against a bound fails on a NaN, so the check must be written to refuse it.
     with pytest.raises(StateInvariantViolatedError, match=r"^probe: trace drift (nan|inf) at sample 5 exceeds"):
         dynamics._check_samples(np.full((3, 16), value), "probe", 5)
+    # Off the diagonal the trace stays finite: sample 6 of |eg> samples, with Re rho_12 not finite.
+    coords = np.tile(dynamics._coordinates(initial_state("EG")), (3, 1))
+    coords[1:, 7] = value
+    with pytest.raises(StateInvariantViolatedError, match="^probe: coordinates not finite at sample 6$"):
+        dynamics._check_samples(coords, "probe", 5)
 
 
 def test_integrators_reject_a_stacked_generator():
     gen = liouvillian_from_params(model.ModelParams(J=1.0, Gamma=np.array([1.0, 2.0])))
     assert gen.shape == (2, 16, 16)
     assert ShapeMismatchError in CONFIG_ERRORS  # the command line exits 2 on it
-    for evolve in (evolve_rk4, evolve_expm):
-        with pytest.raises(ShapeMismatchError, match=r"stack of shape \(2, 16, 16\)"):
-            evolve(initial_state("EG"), gen, TimeGrid(1.0, 0.002))
+    with pytest.raises(ShapeMismatchError, match=r"stack of shape \(2, 16, 16\)"):
+        evolve_rk4(initial_state("EG"), gen, TimeGrid(1.0, 0.002))
 
 
 def test_rk4_flags_trace_drift():
@@ -293,10 +288,9 @@ def test_integrators_flag_negativity():
     # Minus a decay dissipator preserves the trace but pumps |gg> into |eg>: P_gg = 1 - e^t < 0.
     gen = -build_liouvillian(np.zeros((4, 4)), [model.sigma_minus(1)])
     assert np.abs(hermitian_coordinates(np.eye(4)) @ gen).max() <= 1e-15
-    for evolve, name in ((evolve_rk4, "rk4"), (evolve_expm, "expm")):
-        with pytest.raises(StateInvariantViolatedError,
-                           match=rf"^{name} dt=0.01: negativity -1\.052e-01 at sample 10 exceeds 1\.0e-06$"):
-            evolve(initial_state("EG"), gen, TimeGrid(0.1, 0.01))
+    with pytest.raises(StateInvariantViolatedError,
+                       match=r"^rk4 dt=0.01: negativity -1\.052e-01 at sample 10 exceeds 1\.0e-06$"):
+        evolve_rk4(initial_state("EG"), gen, TimeGrid(0.1, 0.01))
 
 
 def test_negativity_check_spares_samples_within_tolerance():
@@ -324,7 +318,6 @@ def test_integrators_refuse_a_generator_with_an_imaginary_part():
                                   evolve_rk4(initial_state("EG"), gen.real, TimeGrid(0.1, 0.002)).states)
     gen[4, 10] += 1e-300j
     for refuse in (lambda g: evolve_rk4(initial_state("EG"), g, TimeGrid(0.1, 0.002)),
-                   lambda g: evolve_expm(initial_state("EG"), g, TimeGrid(0.1, 0.002)),
                    steady_state, lambda g: steady_state(np.array([g.real, g]))):
         with pytest.raises(NotHermitianError, match="imaginary part"):
             refuse(gen)
@@ -385,7 +378,7 @@ def test_rk4_propagator_matches_stepwise_rk4(J, Gamma, phi, kappa, drive, initia
     rho0 = initial_state(initial)
     traj = evolve_rk4(rho0, gen, grid)
     target, amplitude = drive or (1, 0.0)
-    stacked = _column_stacked(*model_operators(J, Gamma, phi, kappa, amplitude, target))
+    stacked = column_stacked(*model_operators(J, Gamma, phi, kappa, amplitude, target))
     reference = _rk4_stepwise(rho0, lambda rho: (stacked @ rho.T.ravel()).reshape(4, 4).T, grid)
     assert traj.states.shape == reference.shape
     assert traj.states.flags.c_contiguous
@@ -413,20 +406,15 @@ def test_rk4_states_are_hermitian_with_unit_trace(J, Gamma, phi, kappa, amplitud
     assert np.abs(evolve_rk4(rho0, gen, short).states - reference).max() <= 1e-10
 
 
-def test_expm_constant_under_zero_generator():
-    gen = np.zeros((16, 16), dtype=complex)
-    rho0 = initial_state("GE")
-    traj = evolve_expm(rho0, gen, TimeGrid(1.0, 0.01))
-    assert np.abs(traj.states - rho0).max() == 0.0
-
-
 def test_expm_exact_single_qubit_damping():
-    gamma = 1.3
-    jump = math.sqrt(gamma) * model.sigma_minus(1)
-    gen = build_liouvillian(np.zeros((4, 4)), [jump])
-    traj = evolve_expm(initial_state("EG"), gen, TimeGrid(2.0, 0.01, sample_every=20))
-    p1 = (traj.states[:, 0, 0] + traj.states[:, 1, 1]).real
-    np.testing.assert_allclose(p1, np.exp(-gamma * traj.times), atol=1e-12)
+    # The oracle behind criterion 7, checked against a closed form first: P1(t) = exp(-gamma t) from |eg>,
+    # over uniform intervals of 20 steps and a shorter last one of 7.
+    gamma, dt = 1.3, 0.01
+    steps = np.append(np.arange(0, 201, 20), 207)
+    states = exponential_trajectory(np.zeros((4, 4)), [math.sqrt(gamma) * S1], initial_state("EG"), steps, dt)
+    assert states.shape == (len(steps), 4, 4)
+    np.testing.assert_allclose((states[:, 0, 0] + states[:, 1, 1]).real, np.exp(-gamma * steps * dt),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_integrator_agreement_generic_parameters():
@@ -435,8 +423,9 @@ def test_integrator_agreement_generic_parameters():
     gen = liouvillian_from_params(params)
     grid = TimeGrid(3.0, 0.002, sample_every=50)
     a = evolve_rk4(initial_state("PLUS"), gen, grid)
-    b = evolve_expm(initial_state("PLUS"), gen, grid)
-    assert np.abs(a.states - b.states).max() <= 1e-8
+    b = exponential_trajectory(*model_operators(1.0, 1.1, 0.9, 0.05, 0.3, 2), initial_state("PLUS"),
+                               grid.sample_steps(), grid.dt)
+    assert np.abs(a.states - b).max() <= 1e-8
 
 
 def test_spin_expectation_consistency():
@@ -586,7 +575,7 @@ def test_steady_state_matches_svd_null_vector(cells):
         if unique:
             # The null vector of the test's own column-stacked form: near the bound, that of the
             # real R is only good to ~1e-8 (against a 30-digit reference; the state to ~6e-16).
-            vh = np.linalg.svd(_column_stacked(*model_operators(j, g, p, k, w)))[2]
+            vh = np.linalg.svd(column_stacked(*model_operators(j, g, p, k, w)))[2]
             null = vh[-1].conj().reshape(4, 4).T
             null = null / np.trace(null)
             assert np.abs(rho - 0.5 * (null + null.conj().T)).max() <= 1e-10

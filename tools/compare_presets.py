@@ -12,6 +12,8 @@ after the presets listed before it; the first write also pays one-time costs.
 Treat the times as orders of magnitude.  It exits
 1 when a preset differs by more than TOL (default 0, so any change), when a
 header or a table shape differs, or when a cell of the new tree prints -0.
+It exits 2 when a tree holds no `dissipair/__init__.py`, before writing
+anything, or when a tree's writes fail.
 """
 
 from __future__ import annotations
@@ -80,12 +82,22 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", help="directory holding the new dissipair package")
     parser.add_argument("--tol", type=float, default=0.0, help="largest |difference| a changed cell may show")
     args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not os.path.isfile(os.path.join(src, "dissipair", "__init__.py")):
+            print(f"compare_presets: {src}: holds no dissipair/__init__.py; pass the src of a checkout",
+                  file=sys.stderr)
+            return 2
     with tempfile.TemporaryDirectory() as tmp:
         old_dir, new_dir = os.path.join(tmp, "old"), os.path.join(tmp, "new")
         times = []
         for src, out in ((args.old_src, old_dir), (args.new_src, new_dir)):
             os.mkdir(out)
-            times.append(write_presets(src, out))
+            try:
+                times.append(write_presets(src, out))
+            except subprocess.CalledProcessError as exc:
+                print(f"compare_presets: {src}: writing the presets failed with exit code {exc.returncode}",
+                      file=sys.stderr)
+                return 2
         ok = True
         for fig in FIGURES:
             name = f"fig{fig}.csv"
