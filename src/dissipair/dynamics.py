@@ -6,8 +6,9 @@ keeps their singular values, and real since L preserves Hermiticity.  The
 model's R is linear in seven real rates: their product with a constant basis
 built at import.  The RK4 integrator fills the stored samples with powers of
 its real step matrix on the raw coordinates (rho_ii, Re rho_ij, Im rho_ij) and
-hands them on in checked row blocks.  A state is built from its coordinates by
-placing each entry exactly, so it is Hermitian by construction.
+hands them on in row blocks, checked in closed form where a sample is X-shaped
+and by one batched Cholesky elsewhere.  A state is built from its coordinates
+by placing each entry exactly, so it is Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -66,6 +67,18 @@ def _states(coords: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _position(i: int, j: int, imag: bool = False) -> int:
+    """Where `_coordinates` puts rho_ii (i == j), Re rho_ij (i < j) or, with `imag`, Im rho_ij, read off the map."""
+    unit = np.zeros((_DIM, _DIM), dtype=complex)
+    unit[i, j], unit[j, i] = (1j, -1j) if imag else (1.0, 1.0)
+    return int(np.flatnonzero(_coordinates(unit))[0])
+
+
+# Rows p, q, Re b, Im b of the blocks [[p, b], [b*, q]] over {ee, gg} and {eg, ge} (columns) of an X-shaped state,
+# and the eight coordinates of the coherences between the blocks: a state is X-shaped exactly when those are zero.
+_X_BLOCKS = np.array([[_position(i, i), _position(j, j), _position(i, j), _position(i, j, True)]
+                      for i, j in ((0, 3), (1, 2))]).T
+_OFF_X = np.array([_position(i, j, imag) for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)) for imag in (False, True)])
 _BASIS = _states(np.eye(_SIZE) / _SCALE)  # B_a: orthonormal coordinates e_a
 # The generator on raw coordinates y = x / s is R_ab s_b / s_a; the factors on its diagonal are exactly 1.
 _SIMILARITY = _SCALE[None, :] / _SCALE[:, None]
@@ -240,8 +253,9 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
     """Refuse a trace drift, a coordinate that is not finite or an eigenvalue beyond tolerance in the (N, 16)
     coordinates of samples first, ...
 
-    The trace is the sum of the four diagonal coordinates, and one batched Cholesky of rho + tol I,
-    Hermitian by construction, passes exactly when no eigenvalue lies below -tol.
+    The trace is the sum of the four diagonal coordinates.  No eigenvalue lies below -tol exactly when, for an
+    X-shaped sample, each block [[p, b], [b*, q]] has p + tol >= 0, q + tol >= 0 and (p + tol)(q + tol) >= |b|^2,
+    and, for the others, one batched Cholesky of rho + tol I, Hermitian by construction, passes.
     """
     traces = np.abs(coords[:, :4].sum(axis=1) - 1.0)
     # Both comparisons are written so that a NaN fails them too; argmax and argmin name the first NaN.
@@ -254,14 +268,23 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
     if not finite.all():
         k = int(finite.argmin())
         raise StateInvariantViolatedError(f"{label}: coordinates not finite at sample {first + k}")
+    x_shaped = ~coords[:, _OFF_X].any(axis=1)
+    passed, rest = True, coords  # a block with no X-shaped sample goes to Cholesky whole, without a copy
+    if x_shaped.any():
+        p, q, re, im = (coords if x_shaped.all() else coords[x_shaped])[:, _X_BLOCKS].transpose(1, 0, 2)
+        p, q = p + NEGATIVITY_TOL, q + NEGATIVITY_TOL
+        passed, rest = bool(np.all((p >= 0.0) & (q >= 0.0) & (p * q >= re * re + im * im))), coords[~x_shaped]
     try:
-        np.linalg.cholesky(_states(coords + NEGATIVITY_TOL * _TRACE_ROW))
-    except np.linalg.LinAlgError:  # only now name the sample: eigvalsh costs several Choleskys
+        if passed and len(rest):
+            np.linalg.cholesky(_states(rest + NEGATIVITY_TOL * _TRACE_ROW))
+    except np.linalg.LinAlgError:
+        passed = False
+    if not passed:  # only now name the sample: eigvalsh costs several Choleskys
         lows = np.linalg.eigvalsh(_states(coords))[:, 0]
         if not float(lows.min()) >= -NEGATIVITY_TOL:
             k = int(lows.argmin())
             message = f"{label}: negativity {lows[k]:.3e} at sample {first + k} exceeds {NEGATIVITY_TOL:.1e}"
-            raise StateInvariantViolatedError(message) from None
+            raise StateInvariantViolatedError(message)
 
 
 def _real_generator(liouvillian) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _coordinates
+from .dynamics import _coordinates, _position
 from .errors import InvalidStateError, NotPSDError, ShapeMismatchError
 from .model import require_finite, require_non_negative
 
@@ -73,13 +73,6 @@ def _require_state(rho) -> np.ndarray:
 def _per_state(x):
     """A float for one state, the array itself for a stack."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _position(i: int, j: int) -> int:
-    """Where `dynamics._coordinates` puts rho_ii (i == j) or Re rho_ij (i < j), read off the map itself."""
-    unit = np.zeros((4, 4))
-    unit[i, j] = unit[j, i] = 1.0
-    return int(np.flatnonzero(_coordinates(unit))[0])
 
 
 # The linear read-outs take raw coordinates y at these positions, so the layout has one owner.
@@ -184,18 +177,22 @@ def damping_forces(J, Gamma, phi) -> IsolationReport:
     F12 = |1j J + (Gamma/2) exp(1j phi)| measures how strongly qubit 2
     pushes on qubit 1; F21 mirrors it with conjugated coupling and phase.
     delta_F normalizes the difference to [-1, 1] and is defined as 0 when
-    both forces vanish.  The inputs broadcast against each other: scalars
-    give a report of floats, arrays a report of arrays of the broadcast
-    shape.
+    both forces vanish.  A force beyond the float range raises
+    ValidationError (exit code 2).  The inputs broadcast against each other:
+    scalars give a report of floats, arrays a report of arrays of the
+    broadcast shape.
     """
     require_finite(J=J, Gamma=Gamma, phi=phi)
     require_non_negative(Gamma=Gamma)
     J, Gamma, phi = np.asarray(J, dtype=complex), np.asarray(Gamma, dtype=float), np.asarray(phi, dtype=float)
     half_e = 0.5 * Gamma * np.exp(1j * phi)
-    f12 = np.abs(1j * J + half_e)
-    f21 = np.abs(1j * J.conj() + half_e.conj())
-    total = f12 + f21
-    delta = np.divide(f12 - f21, total, out=np.zeros_like(total), where=total > 0.0)
+    with np.errstate(over="ignore"):  # a force beyond the float range is refused just below
+        f12, f21 = np.abs(1j * J + half_e), np.abs(1j * J.conj() + half_e.conj())
+    require_finite(F12=f12, F21=f21)
+    # Forces above 1 are halved, exactly, so their sum cannot overflow; halving a subnormal force would drop bits.
+    scale = np.where(np.maximum(f12, f21) > 1.0, 0.5, 1.0)
+    total = scale * f12 + scale * f21
+    delta = np.divide(scale * (f12 - f21), total, out=np.zeros_like(total), where=total > 0.0)
     if delta.ndim == 0:
         return IsolationReport(F12=float(f12), F21=float(f21), delta_F=float(delta))
     return IsolationReport(F12=f12, F21=f21, delta_F=delta)

@@ -242,6 +242,19 @@ def test_isolation_non_finite_exit_code(capsys):
     assert "Gamma must be finite" in capsys.readouterr().err
 
 
+def test_isolation_near_the_float_limit(capsys):
+    # F12 + F21 overflows; delta_F is 0.386998513947972 at 15 digits (mpmath), not 0, and nothing warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["isolation", "--J", "1e308", "--Gamma", "1e308", "--phi", "1"]) == 0
+        out = capsys.readouterr().out
+        assert abs(float(out.split("delta_F = ")[1]) - 0.386998513947972) <= 2e-15
+        # A force that is not finite is refused: exit 2, no output.
+        assert main(["isolation", "--J", "1.7e308", "--Gamma", "1e308", "--phi", "1.5707963267948966"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "config error: F12 must be finite, got inf\n")
+
+
 def test_parser_is_built_once_per_process(tmp_path, capsys):
     cli._parser.cache_clear()
     cfg = _config(tmp_path, ISO_LINES)

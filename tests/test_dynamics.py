@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,9 +299,7 @@ def test_negativity_check_spares_samples_within_tolerance():
     tol = dynamics.NEGATIVITY_TOL
 
     def rotated(lowest):
-        u = random_unitary(rng, 4)
-        rho = u @ np.diag([0.6, 0.4 - lowest, 0.0, lowest]) @ u.conj().T
-        return 0.5 * (rho + rho.conj().T)
+        return _rotated_state(rng, lowest)
 
     within = np.array([initial_state("PLUS"), rotated(-0.5 * tol)])
     assert np.linalg.eigvalsh(within)[1, 0] < -0.4 * tol
@@ -308,6 +307,92 @@ def test_negativity_check_spares_samples_within_tolerance():
     beyond = np.array([initial_state("PLUS"), rotated(-0.5 * tol), rotated(-1.5 * tol), rotated(0.0)])
     with pytest.raises(StateInvariantViolatedError, match=r"^probe: negativity -1\.500e-06 at sample 2 exceeds"):
         dynamics._check_samples(dynamics._coordinates(beyond), "probe")
+    # X-shaped samples, which the closed form takes: a diagonal state and a turned {eg, ge} block.
+    x_within = np.array([np.diag([0.5, 0.3, 0.2 + 0.5 * tol, -0.5 * tol]), _x_shaped_state(-0.5 * tol)])
+    assert np.linalg.eigvalsh(x_within)[:, 0] == pytest.approx([-0.5 * tol] * 2, abs=1e-15)
+    assert np.all(x_within[1, [0, 0, 1, 2, 1, 2, 3, 3], [1, 2, 3, 3, 0, 0, 1, 2]] == 0.0) and x_within[1, 1, 2] != 0.0
+    dynamics._check_samples(dynamics._coordinates(x_within), "probe")
+    x_beyond = np.array([initial_state("PLUS"), *x_within, _x_shaped_state(-1.5 * tol)])
+    with pytest.raises(StateInvariantViolatedError, match=r"^probe: negativity -1\.500e-06 at sample 8 exceeds"):
+        dynamics._check_samples(dynamics._coordinates(x_beyond), "probe", 5)
+
+
+def _rotated_state(rng, lowest):
+    # Eigenvalues 0.6, 0.4 - lowest, 0 and lowest, in a Haar-random basis: no coherence is zero.
+    u = random_unitary(rng, 4)
+    rho = u @ np.diag([0.6, 0.4 - lowest, 0.0, lowest]) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _x_shaped_state(lowest):
+    # |ee><ee| / 2 beside an {eg, ge} block of eigenvalues 0.5 - lowest and lowest, turned by a generic rotation.
+    return _x_blocks(((0.5, 0.0), (0.5 - lowest, lowest)), (0.0, 0.7), (0.0, 0.9))
+
+
+def _x_blocks(pairs, angles, phases):
+    """The X-shaped state whose blocks over {ee, gg} and {eg, ge} have the eigenvalue pairs `pairs`, turned
+    by the angles and phases given: block (top, low) is U diag(top, low) U' with U = [[c, -s e^(i chi)],
+    [s e^(-i chi), c]]."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for (i, j), (top, low), theta, chi in zip(((0, 3), (1, 2)), pairs, angles, phases):
+        c, s = math.cos(theta), math.sin(theta)
+        rho[i, i], rho[j, j] = c * c * top + s * s * low, s * s * top + c * c * low
+        rho[i, j] = c * s * (top - low) * cmath.exp(1j * chi)
+        rho[j, i] = rho[i, j].conjugate()
+    return rho
+
+
+_TOL = dynamics.NEGATIVITY_TOL
+_X_SAMPLE = st.tuples(
+    # The lowest eigenvalue, over [-3 tol, 3 tol] and closely around -tol.
+    st.one_of(st.floats(-3.0 * _TOL, 3.0 * _TOL), st.floats(-_TOL - 1e-9, -_TOL + 1e-9)),
+    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0.0),
+    st.permutations(range(4)),
+    st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi)),
+    st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_X_SAMPLE, min_size=1, max_size=6))
+def test_negativity_verdict_of_x_shaped_samples(draws):
+    states = []
+    for lowest, weights, order, angles, phases in draws:
+        # The other three eigenvalues lie above the lowest and bring the trace to 1.
+        values = np.array([lowest, *(lowest + (1.0 - 4.0 * lowest) * np.array(weights) / sum(weights))])
+        states.append(_x_blocks(values[list(order)].reshape(2, 2), angles, phases))
+    coords = dynamics._coordinates(np.array(states))
+    lows = np.linalg.eigvalsh(dynamics._states(coords))[:, 0]
+    assume(np.all(np.abs(lows + _TOL) > 1e-12))
+    valid = lows >= -_TOL
+    with mock.patch.object(np.linalg, "cholesky", side_effect=AssertionError("Cholesky reached")), \
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as named:
+        for k, ok in enumerate(valid):
+            named.reset_mock()
+            if ok:
+                dynamics._check_samples(coords[k:k + 1], "probe", k)
+            else:
+                with pytest.raises(StateInvariantViolatedError, match=f"^probe: negativity .* at sample {k} exceeds"):
+                    dynamics._check_samples(coords[k:k + 1], "probe", k)
+            # eigvalsh only names a sample that the closed form has refused.
+            assert named.called == (not ok)
+
+
+def test_negativity_check_names_the_sample_in_a_mixed_block():
+    # Sample 0 is X-shaped, as a driven run's initial state is; the others are not.  The closed form takes
+    # sample 0 and Cholesky the rest; either way a bad sample is named by its index in the whole run.
+    rng = np.random.default_rng(12)
+    driven = [_rotated_state(rng, lowest) for lowest in (0.0, -0.5 * _TOL, 0.01, -1.5 * _TOL)]
+    assert all(np.all(rho[[0, 0, 1, 2], [1, 2, 3, 3]] != 0.0) for rho in driven)
+    gg, bad_gg = np.diag([0.0, 0.0, 0.0, 1.0]), np.diag([0.0, 0.0, 1.0 + 1.5 * _TOL, -1.5 * _TOL])
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factored:
+        dynamics._check_samples(dynamics._coordinates(np.array([gg, *driven[:3]])), "probe", 100)
+        assert factored.call_args.args[0].shape == (3, 4, 4)  # only the driven samples are built
+        for states, k, reached in (([bad_gg, *driven[:3]], 100, False), ([gg, *driven[1:]], 103, True)):
+            factored.reset_mock()
+            with pytest.raises(StateInvariantViolatedError, match=rf"^probe: negativity -1\.500e-06 at sample {k} "):
+                dynamics._check_samples(dynamics._coordinates(np.array(states)), "probe", 100)
+            assert factored.called == reached
 
 
 def test_integrators_refuse_a_generator_with_an_imaginary_part():

@@ -17,6 +17,7 @@ from dissipair.experiments import (
     AxisSpec,
     ExperimentConfig,
     SweepConfig,
+    figure_trajectory_runs,
     parse_config,
     parse_sweep_config,
     run_experiment,
@@ -305,6 +306,24 @@ def test_row_blocks_leave_every_byte(tmp_path, monkeypatch, rows):
             initial_state("GG"), liouvillian_from_params(DRIVE1), LONG_STRIDED.grid)]),
         LONG_STRIDED.grid.sample_times())
     assert LONG_STRIDED.grid.sample_steps()[-2:].tolist() == [35000, 35003]
+
+
+def test_undriven_figures_reach_no_cholesky(tmp_path, monkeypatch):
+    # Undriven runs from the named states stay X-shaped, so their sample check needs no Cholesky; a driven run's does.
+    def written(name):
+        os.mkdir(tmp_path / name)
+        return [Path(run_figure(fig, str(tmp_path / name))).read_bytes() for fig in ("2c", "5b")]
+
+    usual = written("usual")
+
+    def reached(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky reached")
+
+    monkeypatch.setattr(np.linalg, "cholesky", reached)
+    assert written("patched") == usual
+    run = figure_trajectory_runs()["4a"][0]
+    with pytest.raises(AssertionError, match="cholesky reached"):
+        evolve_rk4(initial_state(run.initial), liouvillian_from_params(run.params), run.grid)
 
 
 def test_run_experiment_writes_file(tmp_path):

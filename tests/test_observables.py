@@ -420,6 +420,21 @@ def test_damping_forces_broadcast_properties(cells):
     np.testing.assert_allclose(real_reversed.delta_F, -real.delta_F, rtol=0.0, atol=1e-12)
 
 
+def test_damping_forces_near_the_float_limit():
+    # F12 + F21 overflows here though both forces are finite; delta_F at 50 digits, from mpmath.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = damping_forces(1e308, 1e308, 1.0)
+        # A force beyond the float range is refused, in a scalar cell or an array of them.
+        for J, phi, named in ((1.7e308, 0.5 * math.pi, "F12"), (1.7e308, -0.5 * math.pi, "F21"),
+                              (np.array([1.0, 1.7e308]), 0.5 * math.pi, "F12")):
+            with pytest.raises(ValidationError, match=f"^{named} must be finite, got inf$"):
+                damping_forces(J, 1e308, phi)
+    exact = 0.38699851394797150797503242241770653106580498329435
+    assert math.isinf(report.F12 + report.F21)
+    assert abs(report.delta_F - exact) <= 2.0 * math.ulp(exact)
+
+
 def test_damping_forces_complex_coupling_isolation():
     # J = i (Gamma/2) e^{i phi} silences the force on qubit 1 at any phase
     rng = np.random.default_rng(131)
