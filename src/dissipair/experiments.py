@@ -44,7 +44,7 @@ from .dynamics import (
 )
 from .errors import IoError, ParseError, UnknownPresetError, ValidationError
 from .model import Drive, ModelParams, require_finite
-from .observables import _collective_populations, _qubit_populations, concurrence, damping_forces
+from .observables import _collective_populations, _concurrence, _qubit_populations, concurrence, damping_forces
 
 OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
 SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
@@ -304,12 +304,12 @@ def write_csv(path, header, rows) -> str:
 def _output_columns(block: Trajectory, kind: str) -> dict[str, np.ndarray]:
     """One output group of a block of a trajectory table, column name to column, in table order.
 
-    Populations are read straight off the coordinates; only concurrence and states build the 4x4 matrices.
+    Populations and concurrence are read straight off the checked coordinates; only states builds every 4x4 matrix.
     """
     if kind == "populations":
         return dict(zip(("P1", "P2"), _qubit_populations(block.coords)))
     if kind == "concurrence":
-        return {"C": concurrence(block.states)}
+        return {"C": _concurrence(block.coords)}
     if kind == "collective":
         return vars(_collective_populations(block.coords))
     states = block.states

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _coordinates, _position
+from .dynamics import _OFF_X, _X_BLOCKS, _coordinates, _position, _states
 from .errors import InvalidStateError, NotPSDError, ShapeMismatchError
 from .model import require_finite, require_non_negative
 
@@ -21,10 +21,6 @@ _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 _STATE_TOL = 1e-6
 _ROWS, _COLS = np.triu_indices(4)  # the ten entries i <= j
-# The blocks {ee, gg} and {eg, ge} of an X-shaped state, as (first, second) basis indices, and the eight
-# coherences between them, both triangles: the Hermitian part is X-shaped exactly when all eight are zero.
-_FIRST, _SECOND = [0, 1], [3, 2]
-_OFF_X_ROWS, _OFF_X_COLS = [0, 0, 1, 2, 1, 2, 3, 3], [1, 2, 3, 3, 0, 0, 1, 2]
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,8 @@ _EE, _EG, _GE, _GG, _RE_EG_GE = (_position(i, j) for i, j in ((0, 0), (1, 1), (2
 
 
 def _qubit_populations(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P1 = rho_00 + rho_11 and P2 = rho_00 + rho_22, read off raw coordinates."""
-    return y[..., _EE] + y[..., _EG], y[..., _EE] + y[..., _GE]
+    """P1 = rho_00 + rho_11 and P2 = rho_00 + rho_22, read off raw coordinates; + 0.0 turns a -0 into +0."""
+    return y[..., _EE] + y[..., _EG] + 0.0, y[..., _EE] + y[..., _GE] + 0.0
 
 
 def _collective_populations(y: np.ndarray) -> CollectivePopulations:
@@ -99,18 +95,17 @@ def populations(rho) -> tuple[float, float]:
     return _per_state(p1), _per_state(p2)
 
 
-def _x_route(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenvalues of the two blocks of each X-shaped state, and its concurrence in closed form.
+def _x_route(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalues of the two blocks of each X-shaped sample, and its concurrence in closed form.
 
     With rho clipped to its positive part, C = 2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22))
-    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)).
+    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)), read off the coordinates p, q, Re b, Im b of each block.
     """
-    first, second = states[:, _FIRST, _FIRST].real, states[:, _SECOND, _SECOND].real
-    # _require_state bounded the Hermiticity defect; the blocks are those of the Hermitian part.
-    coherence = np.abs(0.5 * (states[:, _FIRST, _SECOND] + states[:, _SECOND, _FIRST].conj()))
-    half, spread = 0.5 * (first + second), np.hypot(0.5 * (first - second), coherence)
+    p, q, re, im = coords[:, _X_BLOCKS].transpose(1, 0, 2)
+    coherence = np.abs(re + 1j * im)  # numpy's complex modulus; np.hypot differs in the last bit
+    half, spread = 0.5 * (p + q), np.hypot(0.5 * (p - q), coherence)
     low, high = half - spread, half + spread
-    root = np.sqrt(np.maximum(first * second, 0.0))
+    root = np.sqrt(np.maximum(p * q, 0.0))
     clipped = low < 0.0
     if clipped.any():
         # A clipped block is max(high, 0) times the projector (B - low) / (high - low) on its top eigenvector,
@@ -121,10 +116,10 @@ def _x_route(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low.min(axis=1), 2.0 * np.maximum(0.0, (coherence - root[:, ::-1]).max(axis=1)) + 0.0
 
 
-def _factored_route(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenvalue of each state and its concurrence from one eigh and one svd, for any state."""
-    # _require_state bounded the Hermiticity defect; eigh reads the Hermitian part.
-    values, vectors = np.linalg.eigh(0.5 * (states + states.conj().swapaxes(-1, -2)))
+def _factored_route(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalue of each sample and its concurrence from one eigh and one svd, for any state."""
+    # The states are Hermitian by construction, so eigh reads them as they are.
+    values, vectors = np.linalg.eigh(_states(coords))
     # rho = C C' with C = V diag(sqrt(lam)), so sqrt(rho) = C V' and C^T F C
     # is sqrt(rho) F conj(sqrt(rho)) up to unitary factors.  Singular values
     # keep the r_i at O(eps); square roots of eigenvalues of sqrt(rho)
@@ -132,6 +127,23 @@ def _factored_route(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factor = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
     r = np.linalg.svd((np.swapaxes(factor, -1, -2)[..., ::-1] * _FLIP_SIGNS) @ factor, compute_uv=False)
     return values[:, 0], np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
+
+
+def _concurrence(coords: np.ndarray) -> np.ndarray:
+    """Concurrence of each sample of (N, 16) raw coordinates of checked states; an eigenvalue below -1e-6 raises
+    NotPSDError.  X-shaped samples take `_x_route`, the others `_factored_route`; a route that takes every sample
+    reads the coordinates themselves, and only a mixed stack copies its parts.
+    """
+    x_shaped = ~coords[:, _OFF_X].any(axis=1)
+    routes = [(mask, route(coords if mask.all() else coords[mask]))
+              for mask, route in ((x_shaped, _x_route), (~x_shaped, _factored_route)) if mask.any()]
+    low = min([0.0, *(float(lows.min()) for _, (lows, _) in routes)])
+    if low < -_STATE_TOL:
+        raise NotPSDError(f"state eigenvalue {low:.3e} below {-_STATE_TOL:.1e}")
+    values = np.empty(len(coords))
+    for mask, (_, route_values) in routes:
+        values[mask] = route_values
+    return values
 
 
 def concurrence(rho):
@@ -143,26 +155,14 @@ def concurrence(rho):
     for one 4x4 state, an array of length N for an (N, 4, 4) stack.
     Eigenvalues below -1e-6 raise NotPSDError; higher ones clamp to zero.
 
-    An X-shaped state, whose coherences between {ee, gg} and {eg, ge} are
-    all exactly zero, takes the closed form of `_x_route` instead, which
-    reads its two 2x2 blocks.  Undriven runs from the named initial states
-    keep that shape: their Hamiltonian and collective jump conserve the
-    excitation number.  Every other state is factored with one eigh and
-    its r_i taken with one svd.
+    The checked state's Hermitian part goes to `_concurrence` as coordinates, as a trajectory table's checked
+    coordinates go directly.  X-shaped states (no coherence between {ee, gg} and {eg, ge}), such as the samples
+    of undriven runs from named states, take the closed form of `_x_route`; the others one eigh and one svd.
     """
     rho = _require_state(rho)
-    stack = rho.reshape(-1, 4, 4)
-    x_shaped = ~stack[:, _OFF_X_ROWS, _OFF_X_COLS].any(axis=-1)
-    # A route that takes every sample reads the stack itself; only a mixed stack copies its parts.
-    routes = [(mask, route(stack if mask.all() else stack[mask]))
-              for mask, route in ((x_shaped, _x_route), (~x_shaped, _factored_route)) if mask.any()]
-    low = min([0.0, *(float(lows.min()) for _, (lows, _) in routes)])
-    if low < -_STATE_TOL:
-        raise NotPSDError(f"state eigenvalue {low:.3e} below {-_STATE_TOL:.1e}")
-    values = np.empty(len(stack))
-    for mask, (_, route_values) in routes:
-        values[mask] = route_values
-    return _per_state(values.reshape(rho.shape[:-2]))
+    # rho - (rho - rho')/2 is rho's bits when rho is Hermitian, and cannot overflow as (rho + rho')/2 can.
+    coords = _coordinates(rho - 0.5 * (rho - rho.conj().swapaxes(-1, -2)))
+    return _per_state(_concurrence(coords.reshape(-1, 16)).reshape(rho.shape[:-2]))
 
 
 def collective_populations(rho) -> CollectivePopulations:
@@ -185,14 +185,18 @@ def damping_forces(J, Gamma, phi) -> IsolationReport:
     require_finite(J=J, Gamma=Gamma, phi=phi)
     require_non_negative(Gamma=Gamma)
     J, Gamma, phi = np.asarray(J, dtype=complex), np.asarray(Gamma, dtype=float), np.asarray(phi, dtype=float)
-    half_e = 0.5 * Gamma * np.exp(1j * phi)
+    # J and Gamma are scaled together, exactly, by the power of two that brings the larger of |Re J|, |Im J| and
+    # Gamma into [0.5, 1): delta_F does not change, no sum overflows and a subnormal input keeps its bits.
+    shift = -np.frexp(np.maximum(np.maximum(np.abs(J.real), np.abs(J.imag)), Gamma))[1]
+    half_e = 0.5 * np.ldexp(Gamma, shift) * np.exp(1j * phi)
+    iJ = 1j * (np.ldexp(J.real, shift) + 1j * np.ldexp(J.imag, shift))
+    f12, f21 = np.abs(half_e + iJ), np.abs(half_e - iJ)  # F21 = |i J* + half_e*|, the modulus of its conjugate
+    del half_e, iJ  # a sweep's complex grids go before the quotient's temporaries come
+    total = f12 + f21
+    delta = np.divide(f12 - f21, total, out=np.zeros_like(total), where=total > 0.0)
     with np.errstate(over="ignore"):  # a force beyond the float range is refused just below
-        f12, f21 = np.abs(1j * J + half_e), np.abs(1j * J.conj() + half_e.conj())
+        f12, f21 = np.ldexp(f12, -shift), np.ldexp(f21, -shift)
     require_finite(F12=f12, F21=f21)
-    # Forces above 1 are halved, exactly, so their sum cannot overflow; halving a subnormal force would drop bits.
-    scale = np.where(np.maximum(f12, f21) > 1.0, 0.5, 1.0)
-    total = scale * f12 + scale * f21
-    delta = np.divide(scale * (f12 - f21), total, out=np.zeros_like(total), where=total > 0.0)
     if delta.ndim == 0:
         return IsolationReport(F12=float(f12), F21=float(f21), delta_F=float(delta))
     return IsolationReport(F12=f12, F21=f21, delta_F=delta)

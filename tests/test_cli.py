@@ -150,6 +150,14 @@ def test_steady_command(tmp_path, capsys):
     assert "concurrence: 0.2" in out
 
 
+def test_steady_command_prints_no_negative_zero(tmp_path, capsys):
+    # At this scale the stationary state is |gg> with P1 = rho_00 + rho_11 summing to -0 in floats.
+    cfg = _config(tmp_path, "J = 1e200\nGamma = 1e200\nphi = 1\n")
+    assert main(["steady", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == ["P1: 0", "P2: 0", "concurrence: 0", "P_E: 0", "P_plus: 0", "P_minus: 0", "P_G: 1"]
+
+
 def test_steady_degenerate_exit_code(tmp_path, capsys):
     # Undriven at phi = pi the antisymmetric state is dark: the stationary
     # manifold is degenerate, so no observables of an arbitrary element are printed.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dissipair import dynamics, experiments, model
+from dissipair import dynamics, experiments, model, observables
 from dissipair.dynamics import TimeGrid, evolve_rk4, initial_state, liouvillian_from_params, steady_state
 from dissipair.errors import IoError, ParseError, UnknownPresetError, ValidationError
 from dissipair.experiments import (
@@ -324,6 +324,31 @@ def test_undriven_figures_reach_no_cholesky(tmp_path, monkeypatch):
     run = figure_trajectory_runs()["4a"][0]
     with pytest.raises(AssertionError, match="cholesky reached"):
         evolve_rk4(initial_state(run.initial), liouvillian_from_params(run.params), run.grid)
+
+
+def test_concurrence_tables_skip_the_state_check(tmp_path, monkeypatch):
+    # A table reads the concurrence off its checked coordinates: an X-shaped figure needs no state check, eigh or
+    # svd, and a driven one no state check.
+    def written(name, fig):
+        os.mkdir(tmp_path / name)
+        return Path(run_figure(fig, str(tmp_path / name))).read_bytes()
+
+    usual = written("usual", "3a")
+
+    def reached(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} reached")
+        return refuse
+
+    monkeypatch.setattr(observables, "_require_state", reached("_require_state"))
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, reached(name))
+    assert written("patched", "3a") == usual
+    monkeypatch.undo()
+    monkeypatch.setattr(observables, "_require_state", reached("_require_state"))
+    written("driven", "4a")
+    with pytest.raises(AssertionError, match="_require_state reached"):
+        concurrence(initial_state("EG"))
 
 
 def test_run_experiment_writes_file(tmp_path):

@@ -4,13 +4,14 @@ import math
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissipair import model, observables
-from dissipair.dynamics import initial_state, liouvillian_from_params
+from dissipair.dynamics import _coordinates, _states, initial_state, liouvillian_from_params
 from dissipair.errors import InvalidStateError, NegativeRateError, NotPSDError, ShapeMismatchError, ValidationError
 from dissipair.observables import collective_populations, concurrence, damping_forces, populations
 
@@ -217,6 +218,19 @@ def test_concurrence_rejects_negative_eigenvalue():
             concurrence(build(113, [0.6, 0.401, 0.0, -1e-3]))
 
 
+def test_concurrence_refuses_entries_near_the_float_limit():
+    # A unit-trace state with diagonal +-1e308 is refused by its eigenvalue on both routes: the Hermitian part is
+    # formed without overflow, so no NaN reaches the closed form and no inf reaches eigh.
+    x_shaped = np.diag([1e308, -1e308, 0.5, 0.5]).astype(complex)
+    general = x_shaped.copy()
+    general[0, 1] = general[1, 0] = 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for rho in (x_shaped, general):
+            with pytest.raises(NotPSDError, match=r"^state eigenvalue -1\.000e\+308 below -1\.0e-06$"):
+                concurrence(rho)
+
+
 def test_concurrence_clamps_roundoff_negative_eigenvalue():
     for build in (_state_with_spectrum, _x_state_with_spectrum):
         value = concurrence(build(127, [0.6, 0.4 + 1e-12, 0.0, -1e-12]))
@@ -265,13 +279,30 @@ def test_mixed_stack_routes_each_sample_and_matches_single_calls():
         assert [len(call.args[0]) for call in x_route.call_args_list] == [3]
         assert [len(call.args[0]) for call in factored.call_args_list] == [3]
         np.testing.assert_array_equal(batched, [concurrence(rho) for rho in stack])
-        # A stack whose samples all take one route hands that route the stack itself, not a copy.
+        # Coordinates whose samples all take one route are handed to that route themselves, not a copy.
         for single_route in (np.array(x_states), np.array(others)):
             x_route.reset_mock()
             factored.reset_mock()
-            concurrence(single_route)
+            coords = _coordinates(single_route)
+            observables._concurrence(coords)
             (call,) = x_route.call_args_list + factored.call_args_list
-            assert np.shares_memory(call.args[0], single_route)
+            assert call.args[0] is coords
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), x_shaped=st.integers(0, 6), general=st.integers(0, 6),
+       rank=st.sampled_from([4, 2, 1]))
+def test_concurrence_of_coordinates_is_the_public_concurrence(seed, x_shaped, general, rank):
+    # States built from coordinates, as a trajectory table holds them, are Hermitian by construction: the private
+    # function on their coordinates gives the public function's bits, for X-shaped, general and mixed stacks.
+    rng = np.random.default_rng(seed)
+    stack = [_random_x_state(rng, (rng.integers(0, 3), rng.integers(1, 3))) for _ in range(x_shaped)]
+    stack += [random_density_matrix(rng, rank=rank) for _ in range(general)]
+    stack = _states(_coordinates(np.array(stack).reshape(-1, 4, 4)[rng.permutation(len(stack))]))
+    got = observables._concurrence(_coordinates(stack))
+    assert got.dtype == float and got.shape == (len(stack),)
+    np.testing.assert_array_equal(got, concurrence(stack))
+    np.testing.assert_array_equal(got, [concurrence(rho) for rho in stack])
 
 
 def _concurrence_rank2(rho):
@@ -433,6 +464,21 @@ def test_damping_forces_near_the_float_limit():
     exact = 0.38699851394797150797503242241770653106580498329435
     assert math.isinf(report.F12 + report.F21)
     assert abs(report.delta_F - exact) <= 2.0 * math.ulp(exact)
+
+
+def test_damping_forces_at_subnormal_scale():
+    # J and Gamma are scaled together before the forces are formed, so a subnormal cell keeps its bits;
+    # delta_F at 50 digits, from mpmath, on the same float inputs.
+    rng = np.random.default_rng(151)
+    J, Gamma = 10.0 ** rng.uniform(-323.0, -300.0, (2, 300))
+    phi = rng.uniform(0.0, 2.0 * math.pi, 300)
+    report = damping_forces(J, Gamma, phi)
+    with mpmath.workdps(50):
+        for k in range(len(phi)):
+            half_e = mpmath.mpf(Gamma[k]) / 2 * mpmath.expj(mpmath.mpf(phi[k]))
+            f12, f21 = (abs(1j * mpmath.mpf(J[k]) + h) for h in (half_e, mpmath.conj(half_e)))
+            assert abs(report.delta_F[k] - float((f12 - f21) / (f12 + f21))) <= 2.0 * np.finfo(float).eps
+            assert abs(report.F12[k] - float(f12)) <= 4.0 * np.finfo(float).eps * float(f12) + math.ulp(0.0)
 
 
 def test_damping_forces_complex_coupling_isolation():

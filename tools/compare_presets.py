@@ -1,16 +1,20 @@
-"""Write every figure preset from two source trees and compare the CSVs cell by cell.
+"""Write every figure preset and the steady map from two source trees and compare the CSVs cell by cell.
 
     python tools/compare_presets.py OLD_SRC NEW_SRC [--tol TOL]
 
 OLD_SRC and NEW_SRC are directories that hold the `dissipair` package, such as
-the `src` of two checkouts.  Each tree writes the 15 presets in its own Python
-process.  For each preset the script prints "identical", or the number of
-changed cells, the columns they sit in and the largest |difference|, and then
-the wall time of the preset's write in each tree, old -> new, in ms.  Each
-time is one `dissipair figure <id>` call, timed once, in the tree's process
-after the presets listed before it; the first write also pays one-time costs.
+the `src` of two checkouts.  Each tree writes, in its own Python process, the
+15 presets and then the steady map: the 201 x 201 `steady_concurrence` sweep
+with J = 1, Gamma = 2 and the drive on qubit 1, over drive_amplitude in
+[0, 2] (axis1) and phi in [0, 2 pi] (axis2).  The map has 3 degenerate
+cells, flagged with the sentinel -1.  For each table the script prints
+"identical", or the number of changed cells, the columns they sit in and the
+largest |difference|, and then the wall time of its write in each tree,
+old -> new, in ms.  Each time is one `dissipair figure <id>` or `dissipair
+sweep` call, timed once, in the tree's process after the tables listed
+before it; the first write also pays one-time costs.
 Treat the times as orders of magnitude.  It exits
-1 when a preset differs by more than TOL (default 0, so any change), when a
+1 when a table differs by more than TOL (default 0, so any change), when a
 header or a table shape differs, or when a cell of the new tree prints -0.
 It exits 2 when a tree holds no `dissipair/__init__.py`, before writing
 anything, or when a tree's writes fail.
@@ -27,23 +31,41 @@ import tempfile
 import numpy as np
 
 FIGURES = ("2a", "2b", "2c", "2d", "3a", "3b", "4a", "4b", "5b", "5c", "5d", "6a", "6b", "6c", "6d")
+STEADY_MAP = "steady_map"
+STEADY_MAP_CONFIG = f"""J = 1
+Gamma = 2
+drive_target = 1
+axis1_name = drive_amplitude
+axis1_min = 0
+axis1_max = 2
+axis1_count = 201
+axis2_name = phi
+axis2_min = 0
+axis2_max = 6.283185307179586
+axis2_count = 201
+observable = steady_concurrence
+output_path = {STEADY_MAP}.csv
+"""
 _TIMED = "ms"
 _WRITE = f"""
-import sys, time
+import os, sys, time
 from dissipair.cli import main
+out, config = sys.argv[1], os.path.join(sys.argv[1], "{STEADY_MAP}.cfg")
+with open(config, "w", encoding="ascii") as fh:
+    fh.write(sys.argv[2])
 status = 0
-for fig in sys.argv[2:]:
+for name, argv in [*((fig, ["figure", fig]) for fig in sys.argv[3:]), ("{STEADY_MAP}", ["sweep", "--config", config])]:
     start = time.perf_counter()
-    status = max(status, main(["figure", fig, "--out", sys.argv[1]]))
-    print("{_TIMED}", fig, 1e3 * (time.perf_counter() - start))
+    status = max(status, main([*argv, "--out", out]))
+    print("{_TIMED}", name, 1e3 * (time.perf_counter() - start))
 sys.exit(status)
 """
 
 
 def write_presets(src: str, out: str) -> dict[str, float]:
-    """Write every preset into `out` with the package under `src`; the wall time of each write in ms."""
+    """Write every preset and the steady map into `out` with the package under `src`; each write's wall time in ms."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run([sys.executable, "-c", _WRITE, out, *FIGURES], env=env, check=True,
+    done = subprocess.run([sys.executable, "-c", _WRITE, out, STEADY_MAP_CONFIG, *FIGURES], env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
     lines = (line.split() for line in done.stdout.splitlines())
     return {fields[1]: float(fields[2]) for fields in lines if fields[:1] == [_TIMED]}
@@ -99,11 +121,10 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
         ok = True
-        for fig in FIGURES:
-            name = f"fig{fig}.csv"
+        for table, name in [*((fig, f"fig{fig}.csv") for fig in FIGURES), (STEADY_MAP, f"{STEADY_MAP}.csv")]:
             line, passed = compare(os.path.join(old_dir, name), os.path.join(new_dir, name), args.tol)
             ok &= passed
-            print(f"{fig}: {line}; write {times[0][fig]:.1f} -> {times[1][fig]:.1f} ms")
+            print(f"{table}: {line}; write {times[0][table]:.1f} -> {times[1][table]:.1f} ms")
     return 0 if ok else 1
 
 
