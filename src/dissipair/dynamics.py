@@ -334,6 +334,7 @@ def _propagate(rho0, grid: TimeGrid, step: np.ndarray, label: str) -> Iterator[T
         # Entry (j, :, b) of the product is S^(j+1) applied to block start g + b, which is sample (g + b) m + j + 1.
         coords[lead:-1].reshape(-1, m, _SIZE)[...] = product.transpose(2, 0, 1)
         coords[:lead] = starts[:lead]
+        del product  # else the suspended generator holds it beside the block it yields
         end = lead + min(width * m, count - g * m)  # rows up to the last uniform sample of the block
         if tail and (g + width) * m >= count:
             coords[end] = np.linalg.matrix_power(step, tail) @ coords[end - 1]

@@ -37,7 +37,6 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     _rk4_blocks,
-    evolve_rk4,
     initial_state,
     liouvillian_from_params,
     steady_state,
@@ -51,7 +50,7 @@ SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
 SWEEP_AXES = ("J", "Gamma", "phi", "kappa", "drive_amplitude")
 DEGENERATE_SENTINEL = -1.0
 _CSV_BLOCK_ROWS = 512  # rows per `%` call in write_csv; bounds its temporary tuple of cells
-# Cells per steady_state call in a steady_concurrence sweep: about 4 MB of generators per block.
+# Cells per sweep block, whole axis1 rows or pieces of one: about 4 MB of steady_concurrence generators.
 _SWEEP_BLOCK_CELLS = 1024
 
 ISOLATION_PHASE = 1.5 * math.pi
@@ -317,14 +316,14 @@ def _output_columns(block: Trajectory, kind: str) -> dict[str, np.ndarray]:
             for i in range(4) for j in range(4) for part, values in (("re", states.real), ("im", states.imag))}
 
 
-def _trajectory_table(runs, outputs, integrate) -> tuple[list[str], Iterator[np.ndarray]]:
+def _trajectory_table(runs, outputs) -> tuple[list[str], Iterator[np.ndarray]]:
     """Integrate the runs side by side: the header (t, then each run's output groups in the given order, names
     suffixed by label if several runs) and an iterator of the table's row blocks.
 
-    `integrate(rho0, generator, grid)` gives a run's `Trajectory` row blocks.  The runs share one grid, so
+    Each run streams the checked `Trajectory` row blocks of `_rk4_blocks`.  The runs share one grid, so
     their block streams line up.  The first block is computed here, for the header.
     """
-    streams = [integrate(initial_state(run.initial), liouvillian_from_params(run.params), run.grid) for run in runs]
+    streams = [_rk4_blocks(initial_state(run.initial), liouvillian_from_params(run.params), run.grid) for run in runs]
 
     def block_table(blocks):
         header, columns = ["t"], [blocks[0].times]
@@ -344,7 +343,7 @@ def _trajectory_table(runs, outputs, integrate) -> tuple[list[str], Iterator[np.
 def run_experiment(config: ExperimentConfig, out_dir: str = ".") -> str:
     """Integrate one configured trajectory and write its CSV: t, then the output groups in OUTPUT_KINDS order."""
     run = TrajectoryRun("", config.model, config.initial, config.grid)
-    header, blocks = _trajectory_table((run,), config.outputs, _rk4_blocks)
+    header, blocks = _trajectory_table((run,), config.outputs)
     return write_csv(_join_out(out_dir, config.output_path), header, blocks)
 
 
@@ -358,39 +357,38 @@ def _join_out(out_dir: str, name: str) -> str:
 def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     """Evaluate the observable on the grid and write axis1,axis2,value rows.
 
-    steady_concurrence tables carry an extra ``degenerate`` flag column;
-    grid points whose stationary manifold is degenerate hold the sentinel
-    value -1 there instead of a concurrence.
+    steady_concurrence tables carry an extra ``degenerate`` flag column; grid points whose stationary manifold is
+    degenerate hold the sentinel value -1 there instead of a concurrence.  Blocks of the grid are evaluated and
+    written in row order, so an error in a later one leaves the destination as it was.
     """
-    a, b = np.meshgrid(config.axis1.values(), config.axis2.values(), indexing="ij")
-    params = config._params_at(a, b)
-    if config.observable == "delta_F":
-        header = ["axis1", "axis2", "value"]
-        value = damping_forces(params.J, params.Gamma, params.phi).delta_F
-        cells = np.broadcast_to(value, a.shape).reshape(-1, 1)
-    else:
-        header = ["axis1", "axis2", "value", "degenerate"]
-        # Fixed blocks of the flattened grid: a stack of the whole grid would
-        # hold every 16x16 Liouvillian and its SVD factors at once.
-        j, g, p, k, w = (np.ravel(x) for x in np.broadcast_arrays(params.J, params.Gamma, params.phi, params.kappa,
-                                                                  params.drive.amplitude))
-        cells = np.full((a.size, 2), DEGENERATE_SENTINEL)
-        for start in range(0, a.size, _SWEEP_BLOCK_CELLS):
-            s = slice(start, start + _SWEEP_BLOCK_CELLS)
-            block_params = ModelParams(j[s], g[s], p[s], k[s], Drive(params.drive.target, w[s]))
-            result = steady_state(liouvillian_from_params(block_params))
-            block = cells[s]
-            block[result.unique, 0] = concurrence(result.state[result.unique])
-            block[:, 1] = ~result.unique
-    # Each axis value is formatted once.  A block of at most _CSV_BLOCK_ROWS rows shares one axis1
+    a, b = config.axis1.values(), config.axis2.values()
+    steady = config.observable == "steady_concurrence"
+    header = ["axis1", "axis2", "value", "degenerate"] if steady else ["axis1", "axis2", "value"]
+    rows, cols = max(1, _SWEEP_BLOCK_CELLS // len(b)), min(len(b), _SWEEP_BLOCK_CELLS)
+    # Each axis value is formatted once.  A piece of at most _CSV_BLOCK_ROWS rows shares one axis1
     # string, which one join puts before each axis2 string to make its template; `%` fills the cells.
-    firsts, seconds = (["%.15g," % x for x in axis.tolist()] for axis in (a[:, 0], b[0]))
-    rests = [second + ",".join(["%.15g"] * cells.shape[-1]) + "\n" for second in seconds]
-    starts = range(0, len(rests), _CSV_BLOCK_ROWS)
-    chunks = ((first + first.join(rests[s:s + _CSV_BLOCK_ROWS])) % tuple(rows[s:s + _CSV_BLOCK_ROWS].ravel().tolist())
-              for first, rows in zip(firsts, cells.reshape(a.shape + (-1,))) for s in starts)
-    _refuse_non_finite(cells)
-    return _write_text(_join_out(out_dir, config.output_path), header, chunks)
+    firsts, seconds = (["%.15g," % x for x in axis.tolist()] for axis in (a, b))
+    rests = [second + ",".join(["%.15g"] * (len(header) - 2)) + "\n" for second in seconds]
+
+    def chunks():
+        for i, j in itertools.product(range(0, len(a), rows), range(0, len(b), cols)):
+            block_a, block_b = a[i:i + rows], b[j:j + cols]
+            params = config._params_at(block_a[:, None], block_b)
+            if steady:
+                result = steady_state(liouvillian_from_params(params))
+                cells = np.full(result.unique.shape + (2,), DEGENERATE_SENTINEL)
+                cells[result.unique, 0] = concurrence(result.state[result.unique])
+                cells[..., 1] = ~result.unique
+            else:
+                value = damping_forces(params.J, params.Gamma, params.phi).delta_F
+                cells = np.broadcast_to(value, (len(block_a), len(block_b)))[..., None]
+            _refuse_non_finite(cells)
+            for first, row in zip(firsts[i:i + rows], cells):
+                for s in range(0, len(row), _CSV_BLOCK_ROWS):
+                    piece = row[s:s + _CSV_BLOCK_ROWS]
+                    yield (first + first.join(rests[j + s:j + s + len(piece)])) % tuple(piece.ravel().tolist())
+
+    return _write_text(_join_out(out_dir, config.output_path), header, chunks())
 
 
 # ---- figure presets --------------------------------------------------------
@@ -465,6 +463,5 @@ def run_figure(figure_id: str, out_dir: str = ".") -> str:
     kind, runs = presets[fig]
     if kind == "sweep":
         return run_sweep(runs, out_dir)
-    # A preset is at most 2 501 rows: each run is one whole `evolve_rk4` trajectory, so the table is one block.
-    header, (table,) = _trajectory_table(runs, (kind,), lambda *run: (evolve_rk4(*run),))
-    return write_csv(_join_out(out_dir, f"fig{fig}.csv"), header, table)
+    header, blocks = _trajectory_table(runs, (kind,))
+    return write_csv(_join_out(out_dir, f"fig{fig}.csv"), header, blocks)

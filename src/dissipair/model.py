@@ -67,7 +67,8 @@ class Drive(_FieldwiseEquality):
 
     def __post_init__(self):
         require_finite(amplitude=self.amplitude)
-        if self.target not in (1, 2):
+        # The type is checked first: `1.0 in (1, 2)` and `True in (1, 2)` both hold.
+        if isinstance(self.target, bool) or not isinstance(self.target, (int, np.integer)) or self.target not in (1, 2):
             raise BadIndexError(f"drive target must be 1 or 2, got {self.target}")
         require_non_negative(**{"drive amplitude": self.amplitude})
 

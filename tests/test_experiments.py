@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dissipair import dynamics, experiments, model, observables
+from dissipair import cli, dynamics, experiments, model, observables
 from dissipair.dynamics import TimeGrid, evolve_rk4, initial_state, liouvillian_from_params, steady_state
 from dissipair.errors import IoError, ParseError, UnknownPresetError, ValidationError
 from dissipair.experiments import (
@@ -256,7 +256,7 @@ def test_trajectory_table_columns_are_the_public_observables():
     # The table reads populations off the coordinates; the public functions read the same states.
     grid = TimeGrid(1.0, 0.002, 3)
     run = experiments.TrajectoryRun("", DRIVE1, "EG", grid)
-    header, blocks = experiments._trajectory_table((run,), OUTPUT_KINDS, dynamics._rk4_blocks)
+    header, blocks = experiments._trajectory_table((run,), OUTPUT_KINDS)
     traj = evolve_rk4(initial_state("EG"), liouvillian_from_params(DRIVE1), grid)
     states = traj.states
     rho = [part[:, i, j] for i in range(4) for j in range(4) for part in (states.real, states.imag)]
@@ -452,20 +452,46 @@ def test_run_sweep_driven_cell_matches_direct_steady_state(tmp_path):
     assert data[:, 3].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
-def test_run_sweep_steady_concurrence_blocks_write_the_same_bytes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("budget", [4, 7])
+@pytest.mark.parametrize("observable", ["delta_F", "steady_concurrence"])
+def test_run_sweep_blocks_write_the_same_bytes(tmp_path, monkeypatch, observable, budget):
+    # Nine phi values split each axis1 row into blocks of 4, 4 and 1 cells, or of 7 and 2.
     config = SweepConfig(
-        AxisSpec("drive_amplitude", 0.0, 1.0, 3), AxisSpec("phi", 0.0, 2.0 * math.pi, 5), "steady_concurrence",
+        AxisSpec("drive_amplitude" if observable == "steady_concurrence" else "Gamma", 0.0, 1.0, 3),
+        AxisSpec("phi", 0.0, 2.0 * math.pi, 9), observable,
         base=model.ModelParams(J=1.0, Gamma=2.0, drive=model.Drive(target=2, amplitude=0.5)),
     )
     (tmp_path / "one").mkdir()
-    (tmp_path / "fours").mkdir()
+    (tmp_path / "small").mkdir()
     run_sweep(config, str(tmp_path / "one"))
+    monkeypatch.setattr(experiments, "_SWEEP_BLOCK_CELLS", budget)
+    run_sweep(config, str(tmp_path / "small"))
+    assert (tmp_path / "small" / "sweep.csv").read_bytes() == (tmp_path / "one" / "sweep.csv").read_bytes()
+    _, data = _read_table(tmp_path / "small" / "sweep.csv")
+    a, b = np.meshgrid(config.axis1.values(), config.axis2.values(), indexing="ij")
+    np.testing.assert_allclose(data[:, :2], np.column_stack([a.ravel(), b.ravel()]), rtol=1e-14, atol=0.0)
+    if observable == "steady_concurrence":
+        # The undriven row keeps its dark states at phi = 0, pi and 2 pi.
+        assert data[:, 3].tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0] + [0.0] * 18
+
+
+def test_run_sweep_failing_in_a_later_block_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    # With J = 1e308 and Gamma up to 1.6e308, F12 = |iJ + (Gamma/2) e^(i phi)| passes the float range only on
+    # the last axis1 row, at phi = pi/2; blocks of 4 cells write the rows before it first.
+    text = ("J = 1e308\nobservable = delta_F\naxis1_name = Gamma\naxis1_min = 0\naxis1_max = 1.6e308\n"
+            "axis1_count = 3\naxis2_name = phi\naxis2_min = 0\naxis2_max = 6.283185307179586\naxis2_count = 5\n")
+    (tmp_path / "sweep.cfg").write_text(text, encoding="ascii")
+    (tmp_path / "sweep.csv").write_bytes(b"old\n")
     monkeypatch.setattr(experiments, "_SWEEP_BLOCK_CELLS", 4)
-    run_sweep(config, str(tmp_path / "fours"))
-    assert (tmp_path / "fours" / "sweep.csv").read_bytes() == (tmp_path / "one" / "sweep.csv").read_bytes()
-    _, data = _read_table(tmp_path / "fours" / "sweep.csv")
-    # The undriven row keeps its dark states at phi = 0, pi and 2 pi; the last block holds three cells.
-    assert data[:, 3].tolist() == [1.0, 0.0, 1.0, 0.0, 1.0] + [0.0] * 10
+    shapes, refuse = [], experiments._refuse_non_finite
+    monkeypatch.setattr(experiments, "_refuse_non_finite", lambda cells: (shapes.append(cells.shape), refuse(cells)))
+    with pytest.raises(ValidationError, match="^F12 must be finite"):
+        run_sweep(parse_sweep_config(text), str(tmp_path))
+    assert shapes == [(1, 4, 1), (1, 1, 1)] * 2
+    assert cli.main(["sweep", "--config", str(tmp_path / "sweep.cfg"), "--out", str(tmp_path)]) == 2
+    assert "F12 must be finite" in capsys.readouterr().err
+    assert (tmp_path / "sweep.csv").read_bytes() == b"old\n"
+    assert sorted(os.listdir(tmp_path)) == ["sweep.cfg", "sweep.csv"]
 
 
 def _per_cell_text(header, table):

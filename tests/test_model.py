@@ -127,6 +127,14 @@ def test_negative_rates_rejected():
         model.ModelParams(J=1.0, kappa=-0.5)
 
 
+@pytest.mark.parametrize("target", [1.0, np.float64(2.0), True], ids=["float", "float64", "bool"])
+def test_drive_target_must_be_an_integer(target):
+    # Each compares equal to 1 or 2, so a membership test alone lets it through.
+    with pytest.raises(BadIndexError, match="^drive target must be 1 or 2"):
+        model.Drive(target=target, amplitude=0.5)
+    assert model.Drive(target=np.int64(2), amplitude=0.5).target == 2
+
+
 @pytest.mark.parametrize("field", ["J", "Gamma", "phi", "kappa"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_parameters_rejected(field, value):

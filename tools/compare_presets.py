@@ -1,13 +1,16 @@
-"""Write every figure preset and the steady map from two source trees and compare the CSVs cell by cell.
+"""Write every figure preset and two sweeps from two source trees and compare the CSVs cell by cell.
 
     python tools/compare_presets.py OLD_SRC NEW_SRC [--tol TOL]
 
 OLD_SRC and NEW_SRC are directories that hold the `dissipair` package, such as
 the `src` of two checkouts.  Each tree writes, in its own Python process, the
-15 presets and then the steady map: the 201 x 201 `steady_concurrence` sweep
-with J = 1, Gamma = 2 and the drive on qubit 1, over drive_amplitude in
-[0, 2] (axis1) and phi in [0, 2 pi] (axis2).  The map has 3 degenerate
-cells, flagged with the sentinel -1.  For each table the script prints
+15 presets and then two sweeps.  The steady map is the 201 x 201
+`steady_concurrence` sweep with J = 1, Gamma = 2 and the drive on qubit 1,
+over drive_amplitude in [0, 2] (axis1) and phi in [0, 2 pi] (axis2); it has
+3 degenerate cells, flagged with the sentinel -1.  The wide sweep is
+`delta_F` over J in [0, 2] (3 values) and phi in [0, 2 pi] (2 500 values)
+with Gamma = 2: its rows are longer than a sweep block, so blocks end in
+the middle of a row.  For each table the script prints
 "identical", or the number of changed cells, the columns they sit in and the
 largest |difference|, and then the wall time of its write in each tree,
 old -> new, in ms.  Each time is one `dissipair figure <id>` or `dissipair
@@ -23,6 +26,7 @@ anything, or when a tree's writes fail.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -31,30 +35,27 @@ import tempfile
 import numpy as np
 
 FIGURES = ("2a", "2b", "2c", "2d", "3a", "3b", "4a", "4b", "5b", "5c", "5d", "6a", "6b", "6c", "6d")
-STEADY_MAP = "steady_map"
-STEADY_MAP_CONFIG = f"""J = 1
-Gamma = 2
-drive_target = 1
-axis1_name = drive_amplitude
-axis1_min = 0
-axis1_max = 2
-axis1_count = 201
-axis2_name = phi
-axis2_min = 0
-axis2_max = 6.283185307179586
-axis2_count = 201
-observable = steady_concurrence
-output_path = {STEADY_MAP}.csv
-"""
+_PHI_AXIS = "axis2_name = phi\naxis2_min = 0\naxis2_max = 6.283185307179586\n"
+SWEEPS = {
+    "steady_map": "J = 1\nGamma = 2\ndrive_target = 1\nobservable = steady_concurrence\n"
+                  "axis1_name = drive_amplitude\naxis1_min = 0\naxis1_max = 2\naxis1_count = 201\n"
+                  + _PHI_AXIS + "axis2_count = 201\n",
+    "wide_sweep": "Gamma = 2\nobservable = delta_F\naxis1_name = J\naxis1_min = 0\naxis1_max = 2\naxis1_count = 3\n"
+                  + _PHI_AXIS + "axis2_count = 2500\n",
+}
 _TIMED = "ms"
 _WRITE = f"""
-import os, sys, time
+import json, os, sys, time
 from dissipair.cli import main
-out, config = sys.argv[1], os.path.join(sys.argv[1], "{STEADY_MAP}.cfg")
-with open(config, "w", encoding="ascii") as fh:
-    fh.write(sys.argv[2])
+out, sweeps = sys.argv[1], json.loads(sys.argv[2])
+runs = [(fig, ["figure", fig]) for fig in sys.argv[3:]]
+for name, text in sweeps.items():
+    config = os.path.join(out, name + ".cfg")
+    with open(config, "w", encoding="ascii") as fh:
+        fh.write(text + "output_path = " + name + ".csv\\n")
+    runs.append((name, ["sweep", "--config", config]))
 status = 0
-for name, argv in [*((fig, ["figure", fig]) for fig in sys.argv[3:]), ("{STEADY_MAP}", ["sweep", "--config", config])]:
+for name, argv in runs:
     start = time.perf_counter()
     status = max(status, main([*argv, "--out", out]))
     print("{_TIMED}", name, 1e3 * (time.perf_counter() - start))
@@ -63,9 +64,9 @@ sys.exit(status)
 
 
 def write_presets(src: str, out: str) -> dict[str, float]:
-    """Write every preset and the steady map into `out` with the package under `src`; each write's wall time in ms."""
+    """Write every preset and sweep into `out` with the package under `src`; each write's wall time in ms."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run([sys.executable, "-c", _WRITE, out, STEADY_MAP_CONFIG, *FIGURES], env=env, check=True,
+    done = subprocess.run([sys.executable, "-c", _WRITE, out, json.dumps(SWEEPS), *FIGURES], env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
     lines = (line.split() for line in done.stdout.splitlines())
     return {fields[1]: float(fields[2]) for fields in lines if fields[:1] == [_TIMED]}
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
         ok = True
-        for table, name in [*((fig, f"fig{fig}.csv") for fig in FIGURES), (STEADY_MAP, f"{STEADY_MAP}.csv")]:
+        for table, name in [*((fig, f"fig{fig}.csv") for fig in FIGURES), *((sw, f"{sw}.csv") for sw in SWEEPS)]:
             line, passed = compare(os.path.join(old_dir, name), os.path.join(new_dir, name), args.tol)
             ok &= passed
             print(f"{table}: {line}; write {times[0][table]:.1f} -> {times[1][table]:.1f} ms")
