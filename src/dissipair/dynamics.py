@@ -127,7 +127,7 @@ class TimeGrid:
         steps = self.t_max / self.dt  # inf when the division overflows
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * round(steps)):
             raise ValidationError(f"t_max must be a whole multiple of dt, got t_max {self.t_max}, dt {self.dt}")
-        if not isinstance(self.sample_every, (int, np.integer)):
+        if isinstance(self.sample_every, bool) or not isinstance(self.sample_every, (int, np.integer)):
             raise ValidationError(f"sample_every must be an integer, got {self.sample_every!r}")
         if self.sample_every < 1:
             raise ValidationError(f"sample_every must be >= 1, got {self.sample_every}")
@@ -251,7 +251,7 @@ def liouvillian_from_params(params: ModelParams) -> np.ndarray:
 
 def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
     """Refuse a trace drift, a coordinate that is not finite or an eigenvalue beyond tolerance in the (N, 16)
-    coordinates of samples first, ...
+    coordinates of samples first, ...: the check of every trajectory block and every public observable's state.
 
     The trace is the sum of the four diagonal coordinates.  No eigenvalue lies below -tol exactly when, for an
     X-shaped sample, each block [[p, b], [b*, q]] has p + tol >= 0, q + tol >= 0 and (p + tol)(q + tol) >= |b|^2,
@@ -259,7 +259,7 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
     """
     traces = np.abs(coords[:, :4].sum(axis=1) - 1.0)
     # Both comparisons are written so that a NaN fails them too; argmax and argmin name the first NaN.
-    if not float(traces.max()) <= TRACE_DRIFT_TOL:
+    if not float(traces.max(initial=0.0)) <= TRACE_DRIFT_TOL:  # an empty block passes
         k = int(traces.argmax())
         message = f"{label}: trace drift {traces[k]:.3e} at sample {first + k} exceeds {TRACE_DRIFT_TOL:.1e}"
         raise StateInvariantViolatedError(message)

@@ -17,10 +17,6 @@ class NoConvergenceError(Exception):
     """Iteration budget exhausted before reaching tolerance."""
 
 
-class NotPSDError(Exception):
-    """Matrix has an eigenvalue below the allowed negative tolerance."""
-
-
 class InvalidStateError(Exception):
     """Density matrix fails basic state checks."""
 
@@ -75,7 +71,6 @@ CONFIG_ERRORS = (
 NUMERIC_ERRORS = (
     NotHermitianError,
     NoConvergenceError,
-    NotPSDError,
     InvalidStateError,
     StepTooLargeError,
     StateInvariantViolatedError,

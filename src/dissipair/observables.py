@@ -12,15 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _OFF_X, _X_BLOCKS, _coordinates, _position, _states
-from .errors import InvalidStateError, NotPSDError, ShapeMismatchError
+from .dynamics import _OFF_X, _X_BLOCKS, _check_samples, _coordinates, _position, _states
+from .errors import InvalidStateError, ShapeMismatchError
 from .model import require_finite, require_non_negative
 
 # sigma_y kron sigma_y is the anti-diagonal (-1, 1, 1, -1): X F is X with its columns reversed and signed.
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
-_STATE_TOL = 1e-6
-_ROWS, _COLS = np.triu_indices(4)  # the ten entries i <= j
+_UPPER_ROWS, _UPPER_COLS = np.triu_indices(4)  # the ten entries i <= j
 
 
 @dataclass(frozen=True)
@@ -40,30 +39,27 @@ class CollectivePopulations:
     P_G: float
 
 
-def _state_defects(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermiticity defect max |rho_ij - conj rho_ji| (equal at (i, j) and (j, i)) and trace drift |Tr rho - 1|."""
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused by _require_state
-        defects = np.abs(rho[..., _ROWS, _COLS] - rho[..., _COLS, _ROWS].conj()).max(axis=-1)
-    return defects, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+def _checked_coordinates(rho) -> np.ndarray:
+    """Raw coordinates of a checked state's Hermitian part, (16,) for one state and (N, 16) for a stack.
 
-
-def _require_state(rho) -> np.ndarray:
+    A Hermiticity defect max |rho_ij - conj rho_ji| over the ten entries i <= j above 1e-6, or not finite, raises
+    InvalidStateError.  The coordinates of rho - (rho - rho')/2 (rho's bits when rho is Hermitian, and free of the
+    overflow of (rho + rho')/2) then pass `_check_samples`, the trace and eigenvalue check of every trajectory block.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ShapeMismatchError(f"state must be 4x4 or an (N, 4, 4) stack, got {rho.shape}")
-    defects, drifts = _state_defects(rho)
-    for values, problem in (
-        (defects, "is not Hermitian within tolerance"),
-        (drifts, "trace deviates from 1 beyond tolerance"),
-    ):
-        # Written so that a NaN, from any NaN or inf entry, fails too.
-        bad = np.flatnonzero(~(values <= _STATE_TOL))
-        if bad.size:
-            where = f" at sample {bad[0]}" if rho.ndim == 3 else ""
-            if not np.isfinite(values.flat[bad[0]]):
-                problem = "is not finite"
-            raise InvalidStateError(f"state{where} {problem}")
-    return rho
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused just below
+        defects = np.abs(rho[..., _UPPER_ROWS, _UPPER_COLS] - rho[..., _UPPER_COLS, _UPPER_ROWS].conj()).max(axis=-1)
+    # Written so that a NaN, from any NaN or inf entry, fails too.
+    bad = np.flatnonzero(~(defects <= 1e-6))
+    if bad.size:
+        where = f" at sample {bad[0]}" if rho.ndim == 3 else ""
+        problem = "is not Hermitian within tolerance" if np.isfinite(defects.flat[bad[0]]) else "is not finite"
+        raise InvalidStateError(f"state{where} {problem}")
+    coords = _coordinates(rho - 0.5 * (rho - rho.conj().swapaxes(-1, -2)))
+    _check_samples(coords.reshape(-1, 16), "state")
+    return coords
 
 
 def _per_state(x):
@@ -91,12 +87,12 @@ def _collective_populations(y: np.ndarray) -> CollectivePopulations:
 
 def populations(rho) -> tuple[float, float]:
     """Excited-state population of each qubit: floats for one state, arrays for an (N, 4, 4) stack."""
-    p1, p2 = _qubit_populations(_coordinates(_require_state(rho)))
+    p1, p2 = _qubit_populations(_checked_coordinates(rho))
     return _per_state(p1), _per_state(p2)
 
 
-def _x_route(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenvalues of the two blocks of each X-shaped sample, and its concurrence in closed form.
+def _x_route(coords: np.ndarray) -> np.ndarray:
+    """Concurrence of each X-shaped sample in closed form.
 
     With rho clipped to its positive part, C = 2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22))
     (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)), read off the coordinates p, q, Re b, Im b of each block.
@@ -113,11 +109,11 @@ def _x_route(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         edge = np.divide(np.maximum(high, 0.0) * coherence, high - low, out=np.zeros_like(high), where=high > low)
         coherence, root = np.where(clipped, edge, coherence), np.where(clipped, edge, root)
     # Column 1 of coherence is |rho_12| and column 0 of root is sqrt(rho_00 rho_33); + 0.0 turns a -0 into +0.
-    return low.min(axis=1), 2.0 * np.maximum(0.0, (coherence - root[:, ::-1]).max(axis=1)) + 0.0
+    return 2.0 * np.maximum(0.0, (coherence - root[:, ::-1]).max(axis=1)) + 0.0
 
 
-def _factored_route(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenvalue of each sample and its concurrence from one eigh and one svd, for any state."""
+def _factored_route(coords: np.ndarray) -> np.ndarray:
+    """Concurrence of each sample from one eigh and one svd, for any state."""
     # The states are Hermitian by construction, so eigh reads them as they are.
     values, vectors = np.linalg.eigh(_states(coords))
     # rho = C C' with C = V diag(sqrt(lam)), so sqrt(rho) = C V' and C^T F C
@@ -126,23 +122,20 @@ def _factored_route(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # rho_tilde sqrt(rho) would lift roundoff to ~1e-8 on separable states.
     factor = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
     r = np.linalg.svd((np.swapaxes(factor, -1, -2)[..., ::-1] * _FLIP_SIGNS) @ factor, compute_uv=False)
-    return values[:, 0], np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
+    return np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
 
 
 def _concurrence(coords: np.ndarray) -> np.ndarray:
-    """Concurrence of each sample of (N, 16) raw coordinates of checked states; an eigenvalue below -1e-6 raises
-    NotPSDError.  X-shaped samples take `_x_route`, the others `_factored_route`; a route that takes every sample
-    reads the coordinates themselves, and only a mixed stack copies its parts.
+    """Concurrence of each sample of (N, 16) raw coordinates of states that passed `_check_samples`.
+
+    X-shaped samples take `_x_route`, the others `_factored_route`; a route that takes every sample (the closed
+    form takes an empty stack) reads the coordinates themselves, and only a mixed stack copies its parts.
     """
     x_shaped = ~coords[:, _OFF_X].any(axis=1)
-    routes = [(mask, route(coords if mask.all() else coords[mask]))
-              for mask, route in ((x_shaped, _x_route), (~x_shaped, _factored_route)) if mask.any()]
-    low = min([0.0, *(float(lows.min()) for _, (lows, _) in routes)])
-    if low < -_STATE_TOL:
-        raise NotPSDError(f"state eigenvalue {low:.3e} below {-_STATE_TOL:.1e}")
+    if x_shaped.all() or not x_shaped.any():
+        return (_x_route if x_shaped.all() else _factored_route)(coords)
     values = np.empty(len(coords))
-    for mask, (_, route_values) in routes:
-        values[mask] = route_values
+    values[x_shaped], values[~x_shaped] = _x_route(coords[x_shaped]), _factored_route(coords[~x_shaped])
     return values
 
 
@@ -153,21 +146,20 @@ def concurrence(rho):
     sqrt(rho) sqrt(rho_tilde), with rho_tilde = (sy kron sy) conj(rho)
     (sy kron sy), and the result is max(0, r1 - r2 - r3 - r4): a float
     for one 4x4 state, an array of length N for an (N, 4, 4) stack.
-    Eigenvalues below -1e-6 raise NotPSDError; higher ones clamp to zero.
+    The state is checked as the populations' is: an eigenvalue below -1e-6 raises StateInvariantViolatedError
+    (exit code 3); higher ones clamp to zero.
 
-    The checked state's Hermitian part goes to `_concurrence` as coordinates, as a trajectory table's checked
+    The coordinates of the checked state's Hermitian part go to `_concurrence`, as a trajectory table's checked
     coordinates go directly.  X-shaped states (no coherence between {ee, gg} and {eg, ge}), such as the samples
     of undriven runs from named states, take the closed form of `_x_route`; the others one eigh and one svd.
     """
-    rho = _require_state(rho)
-    # rho - (rho - rho')/2 is rho's bits when rho is Hermitian, and cannot overflow as (rho + rho')/2 can.
-    coords = _coordinates(rho - 0.5 * (rho - rho.conj().swapaxes(-1, -2)))
-    return _per_state(_concurrence(coords.reshape(-1, 16)).reshape(rho.shape[:-2]))
+    coords = _checked_coordinates(rho)
+    return _per_state(_concurrence(coords.reshape(-1, 16)).reshape(coords.shape[:-1]))
 
 
 def collective_populations(rho) -> CollectivePopulations:
     """Diagonal in the collective basis: floats for one state, arrays for an (N, 4, 4) stack."""
-    pops = _collective_populations(_coordinates(_require_state(rho)))
+    pops = _collective_populations(_checked_coordinates(rho))
     return CollectivePopulations(*(_per_state(value) for value in vars(pops).values()))
 
 

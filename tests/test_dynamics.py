@@ -191,7 +191,7 @@ def test_time_grid_validation():
     with pytest.raises(ValidationError, match="^sample_every must be >= 1"):
         TimeGrid(t_max=1.0, dt=0.1, sample_every=0)
     # A fractional stride used to be truncated: 2.5 stored every second step.
-    for bad in (2.5, 2.0, math.nan):
+    for bad in (2.5, 2.0, math.nan, True):
         with pytest.raises(ValidationError, match=rf"^sample_every must be an integer, got {bad!r}$"):
             TimeGrid(t_max=1.0, dt=0.1, sample_every=bad)
     assert TimeGrid(t_max=1.0, dt=0.1, sample_every=np.int64(3)).sample_steps().tolist() == [0, 3, 6, 9, 10]

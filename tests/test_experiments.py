@@ -340,14 +340,14 @@ def test_concurrence_tables_skip_the_state_check(tmp_path, monkeypatch):
             raise AssertionError(f"{name} reached")
         return refuse
 
-    monkeypatch.setattr(observables, "_require_state", reached("_require_state"))
+    monkeypatch.setattr(observables, "_checked_coordinates", reached("_checked_coordinates"))
     for name in ("eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, reached(name))
     assert written("patched", "3a") == usual
     monkeypatch.undo()
-    monkeypatch.setattr(observables, "_require_state", reached("_require_state"))
+    monkeypatch.setattr(observables, "_checked_coordinates", reached("_checked_coordinates"))
     written("driven", "4a")
-    with pytest.raises(AssertionError, match="_require_state reached"):
+    with pytest.raises(AssertionError, match="_checked_coordinates reached"):
         concurrence(initial_state("EG"))
 
 

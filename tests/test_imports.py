@@ -1,10 +1,12 @@
-"""Every top-level import in the package modules is used, and every private top-level name is read.
+"""Every top-level import in the package modules is used, every private top-level name is read, and every
+exception type is named outside `errors.py`.
 
 No linter ships with the test extras, so this walks each module's syntax
 tree with the standard library.  `__init__.py` is exempt: its imports are
 the package's re-exports.  A private name (`_function`, `_Class`,
 `_CONSTANT`) that its own module never reads is dead code: nothing else
-should reach for it.
+should reach for it.  So is an exception class that only `errors.py` and
+its exit-code groups name: no module raises or catches it.
 """
 
 import ast
@@ -75,3 +77,27 @@ def test_checker_flags_an_unread_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def unnamed_exceptions(errors_source: str, other_sources: list[str]) -> list[str]:
+    """Top-level classes of `errors_source` that no module of `other_sources` names, bare or as an attribute."""
+    defined = [node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)]
+    named = set()
+    for source in other_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [name for name in defined if name not in named]
+
+
+def test_checker_flags_an_unnamed_exception():
+    errors = "class A(Exception):\n    pass\nclass B(A):\n    pass\nclass C(A):\n    pass\nGROUP = (A, B, C)\n"
+    assert unnamed_exceptions(errors, ["from .errors import A\nraise A()\n", "import errors\nerrors.C\n"]) == ["B"]
+
+
+def test_every_exception_type_is_named_in_another_module():
+    errors = next(path for path in MODULES if path.name == "errors.py")
+    others = [path.read_text(encoding="utf-8") for path in MODULES if path != errors]
+    assert unnamed_exceptions(errors.read_text(encoding="utf-8"), others) == []

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from dissipair import model, observables
 from dissipair.dynamics import _coordinates, _states, initial_state, liouvillian_from_params
-from dissipair.errors import InvalidStateError, NegativeRateError, NotPSDError, ShapeMismatchError, ValidationError
+from dissipair.errors import (
+    InvalidStateError,
+    NegativeRateError,
+    ShapeMismatchError,
+    StateInvariantViolatedError,
+    ValidationError,
+)
 from dissipair.observables import collective_populations, concurrence, damping_forces, populations
 
 from oracles import (
@@ -40,7 +46,7 @@ def test_populations_basis_states():
 
 
 def test_populations_rejects_invalid_states():
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(StateInvariantViolatedError, match="^state: trace drift 7.000e"):
         populations(2.0 * np.eye(4))
     bad = np.eye(4, dtype=complex) / 4.0
     bad[0, 1] = 1e-3
@@ -77,9 +83,13 @@ def test_population_observables_take_stacks():
         assert (pops.P_E[k], pops.P_plus[k], pops.P_minus[k], pops.P_G[k]) == (
             one.P_E, one.P_plus, one.P_minus, one.P_G)
     assert type(one.P_E) is float
+    empty = np.empty((0, 4, 4))
+    for values in (populations(empty), vars(collective_populations(empty)).values(), [concurrence(empty)]):
+        for value in values:
+            assert value.shape == (0,) and value.dtype == float
     states[3] *= 2.0
     for observable in (populations, collective_populations):
-        with pytest.raises(InvalidStateError, match="at sample 3"):
+        with pytest.raises(StateInvariantViolatedError, match="^state: trace drift .* at sample 3 exceeds"):
             observable(states)
 
 
@@ -98,14 +108,18 @@ def test_observables_reject_non_finite_states(value):
 
 
 def _full_matrix_refusal(rho):
-    """The full-matrix check's refusal of `rho`, or None: defect first, then drift, NaN or inf as not finite."""
+    """The full-matrix check's refusal of `rho` as (type, message), or None: the first sample whose defect fails,
+    NaN or inf as not finite, then the sample of largest trace drift."""
     defects, drifts = state_defects_full_matrix(rho)
-    for values, problem in ((defects, "is not Hermitian within tolerance"),
-                            (drifts, "trace deviates from 1 beyond tolerance")):
-        bad = np.flatnonzero(~(values <= 1e-6))
-        if bad.size:
-            where = f" at sample {bad[0]}" if rho.ndim == 3 else ""
-            return f"state{where} {'is not finite' if not np.isfinite(values.flat[bad[0]]) else problem}"
+    bad = np.flatnonzero(~(defects <= 1e-6))
+    if bad.size:
+        where = f" at sample {bad[0]}" if rho.ndim == 3 else ""
+        problem = "is not Hermitian within tolerance" if np.isfinite(defects.flat[bad[0]]) else "is not finite"
+        return InvalidStateError, f"state{where} {problem}"
+    drifts = drifts.reshape(-1)
+    if drifts.size and not drifts.max() <= 1e-6:
+        k = int(drifts.argmax())
+        return StateInvariantViolatedError, f"state: trace drift {drifts[k]:.3e} at sample {k} exceeds 1.0e-06"
     return None
 
 
@@ -118,7 +132,8 @@ _PLANTS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 6), single=st.booleans(), plants=_PLANTS)
 def test_state_check_matches_full_matrix(seed, size, single, plants):
-    # The ten-entry check gives the full-matrix numbers exactly, so the same refusal and sample index.
+    # The ten-entry Hermiticity test and the trace of the coordinates give the full-matrix numbers exactly, so the
+    # same refusal and sample index.
     rng = np.random.default_rng(seed)
     rho = np.array([random_density_matrix(rng) for _ in range(size)]).reshape(size, 4, 4)
     for k, i, j, imaginary, amount in plants:
@@ -127,17 +142,22 @@ def test_state_check_matches_full_matrix(seed, size, single, plants):
                 (rho.imag if imaginary else rho.real)[k, i, j] += amount
     if single:
         rho = rho[0] if size else random_density_matrix(rng)
-    expected_defects, expected_drifts = state_defects_full_matrix(rho)
-    defects, drifts = observables._state_defects(rho)
-    np.testing.assert_array_equal(defects, expected_defects)
-    np.testing.assert_array_equal(drifts, expected_drifts)
     expected = _full_matrix_refusal(rho)
-    if expected is None:
-        assert observables._require_state(rho) is not None
+    if expected is not None:
+        with pytest.raises(expected[0]) as info:
+            observables._checked_coordinates(rho)
+        assert str(info.value) == expected[1]
+        return
+    # Past both, the coordinates of the Hermitian part are refused exactly when an eigenvalue is below -1e-6.
+    hermitian = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    lowest = np.linalg.eigvalsh(hermitian).min(initial=0.0)
+    try:
+        coords = observables._checked_coordinates(rho)
+    except StateInvariantViolatedError as error:
+        assert " negativity " in str(error) and lowest < -1e-6 + 1e-12
     else:
-        with pytest.raises(InvalidStateError) as info:
-            observables._require_state(rho)
-        assert str(info.value) == expected
+        assert lowest >= -1e-6 - 1e-12
+        np.testing.assert_allclose(coords, _coordinates(hermitian), rtol=0.0, atol=4e-16)
 
 
 # ---- concurrence ----
@@ -212,10 +232,17 @@ def _x_state_with_spectrum(seed, spectrum):
 
 
 def test_concurrence_rejects_negative_eigenvalue():
-    # The factored route and the closed form of an X-shaped state name the same eigenvalue.
-    for build in (_state_with_spectrum, _x_state_with_spectrum):
-        with pytest.raises(NotPSDError, match=r"^state eigenvalue -1\.000e-03 below -1\.0e-06$"):
-            concurrence(build(113, [0.6, 0.401, 0.0, -1e-3]))
+    # Every public observable refuses the same states through one check, X-shaped or not; the populations of
+    # diag(1.5, 0, 0, -0.5) would read P1 = 1.5.
+    states = [build(113, [0.6, 0.401, 0.0, -1e-3]) for build in (_state_with_spectrum, _x_state_with_spectrum)]
+    for observable in (populations, collective_populations, concurrence):
+        for rho in states:
+            with pytest.raises(StateInvariantViolatedError,
+                               match=r"^state: negativity -1\.000e-03 at sample 0 exceeds 1\.0e-06$"):
+                observable(rho)
+        with pytest.raises(StateInvariantViolatedError,
+                           match=r"^state: negativity -5\.000e-01 at sample 0 exceeds 1\.0e-06$"):
+            observable(np.diag([1.5, 0.0, 0.0, -0.5]))
 
 
 def test_concurrence_refuses_entries_near_the_float_limit():
@@ -227,7 +254,8 @@ def test_concurrence_refuses_entries_near_the_float_limit():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for rho in (x_shaped, general):
-            with pytest.raises(NotPSDError, match=r"^state eigenvalue -1\.000e\+308 below -1\.0e-06$"):
+            with pytest.raises(StateInvariantViolatedError,
+                               match=r"^state: negativity -1\.000e\+308 at sample 0 exceeds 1\.0e-06$"):
                 concurrence(rho)
 
 
@@ -350,9 +378,11 @@ def test_concurrence_stack_rejects_one_invalid_sample(seed, size, data, defect):
     k = data.draw(st.integers(0, size - 1))
     if defect == "non_hermitian":
         stack[k, 0, 1] += 1e-3
+        error = InvalidStateError
     else:
         stack[k] *= 1.01
-    with pytest.raises(InvalidStateError, match=f"sample {k} "):
+        error = StateInvariantViolatedError
+    with pytest.raises(error, match=f"sample {k} "):
         concurrence(stack)
 
 
