@@ -13,6 +13,7 @@ by placing each entry exactly, so it is Hermitian by construction.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -250,8 +251,8 @@ def liouvillian_from_params(params: ModelParams) -> np.ndarray:
 
 
 def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
-    """Refuse a trace drift, a coordinate that is not finite or an eigenvalue beyond tolerance in the (N, 16)
-    coordinates of samples first, ...: the check of every trajectory block and every public observable's state.
+    """Refuse a trace drift, a non-finite coordinate or an eigenvalue beyond tolerance in the (N, 16) coordinates
+    of samples first, ...: the check of every trajectory block, sweep steady state and public observable's state.
 
     The trace is the sum of the four diagonal coordinates.  No eigenvalue lies below -tol exactly when, for an
     X-shaped sample, each block [[p, b], [b*, q]] has p + tol >= 0, q + tol >= 0 and (p + tol)(q + tol) >= |b|^2,
@@ -388,48 +389,56 @@ def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     return _joined(_rk4_blocks(rho0, liouvillian, grid))
 
 
-def steady_state(liouvillian: np.ndarray) -> SteadyStateResult:
-    """Stationary state from the null space of the real generator, or of each in a stack.
-
-    The verdict comes from the singular values of R (those of R' R would bury
-    small gaps in roundoff): the state is unique when the second-smallest
-    exceeds GAP_EPS ||R||_2, a bound free of units.  A unique state solves R
-    with its first row, redundant under trace preservation, replaced by the
-    trace row (ones on the diagonal coordinates) and right-hand side e_0.  Only
-    a degenerate cell gets a full SVD, for its near-null vector of largest
-    |trace|.  One (16, 16) generator gives a float gap and a bool; a stack
-    gives arrays over its leading axes and (..., 4, 4) states.
-    """
+def _steady_coordinates(liouvillian, certify: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`steady_state`'s path: raw coordinates (..., 16) of each stationary state, the verdicts, and the gaps of the
+    cells that took the SVD.  With `certify` a cell skips it if 1 / (4 ||B^-1||_1) > 2 GAP_EPS ||R||_F, B = R but for
+    row 0, max |R_ij| times the trace row: sigma_16(B) <= sigma_15(R) for a rank-one B - R (Horn and Johnson, Topics in
+    Matrix Analysis, Thm 3.3.16), ||B^-1||_2 <= 4 ||B^-1||_1 and ||R||_2 <= ||R||_F; 2 covers the inverse's rounding."""
     gen = _real_generator(liouvillian)
     if not np.isfinite(gen).all():
         raise NoConvergenceError("the generator is not finite")
-    sing = np.linalg.svd(gen, compute_uv=False)
-    # Descending: sing[..., 0] is ||R||_2 and sing[..., -2] the gap.
-    gap, bound = sing[..., -2], GAP_EPS * sing[..., 0]
-    unique = gap > bound
-    stack, flags = gen.reshape(-1, _SIZE, _SIZE), unique.reshape(-1)
-    coords = np.empty((len(stack), _SIZE))
-    bordered = stack[flags]
+    stack = gen.reshape(-1, _SIZE, _SIZE)
+    scale, bordered, unique = np.abs(stack).max(axis=(-2, -1)), stack.copy(), np.zeros(len(stack), dtype=bool)
+    if certify:  # a norm beyond the float range leaves its cell to the SVD, an exactly singular B its whole block
+        bordered[:, 0] = scale[:, None] * _TRACE_ROW
+        with np.errstate(over="ignore"), contextlib.suppress(np.linalg.LinAlgError):
+            norms = np.abs(np.linalg.inv(bordered)).sum(axis=-2).max(axis=-1)
+            unique = 8.0 * GAP_EPS * np.linalg.norm(stack, axis=(-2, -1)) * norms < 1.0
+    sing = np.linalg.svd(stack[~unique], compute_uv=False) if not unique.all() else np.empty((0, _SIZE))
+    gap, bound = sing[:, -2], GAP_EPS * sing[:, 0]  # descending: sing[:, 0] is ||R||_2
+    unique[~unique] = gap > bound
     bordered[:, 0] = _TRACE_ROW
-    coords[flags] = np.linalg.solve(bordered, np.eye(_SIZE, 1))[..., 0]
-    if not flags.all():
-        _, values, vh = np.linalg.svd(stack[~flags])
+    coords = np.empty((len(stack), _SIZE))
+    coords[unique] = np.linalg.solve(bordered[unique], np.eye(_SIZE, 1))[..., 0]
+    if not unique.all():
+        _, values, vh = np.linalg.svd(stack[~unique])
         # Ascending singular values; candidate i is the right singular vector of values[:, i].
         values, candidates = values[:, ::-1], vh[:, ::-1]
         # Of the near-null vectors (always at least the first), take the one of largest |trace|.
-        near_null = (values <= bound.reshape(-1)[~flags, None]) | (np.arange(_SIZE) == 0)
+        near_null = (values <= bound[gap <= bound, None]) | (np.arange(_SIZE) == 0)
         traces = candidates @ _TRACE_ROW
-        cells = np.arange(len(candidates))
-        best = np.argmax(np.where(near_null, np.abs(traces), -1.0), axis=-1)
-        if np.any(np.abs(traces[cells, best]) < 1e-9):
+        best = np.arange(len(candidates)), np.argmax(np.where(near_null, np.abs(traces), -1.0), axis=-1)
+        if np.any(np.abs(traces[best]) < 1e-9):
             raise NotAStateError("null space holds no unit-trace Hermitian element within tolerance")
-        coords[~flags] = candidates[cells, best] / traces[cells, best, None]
-    residual = np.linalg.norm((stack @ coords[..., None])[..., 0], axis=-1).reshape(unique.shape)
-    # Written so that a NaN residual counts as too large.
-    bad = unique & ~(residual <= 1e-8 * np.abs(gen).max(axis=(-2, -1)))
+        coords[~unique] = candidates[best] / traces[best][:, None]
+    residual = np.linalg.norm((stack @ coords[..., None])[..., 0], axis=-1)
+    bad = unique & ~(residual <= 1e-8 * scale)  # written so that a NaN residual counts as too large
     if np.any(bad):
         raise NoConvergenceError(f"stationary residual {np.max(residual[bad]):.3e} too large")
-    rho = _states(coords / _SCALE).reshape(gen.shape[:-2] + (_DIM, _DIM))
-    if gap.ndim == 0:
-        return SteadyStateResult(state=rho, spectral_gap=float(gap), unique=bool(unique))
-    return SteadyStateResult(state=rho, spectral_gap=gap, unique=unique)
+    return (coords / _SCALE).reshape(gen.shape[:-1]), unique.reshape(gen.shape[:-2]), gap
+
+
+def steady_state(liouvillian: np.ndarray) -> SteadyStateResult:
+    """Stationary state from the null space of the real generator, or of each in a stack.
+
+    The verdict comes from the singular values of R (those of R' R would bury small gaps in roundoff): the state is
+    unique when the second-smallest exceeds GAP_EPS ||R||_2, a bound free of units.  A unique state solves R with its
+    first row, redundant under trace preservation, replaced by the trace row (ones on the diagonal coordinates) and
+    right-hand side e_0.  Only a degenerate cell gets a full SVD, for its near-null vector of largest |trace|.  One
+    (16, 16) generator gives a float gap and a bool; a stack gives arrays over its leading axes and (..., 4, 4)
+    states.  A steady_concurrence sweep takes the same path, but a cell that the inverse of its bordered matrix
+    certifies unique skips the SVD there (`_steady_coordinates`): the same verdicts and state bits, and no gap.
+    """
+    coords, unique, gap = _steady_coordinates(liouvillian)
+    gap, unique = (float(gap[0]), bool(unique)) if unique.ndim == 0 else (gap.reshape(unique.shape), unique)
+    return SteadyStateResult(state=_states(coords), spectral_gap=gap, unique=unique)

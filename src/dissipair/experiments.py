@@ -36,14 +36,15 @@ from .dynamics import (
     INITIAL_STATE_NAMES,
     TimeGrid,
     Trajectory,
+    _check_samples,
     _rk4_blocks,
+    _steady_coordinates,
     initial_state,
     liouvillian_from_params,
-    steady_state,
 )
 from .errors import IoError, ParseError, UnknownPresetError, ValidationError
 from .model import Drive, ModelParams, require_finite
-from .observables import _collective_populations, _concurrence, _qubit_populations, concurrence, damping_forces
+from .observables import _collective_populations, _concurrence, _qubit_populations, damping_forces
 
 OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
 SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
@@ -375,10 +376,12 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
             block_a, block_b = a[i:i + rows], b[j:j + cols]
             params = config._params_at(block_a[:, None], block_b)
             if steady:
-                result = steady_state(liouvillian_from_params(params))
-                cells = np.full(result.unique.shape + (2,), DEGENERATE_SENTINEL)
-                cells[result.unique, 0] = concurrence(result.state[result.unique])
-                cells[..., 1] = ~result.unique
+                coords, unique, _ = _steady_coordinates(liouvillian_from_params(params), certify=True)
+                coords = coords[unique]
+                _check_samples(coords, "state")  # a solved state is Hermitian by construction, not positive
+                cells = np.full(unique.shape + (2,), DEGENERATE_SENTINEL)
+                cells[unique, 0] = _concurrence(coords)
+                cells[..., 1] = ~unique
             else:
                 value = damping_forces(params.J, params.Gamma, params.phi).delta_F
                 cells = np.broadcast_to(value, (len(block_a), len(block_b)))[..., None]

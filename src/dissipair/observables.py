@@ -42,11 +42,14 @@ class CollectivePopulations:
 def _checked_coordinates(rho) -> np.ndarray:
     """Raw coordinates of a checked state's Hermitian part, (16,) for one state and (N, 16) for a stack.
 
-    A Hermiticity defect max |rho_ij - conj rho_ji| over the ten entries i <= j above 1e-6, or not finite, raises
-    InvalidStateError.  The coordinates of rho - (rho - rho')/2 (rho's bits when rho is Hermitian, and free of the
-    overflow of (rho + rho')/2) then pass `_check_samples`, the trace and eigenvalue check of every trajectory block.
+    Non-numeric input, or a Hermiticity defect max |rho_ij - conj rho_ji| over the ten entries i <= j above 1e-6 or
+    not finite, raises InvalidStateError.  The coordinates of rho - (rho - rho')/2 (rho's bits when rho is Hermitian,
+    free of the overflow of (rho + rho')/2) then pass `_check_samples`, the trace and eigenvalue check of every block.
     """
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError):  # a string, a dict or a ragged sequence
+        raise InvalidStateError(f"state must be a numeric array, got {rho!r:.60}") from None
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ShapeMismatchError(f"state must be 4x4 or an (N, 4, 4) stack, got {rho.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused just below

@@ -684,6 +684,48 @@ def test_steady_state_takes_singular_vectors_only_on_degenerate_cells(monkeypatc
     assert calls == [(False, (3,)), (True, (2,))]
 
 
+
+# Cells (J, Gamma, phi, kappa, drive target, amplitude) for the sweep's certificate: driven on either qubit,
+# undriven, dephased, and near degenerate (a weak drive at phi near pi, or J near 0).
+_PHASES = st.floats(0.0, 2.0 * math.pi) | st.integers(-2, 3).map(lambda k: k * math.pi)
+_CERTIFY_CELLS = (
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 3.0), _PHASES, st.just(0.0), st.sampled_from([1, 2]),
+              st.floats(0.05, 2.0))
+    | st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 3.0), _PHASES, st.just(0.0), st.just(1), st.just(0.0))
+    | st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 3.0), _PHASES, st.floats(0.01, 1.0), st.sampled_from([1, 2]),
+                st.just(0.0) | st.floats(0.05, 2.0))
+    | st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 3.0), st.floats(math.pi - 1e-3, math.pi + 1e-3), st.just(0.0),
+                st.sampled_from([1, 2]), st.floats(0.0, 1e-3))
+    | st.tuples(st.floats(-1e-3, 1e-3), st.floats(0.5, 3.0), _PHASES, st.just(0.0) | st.floats(0.0, 1e-3),
+                st.sampled_from([1, 2]), st.just(0.0) | st.floats(0.0, 1e-3))
+)
+# The 201 x 201 map's three degenerate cells, undriven at phi = 0, pi and 2 pi, beside the same cells weakly driven.
+_MAP_CELLS = [(1.0, 2.0, phi, 0.0, 1, w) for w in (0.0, 0.01) for phi in np.linspace(0.0, 2.0 * math.pi, 201)[::100]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells=st.lists(_CERTIFY_CELLS, min_size=1, max_size=12))
+@example(cells=_MAP_CELLS)
+def test_sweep_certificate_agrees_with_the_svd_verdict(cells):
+    gens = np.array([liouvillian_from_params(model.ModelParams(j, g, p, k, model.Drive(t, w)))
+                     for j, g, p, k, t, w in cells])
+    taken, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        taken.extend(np.reshape(a, (-1, 16, 16)))
+        return svd(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "svd", recording_svd):
+        coords, unique, _ = dynamics._steady_coordinates(gens, certify=True)
+    certified = np.array([not any(np.array_equal(gen, seen) for seen in taken) for gen in gens])
+    result = steady_state(gens)
+    # No cell the bound certifies is degenerate by the SVD; every verdict and every state bit is the public one's.
+    assert result.unique[certified].all()
+    np.testing.assert_array_equal(unique, result.unique)
+    np.testing.assert_array_equal(dynamics._states(coords), result.state)
+    if cells is _MAP_CELLS:
+        assert certified.tolist() == result.unique.tolist() == [False] * 3 + [True] * 3
+
 def test_steady_state_refuses_a_non_finite_generator(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("svd reached with a non-finite generator")

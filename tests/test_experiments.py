@@ -452,6 +452,53 @@ def test_run_sweep_driven_cell_matches_direct_steady_state(tmp_path):
     assert data[:, 3].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
+
+def test_run_sweep_certifies_driven_cells_without_a_16x16_svd(tmp_path, monkeypatch):
+    # The benchmark's all-driven grid: the inverse of each cell's bordered matrix certifies its state unique, so
+    # the sweep takes no singular values of a generator, while the public steady_state still takes its one SVD.
+    config = SweepConfig(AxisSpec("drive_amplitude", 0.5, 2.0, 5), AxisSpec("phi", 0.0, 2.0 * math.pi, 9),
+                         "steady_concurrence", base=model.ModelParams(J=1.0, Gamma=2.0, drive=model.Drive(1, 0.0)))
+    calls, svd = [], np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    _, data = _read_table(run_sweep(config, str(tmp_path)))
+    assert data.shape == (45, 4) and not data[:, 3].any()
+    assert [shape for shape in calls if shape[-2:] == (16, 16)] == []
+    calls.clear()
+    assert steady_state(liouvillian_from_params(model.ModelParams(J=1.0, Gamma=2.0, drive=model.Drive(1, 0.5)))).unique
+    assert [shape[-2:] for shape in calls] == [(16, 16)]
+
+
+def test_run_sweep_falls_back_to_the_svd_on_an_exactly_singular_block(tmp_path, monkeypatch):
+    # Undriven, the J = 0 and Gamma = 0 lines keep dark states and an exactly singular bordered matrix (the corner's
+    # generator is zero), so np.linalg.inv raises for the whole block and every cell takes the SVD verdict.
+    config = SweepConfig(AxisSpec("J", 0.0, 2.0, 5), AxisSpec("Gamma", 0.0, 4.0, 7), "steady_concurrence",
+                         base=model.ModelParams(phi=1.5 * math.pi))
+    raised, inv = [], np.linalg.inv
+
+    def recording_inv(a, *args, **kwargs):
+        try:
+            return inv(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            raised.append(np.shape(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    written = Path(run_sweep(config, str(tmp_path))).read_bytes()
+    assert raised == [(35, 16, 16)]
+    table = []
+    for J in config.axis1.values():
+        for Gamma in config.axis2.values():
+            result = steady_state(liouvillian_from_params(model.ModelParams(J=J, Gamma=Gamma, phi=1.5 * math.pi)))
+            table.append((J, Gamma, concurrence(result.state) if result.unique else -1.0, float(not result.unique)))
+    assert written == _per_cell_text(["axis1", "axis2", "value", "degenerate"], np.array(table))
+    # The J = 0 column and the Gamma = 0 row are degenerate; the other 24 cells are unique.
+    assert sum(row[3] for row in table) == 11.0
+
 @pytest.mark.parametrize("budget", [4, 7])
 @pytest.mark.parametrize("observable", ["delta_F", "steady_concurrence"])
 def test_run_sweep_blocks_write_the_same_bytes(tmp_path, monkeypatch, observable, budget):

@@ -107,6 +107,15 @@ def test_observables_reject_non_finite_states(value):
                 observable(rho)
 
 
+
+@pytest.mark.parametrize("rho", ["abc", [[1, 2], [3]], [[0.25, "x"]] * 4, {"rho": 1}],
+                         ids=["string", "ragged", "text entry", "dict"])
+def test_observables_refuse_non_numeric_input(rho):
+    # numpy's own ValueError or TypeError from the conversion does not get out: a state that is no array is invalid.
+    for observable in (populations, collective_populations, concurrence):
+        with pytest.raises(InvalidStateError, match="^state must be a numeric array, got "):
+            observable(rho)
+
 def _full_matrix_refusal(rho):
     """The full-matrix check's refusal of `rho` as (type, message), or None: the first sample whose defect fails,
     NaN or inf as not finite, then the sample of largest trace drift."""

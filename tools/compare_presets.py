@@ -1,16 +1,22 @@
-"""Write every figure preset and two sweeps from two source trees and compare the CSVs cell by cell.
+"""Write every figure preset and three sweeps from two source trees and compare the CSVs cell by cell.
 
     python tools/compare_presets.py OLD_SRC NEW_SRC [--tol TOL]
 
 OLD_SRC and NEW_SRC are directories that hold the `dissipair` package, such as
 the `src` of two checkouts.  Each tree writes, in its own Python process, the
-15 presets and then two sweeps.  The steady map is the 201 x 201
+15 presets and then three sweeps.  The steady map is the 201 x 201
 `steady_concurrence` sweep with J = 1, Gamma = 2 and the drive on qubit 1,
 over drive_amplitude in [0, 2] (axis1) and phi in [0, 2 pi] (axis2); it has
-3 degenerate cells, flagged with the sentinel -1.  The wide sweep is
+3 degenerate cells, flagged with the sentinel -1, and the inverse of the
+bordered matrix certifies every other cell unique.  The wide sweep is
 `delta_F` over J in [0, 2] (3 values) and phi in [0, 2 pi] (2 500 values)
 with Gamma = 2: its rows are longer than a sweep block, so blocks end in
-the middle of a row.  For each table the script prints
+the middle of a row.  The singular corner is the undriven
+`steady_concurrence` sweep over J in [0, 2] (axis1) and Gamma in [0, 4]
+(axis2), 41 values each, at phi = 3 pi/2: the J = 0 column and the
+Gamma = 0 row keep dark states and an exactly singular bordered matrix, so
+the inverse raises for each of its two blocks and every cell takes the SVD
+verdict, 81 of them degenerate.  For each table the script prints
 "identical", or the number of changed cells, the columns they sit in and the
 largest |difference|, and then the wall time of its write in each tree,
 old -> new, in ms.  Each time is one `dissipair figure <id>` or `dissipair
@@ -42,6 +48,9 @@ SWEEPS = {
                   + _PHI_AXIS + "axis2_count = 201\n",
     "wide_sweep": "Gamma = 2\nobservable = delta_F\naxis1_name = J\naxis1_min = 0\naxis1_max = 2\naxis1_count = 3\n"
                   + _PHI_AXIS + "axis2_count = 2500\n",
+    "singular_corner": "phi = 4.71238898038469\nobservable = steady_concurrence\naxis1_name = J\naxis1_min = 0\n"
+                       "axis1_max = 2\naxis1_count = 41\naxis2_name = Gamma\naxis2_min = 0\naxis2_max = 4\n"
+                       "axis2_count = 41\n",
 }
 _TIMED = "ms"
 _WRITE = f"""
