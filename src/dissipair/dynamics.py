@@ -389,27 +389,35 @@ def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     return _joined(_rk4_blocks(rho0, liouvillian, grid))
 
 
+def _certified(stack: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Cells certified unique: 1 / (4 ||B^-1||_1) > 32 GAP_EPS, with U = R / max |R_ij| and B = U but for row 0, the
+    trace row.  sigma_16(B) <= sigma_15(U) for a rank-one B - U (Horn and Johnson, Topics in Matrix Analysis, Thm
+    3.3.16), ||B^-1||_2 <= 4 ||B^-1||_1 and ||U||_2 <= ||U||_F <= 16, free of R's units; 2 covers the rounding."""
+    unit = stack / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    unit[:, 0] = _TRACE_ROW
+    with np.errstate(over="ignore"), contextlib.suppress(np.linalg.LinAlgError):  # an exactly singular B certifies none
+        inverse = np.linalg.inv(unit)
+        return 128.0 * GAP_EPS * np.abs(inverse, out=inverse).sum(axis=-2).max(axis=-1) < 1.0
+    return np.zeros(len(stack), dtype=bool)
+
+
 def _steady_coordinates(liouvillian, certify: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`steady_state`'s path: raw coordinates (..., 16) of each stationary state, the verdicts, and the gaps of the
-    cells that took the SVD.  With `certify` a cell skips it if 1 / (4 ||B^-1||_1) > 2 GAP_EPS ||R||_F, B = R but for
-    row 0, max |R_ij| times the trace row: sigma_16(B) <= sigma_15(R) for a rank-one B - R (Horn and Johnson, Topics in
-    Matrix Analysis, Thm 3.3.16), ||B^-1||_2 <= 4 ||B^-1||_1 and ||R||_2 <= ||R||_F; 2 covers the inverse's rounding."""
+    """`steady_state`'s path: raw coordinates (..., 16) of each stationary state, the verdicts, and the values-only
+    SVD's gaps, one per cell as `steady_state` needs unless `certify` lets the cells `_certified` passes skip it."""
     gen = _real_generator(liouvillian)
     if not np.isfinite(gen).all():
         raise NoConvergenceError("the generator is not finite")
     stack = gen.reshape(-1, _SIZE, _SIZE)
-    scale, bordered, unique = np.abs(stack).max(axis=(-2, -1)), stack.copy(), np.zeros(len(stack), dtype=bool)
-    if certify:  # a norm beyond the float range leaves its cell to the SVD, an exactly singular B its whole block
-        bordered[:, 0] = scale[:, None] * _TRACE_ROW
-        with np.errstate(over="ignore"), contextlib.suppress(np.linalg.LinAlgError):
-            norms = np.abs(np.linalg.inv(bordered)).sum(axis=-2).max(axis=-1)
-            unique = 8.0 * GAP_EPS * np.linalg.norm(stack, axis=(-2, -1)) * norms < 1.0
-    sing = np.linalg.svd(stack[~unique], compute_uv=False) if not unique.all() else np.empty((0, _SIZE))
+    scale = np.abs(stack).max(axis=(-2, -1))
+    unique = _certified(stack, scale) if certify else np.zeros(len(stack), dtype=bool)
+    rest = stack[~unique] if unique.any() else stack  # no copy when every cell takes the SVD
+    sing = np.linalg.svd(rest, compute_uv=False) if len(rest) else np.empty((0, _SIZE))
     gap, bound = sing[:, -2], GAP_EPS * sing[:, 0]  # descending: sing[:, 0] is ||R||_2
     unique[~unique] = gap > bound
+    bordered = stack[unique]
     bordered[:, 0] = _TRACE_ROW
     coords = np.empty((len(stack), _SIZE))
-    coords[unique] = np.linalg.solve(bordered[unique], np.eye(_SIZE, 1))[..., 0]
+    coords[unique] = np.linalg.solve(bordered, np.eye(_SIZE, 1))[..., 0]
     if not unique.all():
         _, values, vh = np.linalg.svd(stack[~unique])
         # Ascending singular values; candidate i is the right singular vector of values[:, i].

@@ -398,9 +398,7 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
 
 
 def _preset_params(phi: float, drive_target: int | None = None) -> ModelParams:
-    drive = None
-    if drive_target is not None:
-        drive = Drive(target=drive_target, amplitude=PRESET_DRIVE_AMPLITUDE)
+    drive = None if drive_target is None else Drive(target=drive_target, amplitude=PRESET_DRIVE_AMPLITUDE)
     return ModelParams(J=1.0, Gamma=PRESET_GAMMA, phi=phi, kappa=0.0, drive=drive)
 
 

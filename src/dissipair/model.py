@@ -94,30 +94,24 @@ class ModelParams(_FieldwiseEquality):
         require_non_negative(Gamma=self.Gamma, kappa=self.kappa)
 
 
-def _check_qubit(qubit: int) -> None:
+def _embed(op: np.ndarray, qubit: int) -> np.ndarray:
     if qubit not in (1, 2):
         raise BadIndexError(f"qubit index must be 1 or 2, got {qubit}")
-
-
-def _embed(op: np.ndarray, qubit: int) -> np.ndarray:
     return np.kron(op, IDENTITY_2) if qubit == 1 else np.kron(IDENTITY_2, op)
 
 
 def sigma_minus(qubit: int) -> np.ndarray:
     """Lowering operator of one qubit embedded in the two-qubit space."""
-    _check_qubit(qubit)
     return _embed(LOWER_2, qubit)
 
 
 def sigma_plus(qubit: int) -> np.ndarray:
     """Raising operator of one qubit embedded in the two-qubit space."""
-    _check_qubit(qubit)
     return _embed(RAISE_2, qubit)
 
 
 def sigma_z(qubit: int) -> np.ndarray:
     """Population-inversion operator of one qubit, diag(+1) on excited."""
-    _check_qubit(qubit)
     return _embed(SIGMA_Z_2, qubit)
 
 

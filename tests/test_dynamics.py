@@ -684,7 +684,6 @@ def test_steady_state_takes_singular_vectors_only_on_degenerate_cells(monkeypatc
     assert calls == [(False, (3,)), (True, (2,))]
 
 
-
 # Cells (J, Gamma, phi, kappa, drive target, amplitude) for the sweep's certificate: driven on either qubit,
 # undriven, dephased, and near degenerate (a weak drive at phi near pi, or J near 0).
 _PHASES = st.floats(0.0, 2.0 * math.pi) | st.integers(-2, 3).map(lambda k: k * math.pi)
@@ -704,10 +703,13 @@ _MAP_CELLS = [(1.0, 2.0, phi, 0.0, 1, w) for w in (0.0, 0.01) for phi in np.lins
 
 
 @settings(max_examples=80, deadline=None)
-@given(cells=st.lists(_CERTIFY_CELLS, min_size=1, max_size=12))
-@example(cells=_MAP_CELLS)
-def test_sweep_certificate_agrees_with_the_svd_verdict(cells):
-    gens = np.array([liouvillian_from_params(model.ModelParams(j, g, p, k, model.Drive(t, w)))
+@given(cells=st.lists(_CERTIFY_CELLS, min_size=1, max_size=12), scale=st.sampled_from([1.0, 1e-170, 1e-300]))
+@example(cells=_MAP_CELLS, scale=1.0)
+@example(cells=_MAP_CELLS, scale=1e-170)  # ||R||_F of these underflows when the squares are not rescaled
+def test_sweep_certificate_agrees_with_the_svd_verdict(cells, scale):
+    # Every rate times `scale`: the verdicts are free of units, so tiny rates change none of them.
+    gens = np.array([liouvillian_from_params(model.ModelParams(j * scale, g * scale, p, k * scale,
+                                                               model.Drive(t, w * scale)))
                      for j, g, p, k, t, w in cells])
     taken, svd = [], np.linalg.svd
 
@@ -725,6 +727,7 @@ def test_sweep_certificate_agrees_with_the_svd_verdict(cells):
     np.testing.assert_array_equal(dynamics._states(coords), result.state)
     if cells is _MAP_CELLS:
         assert certified.tolist() == result.unique.tolist() == [False] * 3 + [True] * 3
+
 
 def test_steady_state_refuses_a_non_finite_generator(monkeypatch):
     def no_svd(*args, **kwargs):

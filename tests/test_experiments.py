@@ -452,7 +452,6 @@ def test_run_sweep_driven_cell_matches_direct_steady_state(tmp_path):
     assert data[:, 3].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
-
 def test_run_sweep_certifies_driven_cells_without_a_16x16_svd(tmp_path, monkeypatch):
     # The benchmark's all-driven grid: the inverse of each cell's bordered matrix certifies its state unique, so
     # the sweep takes no singular values of a generator, while the public steady_state still takes its one SVD.
@@ -498,6 +497,7 @@ def test_run_sweep_falls_back_to_the_svd_on_an_exactly_singular_block(tmp_path, 
     assert written == _per_cell_text(["axis1", "axis2", "value", "degenerate"], np.array(table))
     # The J = 0 column and the Gamma = 0 row are degenerate; the other 24 cells are unique.
     assert sum(row[3] for row in table) == 11.0
+
 
 @pytest.mark.parametrize("budget", [4, 7])
 @pytest.mark.parametrize("observable", ["delta_F", "steady_concurrence"])

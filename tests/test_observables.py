@@ -107,7 +107,6 @@ def test_observables_reject_non_finite_states(value):
                 observable(rho)
 
 
-
 @pytest.mark.parametrize("rho", ["abc", [[1, 2], [3]], [[0.25, "x"]] * 4, {"rho": 1}],
                          ids=["string", "ragged", "text entry", "dict"])
 def test_observables_refuse_non_numeric_input(rho):
@@ -115,6 +114,7 @@ def test_observables_refuse_non_numeric_input(rho):
     for observable in (populations, collective_populations, concurrence):
         with pytest.raises(InvalidStateError, match="^state must be a numeric array, got "):
             observable(rho)
+
 
 def _full_matrix_refusal(rho):
     """The full-matrix check's refusal of `rho` as (type, message), or None: the first sample whose defect fails,
