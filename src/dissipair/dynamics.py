@@ -389,16 +389,15 @@ def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     return _joined(_rk4_blocks(rho0, liouvillian, grid))
 
 
-def _certified(stack: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Cells certified unique: 1 / (4 ||B^-1||_1) > 32 GAP_EPS, with U = R / max |R_ij| and B = U but for row 0, the
-    trace row.  sigma_16(B) <= sigma_15(U) for a rank-one B - U (Horn and Johnson, Topics in Matrix Analysis, Thm
-    3.3.16), ||B^-1||_2 <= 4 ||B^-1||_1 and ||U||_2 <= ||U||_F <= 16, free of R's units; 2 covers the rounding."""
-    unit = stack / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+def _certified(unit: np.ndarray) -> np.ndarray:
+    """Cells certified unique: 1 / (4 ||B^-1||_1) > 32 GAP_EPS, with `unit` U = R / max |R_ij| and B = U but for row
+    0, the trace row.  sigma_16(B) <= sigma_15(U) for a rank-one B - U (Horn and Johnson, Topics in Matrix Analysis,
+    Thm 3.3.16), ||B^-1||_2 <= 4 ||B^-1||_1 and ||U||_2 <= ||U||_F <= 16, free of R's units; 2 covers the rounding."""
     unit[:, 0] = _TRACE_ROW
     with np.errstate(over="ignore"), contextlib.suppress(np.linalg.LinAlgError):  # an exactly singular B certifies none
         inverse = np.linalg.inv(unit)
         return 128.0 * GAP_EPS * np.abs(inverse, out=inverse).sum(axis=-2).max(axis=-1) < 1.0
-    return np.zeros(len(stack), dtype=bool)
+    return np.zeros(len(unit), dtype=bool)
 
 
 def _steady_coordinates(liouvillian, certify: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -408,8 +407,9 @@ def _steady_coordinates(liouvillian, certify: bool = False) -> tuple[np.ndarray,
     if not np.isfinite(gen).all():
         raise NoConvergenceError("the generator is not finite")
     stack = gen.reshape(-1, _SIZE, _SIZE)
-    scale = np.abs(stack).max(axis=(-2, -1))
-    unique = _certified(stack, scale) if certify else np.zeros(len(stack), dtype=bool)
+    scale = np.abs(stack).max(axis=(-2, -1), keepdims=True)
+    scale[scale == 0.0] = 1.0  # R / scale is R / max |R_ij|, or a zero R itself: free of units, and no norm overflows
+    unique = _certified(stack / scale) if certify else np.zeros(len(stack), dtype=bool)
     rest = stack[~unique] if unique.any() else stack  # no copy when every cell takes the SVD
     sing = np.linalg.svd(rest, compute_uv=False) if len(rest) else np.empty((0, _SIZE))
     gap, bound = sing[:, -2], GAP_EPS * sing[:, 0]  # descending: sing[:, 0] is ||R||_2
@@ -429,8 +429,8 @@ def _steady_coordinates(liouvillian, certify: bool = False) -> tuple[np.ndarray,
         if np.any(np.abs(traces[best]) < 1e-9):
             raise NotAStateError("null space holds no unit-trace Hermitian element within tolerance")
         coords[~unique] = candidates[best] / traces[best][:, None]
-    residual = np.linalg.norm((stack @ coords[..., None])[..., 0], axis=-1)
-    bad = unique & ~(residual <= 1e-8 * scale)  # written so that a NaN residual counts as too large
+    residual = np.linalg.norm((stack / scale @ coords[..., None])[..., 0], axis=-1)
+    bad = unique & ~(residual <= 1e-8)  # written so that a NaN residual counts as too large
     if np.any(bad):
         raise NoConvergenceError(f"stationary residual {np.max(residual[bad]):.3e} too large")
     return (coords / _SCALE).reshape(gen.shape[:-1]), unique.reshape(gen.shape[:-2]), gap

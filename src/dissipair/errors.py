@@ -14,7 +14,7 @@ class NotHermitianError(Exception):
 
 
 class NoConvergenceError(Exception):
-    """Iteration budget exhausted before reaching tolerance."""
+    """A steady state cannot be trusted: the generator is not finite, or the stationary residual is too large."""
 
 
 class InvalidStateError(Exception):
@@ -30,7 +30,7 @@ class StateInvariantViolatedError(Exception):
 
 
 class NotAStateError(Exception):
-    """Null vector cannot be turned into a unit-trace Hermitian state."""
+    """Not a state: a null space with no unit-trace element, or a rho0 not finite, not Hermitian or of trace not 1."""
 
 
 class DegenerateSteadyStateError(Exception):

@@ -153,6 +153,28 @@ def test_figure_command(tmp_path):
     assert data.shape == (2501, 5)
 
 
+_PINNED_FIGURE = """
+import os, sys
+if sys.argv[2] == "pinned":  # before the import: one CPU, so no concurrence batch is split
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from dissipair.cli import main
+sys.exit(main(["figure", "4a", "--out", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_figure_bytes_do_not_depend_on_the_core_count(tmp_path):
+    # The driven figure's concurrence batches are split over the process's CPUs: pinned to one it writes the same
+    # bytes as with every CPU the host gives it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dissipair.__file__)))
+    for mode in ("pinned", "free"):
+        (tmp_path / mode).mkdir()
+        done = subprocess.run([sys.executable, "-c", _PINNED_FIGURE, str(tmp_path / mode), mode],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    assert (tmp_path / "pinned" / "fig4a.csv").read_bytes() == (tmp_path / "free" / "fig4a.csv").read_bytes()
+
+
 def test_figure_unknown_id_exit_code(tmp_path):
     assert main(["figure", "8q", "--out", str(tmp_path)]) == 2
 
@@ -171,6 +193,22 @@ def test_steady_command_prints_no_negative_zero(tmp_path, capsys):
     assert main(["steady", "--config", cfg]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[2:] == ["P1: 0", "P2: 0", "concurrence: 0", "P_E: 0", "P_plus: 0", "P_minus: 0", "P_G: 1"]
+
+
+def test_steady_command_at_rates_near_the_float_limit(tmp_path, capsys):
+    # At J = Gamma = Omega = 1e300 the residual ||R x|| overflows; taken on R / max |R_ij| it does not, so the
+    # state is accepted with no numpy warning, and it is the J = Gamma = Omega = 1 model's, whose scale it ignores.
+    values = []
+    for rate in ("1", "1e300"):
+        cfg = _config(tmp_path, f"J = {rate}\nGamma = {rate}\nphi = 4.712388980384690\ndrive_target = 1\n"
+                      f"drive_amplitude = {rate}\n")
+        assert main(["steady", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0] == "unique: yes" and lines[1].startswith("spectral_gap: ")
+        values.append([float(line.split(": ")[1]) for line in lines[2:]])
+    np.testing.assert_allclose(values[1], values[0], rtol=0.0, atol=1e-15)
 
 
 def test_steady_degenerate_exit_code(tmp_path, capsys):

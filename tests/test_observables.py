@@ -1,15 +1,20 @@
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import dissipair
 from dissipair import model, observables
 from dissipair.dynamics import _coordinates, _states, initial_state, liouvillian_from_params
 from dissipair.errors import (
@@ -324,6 +329,116 @@ def test_mixed_stack_routes_each_sample_and_matches_single_calls():
             observables._concurrence(coords)
             (call,) = x_route.call_args_list + factored.call_args_list
             assert call.args[0] is coords
+
+
+def _random_coordinates(rng, n, rank):
+    """Raw coordinates of n Ginibre states of the given rank, none of them X-shaped."""
+    g = rng.standard_normal((n, 4, rank)) + 1j * rng.standard_normal((n, 4, rank))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return _coordinates(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None])
+
+
+@pytest.fixture
+def four_cores(monkeypatch):
+    """The process may use four CPUs and has a pool of its own, so the factored route splits on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(observables, "_POOL", {})
+    yield
+    for pool in observables._POOL.values():
+        pool.shutdown()
+
+
+@settings(max_examples=2, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2000, 5000), rank=st.sampled_from([1, 2, 4]))
+@example(seed=1, n=2047, rank=1)  # one piece
+@example(seed=2, n=3072, rank=2)  # three pieces
+@example(seed=3, n=5000, rank=4)  # four pieces
+def test_split_factored_route_matches_its_pieces_and_single_states(four_cores, seed, n, rank):
+    # min(cores, N // 1024) pieces go to the pool and the calling thread: the joined result has the bits of each
+    # piece computed alone and of each state's own concurrence.
+    coords = _random_coordinates(np.random.default_rng(seed), n, rank)
+    pieces = np.array_split(coords, max(1, min(4, n // 1024)))
+    with mock.patch.object(observables, "_factored_piece", wraps=observables._factored_piece) as piece:
+        got = observables._factored_route(coords)
+    assert piece.call_count == len(pieces)
+    np.testing.assert_array_equal(got, np.concatenate([observables._factored_piece(part) for part in pieces]))
+    np.testing.assert_array_equal(got, [concurrence(rho) for rho in _states(coords)])
+
+
+def test_a_workers_linalg_error_reaches_the_caller(four_cores, monkeypatch, tmp_path):
+    # eigh fails on the pieces that pool threads take: the error is raised in the calling thread, and the CLI,
+    # whose driven figure's 2 500-sample blocks split, exits 3 (numeric) without writing the table.
+    eigh = np.linalg.eigh
+
+    def failing_off_the_main_thread(a, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_off_the_main_thread)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        observables._factored_route(_random_coordinates(np.random.default_rng(7), 4096, 4))
+    from dissipair.cli import main
+    assert main(["figure", "4a", "--out", str(tmp_path)]) == 3
+    assert not list(tmp_path.iterdir())
+
+
+def test_caller_threads_split_at_once(four_cores):
+    # More caller threads than pool threads split at once, with thread switches forced often: every caller gets
+    # the values of its own samples.
+    coords = [_random_coordinates(np.random.default_rng(seed), 2048 + 512 * seed, 4) for seed in range(6)]
+    expected = [observables._factored_piece(c) for c in coords]
+    got = [None] * len(coords)
+
+    def call(k):
+        got[k] = observables._factored_route(coords[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(coords))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(len(coords)):
+        np.testing.assert_array_equal(got[k], expected[k])
+
+
+_FORKED_SPLIT = """
+import os, sys, time
+import numpy as np
+os.sched_getaffinity = lambda pid: {0, 1}
+from dissipair import observables
+coords = np.zeros((4096, 16))
+coords[:, :4] = 0.25
+first = observables._factored_route(coords)  # builds the pool
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if np.array_equal(observables._factored_route(coords), first) else 1)
+deadline = time.monotonic() + 60.0
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.01)
+os.kill(pid, 9)
+os.waitpid(pid, 0)
+sys.exit("the forked child's split did not finish within 60 s")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_with_a_pool_of_its_own():
+    # The child's copy of the parent's pool has no worker threads: without the reset at fork its first split
+    # would wait for ever on the piece it submitted.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dissipair.__file__)))
+    done = subprocess.run([sys.executable, "-c", _FORKED_SPLIT], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @settings(max_examples=100, deadline=None)
