@@ -18,8 +18,8 @@ Sweep configs replace the trajectory keys with ``observable`` (delta_F or
 steady_concurrence) and two axes given as ``axisN_name``, ``axisN_min``,
 ``axisN_max``, ``axisN_count``.
 
-CSV cells are written with ``%.15g`` so identical inputs give identical
-bytes; tables containing non-finite values are refused.
+CSV cells read as ``%.15g`` writes them (tables through `_csvtext`, sweeps
+through `%`); tables containing non-finite values are refused.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .dynamics import (
     initial_state,
     liouvillian_from_params,
 )
-from .errors import IoError, ParseError, UnknownPresetError, ValidationError
+from .errors import IoError, ParseError, ShapeMismatchError, UnknownPresetError, ValidationError
 from .model import Drive, ModelParams, require_finite
 from .observables import _collective_populations, _concurrence, _qubit_populations, damping_forces
 
@@ -50,7 +50,8 @@ OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
 SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
 SWEEP_AXES = ("J", "Gamma", "phi", "kappa", "drive_amplitude")
 DEGENERATE_SENTINEL = -1.0
-_CSV_BLOCK_ROWS = 512  # rows per `%` call in write_csv; bounds its temporary tuple of cells
+_CSV_BLOCK_ROWS = 512  # rows per `%` call in run_sweep; bounds its temporary tuple of cells
+_CSV_PIECE_CELLS = 4096  # cells per `csv_text` call in write_csv; about 0.75 MB of its temporaries
 # Cells per sweep block, whole axis1 rows or pieces of one: about 4 MB of steady_concurrence generators.
 _SWEEP_BLOCK_CELLS = 1024
 
@@ -272,30 +273,36 @@ def _write_text(path, header, chunks) -> str:
     return str(path)
 
 
-def _csv_chunks(blocks):
-    """The text of each row block, _CSV_BLOCK_ROWS rows per `%` call, after refusing a block with a non-finite value."""
-    for block in blocks:
-        block = np.asarray(block, dtype=float)
-        _refuse_non_finite(block)
-        template = ",".join(["%.15g"] * block.shape[-1]) + "\n"
-        for lo in range(0, len(block), _CSV_BLOCK_ROWS):
-            rows = block[lo:lo + _CSV_BLOCK_ROWS]
-            # `tolist` hands `%` Python floats: same bytes as numpy scalars, formatted faster.
-            yield (template * len(rows)) % tuple(rows.ravel().tolist())
+def _checked_block(block, width: int) -> np.ndarray:
+    """`block` as a finite 2-D float array of `width` columns ([] is no rows), else ShapeMismatchError or IoError."""
+    try:
+        shape = np.shape(block)
+    except ValueError as exc:  # a ragged block
+        raise ShapeMismatchError(f"a table block must be 2-D with {width} columns: {exc}") from None
+    if shape != (0,) and (len(shape) != 2 or shape[1] != width):
+        raise ShapeMismatchError(f"a table block must be 2-D with {width} columns, got shape {shape}")
+    try:
+        cells = np.asarray(block, dtype=float).reshape(shape[0], width)
+    except (TypeError, ValueError) as exc:
+        raise IoError(f"refusing to serialize a cell that is not a number: {exc}") from None
+    _refuse_non_finite(cells)
+    return cells
 
 
 def write_csv(path, header, rows) -> str:
     """Write a numeric table deterministically and atomically.
 
-    `rows` is the table (a 2-D array or a sequence of rows), or an iterator of
-    2-D row blocks, written in order.  The header line is always present;
-    every cell goes through ``%.15g``; line endings are ``\\n`` regardless of
-    platform.  A temporary file beside `path` replaces it only once complete,
-    so a non-finite value, or an error while the blocks are produced, leaves
-    `path` as it was.
+    `rows` is the table (a 2-D array or a sequence of rows), or an iterator of 2-D row blocks, written in order.  The
+    header line is always present, cells read as ``%.15g`` writes them, and lines end in ``\\n`` on every platform.
+    A temporary file beside `path` replaces it only once complete, so a block that is not 2-D with one column per
+    header name (ShapeMismatchError), a cell that is not a finite number (IoError), or an error while the blocks are
+    produced, leaves `path` as it was.
     """
-    blocks = rows if isinstance(rows, Iterator) else (rows,)
-    return _write_text(path, header, _csv_chunks(blocks))
+    from ._csvtext import csv_text  # here: at import, compiling it costs about 2.5 ms of start-up
+    header = list(header)
+    step = max(1, _CSV_PIECE_CELLS // max(1, len(header)))  # whole rows per `csv_text` call
+    blocks = (_checked_block(block, len(header)) for block in (rows if isinstance(rows, Iterator) else (rows,)))
+    return _write_text(path, header, (csv_text(b[lo:lo + step]) for b in blocks for lo in range(0, len(b), step)))
 
 
 # ---- trajectory tables -----------------------------------------------------

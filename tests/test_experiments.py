@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dissipair import cli, dynamics, experiments, model, observables
+from dissipair import _csvtext, cli, dynamics, experiments, model, observables
 from dissipair.dynamics import TimeGrid, evolve_rk4, initial_state, liouvillian_from_params, steady_state
-from dissipair.errors import IoError, ParseError, UnknownPresetError, ValidationError
+from dissipair.errors import IoError, ParseError, ShapeMismatchError, UnknownPresetError, ValidationError
 from dissipair.experiments import (
     OUTPUT_KINDS,
     SWEEP_2A,
@@ -177,24 +179,115 @@ def test_write_csv_header_only(tmp_path):
     assert path.read_bytes() == b"t,P1\n"
 
 
+def _from_bits(bits) -> np.ndarray:
+    """The doubles whose 64-bit patterns are `bits`."""
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
 _CSV_CELLS = (
     st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e300, -1e300, 0.1, 1.0 / 3.0])
     | st.integers(-(10**16), 10**16).map(float)
     | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(0, 2**64 - 1).map(lambda bits: _from_bits(bits).item()).filter(math.isfinite)
 )
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=st.integers(0, 1300), cols=st.integers(1, 17), cells=st.lists(_CSV_CELLS, min_size=1, max_size=64))
 def test_write_csv_matches_per_cell_format(tmp_path, rows, cols, cells):
-    # Row counts cross the writer's block boundary; the reference formats
-    # every numpy cell on its own, one line per row.
+    # Tables of many rows span several pieces of the writer; the reference
+    # formats every numpy cell on its own, one line per row.
     table = np.resize(np.array(cells, dtype=float), (rows, cols))
     header = [f"c{k}" for k in range(cols)]
     expected = ",".join(header) + "\n" + "".join(",".join("%.15g" % x for x in row) + "\n" for row in table)
     path = tmp_path / "table.csv"
     write_csv(path, header, table)
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def _per_cell_csv(block) -> str:
+    return "".join(",".join("%.15g" % x for x in row) + "\n" for row in block)
+
+
+def test_csv_text_matches_per_cell_format_on_random_bit_patterns():
+    # One call on 120 000 finite doubles drawn as raw 64-bit patterns: every exponent, sign and mantissa.
+    cells = _from_bits(np.random.default_rng(20261020).integers(0, 2**64, size=150_000, dtype=np.uint64))
+    block = cells[np.isfinite(cells)][:120_000].reshape(-1, 6)
+    assert block.shape == (20_000, 6)
+    assert _csvtext.csv_text(block) == _per_cell_csv(block)
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+_EDGE_CELLS = np.concatenate([
+    [0.0, -0.0, 5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308],
+    _neighbours([float(10**k) if k >= 0 else 1 / 10**-k for k in range(-300, 301)]),
+    [1e-5, 0.0001, 99999.99999999999, 1e15, 999999999999999.4, 999999999999999.5, 999999999999999.6],  # %g's switches
+    [100000000000000.5, 100000000000001.5, 0.5, 2.5],  # ties
+])
+
+
+@pytest.mark.parametrize("cols", [1, 3, 7])
+def test_csv_text_matches_per_cell_format_on_edge_cells(cols):
+    cells = np.concatenate([_EDGE_CELLS, -_EDGE_CELLS])
+    block = np.resize(cells, (-(-len(cells) // cols), cols))
+    assert _csvtext.csv_text(block) == _per_cell_csv(block)
+
+
+def test_csv_text_formats_a_block_of_undecided_cells_with_percent():
+    # Subnormals, other magnitudes outside [1e-270, 1e270], and exact ties at the 15th digit: numpy decides none.
+    block = np.array([[5e-324, -1e-300, 1e271], [-1.7976931348623157e308, 999999999999999.5, 100000000000001.5],
+                      [2.5e-271, -100000000000000.5, 2.2250738585072014e-308]])
+    *_, undecided = _csvtext._decimal_digits(block.ravel(), *_csvtext._format_tables()[:6])
+    assert undecided.tolist() == list(range(9))
+    assert _csvtext.csv_text(block) == _per_cell_csv(block)
+
+
+def test_importing_the_package_builds_no_format_table():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_csvtext.__file__)))
+    probe = ("import sys, dissipair; print('dissipair._csvtext' in sys.modules)\n"
+             "from dissipair import _csvtext\n"
+             "print(_csvtext._format_tables.cache_info().currsize, 'fractions' in sys.modules, "
+             "'decimal' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["False", "0", "False", "False"], done.stderr
+
+
+_MISFITS = {
+    "too few columns": (["a", "b"], [[1.0]]),
+    "too many columns": (["a"], [[1.0, 2.0]]),
+    "one row as a flat list": (["a", "b"], [1.0, 2.0]),
+    "ragged rows": (["a", "b"], [[1.0, 2.0], [1.0]]),
+    "three dimensions": (["a", "b"], np.zeros((2, 2, 2))),
+    "a scalar": (["a"], 1.0),
+    "a later block of another width": (["a", "b"], [np.zeros((2, 2)), np.zeros((2, 3))]),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISFITS))
+def test_write_csv_refuses_a_block_that_does_not_fit_the_header(tmp_path, case):
+    header, rows = _MISFITS[case]
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(ShapeMismatchError, match="must be 2-D with"):
+        write_csv(path, header, iter(rows) if case.startswith("a later block") else rows)
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+@pytest.mark.parametrize("blocks", [[[[1.0, "abc"]]], [[[1.0, {}]]], [np.zeros((1, 2)), [[1.0, "x"]]]],
+                         ids=["string", "dict", "in a later block"])
+def test_write_csv_refuses_a_cell_that_is_not_a_number(tmp_path, blocks):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(IoError, match="not a number"):
+        write_csv(path, ["a", "b"], iter(blocks))
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
 
 
 def test_write_csv_refuses_non_finite(tmp_path):

@@ -1,32 +1,36 @@
-"""Write every figure preset and three sweeps from two source trees and compare the CSVs cell by cell.
+"""Write every figure preset, three sweeps and one driven run from two source trees and compare the CSVs cell by cell.
 
     python tools/compare_presets.py OLD_SRC NEW_SRC [--tol TOL]
 
 OLD_SRC and NEW_SRC are directories that hold the `dissipair` package, such as
 the `src` of two checkouts.  Each tree writes, in its own Python process, the
-15 presets and then three sweeps.  The steady map is the 201 x 201
-`steady_concurrence` sweep with J = 1, Gamma = 2 and the drive on qubit 1,
-over drive_amplitude in [0, 2] (axis1) and phi in [0, 2 pi] (axis2); it has
-3 degenerate cells, flagged with the sentinel -1, and the inverse of the
-bordered matrix certifies every other cell unique.  The wide sweep is
-`delta_F` over J in [0, 2] (3 values) and phi in [0, 2 pi] (2 500 values)
-with Gamma = 2: its rows are longer than a sweep block, so blocks end in
-the middle of a row.  The singular corner is the undriven
-`steady_concurrence` sweep over J in [0, 2] (axis1) and Gamma in [0, 4]
-(axis2), 41 values each, at phi = 3 pi/2: the J = 0 column and the
-Gamma = 0 row keep dark states and an exactly singular bordered matrix, so
-the inverse raises for each of its two blocks and every cell takes the SVD
-verdict, 81 of them degenerate.  For each table the script prints
-"identical", or the number of changed cells, the columns they sit in and the
-largest |difference|, and then the wall time of its write in each tree,
-old -> new, in ms.  Each time is one `dissipair figure <id>` or `dissipair
-sweep` call, timed once, in the tree's process after the tables listed
-before it; the first write also pays one-time costs.
-Treat the times as orders of magnitude.  It exits
-1 when a table differs by more than TOL (default 0, so any change), when a
-header or a table shape differs, or when a cell of the new tree prints -0.
-It exits 2 when a tree holds no `dissipair/__init__.py`, before writing
-anything, or when a tree's writes fail.
+15 presets, then three sweeps, then one `evolve` run.  The steady map is the
+201 x 201 `steady_concurrence` sweep with J = 1, Gamma = 2 and the drive on
+qubit 1, over drive_amplitude in [0, 2] (axis1) and phi in [0, 2 pi] (axis2);
+it has 3 degenerate cells, flagged with the sentinel -1, and the inverse of
+the bordered matrix certifies every other cell unique.  The wide sweep is
+`delta_F` over J in [0, 2] (3 values) and phi in [0, 2 pi] (2 500 values) with
+Gamma = 2: its rows are longer than a sweep block, so blocks end in the middle
+of a row.  The singular corner is the undriven `steady_concurrence` sweep over
+J in [0, 2] (axis1) and Gamma in [0, 4] (axis2), 41 values each, at phi =
+3 pi/2: the J = 0 column and the Gamma = 0 row keep dark states and an exactly
+singular bordered matrix, so the inverse raises for each of its two blocks and
+every cell takes the SVD verdict, 81 of them degenerate.  The driven run
+writes every output group (populations, concurrence, collective, states) of
+J = 1, Gamma = 2, phi = 4.2 and kappa = 0.3, driven on qubit 2 with amplitude
+0.7, from PLUS up to t_max = 40 at every third step: 6 668 rows of 40 cells in
+two row blocks, with negative cells, cells below 1e-4 in scientific notation,
+and the imaginary parts of the states, which no preset writes.  For each table
+the script prints "identical", or the number of changed cells, the columns
+they sit in and the largest |difference|, and then the wall time of its write
+in each tree, old -> new, in ms.  Each time is one `dissipair figure <id>`,
+`dissipair sweep` or `dissipair evolve` call, timed once, in the tree's
+process after the tables listed before it; the first write also pays one-time
+costs.  Treat the times as orders of magnitude.  It exits 1 when a table
+differs by more than TOL (default 0, so any change), when a header or a table
+shape differs, or when a cell of the new tree prints -0.  It exits 2 when a
+tree holds no `dissipair/__init__.py`, before writing anything, or when a
+tree's writes fail.
 """
 
 from __future__ import annotations
@@ -52,17 +56,19 @@ SWEEPS = {
                        "axis1_max = 2\naxis1_count = 41\naxis2_name = Gamma\naxis2_min = 0\naxis2_max = 4\n"
                        "axis2_count = 41\n",
 }
+EVOLVE = ("J = 1\nGamma = 2\nphi = 4.2\nkappa = 0.3\ndrive_target = 2\ndrive_amplitude = 0.7\ninitial = PLUS\n"
+          "t_max = 40\nsample_every = 3\noutputs = populations, concurrence, collective, states\n")
 _TIMED = "ms"
 _WRITE = f"""
 import json, os, sys, time
 from dissipair.cli import main
-out, sweeps = sys.argv[1], json.loads(sys.argv[2])
+out, configs = sys.argv[1], json.loads(sys.argv[2])
 runs = [(fig, ["figure", fig]) for fig in sys.argv[3:]]
-for name, text in sweeps.items():
+for name, (command, text) in configs.items():
     config = os.path.join(out, name + ".cfg")
     with open(config, "w", encoding="ascii") as fh:
         fh.write(text + "output_path = " + name + ".csv\\n")
-    runs.append((name, ["sweep", "--config", config]))
+    runs.append((name, [command, "--config", config]))
 status = 0
 for name, argv in runs:
     start = time.perf_counter()
@@ -73,9 +79,11 @@ sys.exit(status)
 
 
 def write_presets(src: str, out: str) -> dict[str, float]:
-    """Write every preset and sweep into `out` with the package under `src`; each write's wall time in ms."""
+    """Write every preset, sweep and the driven run into `out` with the package under `src`; each write's wall time
+    in ms."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run([sys.executable, "-c", _WRITE, out, json.dumps(SWEEPS), *FIGURES], env=env, check=True,
+    configs = {**{name: ("sweep", text) for name, text in SWEEPS.items()}, "evolve": ("evolve", EVOLVE)}
+    done = subprocess.run([sys.executable, "-c", _WRITE, out, json.dumps(configs), *FIGURES], env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
     lines = (line.split() for line in done.stdout.splitlines())
     return {fields[1]: float(fields[2]) for fields in lines if fields[:1] == [_TIMED]}
@@ -131,7 +139,8 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
         ok = True
-        for table, name in [*((fig, f"fig{fig}.csv") for fig in FIGURES), *((sw, f"{sw}.csv") for sw in SWEEPS)]:
+        tables = [*((fig, f"fig{fig}.csv") for fig in FIGURES), *((t, f"{t}.csv") for t in (*SWEEPS, "evolve"))]
+        for table, name in tables:
             line, passed = compare(os.path.join(old_dir, name), os.path.join(new_dir, name), args.tol)
             ok &= passed
             print(f"{table}: {line}; write {times[0][table]:.1f} -> {times[1][table]:.1f} ms")
