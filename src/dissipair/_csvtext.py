@@ -1,9 +1,11 @@
-"""CSV text of float tables, byte for byte what ``%.15g`` writes: each cell's 15 digits decided exactly in numpy
-(Dekker's two-product against a table of powers of ten), and only the cells numpy cannot decide left to `%`."""
+"""CSV text of float tables, byte for byte what ``%.15g`` writes, through 32-byte records: each cell's 15 digits decided
+exactly in numpy (Dekker's two-product against powers of ten), by one `%` call where numpy cannot or costs more."""
 
 import functools
 
 import numpy as np
+
+_KERNEL_CELLS = 256  # fewer cells per call take `%`: the kernel's numpy calls cost about 0.1 ms however few
 
 
 def _dekker_halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,27 +69,37 @@ def _decimal_digits(x: np.ndarray, hi, lo, hi_h, hi_l, digits, zeros) -> tuple[n
     return words[::2] | words[1::2] << 32, count, e, undecided
 
 
-def csv_text(block: np.ndarray) -> str:
-    """The rows of a finite 2-D float block as CSV text: byte for byte what `%` gives with the ``%.15g`` row template.
-
-    Each cell is a 32-byte record laid out as `%g` does: a prefix (sign, "0." and leading zeros), 16 body bytes (the
-    digits, the '.', no trailing zeros) and a suffix (exponent, separator).  One compaction drops the unused 0 bytes.
-    """
-    if not block.size:
-        return "\n" * len(block)
-    *tables, masks, prefixes, suffixes = _format_tables()
+def _records(block: np.ndarray, newline: bool = True) -> np.ndarray:
+    """The cells of a finite 2-D float block as (block.size, 4) ``<u8`` records: 32 bytes each, the cell's ``%.15g``
+    and its separator ("\\n" after a row's last cell if `newline`, else ",") among fill bytes.  A kernel record is laid
+    out as `%g` does: prefix (sign, "0.", leading zeros), 16 body bytes (digits, '.'), suffix (exponent, separator).
+    Below _KERNEL_CELLS cells one `%` call makes every record, ``%-31.15g`` and the separator, for less."""
     x = block.ravel()
+    if x.size < _KERNEL_CELLS:
+        row = b"%-31.15g," * (block.shape[1] - 1) + (b"%-31.15g\n" if newline else b"%-31.15g,")
+        return np.frombuffer(row * len(block) % tuple(x.tolist()), "<u8").reshape(-1, 4)
+    *tables, masks, prefixes, suffixes = _format_tables()
     body, count, e, undecided = _decimal_digits(x, *tables)
     layout = np.where(x == 0, 20, np.where((e >= -4) & (e < 15), e + 4, 19))
     mask = masks.take(layout * 16 + count, axis=1)
     suffix = np.where(layout == 19, 2 * e + 662, 0)
-    suffix.reshape(block.shape)[:, -1] += 1  # a row's last cell ends in a newline
+    suffix.reshape(block.shape)[:, -1] += newline  # odd suffixes end in a newline
     record = np.empty((len(x), 4), "<u8")
     record[:, 0] = prefixes[np.signbit(x) * 21 + layout]
     record[:, 1] = (((body[0] >> 8) | (body[1] << 56)) & mask[0]) | (body[0] & mask[2]) | mask[4]  # digits one byte on
     record[:, 2] = ((body[1] >> 8) & mask[1]) | (body[1] & mask[3]) | mask[5]
     record[:, 3] = suffixes[suffix]
-    for i in undecided:
-        record[i] = np.frombuffer((b"%.15g" % x[i] + (b"\n" if suffix[i] % 2 else b",")).ljust(32, b"\0"), "<u8")
-    record = record.view(np.uint8).ravel()
-    return str(record[record != 0].data, "ascii")
+    if undecided.size:
+        cells = b"".join([b"%-31.15g\n" if end else b"%-31.15g," for end in (suffix[undecided] % 2).tolist()])
+        record[undecided] = np.frombuffer(cells % tuple(x[undecided].tolist()), "<u8").reshape(-1, 4)
+    return record
+
+
+def _text(records: np.ndarray) -> str:
+    """The text of an array of records: their bytes in order, without the fill (0 bytes and spaces)."""
+    return records.tobytes().translate(None, b"\0 ").decode("ascii")
+
+
+def csv_text(block: np.ndarray) -> str:
+    """The rows of a finite 2-D float block as CSV text: byte for byte what the ``%.15g`` row template gives."""
+    return _text(_records(block)) if block.size else "\n" * len(block)

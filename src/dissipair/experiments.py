@@ -18,12 +18,13 @@ Sweep configs replace the trajectory keys with ``observable`` (delta_F or
 steady_concurrence) and two axes given as ``axisN_name``, ``axisN_min``,
 ``axisN_max``, ``axisN_count``.
 
-CSV cells read as ``%.15g`` writes them (tables through `_csvtext`, sweeps
-through `%`); tables containing non-finite values are refused.
+CSV cells read as ``%.15g`` writes them, through `_csvtext` (a sweep formats
+each axis value once); tables containing non-finite values are refused.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -50,7 +51,6 @@ OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
 SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
 SWEEP_AXES = ("J", "Gamma", "phi", "kappa", "drive_amplitude")
 DEGENERATE_SENTINEL = -1.0
-_CSV_BLOCK_ROWS = 512  # rows per `%` call in run_sweep; bounds its temporary tuple of cells
 _CSV_PIECE_CELLS = 4096  # cells per `csv_text` call in write_csv; about 0.75 MB of its temporaries
 # Cells per sweep block, whole axis1 rows or pieces of one: about 4 MB of steady_concurrence generators.
 _SWEEP_BLOCK_CELLS = 1024
@@ -249,6 +249,13 @@ def parse_sweep_config(text: str) -> SweepConfig:
 # ---- CSV writing -----------------------------------------------------------
 
 
+@functools.cache
+def _kernel():
+    """`_csvtext`, imported on the first write, not at import (2.5 ms to compile) nor on each write (tens of µs)."""
+    from . import _csvtext
+    return _csvtext
+
+
 def _refuse_non_finite(cells: np.ndarray) -> None:
     """Raise IoError naming the first non-finite value in `cells`, in row order."""
     bad = cells[~np.isfinite(cells)]
@@ -281,6 +288,8 @@ def _checked_block(block, width: int) -> np.ndarray:
         raise ShapeMismatchError(f"a table block must be 2-D with {width} columns: {exc}") from None
     if shape != (0,) and (len(shape) != 2 or shape[1] != width):
         raise ShapeMismatchError(f"a table block must be 2-D with {width} columns, got shape {shape}")
+    if np.iscomplexobj(block):  # a float conversion would keep the real part
+        raise IoError("refusing to serialize a cell that is not a number: the block is complex")
     try:
         cells = np.asarray(block, dtype=float).reshape(shape[0], width)
     except (TypeError, ValueError) as exc:
@@ -298,10 +307,10 @@ def write_csv(path, header, rows) -> str:
     header name (ShapeMismatchError), a cell that is not a finite number (IoError), or an error while the blocks are
     produced, leaves `path` as it was.
     """
-    from ._csvtext import csv_text  # here: at import, compiling it costs about 2.5 ms of start-up
     header = list(header)
     step = max(1, _CSV_PIECE_CELLS // max(1, len(header)))  # whole rows per `csv_text` call
     blocks = (_checked_block(block, len(header)) for block in (rows if isinstance(rows, Iterator) else (rows,)))
+    csv_text = _kernel().csv_text
     return _write_text(path, header, (csv_text(b[lo:lo + step]) for b in blocks for lo in range(0, len(b), step)))
 
 
@@ -369,14 +378,12 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     degenerate hold the sentinel value -1 there instead of a concurrence.  Blocks of the grid are evaluated and
     written in row order, so an error in a later one leaves the destination as it was.
     """
+    kernel = _kernel()
     a, b = config.axis1.values(), config.axis2.values()
     steady = config.observable == "steady_concurrence"
     header = ["axis1", "axis2", "value", "degenerate"] if steady else ["axis1", "axis2", "value"]
     rows, cols = max(1, _SWEEP_BLOCK_CELLS // len(b)), min(len(b), _SWEEP_BLOCK_CELLS)
-    # Each axis value is formatted once.  A piece of at most _CSV_BLOCK_ROWS rows shares one axis1
-    # string, which one join puts before each axis2 string to make its template; `%` fills the cells.
-    firsts, seconds = (["%.15g," % x for x in axis.tolist()] for axis in (a, b))
-    rests = [second + ",".join(["%.15g"] * (len(header) - 2)) + "\n" for second in seconds]
+    firsts, seconds = (kernel._records(axis[:, None], newline=False) for axis in (a, b))  # each value formatted once
 
     def chunks():
         for i, j in itertools.product(range(0, len(a), rows), range(0, len(b), cols)):
@@ -393,10 +400,11 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
                 value = damping_forces(params.J, params.Gamma, params.phi).delta_F
                 cells = np.broadcast_to(value, (len(block_a), len(block_b)))[..., None]
             _refuse_non_finite(cells)
-            for first, row in zip(firsts[i:i + rows], cells):
-                for s in range(0, len(row), _CSV_BLOCK_ROWS):
-                    piece = row[s:s + _CSV_BLOCK_ROWS]
-                    yield (first + first.join(rests[j + s:j + s + len(piece)])) % tuple(piece.ravel().tolist())
+            records = np.empty(cells.shape[:2] + (len(header), 4), "<u8")
+            records[:, :, 0] = firsts[i:i + rows, None]
+            records[:, :, 1] = seconds[j:j + cols]
+            records[:, :, 2:] = kernel._records(cells.reshape(-1, cells.shape[2])).reshape(cells.shape + (4,))
+            yield kernel._text(records)
 
     return _write_text(_join_out(out_dir, config.output_path), header, chunks())
 

@@ -237,6 +237,18 @@ def test_csv_text_matches_per_cell_format_on_edge_cells(cols):
     assert _csvtext.csv_text(block) == _per_cell_csv(block)
 
 
+@pytest.mark.parametrize("shape", [(1, -1), (-1, 1)], ids=["one row", "one column"])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_csv_text_matches_per_cell_format_around_the_kernel_threshold(shape, offset):
+    # Below _KERNEL_CELLS one `%` call makes every record, from there on the kernel does; edge cells include
+    # undecided ones, which the kernel hands back to `%`.
+    count = _csvtext._KERNEL_CELLS + offset
+    cells = np.concatenate([_EDGE_CELLS, -_EDGE_CELLS])
+    for start in (0, 300, len(cells) - count):
+        block = cells[start:start + count].reshape(shape)
+        assert _csvtext.csv_text(block) == _per_cell_csv(block)
+
+
 def test_csv_text_formats_a_block_of_undecided_cells_with_percent():
     # Subnormals, other magnitudes outside [1e-270, 1e270], and exact ties at the 15th digit: numpy decides none.
     block = np.array([[5e-324, -1e-300, 1e271], [-1.7976931348623157e308, 999999999999999.5, 100000000000001.5],
@@ -246,15 +258,23 @@ def test_csv_text_formats_a_block_of_undecided_cells_with_percent():
     assert _csvtext.csv_text(block) == _per_cell_csv(block)
 
 
-def test_importing_the_package_builds_no_format_table():
+def test_importing_the_package_builds_no_format_table(tmp_path):
+    # Nor does a sweep whose every call is below the kernel threshold: 45 cells, 90 value cells.
     src = os.path.dirname(os.path.dirname(os.path.abspath(_csvtext.__file__)))
     probe = ("import sys, dissipair; print('dissipair._csvtext' in sys.modules)\n"
              "from dissipair import _csvtext\n"
              "print(_csvtext._format_tables.cache_info().currsize, 'fractions' in sys.modules, "
-             "'decimal' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+             "'decimal' in sys.modules)\n"
+             "from dissipair.experiments import parse_sweep_config, run_sweep\n"
+             "run_sweep(parse_sweep_config(sys.argv[1]), sys.argv[2])\n"
+             "print(_csvtext._format_tables.cache_info().currsize)")
+    steady = ("J = 1\nGamma = 2\ndrive_target = 1\nobservable = steady_concurrence\naxis1_name = drive_amplitude\n"
+              "axis1_min = 0.5\naxis1_max = 2\naxis1_count = 5\naxis2_name = phi\naxis2_min = 0\n"
+              "axis2_max = 6.283185307179586\naxis2_count = 9\n")
+    done = subprocess.run([sys.executable, "-c", probe, steady, str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
-    assert done.stdout.split() == ["False", "0", "False", "False"], done.stderr
+    assert done.stdout.split() == ["False", "0", "False", "False", "0"], done.stderr
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 5 * 9
 
 
 _MISFITS = {
@@ -279,8 +299,9 @@ def test_write_csv_refuses_a_block_that_does_not_fit_the_header(tmp_path, case):
     assert os.listdir(tmp_path) == ["table.csv"]
 
 
-@pytest.mark.parametrize("blocks", [[[[1.0, "abc"]]], [[[1.0, {}]]], [np.zeros((1, 2)), [[1.0, "x"]]]],
-                         ids=["string", "dict", "in a later block"])
+@pytest.mark.parametrize("blocks", [[[[1.0, "abc"]]], [[[1.0, {}]]], [np.zeros((1, 2)), [[1.0, "x"]]],
+                                    [np.array([[1.0, 1 + 2j]])], [[[1.0, 3 + 0j]]]],
+                         ids=["string", "dict", "in a later block", "complex", "complex with no imaginary part"])
 def test_write_csv_refuses_a_cell_that_is_not_a_number(tmp_path, blocks):
     path = tmp_path / "table.csv"
     path.write_bytes(b"old\n")
@@ -639,11 +660,12 @@ def _per_cell_text(header, table):
     return (",".join(header) + "\n" + "".join(",".join("%.15g" % x for x in row) + "\n" for row in table)).encode()
 
 
-# Axis bounds per name: J takes negative bounds and an upper bound of -0.0, which prints as -0.
+# Axis bounds per name: J takes negative bounds and an upper bound of -0.0, which prints as -0, cells in scientific
+# notation, and cells below 1e-270, which the kernel leaves to `%`; Gamma reaches cells in scientific notation too.
 _AXIS_BOUNDS = {
-    "J": [(-2.0, -0.0), (-1.25, 0.75), (-0.0, 1.5), (0.1, 3.0)],
+    "J": [(-2.0, -0.0), (-1.25, 0.75), (-0.0, 1.5), (0.1, 3.0), (-3e-5, 3e-5), (1e-300, 3e-300)],
     "phi": [(0.0, 2.0 * math.pi), (-math.pi, math.pi), (1.0, 1.5 * math.pi)],
-    "Gamma": [(0.0, 4.0), (0.5, 2.0), (1e-3, 1e3)],
+    "Gamma": [(0.0, 4.0), (0.5, 2.0), (1e-3, 1e3), (0.0, 1e16)],
     "kappa": [(0.0, 4.0), (0.5, 2.0), (1e-3, 1e3)],
     "drive_amplitude": [(0.0, 4.0), (0.5, 2.0), (1e-3, 1e3)],
 }
@@ -653,11 +675,16 @@ _AXIS_BOUNDS = {
 def _sweep_configs(draw):
     observable = draw(st.sampled_from(["delta_F", "steady_concurrence"]))
     name1, name2 = draw(st.permutations(SWEEP_AXES))[:2]
-    if observable == "delta_F":  # cheap cells: more than one 512-row block per axis1 value
-        count2 = draw(st.integers(2, 40) | st.integers(510, 515) | st.integers(1020, 1100))
+    # Value cells per writer call just below, at and just above the kernel threshold: the last block of such a
+    # sweep is one axis1 row of `count2` cells, one value cell each for delta_F and two for steady_concurrence.
+    threshold = _csvtext._KERNEL_CELLS if observable == "delta_F" else _csvtext._KERNEL_CELLS // 2
+    around = st.sampled_from([threshold - 1, threshold, threshold + 1])
+    if observable == "delta_F":  # cheap cells: rows longer than a sweep block too
+        count2 = draw(st.integers(2, 40) | around | st.integers(1020, 1100))
     else:
-        count2 = draw(st.integers(2, 12) | st.integers(510, 515))
-    axis1 = AxisSpec(name1, *draw(st.sampled_from(_AXIS_BOUNDS[name1])), draw(st.integers(2, 4)))
+        count2 = draw(st.integers(2, 12) | around)
+    count1 = experiments._SWEEP_BLOCK_CELLS // count2 + 1 if abs(count2 - threshold) <= 1 else draw(st.integers(2, 4))
+    axis1 = AxisSpec(name1, *draw(st.sampled_from(_AXIS_BOUNDS[name1])), count1)
     axis2 = AxisSpec(name2, *draw(st.sampled_from(_AXIS_BOUNDS[name2])), count2)
     drive = draw(st.sampled_from([None, model.Drive(1, 0.6), model.Drive(2, 0.6)]))
     base = model.ModelParams(J=0.8, Gamma=1.5, phi=draw(st.sampled_from([0.0, math.pi, 1.5 * math.pi])), drive=drive)
@@ -671,9 +698,20 @@ _DEGENERATE_SWEEP = SweepConfig(
 )
 
 
+def _threshold_sweep(observable, name1, bounds1, name2, bounds2, count2):
+    """A sweep whose last writer call is one axis1 row of `count2` cells."""
+    axis1 = AxisSpec(name1, *bounds1, experiments._SWEEP_BLOCK_CELLS // count2 + 1)
+    base = model.ModelParams(J=0.8, Gamma=1.5, phi=1.5 * math.pi, drive=model.Drive(1, 0.6))
+    return SweepConfig(axis1, AxisSpec(name2, *bounds2, count2), observable, base=base)
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=_sweep_configs())
 @example(config=_DEGENERATE_SWEEP)
+@example(config=_threshold_sweep("delta_F", "J", (1e-300, 3e-300), "Gamma", (0.0, 1e16), _csvtext._KERNEL_CELLS - 1))
+@example(config=_threshold_sweep("delta_F", "Gamma", (0.0, 1e16), "J", (-3e-5, 3e-5), _csvtext._KERNEL_CELLS))
+@example(config=_threshold_sweep("steady_concurrence", "J", (1e-300, 3e-300), "phi", (0.0, 2.0 * math.pi),
+                                 _csvtext._KERNEL_CELLS // 2 + 1))
 def test_run_sweep_matches_per_cell_format(tmp_path, config):
     base = config.base
     drive = base.drive or model.Drive(target=1, amplitude=0.0)

@@ -1,10 +1,10 @@
-"""Write every figure preset, three sweeps and one driven run from two source trees and compare the CSVs cell by cell.
+"""Write every figure preset, four sweeps and one driven run from two source trees and compare the CSVs cell by cell.
 
     python tools/compare_presets.py OLD_SRC NEW_SRC [--tol TOL]
 
 OLD_SRC and NEW_SRC are directories that hold the `dissipair` package, such as
 the `src` of two checkouts.  Each tree writes, in its own Python process, the
-15 presets, then three sweeps, then one `evolve` run.  The steady map is the
+15 presets, then four sweeps, then one `evolve` run.  The steady map is the
 201 x 201 `steady_concurrence` sweep with J = 1, Gamma = 2 and the drive on
 qubit 1, over drive_amplitude in [0, 2] (axis1) and phi in [0, 2 pi] (axis2);
 it has 3 degenerate cells, flagged with the sentinel -1, and the inverse of
@@ -15,12 +15,16 @@ of a row.  The singular corner is the undriven `steady_concurrence` sweep over
 J in [0, 2] (axis1) and Gamma in [0, 4] (axis2), 41 values each, at phi =
 3 pi/2: the J = 0 column and the Gamma = 0 row keep dark states and an exactly
 singular bordered matrix, so the inverse raises for each of its two blocks and
-every cell takes the SVD verdict, 81 of them degenerate.  The driven run
-writes every output group (populations, concurrence, collective, states) of
-J = 1, Gamma = 2, phi = 4.2 and kappa = 0.3, driven on qubit 2 with amplitude
-0.7, from PLUS up to t_max = 40 at every third step: 6 668 rows of 40 cells in
-two row blocks, with negative cells, cells below 1e-4 in scientific notation,
-and the imaginary parts of the states, which no preset writes.  For each table
+every cell takes the SVD verdict, 81 of them degenerate.  The scientific axes
+sweep is `delta_F` over J in [-3e-5, 3e-5] (axis1, 11 values) and Gamma in
+[0, 1e20] (axis2, 1 500 values): its blocks end in the middle of a row, and
+its axis cells print with exponents such as e-05, e+15 and above, which no
+preset writes.  The driven run writes every output group
+(populations, concurrence, collective, states) of J = 1, Gamma = 2, phi = 4.2
+and kappa = 0.3, driven on qubit 2 with amplitude 0.7, from PLUS up to
+t_max = 40 at every third step: 6 668 rows of 40 cells in two row blocks, with
+negative cells, cells below 1e-4 in scientific notation, and the imaginary
+parts of the states, which no preset writes.  For each table
 the script prints "identical", or the number of changed cells, the columns
 they sit in and the largest |difference|, and then the wall time of its write
 in each tree, old -> new, in ms.  Each time is one `dissipair figure <id>`,
@@ -55,6 +59,8 @@ SWEEPS = {
     "singular_corner": "phi = 4.71238898038469\nobservable = steady_concurrence\naxis1_name = J\naxis1_min = 0\n"
                        "axis1_max = 2\naxis1_count = 41\naxis2_name = Gamma\naxis2_min = 0\naxis2_max = 4\n"
                        "axis2_count = 41\n",
+    "scientific_axes": "observable = delta_F\naxis1_name = J\naxis1_min = -3e-5\naxis1_max = 3e-5\naxis1_count = 11\n"
+                       "axis2_name = Gamma\naxis2_min = 0\naxis2_max = 1e20\naxis2_count = 1500\n",
 }
 EVOLVE = ("J = 1\nGamma = 2\nphi = 4.2\nkappa = 0.3\ndrive_target = 2\ndrive_amplitude = 0.7\ninitial = PLUS\n"
           "t_max = 40\nsample_every = 3\noutputs = populations, concurrence, collective, states\n")
