@@ -265,9 +265,8 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
         message = f"{label}: trace drift {traces[k]:.3e} at sample {first + k} exceeds {TRACE_DRIFT_TOL:.1e}"
         raise StateInvariantViolatedError(message)
     # Off the diagonal a NaN or inf leaves the trace alone, and Cholesky returns NaN rather than raising.
-    finite = np.isfinite(coords).all(axis=1)
-    if not finite.all():
-        k = int(finite.argmin())
+    if not np.isfinite(coords).all():  # one test of the whole block; only a failing one is read row by row
+        k = int(np.isfinite(coords).all(axis=1).argmin())
         raise StateInvariantViolatedError(f"{label}: coordinates not finite at sample {first + k}")
     x_shaped = ~coords[:, _OFF_X].any(axis=1)
     passed, rest = True, coords  # a block with no X-shaped sample goes to Cholesky whole, without a copy

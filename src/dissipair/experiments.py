@@ -51,8 +51,9 @@ OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
 SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
 SWEEP_AXES = ("J", "Gamma", "phi", "kappa", "drive_amplitude")
 DEGENERATE_SENTINEL = -1.0
-_CSV_PIECE_CELLS = 4096  # cells per `csv_text` call in write_csv; about 0.75 MB of its temporaries
-# Cells per sweep block, whole axis1 rows or pieces of one: about 4 MB of steady_concurrence generators.
+# Cells per `csv_text` call in write_csv, and per delta_F sweep block: about 0.75 MB of the kernel's temporaries.
+_CSV_PIECE_CELLS = 4096
+# Cells per steady_concurrence sweep block, whole axis1 rows or pieces of one: about 4 MB of its generators.
 _SWEEP_BLOCK_CELLS = 1024
 
 ISOLATION_PHASE = 1.5 * math.pi
@@ -376,13 +377,16 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
 
     steady_concurrence tables carry an extra ``degenerate`` flag column; grid points whose stationary manifold is
     degenerate hold the sentinel value -1 there instead of a concurrence.  Blocks of the grid are evaluated and
-    written in row order, so an error in a later one leaves the destination as it was.
+    written in row order, so an error in a later one leaves the destination as it was.  A block holds at most
+    _SWEEP_BLOCK_CELLS steady_concurrence cells, which its generators' memory bounds, or _CSV_PIECE_CELLS delta_F
+    cells of a few hundred bytes each, one writer kernel call.
     """
     kernel = _kernel()
     a, b = config.axis1.values(), config.axis2.values()
     steady = config.observable == "steady_concurrence"
     header = ["axis1", "axis2", "value", "degenerate"] if steady else ["axis1", "axis2", "value"]
-    rows, cols = max(1, _SWEEP_BLOCK_CELLS // len(b)), min(len(b), _SWEEP_BLOCK_CELLS)
+    budget = _SWEEP_BLOCK_CELLS if steady else _CSV_PIECE_CELLS
+    rows, cols = max(1, budget // len(b)), min(len(b), budget)
     firsts, seconds = (kernel._records(axis[:, None], newline=False) for axis in (a, b))  # each value formatted once
 
     def chunks():
@@ -426,10 +430,11 @@ SWEEP_2A = SweepConfig(
 )
 
 
+@functools.cache
 def _figure_presets() -> dict[str, tuple[str, SweepConfig | tuple[TrajectoryRun, ...]]]:
     """Every figure preset, id -> (kind, runs): "sweep" and its config, or an output group and its integrations.
 
-    Built on call, so importing the package builds none of it.
+    Built once, on the first call, so importing the package builds none of it; callers must not mutate the dict.
     """
     iso = _preset_params(ISOLATION_PHASE)
     aligned = _preset_params(0.0)

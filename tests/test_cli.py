@@ -127,8 +127,8 @@ def test_evolve_memory_stays_bounded(tmp_path):
 
 
 def test_sweep_memory_stays_bounded(tmp_path):
-    # A 1000 x 1000 delta_F grid is evaluated and written in blocks of at most 1 024 cells: about 31 MB peak
-    # RSS, against 111 MB when the whole grid was evaluated at once.
+    # A 1000 x 1000 delta_F grid is evaluated and written in blocks of at most 4 096 cells: about 32 MB peak
+    # RSS (31 MB with blocks of 1 024), against 111 MB when the whole grid was evaluated at once.
     cfg = _config(tmp_path, "axis1_name = Gamma\naxis1_min = 0\naxis1_max = 4\naxis1_count = 1000\n"
                   "axis2_name = phi\naxis2_min = 0\naxis2_max = 6.283185307179586\naxis2_count = 1000\n"
                   "observable = delta_F\n")

@@ -613,6 +613,14 @@ def test_run_sweep_falls_back_to_the_svd_on_an_exactly_singular_block(tmp_path, 
     assert sum(row[3] for row in table) == 11.0
 
 
+# The experiments constant that bounds the cells of a sweep block, per observable.
+_BLOCK_BUDGETS = {"delta_F": "_CSV_PIECE_CELLS", "steady_concurrence": "_SWEEP_BLOCK_CELLS"}
+
+
+def _block_cells(observable):
+    return getattr(experiments, _BLOCK_BUDGETS[observable])
+
+
 @pytest.mark.parametrize("budget", [4, 7])
 @pytest.mark.parametrize("observable", ["delta_F", "steady_concurrence"])
 def test_run_sweep_blocks_write_the_same_bytes(tmp_path, monkeypatch, observable, budget):
@@ -625,7 +633,7 @@ def test_run_sweep_blocks_write_the_same_bytes(tmp_path, monkeypatch, observable
     (tmp_path / "one").mkdir()
     (tmp_path / "small").mkdir()
     run_sweep(config, str(tmp_path / "one"))
-    monkeypatch.setattr(experiments, "_SWEEP_BLOCK_CELLS", budget)
+    monkeypatch.setattr(experiments, _BLOCK_BUDGETS[observable], budget)
     run_sweep(config, str(tmp_path / "small"))
     assert (tmp_path / "small" / "sweep.csv").read_bytes() == (tmp_path / "one" / "sweep.csv").read_bytes()
     _, data = _read_table(tmp_path / "small" / "sweep.csv")
@@ -643,7 +651,7 @@ def test_run_sweep_failing_in_a_later_block_keeps_the_old_file(tmp_path, monkeyp
             "axis1_count = 3\naxis2_name = phi\naxis2_min = 0\naxis2_max = 6.283185307179586\naxis2_count = 5\n")
     (tmp_path / "sweep.cfg").write_text(text, encoding="ascii")
     (tmp_path / "sweep.csv").write_bytes(b"old\n")
-    monkeypatch.setattr(experiments, "_SWEEP_BLOCK_CELLS", 4)
+    monkeypatch.setattr(experiments, _BLOCK_BUDGETS["delta_F"], 4)
     shapes, refuse = [], experiments._refuse_non_finite
     monkeypatch.setattr(experiments, "_refuse_non_finite", lambda cells: (shapes.append(cells.shape), refuse(cells)))
     with pytest.raises(ValidationError, match="^F12 must be finite"):
@@ -680,10 +688,10 @@ def _sweep_configs(draw):
     threshold = _csvtext._KERNEL_CELLS if observable == "delta_F" else _csvtext._KERNEL_CELLS // 2
     around = st.sampled_from([threshold - 1, threshold, threshold + 1])
     if observable == "delta_F":  # cheap cells: rows longer than a sweep block too
-        count2 = draw(st.integers(2, 40) | around | st.integers(1020, 1100))
+        count2 = draw(st.integers(2, 40) | around | st.integers(4080, 4112))
     else:
         count2 = draw(st.integers(2, 12) | around)
-    count1 = experiments._SWEEP_BLOCK_CELLS // count2 + 1 if abs(count2 - threshold) <= 1 else draw(st.integers(2, 4))
+    count1 = _block_cells(observable) // count2 + 1 if abs(count2 - threshold) <= 1 else draw(st.integers(2, 4))
     axis1 = AxisSpec(name1, *draw(st.sampled_from(_AXIS_BOUNDS[name1])), count1)
     axis2 = AxisSpec(name2, *draw(st.sampled_from(_AXIS_BOUNDS[name2])), count2)
     drive = draw(st.sampled_from([None, model.Drive(1, 0.6), model.Drive(2, 0.6)]))
@@ -700,7 +708,7 @@ _DEGENERATE_SWEEP = SweepConfig(
 
 def _threshold_sweep(observable, name1, bounds1, name2, bounds2, count2):
     """A sweep whose last writer call is one axis1 row of `count2` cells."""
-    axis1 = AxisSpec(name1, *bounds1, experiments._SWEEP_BLOCK_CELLS // count2 + 1)
+    axis1 = AxisSpec(name1, *bounds1, _block_cells(observable) // count2 + 1)
     base = model.ModelParams(J=0.8, Gamma=1.5, phi=1.5 * math.pi, drive=model.Drive(1, 0.6))
     return SweepConfig(axis1, AxisSpec(name2, *bounds2, count2), observable, base=base)
 
@@ -766,6 +774,14 @@ def test_figure_2a_grid_cells(tmp_path):
     np.testing.assert_allclose(data[:201, 2], 0.0, atol=1e-15)
 
 
+def test_figure_2a_takes_one_writer_piece_per_block(tmp_path, monkeypatch):
+    # 4 096 // 201 = 20 whole Gamma rows per block: ten blocks of 4 020 cells and one of 201.
+    shapes, refuse = [], experiments._refuse_non_finite
+    monkeypatch.setattr(experiments, "_refuse_non_finite", lambda cells: (shapes.append(cells.shape), refuse(cells)))
+    run_figure("2a", str(tmp_path))
+    assert shapes == [(20, 201, 1)] * 10 + [(1, 201, 1)]
+
+
 def test_figure_2a_equals_equivalent_sweep(tmp_path):
     (tmp_path / "fig").mkdir()
     (tmp_path / "sweep").mkdir()
@@ -780,6 +796,19 @@ def test_figure_2b_reciprocal_symmetry(tmp_path):
     p1_first = data[:, 1]
     p2_second = data[:, 4]
     assert np.abs(p1_first - p2_second).max() <= 1e-12
+
+
+def test_figure_presets_are_built_once(tmp_path):
+    # The preset table is cached; the dict a caller gets from figure_trajectory_runs is its own.
+    (tmp_path / "first").mkdir()
+    (tmp_path / "second").mkdir()
+    first = Path(run_figure("2b", str(tmp_path / "first"))).read_bytes()
+    runs = figure_trajectory_runs()
+    expected = dict(runs)
+    runs["2b"] = runs.pop("3a")
+    assert figure_trajectory_runs() == expected
+    assert Path(run_figure("2b", str(tmp_path / "second"))).read_bytes() == first
+    assert experiments._figure_presets() is experiments._figure_presets()
 
 
 def test_figure_3a_one_way_entanglement(tmp_path):

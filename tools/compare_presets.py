@@ -9,17 +9,18 @@ the `src` of two checkouts.  Each tree writes, in its own Python process, the
 qubit 1, over drive_amplitude in [0, 2] (axis1) and phi in [0, 2 pi] (axis2);
 it has 3 degenerate cells, flagged with the sentinel -1, and the inverse of
 the bordered matrix certifies every other cell unique.  The wide sweep is
-`delta_F` over J in [0, 2] (3 values) and phi in [0, 2 pi] (2 500 values) with
-Gamma = 2: its rows are longer than a sweep block, so blocks end in the middle
-of a row.  The singular corner is the undriven `steady_concurrence` sweep over
-J in [0, 2] (axis1) and Gamma in [0, 4] (axis2), 41 values each, at phi =
-3 pi/2: the J = 0 column and the Gamma = 0 row keep dark states and an exactly
-singular bordered matrix, so the inverse raises for each of its two blocks and
-every cell takes the SVD verdict, 81 of them degenerate.  The scientific axes
+`delta_F` over J in [0, 2] (3 values) and phi in [0, 2 pi] (5 000 values) with
+Gamma = 2: its rows are longer than a delta_F sweep block (4 096 cells), so
+blocks end in the middle of a row.  The singular corner is the undriven
+`steady_concurrence` sweep over J in [0, 2] (axis1) and Gamma in [0, 4]
+(axis2), 41 values each, at phi = 3 pi/2: the J = 0 column and the Gamma = 0
+row keep dark states and an exactly singular bordered matrix, so the inverse
+raises for each of its two blocks and every cell takes the SVD verdict, 81 of
+them degenerate.  The scientific axes
 sweep is `delta_F` over J in [-3e-5, 3e-5] (axis1, 11 values) and Gamma in
-[0, 1e20] (axis2, 1 500 values): its blocks end in the middle of a row, and
-its axis cells print with exponents such as e-05, e+15 and above, which no
-preset writes.  The driven run writes every output group
+[0, 1e20] (axis2, 1 500 values): each of its blocks holds two whole rows,
+every delta_F is 0, and its axis cells print with exponents such as e-05, e+15
+and above, which no preset writes.  The driven run writes every output group
 (populations, concurrence, collective, states) of J = 1, Gamma = 2, phi = 4.2
 and kappa = 0.3, driven on qubit 2 with amplitude 0.7, from PLUS up to
 t_max = 40 at every third step: 6 668 rows of 40 cells in two row blocks, with
@@ -55,7 +56,7 @@ SWEEPS = {
                   "axis1_name = drive_amplitude\naxis1_min = 0\naxis1_max = 2\naxis1_count = 201\n"
                   + _PHI_AXIS + "axis2_count = 201\n",
     "wide_sweep": "Gamma = 2\nobservable = delta_F\naxis1_name = J\naxis1_min = 0\naxis1_max = 2\naxis1_count = 3\n"
-                  + _PHI_AXIS + "axis2_count = 2500\n",
+                  + _PHI_AXIS + "axis2_count = 5000\n",
     "singular_corner": "phi = 4.71238898038469\nobservable = steady_concurrence\naxis1_name = J\naxis1_min = 0\n"
                        "axis1_max = 2\naxis1_count = 41\naxis2_name = Gamma\naxis2_min = 0\naxis2_max = 4\n"
                        "axis2_count = 41\n",
