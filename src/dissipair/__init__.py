@@ -29,15 +29,7 @@ from .experiments import (
     run_sweep,
     write_csv,
 )
-from .model import (
-    Drive,
-    ModelParams,
-    build_coherent_hamiltonian,
-    build_drive_hamiltonian,
-    sigma_minus,
-    sigma_plus,
-    sigma_z,
-)
+from .model import Drive, ModelParams
 from .observables import (
     CollectivePopulations,
     IsolationReport,

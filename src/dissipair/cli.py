@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .dynamics import liouvillian_from_params, steady_state
-from .errors import CONFIG_ERRORS, NUMERIC_ERRORS, DegenerateSteadyStateError, IoError
+from .errors import IoError, NumericalError, ValidationError
 from .experiments import parse_config, parse_sweep_config, run_experiment, run_figure, run_sweep
 from .observables import collective_populations, concurrence, damping_forces, populations
 
@@ -54,7 +54,7 @@ def _cmd_steady(args) -> None:
     print(f"unique: {'yes' if result.unique else 'no'}")
     print(f"spectral_gap: {_fmt(result.spectral_gap)}")
     if not result.unique:
-        raise DegenerateSteadyStateError("the stationary manifold is degenerate: no unique steady state to report")
+        raise NumericalError("the stationary manifold is degenerate: no unique steady state to report")
     p1, p2 = populations(result.state)
     print(f"P1: {_fmt(p1)}")
     print(f"P2: {_fmt(p2)}")
@@ -115,10 +115,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.func(args)
-    except CONFIG_ERRORS as exc:
+    except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (*NUMERIC_ERRORS, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IoError as exc:

@@ -20,21 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergenceError,
-    NotAStateError,
-    NotHermitianError,
-    ShapeMismatchError,
-    StateInvariantViolatedError,
-    StepTooLargeError,
-    ValidationError,
-)
-from .model import ModelParams, build_coherent_hamiltonian, build_drive_hamiltonian, require_finite, sigma_minus, sigma_z
+from .errors import NumericalError, ValidationError
+from .model import ModelParams, require_finite
 
 # Hard ceiling on dt * ||R||_inf; above this RK4 accuracy degrades fast.
 MAX_STEP_NORM = 0.1
 # Relative spectral gap, gap / ||R||_2, at or below which the stationary manifold is degenerate.
 GAP_EPS = 1e-9
+# Largest entry below which `_steady_coordinates` scales a generator up by a power of two.
+_TINY_SCALE = 2.0 ** -600
 # Per-sample drift tolerances while integrating.
 TRACE_DRIFT_TOL = 1e-6
 NEGATIVITY_TOL = 1e-6
@@ -102,7 +96,7 @@ def initial_state(name: str) -> np.ndarray:
         return np.outer(_PLUS, _PLUS.conj())
     if key == "MINUS":
         return np.outer(_MINUS, _MINUS.conj())
-    raise ShapeMismatchError(f"unknown initial state {name!r}, expected one of {INITIAL_STATE_NAMES}")
+    raise ValidationError(f"unknown initial state {name!r}, expected one of {INITIAL_STATE_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -192,17 +186,17 @@ def build_liouvillian(
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape[-2:] != (_DIM, _DIM):
-        raise ShapeMismatchError(f"hamiltonian must be ({_DIM}, {_DIM}) or a stack of them, got {h.shape}")
+        raise ValidationError(f"hamiltonian must be ({_DIM}, {_DIM}) or a stack of them, got {h.shape}")
     tol = 1e-10
     defect = float(np.abs(h - h.conj().swapaxes(-1, -2)).max())
     if defect > tol:
-        raise NotHermitianError(f"hamiltonian defect {defect:.3e} exceeds {tol:.3e}")
+        raise NumericalError(f"hamiltonian defect {defect:.3e} exceeds {tol:.3e}")
     h = h[..., None, :, :]
     images = -1j * (h @ _BASIS - _BASIS @ h)
     for op in jump_operators:
         op = np.asarray(op, dtype=complex)
         if op.shape[-2:] != (_DIM, _DIM):
-            raise ShapeMismatchError(f"jump operator shape {op.shape} does not match {h.shape[-2:]}")
+            raise ValidationError(f"jump operator shape {op.shape} does not match {h.shape[-2:]}")
         op = op[..., None, :, :]
         op_dagger = op.conj().swapaxes(-1, -2)
         square = op_dagger @ op
@@ -217,11 +211,13 @@ def _model_basis() -> np.ndarray:
     D[s1 + e s2] = P + Re(e) Q + Im(e) R, with P and Q half the sum and half
     the difference of D[s1 + s2] and D[s1 - s2], and R = D[s1 + i s2] - P.
     """
-    s1, s2, zero = sigma_minus(1), sigma_minus(2), np.zeros((_DIM, _DIM))
-    coherent = build_liouvillian(np.stack([build_coherent_hamiltonian(1.0), build_coherent_hamiltonian(1j),
-                                           build_drive_hamiltonian(1, 1.0), build_drive_hamiltonian(2, 1.0)]))
+    # In |ee>, |eg>, |ge>, |gg>: s1 takes |ee> to |ge> and |eg> to |gg>, s2 takes |ee> to |eg> and |ge> to |gg>,
+    # the exchange s1+ s2- takes |ge> to |eg>, and sz1, sz2 are +1 where their qubit is excited.
+    s1, s2, hop = np.eye(_DIM, k=-2), np.diag([1.0, 0.0, 1.0], -1), np.diag([0.0, 1.0, 0.0], 1)
+    sz1, sz2, zero = np.diag([1.0, 1.0, -1.0, -1.0]), np.diag([1.0, -1.0, 1.0, -1.0]), np.zeros((_DIM, _DIM))
+    coherent = build_liouvillian(np.stack([hop + hop.T, 1j * (hop - hop.T), s1 + s1.T, s2 + s2.T]))
     plus, minus, twisted, dephasing = build_liouvillian(np.zeros((4, _DIM, _DIM)), [
-        np.stack([s1 + s2, s1 - s2, s1 + 1j * s2, sigma_z(1)]), np.stack([zero, zero, zero, sigma_z(2)])])
+        np.stack([s1 + s2, s1 - s2, s1 + 1j * s2, sz1]), np.stack([zero, zero, zero, sz2])])
     decay = 0.5 * (plus + minus)
     terms = [[coherent[0], coherent[1], drive, decay, 0.5 * (plus - minus), twisted - decay, dephasing]
              for drive in coherent[2:]]
@@ -263,11 +259,11 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
     if not float(traces.max(initial=0.0)) <= TRACE_DRIFT_TOL:  # an empty block passes
         k = int(traces.argmax())
         message = f"{label}: trace drift {traces[k]:.3e} at sample {first + k} exceeds {TRACE_DRIFT_TOL:.1e}"
-        raise StateInvariantViolatedError(message)
+        raise NumericalError(message)
     # Off the diagonal a NaN or inf leaves the trace alone, and Cholesky returns NaN rather than raising.
     if not np.isfinite(coords).all():  # one test of the whole block; only a failing one is read row by row
         k = int(np.isfinite(coords).all(axis=1).argmin())
-        raise StateInvariantViolatedError(f"{label}: coordinates not finite at sample {first + k}")
+        raise NumericalError(f"{label}: coordinates not finite at sample {first + k}")
     x_shaped = ~coords[:, _OFF_X].any(axis=1)
     passed, rest = True, coords  # a block with no X-shaped sample goes to Cholesky whole, without a copy
     if x_shaped.any():
@@ -284,14 +280,14 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
         if not float(lows.min()) >= -NEGATIVITY_TOL:
             k = int(lows.argmin())
             message = f"{label}: negativity {lows[k]:.3e} at sample {first + k} exceeds {NEGATIVITY_TOL:.1e}"
-            raise StateInvariantViolatedError(message)
+            raise NumericalError(message)
 
 
 def _real_generator(liouvillian) -> np.ndarray:
-    """The generator as a real array; any non-zero imaginary part raises NotHermitianError (exit code 3)."""
+    """The generator as a real array; any non-zero imaginary part raises NumericalError (exit code 3)."""
     gen = np.asarray(liouvillian)
     if np.iscomplexobj(gen) and np.any(gen.imag != 0.0):
-        raise NotHermitianError("the generator has an imaginary part: it does not preserve Hermiticity")
+        raise NumericalError("the generator has an imaginary part: it does not preserve Hermiticity")
     return gen.real.astype(float, copy=False)
 
 
@@ -306,11 +302,11 @@ def _propagate(rho0, grid: TimeGrid, step: np.ndarray, label: str) -> Iterator[T
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (_DIM, _DIM):
-        raise ShapeMismatchError(f"initial state shape {rho0.shape}, expected {(_DIM, _DIM)}")
+        raise ValidationError(f"initial state shape {rho0.shape}, expected {(_DIM, _DIM)}")
     if not np.isfinite(rho0).all():  # before any arithmetic, which would warn on inf - inf
-        raise NotAStateError("initial state is not finite")
+        raise NumericalError("initial state is not finite")
     if float(np.abs(rho0 - rho0.conj().T).max()) > 1e-8 or abs(rho0.trace() - 1.0) > 1e-8:
-        raise NotAStateError("initial state must be Hermitian with unit trace")
+        raise NumericalError("initial state must be Hermitian with unit trace")
     span = min(grid.sample_every, grid.n_steps)
     count, tail = divmod(grid.n_steps, span)
     m = math.isqrt(count)
@@ -358,12 +354,12 @@ def _rk4_blocks(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Iterator[Traje
     gen = _real_generator(liouvillian)
     if gen.shape != (_SIZE, _SIZE):
         stack = "a stack of " if gen.ndim > 2 else ""
-        raise ShapeMismatchError(f"the integrator takes one ({_SIZE}, {_SIZE}) generator, got {stack}shape {gen.shape}")
+        raise ValidationError(f"the integrator takes one ({_SIZE}, {_SIZE}) generator, got {stack}shape {gen.shape}")
     bound = grid.dt * float(np.abs(gen).sum(axis=1).max())
     if not bound <= MAX_STEP_NORM:  # a NaN bound fails here too
         if not math.isfinite(bound):
-            raise StepTooLargeError(f"dt * ||R||_inf is {bound}: the generator is not finite")
-        raise StepTooLargeError(f"dt * ||R||_inf = {bound:.3e} exceeds {MAX_STEP_NORM}; shrink dt")
+            raise NumericalError(f"dt * ||R||_inf is {bound}: the generator is not finite")
+        raise NumericalError(f"dt * ||R||_inf = {bound:.3e} exceeds {MAX_STEP_NORM}; shrink dt")
     a = grid.dt * gen * _SIMILARITY
     eye = np.eye(_SIZE)
     step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
@@ -404,11 +400,17 @@ def _steady_coordinates(liouvillian, certify: bool = False) -> tuple[np.ndarray,
     SVD's gaps, one per cell as `steady_state` needs unless `certify` lets the cells `_certified` passes skip it."""
     gen = _real_generator(liouvillian)
     if not np.isfinite(gen).all():
-        raise NoConvergenceError("the generator is not finite")
+        raise NumericalError("the generator is not finite")
     stack = gen.reshape(-1, _SIZE, _SIZE)
     scale = np.abs(stack).max(axis=(-2, -1), keepdims=True)
+    # The state does not depend on R's scale, but LAPACK loses a subnormal R: below _TINY_SCALE, R is solved scaled
+    # up by the exact power of two that brings max |R_ij| into [0.5, 1), and its gap is scaled back.
+    shift = np.where((scale > 0.0) & (scale < _TINY_SCALE), -np.frexp(scale)[1], 0)
+    if shift.any():  # every other generator keeps its bits
+        stack, scale = np.ldexp(stack, shift), np.ldexp(scale, shift)
     scale[scale == 0.0] = 1.0  # R / scale is R / max |R_ij|, or a zero R itself: free of units, and no norm overflows
     unique = _certified(stack / scale) if certify else np.zeros(len(stack), dtype=bool)
+    shift = shift[~unique, 0, 0]  # of the cells that take the SVD
     rest = stack[~unique] if unique.any() else stack  # no copy when every cell takes the SVD
     sing = np.linalg.svd(rest, compute_uv=False) if len(rest) else np.empty((0, _SIZE))
     gap, bound = sing[:, -2], GAP_EPS * sing[:, 0]  # descending: sing[:, 0] is ||R||_2
@@ -426,13 +428,13 @@ def _steady_coordinates(liouvillian, certify: bool = False) -> tuple[np.ndarray,
         traces = candidates @ _TRACE_ROW
         best = np.arange(len(candidates)), np.argmax(np.where(near_null, np.abs(traces), -1.0), axis=-1)
         if np.any(np.abs(traces[best]) < 1e-9):
-            raise NotAStateError("null space holds no unit-trace Hermitian element within tolerance")
+            raise NumericalError("null space holds no unit-trace Hermitian element within tolerance")
         coords[~unique] = candidates[best] / traces[best][:, None]
     residual = np.linalg.norm((stack / scale @ coords[..., None])[..., 0], axis=-1)
     bad = unique & ~(residual <= 1e-8)  # written so that a NaN residual counts as too large
     if np.any(bad):
-        raise NoConvergenceError(f"stationary residual {np.max(residual[bad]):.3e} too large")
-    return (coords / _SCALE).reshape(gen.shape[:-1]), unique.reshape(gen.shape[:-2]), gap
+        raise NumericalError(f"stationary residual {np.max(residual[bad]):.3e} too large")
+    return (coords / _SCALE).reshape(gen.shape[:-1]), unique.reshape(gen.shape[:-2]), np.ldexp(gap, -shift)
 
 
 def steady_state(liouvillian: np.ndarray) -> SteadyStateResult:

@@ -1,79 +1,17 @@
-"""Exception types raised across the package.
-
-Grouped by how the command line maps them to exit codes: configuration
-problems, numerical failures, and output failures.
-"""
-
-
-class ShapeMismatchError(ValueError):
-    """Operands have incompatible or non-square shapes."""
-
-
-class NotHermitianError(Exception):
-    """Matrix fails the Hermiticity precondition."""
-
-
-class NoConvergenceError(Exception):
-    """A steady state cannot be trusted: the generator is not finite, or the stationary residual is too large."""
-
-
-class InvalidStateError(Exception):
-    """Density matrix fails basic state checks."""
-
-
-class StepTooLargeError(Exception):
-    """Integrator step too large for the generator's norm."""
-
-
-class StateInvariantViolatedError(Exception):
-    """Evolved state drifted outside trace or positivity tolerance."""
-
-
-class NotAStateError(Exception):
-    """Not a state: a null space with no unit-trace element, or a rho0 not finite, not Hermitian or of trace not 1."""
-
-
-class DegenerateSteadyStateError(Exception):
-    """The stationary manifold is degenerate, so no single steady state exists."""
-
-
-class ParseError(ValueError):
-    """Config text is malformed; message carries the line number."""
+"""Exception types raised across the package, one per command-line exit code."""
 
 
 class ValidationError(ValueError):
-    """Config value fails validation; message names the field."""
+    """Bad input, exit code 2: malformed config text, a value out of range, an unknown preset or a wrong shape."""
 
 
-class BadIndexError(ValidationError):
-    """Qubit index outside {1, 2}."""
+class NumericalError(Exception):
+    """A numerical failure, exit code 3: a step too large, a non-finite or non-Hermitian generator, a state that
+    fails its checks, or a steady state that cannot be trusted or is not unique.
 
-
-class NegativeRateError(ValidationError):
-    """A decay or dephasing rate is negative."""
-
-
-class UnknownPresetError(ValueError):
-    """Figure preset id is not registered."""
+    Not a ValueError: the config parser turns a ValueError from a value's converter into a ValidationError.
+    """
 
 
 class IoError(Exception):
-    """Output could not be written, or table contains non-finite values."""
-
-
-CONFIG_ERRORS = (
-    ParseError,
-    ValidationError,
-    UnknownPresetError,
-    ShapeMismatchError,
-)
-
-NUMERIC_ERRORS = (
-    NotHermitianError,
-    NoConvergenceError,
-    InvalidStateError,
-    StepTooLargeError,
-    StateInvariantViolatedError,
-    NotAStateError,
-    DegenerateSteadyStateError,
-)
+    """Output could not be written, or table contains non-finite values (exit code 4)."""

@@ -43,7 +43,7 @@ from .dynamics import (
     initial_state,
     liouvillian_from_params,
 )
-from .errors import IoError, ParseError, ShapeMismatchError, UnknownPresetError, ValidationError
+from .errors import IoError, ValidationError
 from .model import Drive, ModelParams, require_finite
 from .observables import _collective_populations, _concurrence, _qubit_populations, damping_forces
 
@@ -160,19 +160,19 @@ def _split_entries(text: str) -> dict[str, tuple[str, int]]:
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ValidationError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ParseError(f"line {lineno}: missing key")
+            raise ValidationError(f"line {lineno}: missing key")
         if not value:
-            raise ParseError(f"line {lineno}: missing value for {key!r}")
+            raise ValidationError(f"line {lineno}: missing value for {key!r}")
         if key in entries:
-            raise ParseError(f"line {lineno}: duplicate key {key!r}")
+            raise ValidationError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = (value, lineno)
     if not entries:
-        raise ParseError("line 1: config is empty")
+        raise ValidationError("line 1: config is empty")
     return entries
 
 
@@ -190,7 +190,7 @@ class _Entries:
         try:
             return convert(value)
         except ValueError:
-            raise ParseError(f"line {lineno}: {key} value {value!r} is not a valid {convert.__name__}") from None
+            raise ValidationError(f"line {lineno}: {key} value {value!r} is not a valid {convert.__name__}") from None
 
     def finish(self) -> None:
         for key, (_, lineno) in self.raw.items():
@@ -282,13 +282,13 @@ def _write_text(path, header, chunks) -> str:
 
 
 def _checked_block(block, width: int) -> np.ndarray:
-    """`block` as a finite 2-D float array of `width` columns ([] is no rows), else ShapeMismatchError or IoError."""
+    """`block` as a finite 2-D float array of `width` columns ([] is no rows), else ValidationError or IoError."""
     try:
         shape = np.shape(block)
     except ValueError as exc:  # a ragged block
-        raise ShapeMismatchError(f"a table block must be 2-D with {width} columns: {exc}") from None
+        raise ValidationError(f"a table block must be 2-D with {width} columns: {exc}") from None
     if shape != (0,) and (len(shape) != 2 or shape[1] != width):
-        raise ShapeMismatchError(f"a table block must be 2-D with {width} columns, got shape {shape}")
+        raise ValidationError(f"a table block must be 2-D with {width} columns, got shape {shape}")
     if np.iscomplexobj(block):  # a float conversion would keep the real part
         raise IoError("refusing to serialize a cell that is not a number: the block is complex")
     try:
@@ -305,7 +305,7 @@ def write_csv(path, header, rows) -> str:
     `rows` is the table (a 2-D array or a sequence of rows), or an iterator of 2-D row blocks, written in order.  The
     header line is always present, cells read as ``%.15g`` writes them, and lines end in ``\\n`` on every platform.
     A temporary file beside `path` replaces it only once complete, so a block that is not 2-D with one column per
-    header name (ShapeMismatchError), a cell that is not a finite number (IoError), or an error while the blocks are
+    header name (ValidationError), a cell that is not a finite number (IoError), or an error while the blocks are
     produced, leaves `path` as it was.
     """
     header = list(header)
@@ -480,7 +480,7 @@ def run_figure(figure_id: str, out_dir: str = ".") -> str:
     fig = str(figure_id).strip().lower()
     presets = _figure_presets()
     if fig not in presets:
-        raise UnknownPresetError(f"unknown figure id {figure_id!r}, expected one of {tuple(presets)}")
+        raise ValidationError(f"unknown figure id {figure_id!r}, expected one of {tuple(presets)}")
     kind, runs = presets[fig]
     if kind == "sweep":
         return run_sweep(runs, out_dir)

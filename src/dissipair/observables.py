@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _OFF_X, _X_BLOCKS, _check_samples, _coordinates, _position, _states
-from .errors import InvalidStateError, ShapeMismatchError
+from .errors import NumericalError, ValidationError
 from .model import require_finite, require_non_negative
 
 # sigma_y kron sigma_y is the anti-diagonal (-1, 1, 1, -1): X F is X with its columns reversed and signed.
@@ -45,15 +45,15 @@ def _checked_coordinates(rho) -> np.ndarray:
     """Raw coordinates of a checked state's Hermitian part, (16,) for one state and (N, 16) for a stack.
 
     Non-numeric input, or a Hermiticity defect max |rho_ij - conj rho_ji| over the ten entries i <= j above 1e-6 or
-    not finite, raises InvalidStateError.  The coordinates of rho - (rho - rho')/2 (rho's bits when rho is Hermitian,
+    not finite, raises NumericalError.  The coordinates of rho - (rho - rho')/2 (rho's bits when rho is Hermitian,
     free of the overflow of (rho + rho')/2) then pass `_check_samples`, the trace and eigenvalue check of every block.
     """
     try:
         rho = np.asarray(rho, dtype=complex)
     except (TypeError, ValueError):  # a string, a dict or a ragged sequence
-        raise InvalidStateError(f"state must be a numeric array, got {rho!r:.60}") from None
+        raise NumericalError(f"state must be a numeric array, got {rho!r:.60}") from None
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
-        raise ShapeMismatchError(f"state must be 4x4 or an (N, 4, 4) stack, got {rho.shape}")
+        raise ValidationError(f"state must be 4x4 or an (N, 4, 4) stack, got {rho.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused just below
         defects = np.abs(rho[..., _UPPER_ROWS, _UPPER_COLS] - rho[..., _UPPER_COLS, _UPPER_ROWS].conj()).max(axis=-1)
     # Written so that a NaN, from any NaN or inf entry, fails too.
@@ -61,7 +61,7 @@ def _checked_coordinates(rho) -> np.ndarray:
     if bad.size:
         where = f" at sample {bad[0]}" if rho.ndim == 3 else ""
         problem = "is not Hermitian within tolerance" if np.isfinite(defects.flat[bad[0]]) else "is not finite"
-        raise InvalidStateError(f"state{where} {problem}")
+        raise NumericalError(f"state{where} {problem}")
     coords = _coordinates(rho - 0.5 * (rho - rho.conj().swapaxes(-1, -2)))
     _check_samples(coords.reshape(-1, 16), "state")
     return coords
@@ -169,7 +169,7 @@ def concurrence(rho):
     sqrt(rho) sqrt(rho_tilde), with rho_tilde = (sy kron sy) conj(rho)
     (sy kron sy), and the result is max(0, r1 - r2 - r3 - r4): a float
     for one 4x4 state, an array of length N for an (N, 4, 4) stack.
-    The state is checked as the populations' is: an eigenvalue below -1e-6 raises StateInvariantViolatedError
+    The state is checked as the populations' is: an eigenvalue below -1e-6 raises NumericalError
     (exit code 3); higher ones clamp to zero.
 
     The coordinates of the checked state's Hermitian part go to `_concurrence`, as a trajectory table's checked

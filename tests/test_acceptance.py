@@ -26,6 +26,9 @@ from dissipair.experiments import figure_trajectory_runs, run_figure
 from dissipair.observables import concurrence, damping_forces
 
 from oracles import (
+    S1,
+    S2,
+    SZ1,
     collective_transition_rates,
     concurrence_charpoly,
     exponential_trajectory,
@@ -209,12 +212,12 @@ def _coherence_equation_defect(params, traj):
     """
     spacing = float(traj.times[1] - traj.times[0])
     assert np.abs(np.diff(traj.times) - spacing).max() <= 1e-9
-    e1 = np.einsum("kij,ji->k", traj.states, model.sigma_minus(1))
-    ez2 = np.einsum("kij,ji->k", traj.states, model.sigma_z(1) @ model.sigma_minus(2))
+    e1 = np.einsum("kij,ji->k", traj.states, S1)
+    ez2 = np.einsum("kij,ji->k", traj.states, SZ1 @ S2)
     coupling = 1j * complex(params.J) + 0.5 * params.Gamma * cmath.exp(1j * params.phi)
     rhs = -0.5 * params.Gamma * e1 + coupling * ez2
     if params.drive is not None and params.drive.target == 1:
-        z1 = np.einsum("kij,ji->k", traj.states, model.sigma_z(1))
+        z1 = np.einsum("kij,ji->k", traj.states, SZ1)
         rhs = rhs + 1j * params.drive.amplitude * z1
     lhs = five_point_derivative(e1, spacing)
     return float(np.abs(lhs - rhs[2:-2]).max())

@@ -10,7 +10,9 @@ import pytest
 import dissipair
 from dissipair import cli, dynamics, errors, experiments
 from dissipair.cli import main
-from dissipair.errors import CONFIG_ERRORS, NUMERIC_ERRORS, IoError
+from dissipair.errors import IoError, NumericalError, ValidationError
+
+from oracles import S1
 
 ISO_LINES = "J = 1.0\nGamma = 2.0\nphi = 4.712388980384690\n"
 
@@ -52,12 +54,20 @@ def test_evolve_config_error_exit_code(tmp_path, capsys, entries, message):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_every_error_has_an_exit_code():
+def test_every_error_has_an_exit_code(tmp_path, capsys, monkeypatch):
     defined = [obj for obj in vars(errors).values()
                if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == errors.__name__]
-    assert IoError in defined
-    mapped = (*CONFIG_ERRORS, *NUMERIC_ERRORS, IoError)
-    assert [cls.__name__ for cls in defined if not issubclass(cls, mapped)] == []
+    codes = {ValidationError: (2, "config error"), NumericalError: (3, "numerical error"), IoError: (4, "io error")}
+    assert sorted(cls.__name__ for cls in defined) == sorted(cls.__name__ for cls in codes)
+    # The config parser turns a converter's ValueError into a ValidationError, so a numerical one must not be one.
+    assert not issubclass(NumericalError, ValueError)
+    for cls, (code, prefix) in codes.items():
+        def failing(figure_id, out_dir, cls=cls):
+            raise cls("probe")
+
+        monkeypatch.setattr(cli, "run_figure", failing)
+        assert main(["figure", "2a", "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == f"{prefix}: probe\n"
 
 
 def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
@@ -82,7 +92,7 @@ def test_evolve_negativity_in_a_later_block_leaves_no_file(tmp_path, monkeypatch
     # -1e-6 between samples 28 and 29.  100 samples make block starts of 10, and blocks of 4 rows span two
     # of them, so the first block (samples 0-20) is written before the check fails on the second (21-40),
     # which names its lowest eigenvalue, at its last sample.
-    gen = -3.5e-6 * dissipair.build_liouvillian(np.zeros((4, 4)), [dissipair.sigma_minus(1)])
+    gen = -3.5e-6 * dissipair.build_liouvillian(np.zeros((4, 4)), [S1])
     monkeypatch.setattr(experiments, "liouvillian_from_params", lambda params: gen)
     monkeypatch.setattr(dynamics, "_RUN_BLOCK_ROWS", 4)
     cfg = _config(tmp_path, "initial = EG\nt_max = 1\ndt = 0.01\n")
@@ -211,6 +221,23 @@ def test_steady_command_at_rates_near_the_float_limit(tmp_path, capsys):
     np.testing.assert_allclose(values[1], values[0], rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("phi", ["0", "4.71238898038469"])
+def test_steady_command_at_subnormal_rates(tmp_path, capsys, phi):
+    # Every rate near 1e-310 is subnormal; the state ignores the scale, so it is the rates-times-1 model's.
+    values = []
+    for scale in ("", "e-310"):
+        cfg = _config(tmp_path, f"J = 1{scale}\nGamma = 2{scale}\nphi = {phi}\ndrive_target = 1\n"
+                      f"drive_amplitude = {8.0 / 11.0}{scale}\n")
+        assert main(["steady", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0] == "unique: yes" and lines[1].startswith("spectral_gap: ")
+        values.append([float(line.split(": ")[1]) for line in lines[1:]])
+    np.testing.assert_allclose(values[1][1:], values[0][1:], rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(values[1][0], 1e-310 * values[0][0], rtol=1e-9)
+
+
 def test_steady_degenerate_exit_code(tmp_path, capsys):
     # Undriven at phi = pi the antisymmetric state is dark: the stationary
     # manifold is degenerate, so no observables of an arbitrary element are printed.
@@ -234,6 +261,21 @@ def test_sweep_command(tmp_path):
     assert main(["sweep", "--config", cfg]) == 0
     data = np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1)
     assert data.shape == (4, 3)
+
+
+def test_steady_sweep_at_subnormal_rates(tmp_path, capsys):
+    # The concurrence map over subnormal J and Gamma is the map over the same rates times 1e310.
+    columns = []
+    for scale in ("", "e-310"):
+        text = (f"phi = 4.71238898038469\ndrive_target = 1\ndrive_amplitude = {8.0 / 11.0}{scale}\n"
+                f"observable = steady_concurrence\naxis1_name = J\naxis1_min = 0.5{scale}\naxis1_max = 2{scale}\n"
+                f"axis1_count = 4\naxis2_name = Gamma\naxis2_min = 1{scale}\naxis2_max = 3{scale}\naxis2_count = 5\n"
+                f"output_path = map{scale}.csv\n")
+        assert main(["sweep", "--config", _config(tmp_path, text), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        columns.append(np.loadtxt(tmp_path / f"map{scale}.csv", delimiter=",", skiprows=1)[:, 2])
+    assert columns[0].max() > 0.4
+    np.testing.assert_allclose(columns[1], columns[0], rtol=0.0, atol=1e-9)
 
 
 def test_sweep_out_directory(tmp_path, capsys):

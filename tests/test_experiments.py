@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dissipair import _csvtext, cli, dynamics, experiments, model, observables
 from dissipair.dynamics import TimeGrid, evolve_rk4, initial_state, liouvillian_from_params, steady_state
-from dissipair.errors import IoError, ParseError, ShapeMismatchError, UnknownPresetError, ValidationError
+from dissipair.errors import IoError, ValidationError
 from dissipair.experiments import (
     OUTPUT_KINDS,
     SWEEP_2A,
@@ -70,7 +70,7 @@ def test_parse_config_comments_and_drive():
 
 def test_parse_config_rejects_malformed_text():
     for text in ("", "   \n# only comments\n", "J 1.0", "= 3", "J =", "J = 1\nJ = 2", "dt = fast"):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match=r"^line \d+: "):
             parse_config(text)
 
 
@@ -92,7 +92,7 @@ def test_parse_config_rejects_bad_values():
         "output_path =  # blank",
     )
     for text in bad:
-        with pytest.raises((ValidationError, ParseError)):
+        with pytest.raises((ValidationError, ValidationError)):
             parse_config(text)
 
 
@@ -293,7 +293,7 @@ def test_write_csv_refuses_a_block_that_does_not_fit_the_header(tmp_path, case):
     header, rows = _MISFITS[case]
     path = tmp_path / "table.csv"
     path.write_bytes(b"old\n")
-    with pytest.raises(ShapeMismatchError, match="must be 2-D with"):
+    with pytest.raises(ValidationError, match="must be 2-D with"):
         write_csv(path, header, iter(rows) if case.startswith("a later block") else rows)
     assert path.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["table.csv"]
@@ -755,7 +755,7 @@ def test_run_sweep_matches_per_cell_format(tmp_path, config):
 
 
 def test_run_figure_rejects_unknown_id(tmp_path):
-    with pytest.raises(UnknownPresetError):
+    with pytest.raises(ValidationError, match="^unknown figure id '9z'"):
         run_figure("9z", str(tmp_path))
 
 

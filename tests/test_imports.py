@@ -1,5 +1,5 @@
 """Every top-level import in the package modules is used, every private top-level name is read, and every
-exception type is named outside `errors.py`.
+exception type is named outside `errors.py`; README.md names only exception types that exist.
 
 No linter ships with the test extras, so this walks each module's syntax
 tree with the standard library.  `__init__.py` is exempt: its imports are
@@ -10,11 +10,14 @@ its exit-code groups name: no module raises or catches it.
 """
 
 import ast
+import builtins
+import re
 from pathlib import Path
 
 import pytest
 
 import dissipair
+from dissipair import errors
 
 MODULES = sorted(p for p in Path(dissipair.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -101,3 +104,13 @@ def test_every_exception_type_is_named_in_another_module():
     errors = next(path for path in MODULES if path.name == "errors.py")
     others = [path.read_text(encoding="utf-8") for path in MODULES if path != errors]
     assert unnamed_exceptions(errors.read_text(encoding="utf-8"), others) == []
+
+
+def test_readme_names_only_exception_types_that_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\b\w+Error\b", readme))
+    assert named, "README names no exception type"
+    known = {name for name in named if name == "LinAlgError" or any(
+        isinstance(getattr(module, name, None), type) and issubclass(getattr(module, name), BaseException)
+        for module in (errors, builtins))}
+    assert sorted(named - known) == []

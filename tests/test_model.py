@@ -4,12 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from dissipair import model
+from dissipair import model, observables
 from dissipair.dynamics import TimeGrid, liouvillian_from_params
-from dissipair.errors import BadIndexError, NegativeRateError, ValidationError
+from dissipair.errors import ValidationError
 from dissipair.experiments import AxisSpec
 
-from oracles import S1, S2, SZ1, SZ2, generator_of, hermitian_coordinates, lindblad, model_operators
+from oracles import (
+    S1,
+    S2,
+    SZ1,
+    SZ2,
+    generator_of,
+    hermitian_coordinates,
+    lindblad,
+    model_operators,
+    random_density_matrix,
+)
 
 
 def _generator(J=1.0, Gamma=0.0, phi=0.0, kappa=0.0):
@@ -22,85 +32,78 @@ def _generator_with(J, jumps):
     return generator_of(lindblad(h, jumps)).real
 
 
-# ---- single-qubit embeddings ----
+# ---- the reference operators' basis convention ----
 
 
 def test_sigma_minus_entries():
-    s1 = model.sigma_minus(1)
-    assert s1[2, 0] == 1.0 and s1[3, 1] == 1.0
-    assert np.count_nonzero(s1) == 2
-    s2 = model.sigma_minus(2)
-    assert s2[1, 0] == 1.0 and s2[3, 2] == 1.0
-    assert np.count_nonzero(s2) == 2
-
-
-def test_sigma_plus_is_dagger_of_minus():
-    for q in (1, 2):
-        np.testing.assert_array_equal(model.sigma_plus(q), model.sigma_minus(q).conj().T)
+    # The oracles' lowering operators, in the convention `dynamics._model_basis` writes its own out in.
+    assert S1[2, 0] == 1.0 and S1[3, 1] == 1.0
+    assert np.count_nonzero(S1) == 2
+    assert S2[1, 0] == 1.0 and S2[3, 2] == 1.0
+    assert np.count_nonzero(S2) == 2
 
 
 def test_sigma_z_entries():
-    np.testing.assert_array_equal(np.diagonal(model.sigma_z(1)), [1.0, 1.0, -1.0, -1.0])
-    np.testing.assert_array_equal(np.diagonal(model.sigma_z(2)), [1.0, -1.0, 1.0, -1.0])
+    np.testing.assert_array_equal(np.diagonal(SZ1), [1.0, 1.0, -1.0, -1.0])
+    np.testing.assert_array_equal(np.diagonal(SZ2), [1.0, -1.0, 1.0, -1.0])
 
 
 def test_number_operator_of_qubit_1():
-    n1 = model.sigma_minus(1).conj().T @ model.sigma_minus(1)
-    np.testing.assert_array_equal(n1, np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
+    n1 = S1.T @ S1
+    np.testing.assert_array_equal(n1, np.diag([1.0, 1.0, 0.0, 0.0]))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        rho = random_density_matrix(rng)
+        assert abs(observables.populations(rho)[0] - np.trace(n1 @ rho).real) <= 1e-15
 
 
 def test_bad_qubit_index():
     for q in (0, 3, -1):
-        with pytest.raises(BadIndexError):
-            model.sigma_minus(q)
-        with pytest.raises(BadIndexError):
-            model.sigma_z(q)
+        with pytest.raises(ValidationError, match=f"^drive target must be 1 or 2, got {q}$"):
+            model.Drive(target=q, amplitude=0.5)
 
 
-# ---- Hamiltonians ----
+# ---- Hamiltonians, read through the generator ----
+
+
+def _coherent(J, drive=None):
+    return liouvillian_from_params(model.ModelParams(J=J, drive=drive))
 
 
 def test_coherent_hamiltonian_zero_coupling():
-    np.testing.assert_array_equal(model.build_coherent_hamiltonian(0.0), np.zeros((4, 4)))
+    np.testing.assert_array_equal(_coherent(0.0), np.zeros((16, 16)))
 
 
 def test_coherent_hamiltonian_unit_coupling():
-    h = model.build_coherent_hamiltonian(1.0)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[1, 2] = expected[2, 1] = 1.0
-    np.testing.assert_array_equal(h, expected)
+    assert np.abs(_coherent(1.0) - generator_of(lindblad(S1.T @ S2 + S1 @ S2.T, []))).max() <= 1e-15
 
 
 def test_coherent_hamiltonian_hermitian_for_complex_coupling():
+    # A real generator keeps rho Hermitian; a complex J enters through its real and imaginary parts.
     rng = np.random.default_rng(3)
     for _ in range(10):
         j = complex(rng.standard_normal(), rng.standard_normal())
-        h = model.build_coherent_hamiltonian(j)
-        assert np.abs(h - h.conj().T).max() <= 1e-14
+        assert np.abs(_coherent(j) - _generator_with(j, [])).max() <= 1e-14
 
 
 def test_coherent_hamiltonian_spectrum():
-    # real J splits the single-excitation doublet into |+-> at energies +-J
+    # Real J splits the single-excitation doublet into energies -J, 0, 0, J, so -i[H, .] has the eigenvalues
+    # -i (E_a - E_b): 0 six times, -+iJ four times each and -+2iJ once each.
     j = 0.8
-    values, vectors = np.linalg.eigh(model.build_coherent_hamiltonian(j))
-    np.testing.assert_allclose(values, [-j, 0.0, 0.0, j], atol=1e-14)
-    plus = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    minus = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    assert abs(abs(np.vdot(vectors[:, 3], plus)) - 1.0) <= 1e-12
-    assert abs(abs(np.vdot(vectors[:, 0], minus)) - 1.0) <= 1e-12
+    values = np.sort(np.linalg.eigvals(_coherent(j)).imag)
+    expected = np.repeat([-2.0 * j, -j, 0.0, j, 2.0 * j], [1, 4, 6, 4, 1])
+    np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-14)
 
 
 def test_drive_hamiltonian():
-    np.testing.assert_array_equal(model.build_drive_hamiltonian(1, 0.0), np.zeros((4, 4)))
-    h = model.build_drive_hamiltonian(1, 8.0 / 11.0)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    np.testing.assert_allclose(h, (8.0 / 11.0) * np.kron(sx, np.eye(2)), atol=1e-15)
-    assert h.trace() == 0.0
-    assert np.abs(h - h.conj().T).max() <= 1e-14
-    with pytest.raises(BadIndexError):
-        model.build_drive_hamiltonian(3, 0.1)
-    with pytest.raises(NegativeRateError):
-        model.build_drive_hamiltonian(1, -0.1)
+    np.testing.assert_array_equal(_coherent(0.0, model.Drive(1, 0.0)), np.zeros((16, 16)))
+    for target, lower in ((1, S1), (2, S2)):
+        expected = generator_of(lindblad((8.0 / 11.0) * (lower + lower.T), []))
+        assert np.abs(_coherent(0.0, model.Drive(target, 8.0 / 11.0)) - expected).max() <= 1e-15
+    with pytest.raises(ValidationError, match="^drive target must be 1 or 2, got 3$"):
+        model.Drive(3, 0.1)
+    with pytest.raises(ValidationError, match="^drive amplitude must be >= 0, got -0.1$"):
+        model.Drive(1, -0.1)
 
 
 # ---- collective decay and dephasing, read through the generator ----
@@ -121,16 +124,16 @@ def test_dephasing_jumps_included():
 
 
 def test_negative_rates_rejected():
-    with pytest.raises(NegativeRateError):
+    with pytest.raises(ValidationError, match="^Gamma must be >= 0"):
         model.ModelParams(J=1.0, Gamma=-1.0)
-    with pytest.raises(NegativeRateError):
+    with pytest.raises(ValidationError, match="^kappa must be >= 0"):
         model.ModelParams(J=1.0, kappa=-0.5)
 
 
 @pytest.mark.parametrize("target", [1.0, np.float64(2.0), True], ids=["float", "float64", "bool"])
 def test_drive_target_must_be_an_integer(target):
     # Each compares equal to 1 or 2, so a membership test alone lets it through.
-    with pytest.raises(BadIndexError, match="^drive target must be 1 or 2"):
+    with pytest.raises(ValidationError, match="^drive target must be 1 or 2"):
         model.Drive(target=target, amplitude=0.5)
     assert model.Drive(target=np.int64(2), amplitude=0.5).target == 2
 
@@ -146,11 +149,11 @@ def test_non_finite_parameters_rejected(field, value):
 
 
 def test_array_fields_validated_per_cell():
-    with pytest.raises(NegativeRateError, match="^Gamma must be >= 0, got -1.0$"):
+    with pytest.raises(ValidationError, match="^Gamma must be >= 0, got -1.0$"):
         model.ModelParams(Gamma=np.array([1.0, -1.0]))
-    with pytest.raises(NegativeRateError, match="^kappa must be >= 0"):
+    with pytest.raises(ValidationError, match="^kappa must be >= 0"):
         model.ModelParams(kappa=np.array([[0.0], [-0.5]]))
-    with pytest.raises(NegativeRateError, match="^drive amplitude must be >= 0"):
+    with pytest.raises(ValidationError, match="^drive amplitude must be >= 0"):
         model.Drive(target=2, amplitude=np.array([0.5, -0.1]))
     with pytest.raises(ValidationError, match="^phi must be finite, got nan"):
         model.ModelParams(phi=np.array([0.0, math.nan]))

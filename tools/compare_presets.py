@@ -28,12 +28,20 @@ negative cells, cells below 1e-4 in scientific notation, and the imaginary
 parts of the states, which no preset writes.  For each table
 the script prints "identical", or the number of changed cells, the columns
 they sit in and the largest |difference|, and then the wall time of its write
-in each tree, old -> new, in ms.  Each time is one `dissipair figure <id>`,
+in each tree, old -> new, in ms.  Each tree then runs the command lines of
+CALLS, one `python -m dissipair` process each, in a working directory of its
+own so that the relative paths in messages read the same: `steady` on the 4a
+drive, on the degenerate undriven phi = pi model (exit 3) and on rates near
+1e300, and one call for each way a command can fail (an unknown key, drive
+target 3, a negative Gamma, a step too large, an unknown figure id, an --out
+that is a file).  Their stdout, stderr and exit code must match byte for
+byte, but for the random 16-hex-digit token of a temporary file's name; the
+script prints "same text" or what differs.  Each time is one `dissipair figure <id>`,
 `dissipair sweep` or `dissipair evolve` call, timed once, in the tree's
 process after the tables listed before it; the first write also pays one-time
 costs.  Treat the times as orders of magnitude.  It exits 1 when a table
 differs by more than TOL (default 0, so any change), when a header or a table
-shape differs, or when a cell of the new tree prints -0.  It exits 2 when a
+shape differs, when a cell of the new tree prints -0, or when a call's text or exit code differs.  It exits 2 when a
 tree holds no `dissipair/__init__.py`, before writing anything, or when a
 tree's writes fail.
 """
@@ -43,6 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -65,6 +74,22 @@ SWEEPS = {
 }
 EVOLVE = ("J = 1\nGamma = 2\nphi = 4.2\nkappa = 0.3\ndrive_target = 2\ndrive_amplitude = 0.7\ninitial = PLUS\n"
           "t_max = 40\nsample_every = 3\noutputs = populations, concurrence, collective, states\n")
+_STEADY_4A = "J = 1\nGamma = 2\nphi = 4.71238898038469\ndrive_target = 1\ndrive_amplitude = 0.727272727272727\n"
+_EVOLVE = ["evolve", "--config", "call.cfg", "--out", "out"]
+# Command lines run in each tree, and the text of the call.cfg beside them.
+CALLS = {
+    "steady_4a": (["steady", "--config", "call.cfg"], _STEADY_4A),
+    "steady_degenerate": (["steady", "--config", "call.cfg"], "J = 1\nGamma = 2\nphi = 3.141592653589793\n"),
+    "steady_1e300": (["steady", "--config", "call.cfg"],
+                     "J = 1e300\nGamma = 2e300\nphi = 4.71238898038469\ndrive_target = 1\ndrive_amplitude = 7e299\n"),
+    "unknown_key": (_EVOLVE, "omega0 = 5\n"),
+    "drive_target_3": (_EVOLVE, "drive_target = 3\n"),
+    "negative_gamma": (_EVOLVE, "Gamma = -1\n"),
+    "dt_too_large": (_EVOLVE, "J = 1\nGamma = 2\nt_max = 5\ndt = 0.5\n"),
+    "unknown_figure": (["figure", "9z", "--out", "out"], ""),
+    "out_is_a_file": (["figure", "2b", "--out", "call.cfg"], ""),
+}
+_TOKEN = re.compile(r"\.[0-9a-f]{16}\.tmp")
 _TIMED = "ms"
 _WRITE = f"""
 import json, os, sys, time
@@ -94,6 +119,20 @@ def write_presets(src: str, out: str) -> dict[str, float]:
                           stdout=subprocess.PIPE, text=True)
     lines = (line.split() for line in done.stdout.splitlines())
     return {fields[1]: float(fields[2]) for fields in lines if fields[:1] == [_TIMED]}
+
+
+def run_calls(src: str, work: str) -> dict[str, tuple[str, str, int]]:
+    """Stdout, stderr (its temporary-file tokens masked) and exit code of each of CALLS, run with the package under
+    `src` in the directory `work`."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    texts = {}
+    for name, (argv, config) in CALLS.items():
+        with open(os.path.join(work, "call.cfg"), "w", encoding="ascii") as fh:
+            fh.write(config)
+        done = subprocess.run([sys.executable, "-m", "dissipair", *argv], env=env, cwd=work, capture_output=True,
+                              text=True)
+        texts[name] = done.stdout, _TOKEN.sub(".<token>.tmp", done.stderr), done.returncode
+    return texts
 
 
 def _read(path: str) -> tuple[str, np.ndarray]:
@@ -151,6 +190,17 @@ def main(argv=None) -> int:
             line, passed = compare(os.path.join(old_dir, name), os.path.join(new_dir, name), args.tol)
             ok &= passed
             print(f"{table}: {line}; write {times[0][table]:.1f} -> {times[1][table]:.1f} ms")
+        texts = []
+        for src in (args.old_src, args.new_src):
+            work = tempfile.mkdtemp(dir=tmp)
+            os.mkdir(os.path.join(work, "out"))
+            texts.append(run_calls(src, work))
+        for name in CALLS:
+            old, new = texts[0][name], texts[1][name]
+            parts = zip(("stdout", "stderr", "exit code"), old, new)
+            diffs = [f"{part} {a!r} -> {b!r}" for part, a, b in parts if a != b]
+            ok &= not diffs
+            print(f"call {name}: {'; '.join(diffs) or 'same text'}; exit {new[2]}")
     return 0 if ok else 1
 
 
