@@ -266,7 +266,7 @@ def _refuse_non_finite(cells: np.ndarray) -> None:
 
 def _write_text(path, header, chunks) -> str:
     """Write the header and the text `chunks` of a table to a temporary file beside `path`, which replaces it only
-    once complete; an error from `chunks` removes the temporary file and propagates."""
+    once complete; an error from `chunks` removes it and propagates.  A failed write names `path` and the reason."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="ascii", newline="") as fh:
@@ -274,7 +274,7 @@ def _write_text(path, header, chunks) -> str:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -136,14 +136,25 @@ def _factored_route(coords: np.ndarray) -> np.ndarray:
 
 
 def _factored_piece(coords: np.ndarray) -> np.ndarray:
-    """Concurrence of each sample from one eigh and one svd, for any state."""
-    # The states are Hermitian by construction, so eigh reads them as they are.
-    values, vectors = np.linalg.eigh(_states(coords))
-    # rho = C C' with C = V diag(sqrt(lam)), so sqrt(rho) = C V' and C^T F C
-    # is sqrt(rho) F conj(sqrt(rho)) up to unitary factors.  Singular values
-    # keep the r_i at O(eps); square roots of eigenvalues of sqrt(rho)
-    # rho_tilde sqrt(rho) would lift roundoff to ~1e-8 on separable states.
-    factor = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    """Concurrence of each sample from a factor C with rho = C C' and one svd, for any state.  C is the unpivoted
+    Cholesky factor, one column per step over the whole batch, unless a pivot is not > 0 or an entry not finite (a
+    zero diagonal entry, say): that sample alone takes C = V diag(sqrt(max(lam, 0))) from eigh."""
+    # Any factor serves: C = sqrt(rho) U, U unitary, so C^T F C is sqrt(rho) F conj(sqrt(rho)) up to unitary factors.
+    # Its singular values keep the r_i at O(eps); eigenvalues of sqrt(rho) rho_tilde sqrt(rho) lose ~1e-8 near 0.
+    rest = _states(coords).transpose(1, 2, 0).copy()  # (4, 4, N): each entry's samples lie side by side
+    factor, completed = np.zeros_like(rest), np.ones(len(coords), dtype=bool)
+    with np.errstate(all="ignore"):  # a failing sample's inf and NaN are refused just below
+        for k in range(4):
+            pivot = rest[k, k].real  # the imaginary part of the diagonal is roundoff of the updates below
+            completed &= pivot > 0.0
+            factor[k, k] = root = np.sqrt(pivot)
+            factor[k + 1:, k] = column = rest[k + 1:, k] / root
+            rest[k + 1:, k + 1:] -= column[:, None] * column[None, :].conj()
+    factor = factor.transpose(2, 0, 1)
+    completed &= np.isfinite(factor).all(axis=(1, 2))
+    if not completed.all():
+        values, vectors = np.linalg.eigh(_states(coords[~completed]))
+        factor[~completed] = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
     r = np.linalg.svd((np.swapaxes(factor, -1, -2)[..., ::-1] * _FLIP_SIGNS) @ factor, compute_uv=False)
     return np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
 
@@ -173,8 +184,9 @@ def concurrence(rho):
     (exit code 3); higher ones clamp to zero.
 
     The coordinates of the checked state's Hermitian part go to `_concurrence`, as a trajectory table's checked
-    coordinates go directly.  X-shaped states (no coherence between {ee, gg} and {eg, ge}), such as the samples
-    of undriven runs from named states, take the closed form of `_x_route`; the others one eigh and one svd.
+    coordinates go directly.  X-shaped states (no coherence between {ee, gg} and {eg, ge}), such as undriven runs'
+    samples from named states, take the closed form of `_x_route`; the others a Cholesky factor (or, if it fails
+    for that state, an eigh factor) and one svd.
     """
     coords = _checked_coordinates(rho)
     return _per_state(_concurrence(coords.reshape(-1, 16)).reshape(coords.shape[:-1]))

@@ -10,6 +10,7 @@ equation term by term on 4x4 matrices instead of a rate basis.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -163,6 +164,25 @@ def concurrence_charpoly(rho):
     lam = np.clip(roots.real, 0.0, None)
     r = np.sort(np.sqrt(lam))[::-1]
     return max(0.0, r[0] - r[1] - r[2] - r[3])
+
+
+def concurrence_mp(rho, dps=50):
+    """Wootters concurrence of the float matrix rho, clipped to its positive part, at `dps` digits.
+
+    mpmath diagonalizes rho, forms S = sqrt(rho) and reads the r_i as the square roots of the eigenvalues of the
+    Hermitian S rho_tilde S, sorted descending: the textbook route, with no factor and no svd.
+    """
+    with mpmath.workdps(dps):
+        exact = mpmath.matrix([[mpmath.mpc(complex(x).real, complex(x).imag) for x in row] for row in rho])
+        values, vectors = mpmath.eighe(exact)
+        clipped = [max(value, 0) for value in values]
+        positive = vectors * mpmath.diag(clipped) * vectors.H
+        root = vectors * mpmath.diag([mpmath.sqrt(value) for value in clipped]) * vectors.H
+        flip = mpmath.matrix(FLIP.real.tolist())
+        product = root * (flip * positive.apply(mpmath.conj) * flip) * root
+        values = mpmath.eighe((product + product.H) / 2, eigvals_only=True)
+        r = sorted((mpmath.sqrt(max(mpmath.re(value), 0)) for value in values), reverse=True)
+        return float(max(0, r[0] - r[1] - r[2] - r[3]))
 
 
 def concurrence_pure(psi):

@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import os
 import subprocess
@@ -155,6 +156,19 @@ def test_evolve_missing_config_exit_code(tmp_path):
 def test_evolve_unwritable_output_exit_code(tmp_path):
     cfg = _config(tmp_path, ISO_LINES + "t_max = 0.1\ndt = 0.002\noutput_path = missing_dir/out.csv\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+
+def test_a_failed_write_prints_the_same_text_each_time(tmp_path, capsys):
+    # The output directory is a file: the message names the destination and the OS's reason, not the temporary
+    # file's random name, so the same failing command prints the same stderr every time.
+    out = tmp_path / "taken"
+    out.write_text("x\n", encoding="ascii")
+    errs = []
+    for _ in range(2):
+        assert main(["figure", "2b", "--out", str(out)]) == 4
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == f"io error: cannot write {out / 'fig2b.csv'}: {os.strerror(errno.ENOTDIR)}\n"
+    assert out.read_text(encoding="ascii") == "x\n"
 
 
 def test_figure_command(tmp_path):
@@ -416,13 +430,31 @@ def test_runs_without_scipy(tmp_path):
     assert (tmp_path / "fig2c.csv").read_text().count("\n") == 2502
 
 
-def test_compare_presets_refuses_a_bad_tree(tmp_path, capsys):
-    # A bad tree exits 2, not 1 ("presets differ"): a checkout root passed in place of its src before anything
-    # is written, and a package that fails to write the presets.
+def _compare_presets():
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "compare_presets.py")
     spec = importlib.util.spec_from_file_location("compare_presets", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_compare_presets_names_the_cell_that_moved_most(tmp_path):
+    # The report gives the largest |difference| with its data row, column and both texts, so that one cell can be
+    # checked without writing either table again; the tolerance decides whether it passes.
+    tool = _compare_presets()
+    (tmp_path / "old.csv").write_text("t,C\n0,0.5\n0.1,0.25\n0.2,1e-05\n", encoding="ascii")
+    (tmp_path / "new.csv").write_text("t,C\n0,0.5\n0.1,0.2500000001\n0.2,1.1e-05\n", encoding="ascii")
+    line = "2 of 6 cells changed, max |delta| 1e-06 at row 2 C 1e-05 -> 1.1e-05, in 1 columns: C"
+    old, new = str(tmp_path / "old.csv"), str(tmp_path / "new.csv")
+    assert tool.compare(old, new, 2e-6) == (line, True)
+    assert tool.compare(old, new, 1e-7) == (line + "  ABOVE --tol 1e-07", False)
+    assert tool.compare(old, old, 0.0) == ("identical", True)
+
+
+def test_compare_presets_refuses_a_bad_tree(tmp_path, capsys):
+    # A bad tree exits 2, not 1 ("presets differ"): a checkout root passed in place of its src before anything
+    # is written, and a package that fails to write the presets.
+    tool = _compare_presets()
     broken = tmp_path / "broken"
     (broken / "dissipair").mkdir(parents=True)
     (broken / "dissipair" / "__init__.py").write_text("raise ImportError('broken tree')\n")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import dissipair
 from dissipair import model, observables
-from dissipair.dynamics import _coordinates, _states, initial_state, liouvillian_from_params
+from dissipair.dynamics import _coordinates, _states, initial_state, liouvillian_from_params, steady_state
 from dissipair.errors import NumericalError, ValidationError
 from dissipair.observables import collective_populations, concurrence, damping_forces, populations
 
@@ -24,6 +24,7 @@ from oracles import (
     FLIP,
     collective_transition_rates,
     concurrence_charpoly,
+    concurrence_mp,
     concurrence_pure,
     populations_full_matrix,
     random_density_matrix,
@@ -274,6 +275,102 @@ def test_concurrence_clamps_roundoff_negative_eigenvalue():
         assert abs(value - concurrence(build(127, [0.6, 0.4 + 1e-12, 0.0, 0.0]))) <= 1e-9
 
 
+def _eigh_route(coords):
+    """The factored concurrence with the eigh factor C = V diag(sqrt(max(lam, 0))) for every sample: the factor
+    of the per-sample fallback, and of every sample before the Cholesky factor."""
+    values, vectors = np.linalg.eigh(_states(coords))
+    factor = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    flipped = np.swapaxes(factor, -1, -2)[..., ::-1] * np.array([-1.0, 1.0, 1.0, -1.0])  # C^T (sy kron sy)
+    r = np.linalg.svd(flipped @ factor, compute_uv=False)
+    return np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
+
+
+# Spectra of non-X states: full rank, ranks 1-3, and near-pure states whose three small eigenvalues span 1e-15 to 1.
+_WEIGHTS = st.floats(0.01, 1.0)
+_SPECTRA = st.one_of(
+    st.lists(_WEIGHTS, min_size=4, max_size=4),
+    st.integers(1, 3).flatmap(lambda rank: st.lists(_WEIGHTS, min_size=rank, max_size=rank)
+                              .map(lambda weights: weights + [0.0] * (4 - len(weights)))),
+    st.lists(st.floats(-15.0, 0.0), min_size=3, max_size=3).map(lambda logs: [1.0] + [10.0 ** x for x in logs]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spectrum=_SPECTRA)
+@example(seed=1, spectrum=[1.0, 1e-15, 1e-15, 1e-15])
+@example(seed=2, spectrum=[1.0, 0.0, 0.0, 0.0])
+def test_factored_concurrence_matches_a_50_digit_wootters_value(seed, spectrum):
+    # A sample whose Cholesky factor completes is within 1e-12 of the 50-digit value (measured: 1.4e-15 at most
+    # over 2 000 draws of these kinds).  A fallback sample takes the eigh factor, which is held to 1e-10: on
+    # near-pure cells of the steady map it errs by up to 4.9e-11 (4.2e-15 at most over the same draws).
+    rho = _state_with_spectrum(seed, np.array(spectrum) / sum(spectrum))
+    assert rho[_OFF_X].any()
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        value = concurrence(rho)
+    assert abs(value - concurrence_mp(rho)) <= (1e-10 if eigh.called else 1e-12)
+
+
+def test_the_steady_map_cell_that_moved_most_is_closer_to_the_50_digit_value():
+    # The 201 x 201 steady map of tools/compare_presets.py (J = 1, Gamma = 2, the drive on qubit 1) moved most at
+    # drive amplitude 0.01 and phi = 68 (2 pi / 200), row 269: 3.80626541048862e-05 with the eigh factor,
+    # 3.80626051869453e-05 with the Cholesky factor.  The new value is the one within roundoff of mpmath.
+    phi, amplitude = np.linspace(0.0, 2.0 * np.pi, 201)[68], np.linspace(0.0, 2.0, 201)[1]
+    state = steady_state(liouvillian_from_params(model.ModelParams(1.0, 2.0, phi, 0.0, model.Drive(1, amplitude))))
+    coords = _coordinates(state.state)[None]
+    new, old = concurrence(state.state), _eigh_route(coords)[0]
+    assert (f"{new:.15g}", f"{old:.15g}") == ("3.80626051869453e-05", "3.80626541048862e-05")
+    exact = concurrence_mp(state.state)
+    assert abs(new - exact) <= 1e-18 < 4e-11 <= abs(old - exact)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), products=st.lists(st.booleans(), min_size=2, max_size=12))
+def test_cholesky_failures_fall_back_per_sample(seed, products):
+    # Exact product states |g><g| (x) rho2 (first pivot 0) mixed with full-rank states in one batch: each sample
+    # has the bits it has alone, eigh is called on the product states only, and they get the eigh route's bits.
+    rng = np.random.default_rng(seed)
+    rho2 = [random_density_matrix(rng, 2) for _ in products]
+    stack = np.array([np.kron(np.diag([0.0, 1.0]), one) if product else random_density_matrix(rng)
+                      for one, product in zip(rho2, products)])
+    coords, fallen = _coordinates(stack), np.array(products)
+    assert stack[:, _OFF_X].any(axis=1).all()
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        batched = observables._factored_piece(coords)
+    assert [len(call.args[0]) for call in eigh.call_args_list] == ([int(fallen.sum())] if fallen.any() else [])
+    np.testing.assert_array_equal(batched, np.concatenate([observables._factored_piece(c[None]) for c in coords]))
+    np.testing.assert_array_equal(batched[fallen], _eigh_route(coords[fallen]))
+
+
+def test_rank_deficient_batches_agree_with_the_eigh_factor():
+    # A rank-deficient state ends its Cholesky factor on pivots of roundoff size, positive in some samples.  The
+    # factor's diagonal must be the real root of each pivot: the imaginary part of the trailing diagonal is
+    # roundoff of the updates (c conj(c) has a nonzero imaginary part where numpy fuses multiply and add), and a
+    # diagonal taken as the complex entry over that root put errors up to 1e-3 on about 2 in 1 000 rank-2 samples.
+    rng = np.random.default_rng(137)
+    for rank in (1, 2, 3):
+        coords = _random_coordinates(rng, 2000, rank)
+        np.testing.assert_allclose(observables._factored_piece(coords), _eigh_route(coords), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("diagonal", [0.0, 5e-324, 1e-300])
+@pytest.mark.parametrize("coherence", [1e-6, 5e-4])
+@pytest.mark.parametrize("level", [0, 1, 3])
+def test_a_tiny_diagonal_beside_a_coherence_falls_back_without_a_warning(level, coherence, diagonal):
+    # The state passes the state check (its lowest eigenvalue is about -coherence^2 / 0.5 >= -1e-6), but the
+    # Cholesky column coherence / sqrt(diagonal) is infinite or overflows when squared: the sample takes the eigh
+    # factor, with a finite concurrence and no RuntimeWarning, which pytest turns into an error.
+    rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    rho[level, level] = diagonal
+    partner = 2 if level == 3 else 1 - level  # (0, 1), (1, 0) and (3, 2) sit between the X blocks
+    rho[level, partner], rho[partner, level] = coherence * 1j, -coherence * 1j
+    rho[partner, partner] += 0.25 - diagonal
+    with warnings.catch_warnings(), mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        warnings.simplefilter("error", RuntimeWarning)
+        value = concurrence(rho)
+    assert eigh.called and math.isfinite(value)
+    assert value == _eigh_route(_coordinates(rho)[None])[0]
+
+
 def _random_x_state(rng, ranks):
     rho = np.zeros((4, 4), dtype=complex)
     for block, rank in zip((_OUTER, _INNER), ranks):
@@ -360,16 +457,17 @@ def test_split_factored_route_matches_its_pieces_and_single_states(four_cores, s
 
 
 def test_a_workers_linalg_error_reaches_the_caller(four_cores, monkeypatch, tmp_path):
-    # eigh fails on the pieces that pool threads take: the error is raised in the calling thread, and the CLI,
-    # whose driven figure's 2 500-sample blocks split, exits 3 (numeric) without writing the table.
-    eigh = np.linalg.eigh
+    # svd, which every piece calls, fails on the pieces that pool threads take: the error is raised in the calling
+    # thread, and the CLI, whose driven figure's 2 500-sample blocks split, exits 3 (numeric) without writing the
+    # table.
+    svd = np.linalg.svd
 
     def failing_off_the_main_thread(a, *args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(a, *args, **kwargs)
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_off_the_main_thread)
+    monkeypatch.setattr(np.linalg, "svd", failing_off_the_main_thread)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         observables._factored_route(_random_coordinates(np.random.default_rng(7), 4096, 4))
     from dissipair.cli import main

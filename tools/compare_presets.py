@@ -26,17 +26,19 @@ and kappa = 0.3, driven on qubit 2 with amplitude 0.7, from PLUS up to
 t_max = 40 at every third step: 6 668 rows of 40 cells in two row blocks, with
 negative cells, cells below 1e-4 in scientific notation, and the imaginary
 parts of the states, which no preset writes.  For each table
-the script prints "identical", or the number of changed cells, the columns
-they sit in and the largest |difference|, and then the wall time of its write
-in each tree, old -> new, in ms.  Each tree then runs the command lines of
+the script prints "identical", or the number of changed cells, the largest
+|difference| with the cell that shows it (its data row, counted from 0, its
+column, and its old and new text), and the columns the changed cells sit in,
+and then the wall time of its write in each tree, old -> new, in ms.  Each tree then runs the command lines of
 CALLS, one `python -m dissipair` process each, in a working directory of its
 own so that the relative paths in messages read the same: `steady` on the 4a
 drive, on the degenerate undriven phi = pi model (exit 3) and on rates near
 1e300, and one call for each way a command can fail (an unknown key, drive
 target 3, a negative Gamma, a step too large, an unknown figure id, an --out
 that is a file).  Their stdout, stderr and exit code must match byte for
-byte, but for the random 16-hex-digit token of a temporary file's name; the
-script prints "same text" or what differs.  Each time is one `dissipair figure <id>`,
+byte, but for the random 16-hex-digit token of a temporary file's name, which
+older trees print in the message of a failed write; the script prints "same
+text" or what differs.  Each time is one `dissipair figure <id>`,
 `dissipair sweep` or `dissipair evolve` call, timed once, in the tree's
 process after the tables listed before it; the first write also pays one-time
 costs.  Treat the times as orders of magnitude.  It exits 1 when a table
@@ -151,10 +153,12 @@ def compare(old_path: str, new_path: str, tol: float) -> tuple[str, bool]:
     if not changed.any():
         line = "identical"
     else:
-        delta = float(np.abs(old[changed].astype(float) - new[changed].astype(float)).max())
-        columns = [name for name, hit in zip(new_header.split(","), changed.any(axis=0)) if hit]
-        line = (f"{int(changed.sum())} of {changed.size} cells changed, max |delta| {delta:.3g}, "
-                f"in {len(columns)} columns: {' '.join(columns)}")
+        deltas = np.abs(old.astype(float) - new.astype(float))
+        row, col = np.unravel_index(int(deltas.argmax()), deltas.shape)
+        delta, names = float(deltas[row, col]), new_header.split(",")
+        columns = [name for name, hit in zip(names, changed.any(axis=0)) if hit]
+        line = (f"{int(changed.sum())} of {changed.size} cells changed, max |delta| {delta:.3g} at row {row} "
+                f"{names[col]} {old[row, col]} -> {new[row, col]}, in {len(columns)} columns: {' '.join(columns)}")
         if delta > tol:
             return line + f"  ABOVE --tol {tol:g}", False
     if negative_zeros:
