@@ -51,7 +51,7 @@ OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
 SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
 SWEEP_AXES = ("J", "Gamma", "phi", "kappa", "drive_amplitude")
 DEGENERATE_SENTINEL = -1.0
-# Cells per `csv_text` call in write_csv, and per delta_F sweep block: about 0.75 MB of the kernel's temporaries.
+# Cells per `csv_text` call and delta_F sweep block, 0.75 MB of temporaries: 8 192 or 16 384 save at most 3% a cell.
 _CSV_PIECE_CELLS = 4096
 # Cells per steady_concurrence sweep block, whole axis1 rows or pieces of one: about 4 MB of its generators.
 _SWEEP_BLOCK_CELLS = 1024

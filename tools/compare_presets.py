@@ -29,7 +29,8 @@ parts of the states, which no preset writes.  For each table
 the script prints "identical", or the number of changed cells, the largest
 |difference| with the cell that shows it (its data row, counted from 0, its
 column, and its old and new text), and the columns the changed cells sit in,
-and then the wall time of its write in each tree, old -> new, in ms.  Each tree then runs the command lines of
+and then the wall time of its write in each tree, old -> new, in ms, and the minor page faults the write took in
+each (`resource.getrusage` of the tree's process around the call).  Each tree then runs the command lines of
 CALLS, one `python -m dissipair` process each, in a working directory of its
 own so that the relative paths in messages read the same: `steady` on the 4a
 drive, on the degenerate undriven phi = pi model (exit 3) and on rates near
@@ -94,7 +95,7 @@ CALLS = {
 _TOKEN = re.compile(r"\.[0-9a-f]{16}\.tmp")
 _TIMED = "ms"
 _WRITE = f"""
-import json, os, sys, time
+import json, os, resource, sys, time
 from dissipair.cli import main
 out, configs = sys.argv[1], json.loads(sys.argv[2])
 runs = [(fig, ["figure", fig]) for fig in sys.argv[3:]]
@@ -105,22 +106,23 @@ for name, (command, text) in configs.items():
     runs.append((name, [command, "--config", config]))
 status = 0
 for name, argv in runs:
-    start = time.perf_counter()
+    faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
     status = max(status, main([*argv, "--out", out]))
-    print("{_TIMED}", name, 1e3 * (time.perf_counter() - start))
+    ms = 1e3 * (time.perf_counter() - start)
+    print("{_TIMED}", name, ms, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
 sys.exit(status)
 """
 
 
-def write_presets(src: str, out: str) -> dict[str, float]:
+def write_presets(src: str, out: str) -> dict[str, tuple[float, int]]:
     """Write every preset, sweep and the driven run into `out` with the package under `src`; each write's wall time
-    in ms."""
+    in ms and its minor page faults."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     configs = {**{name: ("sweep", text) for name, text in SWEEPS.items()}, "evolve": ("evolve", EVOLVE)}
     done = subprocess.run([sys.executable, "-c", _WRITE, out, json.dumps(configs), *FIGURES], env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
     lines = (line.split() for line in done.stdout.splitlines())
-    return {fields[1]: float(fields[2]) for fields in lines if fields[:1] == [_TIMED]}
+    return {fields[1]: (float(fields[2]), int(fields[3])) for fields in lines if fields[:1] == [_TIMED]}
 
 
 def run_calls(src: str, work: str) -> dict[str, tuple[str, str, int]]:
@@ -193,7 +195,8 @@ def main(argv=None) -> int:
         for table, name in tables:
             line, passed = compare(os.path.join(old_dir, name), os.path.join(new_dir, name), args.tol)
             ok &= passed
-            print(f"{table}: {line}; write {times[0][table]:.1f} -> {times[1][table]:.1f} ms")
+            (old_ms, old_faults), (new_ms, new_faults) = times[0][table], times[1][table]
+            print(f"{table}: {line}; write {old_ms:.1f} -> {new_ms:.1f} ms, {old_faults} -> {new_faults} faults")
         texts = []
         for src in (args.old_src, args.new_src):
             work = tempfile.mkdtemp(dir=tmp)
