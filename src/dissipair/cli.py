@@ -26,7 +26,8 @@ EXIT_IO = 4
 def _read(path: str) -> str:
     try:
         with open(path, "rb") as fh:
-            return fh.read().decode("utf-8")  # the parser's splitlines takes \r\n and \r as text mode would
+            # A byte-order mark goes after decoding, so error offsets are the file's; splitlines takes \r\n and \r.
+            return fh.read().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read {path}: byte {exc.start} is not UTF-8 ({exc.reason})") from exc
     except OSError as exc:

@@ -3,7 +3,7 @@
 B is the orthonormal Hermitian matrix-unit basis E_ii, (E_ij + E_ji)/sqrt2,
 i(E_ji - E_ij)/sqrt2 (i < j): a unitary change from vectorized matrices, so R
 keeps their singular values, and real since L preserves Hermiticity.  The
-model's R is linear in seven real rates: their product with a constant basis
+model's R is linear in eight real rates: their product with a constant basis
 built at import.  The RK4 integrator fills the stored samples with powers of
 its real step matrix on the raw coordinates (rho_ii, Re rho_ij, Im rho_ij) and
 hands them on in row blocks, checked in closed form where a sample is X-shaped
@@ -41,10 +41,11 @@ _DIAG, (_ROWS, _COLS) = np.arange(_DIM), np.triu_indices(_DIM, 1)
 _SCALE = np.repeat([1.0, math.sqrt(2.0), -math.sqrt(2.0)], [4, 6, 6])
 _TRACE_ROW = np.repeat([1.0, 0.0], [4, 12])
 
-_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-
-INITIAL_STATE_NAMES = ("EE", "EG", "GE", "GG", "E", "PLUS", "MINUS", "G")
+# The state vector of each named initial state, in |ee>, |eg>, |ge>, |gg>; `initial_state` returns its projector.
+_KETS, _ROOT2 = np.eye(_DIM, dtype=complex), math.sqrt(2.0)
+_INITIAL_VECTORS = {"EE": _KETS[0], "EG": _KETS[1], "GE": _KETS[2], "GG": _KETS[3], "E": _KETS[0],
+                    "PLUS": (_KETS[1] + _KETS[2]) / _ROOT2, "MINUS": (_KETS[1] - _KETS[2]) / _ROOT2, "G": _KETS[3]}
+INITIAL_STATE_NAMES = tuple(_INITIAL_VECTORS)
 
 
 def _coordinates(rho: np.ndarray) -> np.ndarray:
@@ -86,17 +87,10 @@ def initial_state(name: str) -> np.ndarray:
     G to |gg>); PLUS and MINUS are the symmetric and antisymmetric
     single-excitation superpositions.
     """
-    key = str(name).strip()
-    basis = {"EE": 0, "E": 0, "EG": 1, "GE": 2, "GG": 3, "G": 3}
-    if key in basis:
-        rho = np.zeros((_DIM, _DIM), dtype=complex)
-        rho[basis[key], basis[key]] = 1.0
-        return rho
-    if key == "PLUS":
-        return np.outer(_PLUS, _PLUS.conj())
-    if key == "MINUS":
-        return np.outer(_MINUS, _MINUS.conj())
-    raise ValidationError(f"unknown initial state {name!r}, expected one of {INITIAL_STATE_NAMES}")
+    vector = _INITIAL_VECTORS.get(str(name).strip())
+    if vector is None:
+        raise ValidationError(f"unknown initial state {name!r}, expected one of {INITIAL_STATE_NAMES}")
+    return np.outer(vector, vector.conj())
 
 
 @dataclass(frozen=True)
@@ -206,7 +200,7 @@ def build_liouvillian(
 
 
 def _model_basis() -> np.ndarray:
-    """The generators that the rates of `liouvillian_from_params` multiply, as (7, 256) rows per drive target.
+    """The (8, 256) generators that the rates of `liouvillian_from_params` multiply, one row per rate.
 
     D[s1 + e s2] = P + Re(e) Q + Im(e) R, with P and Q half the sum and half
     the difference of D[s1 + s2] and D[s1 - s2], and R = D[s1 + i s2] - P.
@@ -219,30 +213,29 @@ def _model_basis() -> np.ndarray:
     plus, minus, twisted, dephasing = build_liouvillian(np.zeros((4, _DIM, _DIM)), [
         np.stack([s1 + s2, s1 - s2, s1 + 1j * s2, sz1]), np.stack([zero, zero, zero, sz2])])
     decay = 0.5 * (plus + minus)
-    terms = [[coherent[0], coherent[1], drive, decay, 0.5 * (plus - minus), twisted - decay, dephasing]
-             for drive in coherent[2:]]
-    return np.array(terms).reshape(2, 7, -1)
+    return np.array([*coherent, decay, 0.5 * (plus - minus), twisted - decay, dephasing]).reshape(8, -1)
 
 
-_MODEL_BASIS = _model_basis()  # indexed by drive target - 1
+_MODEL_BASIS = _model_basis()
 
 
 def liouvillian_from_params(params: ModelParams) -> np.ndarray:
     """Generator for the standard model: exchange, collective decay, dephasing, drive.
 
-    It is the product of the rates (Re J, Im J, Omega, Gamma, Gamma cos phi,
-    Gamma sin phi, kappa) with the constant basis of `_model_basis`, the
-    same generator `build_liouvillian` assembles from the model's operators.
-    Array fields in `params` give a real (..., 16, 16) stack over their broadcast shape.
+    It is the product of the rates (Re J, Im J, Omega_1, Omega_2, Gamma, Gamma cos phi, Gamma sin phi, kappa),
+    Omega_k the drive amplitude on qubit k, with the constant basis of `_model_basis`, the same generator
+    `build_liouvillian` assembles from the model's operators.  Array fields in `params` give a real (..., 16, 16)
+    stack over their broadcast shape.
     """
     J, Gamma, phi = np.asarray(params.J, dtype=complex), np.asarray(params.Gamma, dtype=float), params.phi
     target, amplitude = (1, 0.0) if params.drive is None else (params.drive.target, params.drive.amplitude)
+    drives = (amplitude, 0.0) if target == 1 else (0.0, amplitude)
     # J.real is float, so the stack is float whatever the other fields hold.
-    rates = np.stack(np.broadcast_arrays(J.real, J.imag, amplitude, Gamma, Gamma * np.cos(phi), Gamma * np.sin(phi),
+    rates = np.stack(np.broadcast_arrays(J.real, J.imag, *drives, Gamma, Gamma * np.cos(phi), Gamma * np.sin(phi),
                                          params.kappa), axis=-1)
     # einsum, not `@`: OpenBLAS threads the gemm of a large block, and its spinning workers
     # took 8 ms instead of 0.5 ms for 1024 cells beside one busy process on two cores.
-    gen = np.einsum("...k,kj->...j", rates, _MODEL_BASIS[target - 1])
+    gen = np.einsum("...k,kj->...j", rates, _MODEL_BASIS)
     return gen.reshape(rates.shape[:-1] + (_SIZE, _SIZE))
 
 

@@ -48,7 +48,6 @@ from .model import Drive, ModelParams, require_finite
 from .observables import _collective_populations, _concurrence, _qubit_populations, damping_forces
 
 OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
-SWEEP_OBSERVABLES = ("delta_F", "steady_concurrence")
 SWEEP_AXES = ("J", "Gamma", "phi", "kappa", "drive_amplitude")
 DEGENERATE_SENTINEL = -1.0
 # Cells per `csv_text` call and delta_F sweep block, 0.75 MB of temporaries: 8 192 or 16 384 save at most 3% a cell.
@@ -117,7 +116,8 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """An observable over the grid of two distinct axes, every other model field taken from `base`."""
+    """An observable over the grid of two distinct axes, every other model field taken from `base`; a drive_amplitude
+    axis drives `base`'s drive target, or qubit 1 if it has no drive, which `parse_sweep_config` refuses."""
 
     axis1: AxisSpec
     axis2: AxisSpec
@@ -127,7 +127,7 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.observable not in SWEEP_OBSERVABLES:
-            raise ValidationError(f"observable must be one of {SWEEP_OBSERVABLES}, got {self.observable!r}")
+            raise ValidationError(f"observable must be one of {tuple(SWEEP_OBSERVABLES)}, got {self.observable!r}")
         if self.axis1.name == self.axis2.name:
             raise ValidationError(f"axis1 and axis2 must name different fields, both are {self.axis1.name!r}")
         if not self.output_path:
@@ -227,11 +227,13 @@ def parse_config(text: str) -> ExperimentConfig:
                             outputs=tuple(tok.strip() for tok in outputs.split(",")), output_path=output_path)
 
 
-def _axis_from_entries(e: _Entries, which: str) -> AxisSpec:
+def _axis_from_entries(e: _Entries, which: str, driven: bool) -> AxisSpec:
     fields = [e.take(f"{which}_{key}", None, convert)
               for key, convert in (("name", str), ("min", float), ("max", float), ("count", int))]
     if None in fields:
         raise ValidationError(f"{which} needs {which}_name, {which}_min, {which}_max, {which}_count")
+    if fields[0] == "drive_amplitude" and not driven:  # as for the plain key: no qubit is driven by default
+        raise ValidationError(f"{which}_name = drive_amplitude given without drive_target")
     return AxisSpec(*fields)
 
 
@@ -240,8 +242,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
     e = _Entries(text)
     base = _model_from_entries(e)
     observable = e.take("observable")
-    axis1 = _axis_from_entries(e, "axis1")
-    axis2 = _axis_from_entries(e, "axis2")
+    axis1 = _axis_from_entries(e, "axis1", base.drive is not None)
+    axis2 = _axis_from_entries(e, "axis2", base.drive is not None)
     output_path = e.take("output_path", "sweep.csv")
     e.finish()
     return SweepConfig(axis1, axis2, observable, base, output_path)
@@ -362,47 +364,51 @@ def run_experiment(config: ExperimentConfig, out_dir: str = ".") -> str:
     """Integrate one configured trajectory and write its CSV: t, then the output groups in OUTPUT_KINDS order."""
     run = TrajectoryRun("", config.model, config.initial, config.grid)
     header, blocks = _trajectory_table((run,), config.outputs)
-    return write_csv(_join_out(out_dir, config.output_path), header, blocks)
-
-
-def _join_out(out_dir: str, name: str) -> str:
-    return name if os.path.isabs(name) else os.path.join(out_dir, name)
+    return write_csv(os.path.join(out_dir, config.output_path), header, blocks)
 
 
 # ---- sweeps ----------------------------------------------------------------
 
 
+def _steady_cells(params: ModelParams, shape) -> np.ndarray:
+    """Each cell's concurrence, or DEGENERATE_SENTINEL where its stationary manifold is degenerate, and that flag."""
+    coords, unique, _ = _steady_coordinates(liouvillian_from_params(params), certify=True)
+    coords = coords[unique]
+    _check_samples(coords, "state")  # a solved state is Hermitian by construction, not positive
+    cells = np.full(unique.shape + (2,), DEGENERATE_SENTINEL)
+    cells[unique, 0] = _concurrence(coords)
+    cells[..., 1] = ~unique
+    return cells
+
+
+def _delta_f_cells(params: ModelParams, shape) -> np.ndarray:
+    return np.broadcast_to(damping_forces(params.J, params.Gamma, params.phi).delta_F, shape)[..., None]
+
+
+# Each sweep observable: its columns after ``value``, its budget of cells a block (see the constants above), and the
+# function from a block's model and (rows, cols) shape to its (rows, cols, columns) cells.
+SWEEP_OBSERVABLES = {"delta_F": ((), _CSV_PIECE_CELLS, _delta_f_cells),
+                     "steady_concurrence": (("degenerate",), _SWEEP_BLOCK_CELLS, _steady_cells)}
+
+
 def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
-    """Evaluate the observable on the grid and write axis1,axis2,value rows.
+    """Evaluate the observable on the grid and write axis1,axis2,value rows, then its SWEEP_OBSERVABLES columns.
 
     steady_concurrence tables carry an extra ``degenerate`` flag column; grid points whose stationary manifold is
-    degenerate hold the sentinel value -1 there instead of a concurrence.  Blocks of the grid are evaluated and
-    written in row order, so an error in a later one leaves the destination as it was.  A block holds at most
-    _SWEEP_BLOCK_CELLS steady_concurrence cells, which its generators' memory bounds, or _CSV_PIECE_CELLS delta_F
-    cells of a few hundred bytes each, one writer kernel call.
+    degenerate hold the sentinel value -1 there instead of a concurrence.  Blocks of at most the observable's budget
+    of cells are evaluated and written in row order, so an error in a later one leaves the destination as it was.
     """
     kernel = _kernel()
     a, b = config.axis1.values(), config.axis2.values()
-    steady = config.observable == "steady_concurrence"
-    header = ["axis1", "axis2", "value", "degenerate"] if steady else ["axis1", "axis2", "value"]
-    budget = _SWEEP_BLOCK_CELLS if steady else _CSV_PIECE_CELLS
+    extra, budget, cells_of = SWEEP_OBSERVABLES[config.observable]
+    header = ["axis1", "axis2", "value", *extra]
     rows, cols = max(1, budget // len(b)), min(len(b), budget)
     firsts, seconds = (kernel._records(axis[:, None], newline=False) for axis in (a, b))  # each value formatted once
 
     def chunks():
         for i, j in itertools.product(range(0, len(a), rows), range(0, len(b), cols)):
             block_a, block_b = a[i:i + rows], b[j:j + cols]
-            params = config._params_at(block_a[:, None], block_b)
-            if steady:
-                coords, unique, _ = _steady_coordinates(liouvillian_from_params(params), certify=True)
-                coords = coords[unique]
-                _check_samples(coords, "state")  # a solved state is Hermitian by construction, not positive
-                cells = np.full(unique.shape + (2,), DEGENERATE_SENTINEL)
-                cells[unique, 0] = _concurrence(coords)
-                cells[..., 1] = ~unique
-            else:
-                value = damping_forces(params.J, params.Gamma, params.phi).delta_F
-                cells = np.broadcast_to(value, (len(block_a), len(block_b)))[..., None]
+            cells = cells_of(config._params_at(block_a[:, None], block_b), (len(block_a), len(block_b)))
             _refuse_non_finite(cells)
             records = np.empty(cells.shape[:2] + (len(header), 4), "<u8")
             records[:, :, 0] = firsts[i:i + rows, None]
@@ -410,7 +416,7 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
             records[:, :, 2:] = kernel._records(cells.reshape(-1, cells.shape[2])).reshape(cells.shape + (4,))
             yield kernel._text(records)
 
-    return _write_text(_join_out(out_dir, config.output_path), header, chunks())
+    return _write_text(os.path.join(out_dir, config.output_path), header, chunks())
 
 
 # ---- figure presets --------------------------------------------------------
@@ -485,4 +491,4 @@ def run_figure(figure_id: str, out_dir: str = ".") -> str:
     if kind == "sweep":
         return run_sweep(runs, out_dir)
     header, blocks = _trajectory_table(runs, (kind,))
-    return write_csv(_join_out(out_dir, f"fig{fig}.csv"), header, blocks)
+    return write_csv(os.path.join(out_dir, f"fig{fig}.csv"), header, blocks)

@@ -223,6 +223,25 @@ def test_config_that_is_not_utf8_exit_code(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_config_with_a_byte_order_mark_reads_as_one_without(tmp_path, capsys):
+    # A config saved with a UTF-8 byte-order mark prints what the same config without it prints.
+    text = ISO_LINES + "drive_target = 2\ndrive_amplitude = 0.7\n"
+    outputs = []
+    for name, mark in (("plain.cfg", b""), ("marked.cfg", b"\xef\xbb\xbf")):
+        (tmp_path / name).write_bytes(mark + text.encode("ascii"))
+        assert main(["steady", "--config", str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+def test_config_with_a_byte_order_mark_names_the_file_offset_of_a_bad_byte(tmp_path, capsys):
+    # The mark is 3 bytes: the bad byte after "J = 1" is at offset 8 of the file.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfJ = 1\xff\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: cannot read {cfg}: byte 8 is not UTF-8 (invalid start byte)\n")
+
+
 def test_evolve_unwritable_output_exit_code(tmp_path):
     cfg = _config(tmp_path, ISO_LINES + "t_max = 0.1\ndt = 0.002\noutput_path = missing_dir/out.csv\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 4
@@ -377,6 +396,25 @@ def test_sweep_out_directory(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "maps")]) == 0
     assert (tmp_path / "abs.csv").exists() and not (tmp_path / "maps" / "abs.csv").exists()
     assert sorted(os.listdir(tmp_path / "maps")) == ["grid.csv"]
+
+
+@pytest.mark.parametrize("which", ["axis1", "axis2"])
+def test_sweep_drive_axis_without_a_target_exit_code(tmp_path, capsys, which):
+    # A drive_amplitude axis with no drive_target is refused, as the plain key is, rather than driving qubit 1
+    # unasked; nothing is written and an existing file stays.
+    other = "axis2" if which == "axis1" else "axis1"
+    text = (f"J = 1\nGamma = 2\nobservable = steady_concurrence\n{which}_name = drive_amplitude\n{which}_min = 0\n"
+            f"{which}_max = 2\n{which}_count = 3\n{other}_name = phi\n{other}_min = 0\n{other}_max = 3.14\n"
+            f"{other}_count = 3\noutput_path = grid.csv\n")
+    (tmp_path / "grid.csv").write_bytes(b"old\n")
+    assert main(["sweep", "--config", _config(tmp_path, text, name="sweep.cfg"), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {which}_name = drive_amplitude given without drive_target\n")
+    assert (tmp_path / "grid.csv").read_bytes() == b"old\n"
+    assert sorted(os.listdir(tmp_path)) == ["grid.csv", "sweep.cfg"]
+    # With a target it runs.
+    assert main(["sweep", "--config", _config(tmp_path, "drive_target = 2\n" + text, name="sweep.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    assert np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1).shape == (9, 4)
 
 
 def test_sweep_non_finite_axis_exit_code(tmp_path, capsys):

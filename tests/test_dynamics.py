@@ -160,6 +160,20 @@ def test_initial_state_projectors():
         initial_state("XX")
 
 
+def test_initial_state_names_are_in_table_order():
+    assert INITIAL_STATE_NAMES == ("EE", "EG", "GE", "GG", "E", "PLUS", "MINUS", "G")
+    message = "unknown initial state 'XX', expected one of ('EE', 'EG', 'GE', 'GG', 'E', 'PLUS', 'MINUS', 'G')"
+    with pytest.raises(ValidationError) as caught:
+        initial_state("XX")
+    assert str(caught.value) == message
+    # Each call returns a fresh projector: changing one leaves the next call's alone.
+    for name in INITIAL_STATE_NAMES:
+        rho, first = initial_state(f" {name} "), initial_state(name).copy()
+        np.testing.assert_array_equal(rho, first)
+        rho[:] = 7.0
+        np.testing.assert_array_equal(initial_state(name), first)
+
+
 # ---- time grid ----
 
 

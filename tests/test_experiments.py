@@ -129,6 +129,13 @@ def test_parse_sweep_config_rejects_bad_axes():
             parse_sweep_config(text)
 
 
+def test_sweep_observables_are_listed_in_table_order():
+    assert list(experiments.SWEEP_OBSERVABLES) == ["delta_F", "steady_concurrence"]
+    message = "^observable must be one of \\('delta_F', 'steady_concurrence'\\), got 'purity'$"
+    with pytest.raises(ValidationError, match=message):
+        parse_sweep_config(SWEEP_TEXT.replace("observable = delta_F", "observable = purity"))
+
+
 def _sweep(out, axis1=("Gamma", 0.0, 4.0, 3), axis2=("phi", 0.0, math.pi, 3), observable="delta_F", name="s.csv"):
     return SweepConfig(AxisSpec(*axis1), AxisSpec(*axis2), observable, model.ModelParams(J=1.0),
                        os.path.join(out, name) if name else "")
@@ -566,6 +573,27 @@ def test_run_sweep_driven_cell_matches_direct_steady_state(tmp_path):
     assert data[:, 3].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
+def test_run_sweep_driven_on_qubit_2_matches_direct_steady_state(tmp_path):
+    # drive_amplitude x phi with the drive on qubit 2: each cell is the steady state of that model, which at the
+    # isolation phase differs from the same drive on qubit 1.
+    amplitudes, phis = AxisSpec("drive_amplitude", 0.0, 1.5, 4), AxisSpec("phi", 0.0, 2.0 * math.pi, 5)
+    config = SweepConfig(amplitudes, phis, "steady_concurrence",
+                         base=model.ModelParams(J=1.0, Gamma=2.0, drive=model.Drive(target=2, amplitude=0.3)),
+                         output_path=str(tmp_path / "driven.csv"))
+    _, data = _read_table(run_sweep(config))
+    cells = [(w, phi) for w in amplitudes.values() for phi in phis.values()]
+    assert data.shape == (len(cells), 4)
+    for (w, phi), (_, _, value, degenerate) in zip(cells, data):
+        params = model.ModelParams(J=1.0, Gamma=2.0, phi=phi, drive=model.Drive(target=2, amplitude=w))
+        result = steady_state(liouvillian_from_params(params))
+        assert degenerate == (0.0 if result.unique else 1.0)
+        assert abs(value - (concurrence(result.state) if result.unique else -1.0)) <= 1e-12
+    # The undriven row keeps its dark states at phi = 0, pi and 2 pi; every driven cell is unique.
+    assert data[:, 3].tolist() == [1.0, 0.0, 1.0, 0.0, 1.0] + [0.0] * 15
+    on_1 = model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi, drive=model.Drive(target=1, amplitude=1.5))
+    assert abs(data[-2, 2] - concurrence(steady_state(liouvillian_from_params(on_1)).state)) > 1e-3
+
+
 def test_run_sweep_certifies_driven_cells_without_a_16x16_svd(tmp_path, monkeypatch):
     # The benchmark's all-driven grid: the inverse of each cell's bordered matrix certifies its state unique, so
     # the sweep takes no singular values of a generator, while the public steady_state still takes its one SVD.
@@ -613,18 +641,28 @@ def test_run_sweep_falls_back_to_the_svd_on_an_exactly_singular_block(tmp_path, 
     assert sum(row[3] for row in table) == 11.0
 
 
-# The experiments constant that bounds the cells of a sweep block, per observable.
-_BLOCK_BUDGETS = {"delta_F": "_CSV_PIECE_CELLS", "steady_concurrence": "_SWEEP_BLOCK_CELLS"}
-
-
 def _block_cells(observable):
-    return getattr(experiments, _BLOCK_BUDGETS[observable])
+    """The budget of cells of a sweep block of `observable`, read off its SWEEP_OBSERVABLES record."""
+    return experiments.SWEEP_OBSERVABLES[observable][1]
+
+
+def _patch_block_cells(monkeypatch, observable, budget):
+    extra, _, cells_of = experiments.SWEEP_OBSERVABLES[observable]
+    monkeypatch.setitem(experiments.SWEEP_OBSERVABLES, observable, (extra, budget, cells_of))
+
+
+def _counting_blocks(monkeypatch):
+    """The shape of the cells of each sweep block from now on, in the order `run_sweep` checks them."""
+    shapes, refuse = [], experiments._refuse_non_finite
+    monkeypatch.setattr(experiments, "_refuse_non_finite", lambda cells: (shapes.append(cells.shape), refuse(cells)))
+    return shapes
 
 
 @pytest.mark.parametrize("budget", [4, 7])
 @pytest.mark.parametrize("observable", ["delta_F", "steady_concurrence"])
 def test_run_sweep_blocks_write_the_same_bytes(tmp_path, monkeypatch, observable, budget):
-    # Nine phi values split each axis1 row into blocks of 4, 4 and 1 cells, or of 7 and 2.
+    # Nine phi values split each axis1 row into blocks of 4, 4 and 1 cells, or of 7 and 2; unpatched, the grid is
+    # one block.
     config = SweepConfig(
         AxisSpec("drive_amplitude" if observable == "steady_concurrence" else "Gamma", 0.0, 1.0, 3),
         AxisSpec("phi", 0.0, 2.0 * math.pi, 9), observable,
@@ -632,9 +670,12 @@ def test_run_sweep_blocks_write_the_same_bytes(tmp_path, monkeypatch, observable
     )
     (tmp_path / "one").mkdir()
     (tmp_path / "small").mkdir()
+    shapes = _counting_blocks(monkeypatch)
     run_sweep(config, str(tmp_path / "one"))
-    monkeypatch.setattr(experiments, _BLOCK_BUDGETS[observable], budget)
+    assert len(shapes) == 1
+    _patch_block_cells(monkeypatch, observable, budget)
     run_sweep(config, str(tmp_path / "small"))
+    assert len(shapes) - 1 == 3 * -(-9 // budget)
     assert (tmp_path / "small" / "sweep.csv").read_bytes() == (tmp_path / "one" / "sweep.csv").read_bytes()
     _, data = _read_table(tmp_path / "small" / "sweep.csv")
     a, b = np.meshgrid(config.axis1.values(), config.axis2.values(), indexing="ij")
@@ -651,9 +692,8 @@ def test_run_sweep_failing_in_a_later_block_keeps_the_old_file(tmp_path, monkeyp
             "axis1_count = 3\naxis2_name = phi\naxis2_min = 0\naxis2_max = 6.283185307179586\naxis2_count = 5\n")
     (tmp_path / "sweep.cfg").write_text(text, encoding="ascii")
     (tmp_path / "sweep.csv").write_bytes(b"old\n")
-    monkeypatch.setattr(experiments, _BLOCK_BUDGETS["delta_F"], 4)
-    shapes, refuse = [], experiments._refuse_non_finite
-    monkeypatch.setattr(experiments, "_refuse_non_finite", lambda cells: (shapes.append(cells.shape), refuse(cells)))
+    _patch_block_cells(monkeypatch, "delta_F", 4)
+    shapes = _counting_blocks(monkeypatch)
     with pytest.raises(ValidationError, match="^F12 must be finite"):
         run_sweep(parse_sweep_config(text), str(tmp_path))
     assert shapes == [(1, 4, 1), (1, 1, 1)] * 2

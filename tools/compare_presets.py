@@ -1,14 +1,16 @@
-"""Write every figure preset, four sweeps and one driven run from two source trees and compare the CSVs cell by cell.
+"""Write every figure preset, five sweeps and one driven run from two source trees and compare the CSVs cell by cell.
 
     python tools/compare_presets.py OLD_SRC NEW_SRC [--tol TOL]
 
 OLD_SRC and NEW_SRC are directories that hold the `dissipair` package, such as
 the `src` of two checkouts.  Each tree writes, in its own Python process, the
-15 presets, then four sweeps, then one `evolve` run.  The steady map is the
+15 presets, then five sweeps, then one `evolve` run.  The steady map is the
 201 x 201 `steady_concurrence` sweep with J = 1, Gamma = 2 and the drive on
 qubit 1, over drive_amplitude in [0, 2] (axis1) and phi in [0, 2 pi] (axis2);
 it has 3 degenerate cells, flagged with the sentinel -1, and the inverse of
-the bordered matrix certifies every other cell unique.  The wide sweep is
+the bordered matrix certifies every other cell unique.  The qubit-2 map is the
+same sweep, 41 x 41, with the drive on qubit 2, the only steady sweep here that
+drives it.  The wide sweep is
 `delta_F` over J in [0, 2] (3 values) and phi in [0, 2 pi] (5 000 values) with
 Gamma = 2: its rows are longer than a delta_F sweep block (4 096 cells), so
 blocks end in the middle of a row.  The singular corner is the undriven
@@ -33,10 +35,13 @@ and then the wall time of its write in each tree, old -> new, in ms, and the min
 each (`resource.getrusage` of the tree's process around the call).  Each tree then runs the command lines of
 CALLS, one `python -m dissipair` process each, in a working directory of its
 own so that the relative paths in messages read the same: `steady` on the 4a
-drive, on the degenerate undriven phi = pi model (exit 3) and on rates near
-1e300, and one call for each way a command can fail (an unknown key, drive
-target 3, a negative Gamma, a step too large, an unknown figure id, an --out
-that is a file).  Their stdout, stderr and exit code must match byte for
+drive (qubit 1), on the 4b drive (qubit 2), on the degenerate undriven phi = pi
+model (exit 3), on rates near 1e300 and on the 4a config saved with a UTF-8
+byte-order mark, which trees before the mark was read refuse (exit 2), and
+one call for each way a command can fail (an unknown key, drive target 3, a
+negative Gamma, a step too large, an unknown figure id, an --out that is a
+file, and a drive_amplitude sweep axis with no drive_target, which older trees
+ran on qubit 1 with exit 0).  Their stdout, stderr and exit code must match byte for
 byte, but for the random 16-hex-digit token of a temporary file's name, which
 older trees print in the message of a failed write; the script prints "same
 text" or what differs.  Each time is one `dissipair figure <id>`,
@@ -63,10 +68,12 @@ import numpy as np
 
 FIGURES = ("2a", "2b", "2c", "2d", "3a", "3b", "4a", "4b", "5b", "5c", "5d", "6a", "6b", "6c", "6d")
 _PHI_AXIS = "axis2_name = phi\naxis2_min = 0\naxis2_max = 6.283185307179586\n"
+_AMPLITUDE_AXIS = "observable = steady_concurrence\naxis1_name = drive_amplitude\naxis1_min = 0\naxis1_max = 2\n"
 SWEEPS = {
-    "steady_map": "J = 1\nGamma = 2\ndrive_target = 1\nobservable = steady_concurrence\n"
-                  "axis1_name = drive_amplitude\naxis1_min = 0\naxis1_max = 2\naxis1_count = 201\n"
-                  + _PHI_AXIS + "axis2_count = 201\n",
+    "steady_map": "J = 1\nGamma = 2\ndrive_target = 1\n" + _AMPLITUDE_AXIS + "axis1_count = 201\n" + _PHI_AXIS
+                  + "axis2_count = 201\n",
+    "steady_map_q2": "J = 1\nGamma = 2\ndrive_target = 2\n" + _AMPLITUDE_AXIS + "axis1_count = 41\n" + _PHI_AXIS
+                     + "axis2_count = 41\n",
     "wide_sweep": "Gamma = 2\nobservable = delta_F\naxis1_name = J\naxis1_min = 0\naxis1_max = 2\naxis1_count = 3\n"
                   + _PHI_AXIS + "axis2_count = 5000\n",
     "singular_corner": "phi = 4.71238898038469\nobservable = steady_concurrence\naxis1_name = J\naxis1_min = 0\n"
@@ -78,19 +85,24 @@ SWEEPS = {
 EVOLVE = ("J = 1\nGamma = 2\nphi = 4.2\nkappa = 0.3\ndrive_target = 2\ndrive_amplitude = 0.7\ninitial = PLUS\n"
           "t_max = 40\nsample_every = 3\noutputs = populations, concurrence, collective, states\n")
 _STEADY_4A = "J = 1\nGamma = 2\nphi = 4.71238898038469\ndrive_target = 1\ndrive_amplitude = 0.727272727272727\n"
+_STEADY = ["steady", "--config", "call.cfg"]
 _EVOLVE = ["evolve", "--config", "call.cfg", "--out", "out"]
 # Command lines run in each tree, and the text of the call.cfg beside them.
 CALLS = {
-    "steady_4a": (["steady", "--config", "call.cfg"], _STEADY_4A),
-    "steady_degenerate": (["steady", "--config", "call.cfg"], "J = 1\nGamma = 2\nphi = 3.141592653589793\n"),
-    "steady_1e300": (["steady", "--config", "call.cfg"],
+    "steady_4a": (_STEADY, _STEADY_4A),
+    "steady_4b": (_STEADY, _STEADY_4A.replace("drive_target = 1", "drive_target = 2")),
+    "steady_degenerate": (_STEADY, "J = 1\nGamma = 2\nphi = 3.141592653589793\n"),
+    "steady_1e300": (_STEADY,
                      "J = 1e300\nGamma = 2e300\nphi = 4.71238898038469\ndrive_target = 1\ndrive_amplitude = 7e299\n"),
+    "byte_order_mark": (_STEADY, "\ufeff" + _STEADY_4A),
     "unknown_key": (_EVOLVE, "omega0 = 5\n"),
     "drive_target_3": (_EVOLVE, "drive_target = 3\n"),
     "negative_gamma": (_EVOLVE, "Gamma = -1\n"),
     "dt_too_large": (_EVOLVE, "J = 1\nGamma = 2\nt_max = 5\ndt = 0.5\n"),
     "unknown_figure": (["figure", "9z", "--out", "out"], ""),
     "out_is_a_file": (["figure", "2b", "--out", "call.cfg"], ""),
+    "drive_axis_without_target": (["sweep", "--config", "call.cfg", "--out", "out"], "J = 1\nGamma = 2\n"
+                                  + _AMPLITUDE_AXIS + "axis1_count = 3\n" + _PHI_AXIS + "axis2_count = 3\n"),
 }
 _TOKEN = re.compile(r"\.[0-9a-f]{16}\.tmp")
 _TIMED = "ms"
@@ -131,7 +143,7 @@ def run_calls(src: str, work: str) -> dict[str, tuple[str, str, int]]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     texts = {}
     for name, (argv, config) in CALLS.items():
-        with open(os.path.join(work, "call.cfg"), "w", encoding="ascii") as fh:
+        with open(os.path.join(work, "call.cfg"), "w", encoding="utf-8") as fh:
             fh.write(config)
         done = subprocess.run([sys.executable, "-m", "dissipair", *argv], env=env, cwd=work, capture_output=True,
                               text=True)
