@@ -6,9 +6,10 @@ keeps their singular values, and real since L preserves Hermiticity.  The
 model's R is linear in eight real rates: their product with a constant basis
 built at import.  The RK4 integrator fills the stored samples with powers of
 its real step matrix on the raw coordinates (rho_ii, Re rho_ij, Im rho_ij) and
-hands them on in row blocks, checked in closed form where a sample is X-shaped
-and by one batched Cholesky elsewhere.  A state is built from its coordinates
-by placing each entry exactly, so it is Hermitian by construction.
+hands them on in row blocks, a table's runs as one stack, checked in closed
+form where a sample is X-shaped and by one Cholesky over the batch elsewhere.
+A state is built from its coordinates by placing each entry exactly, so it is
+Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def initial_state(name: str) -> np.ndarray:
     vector = _INITIAL_VECTORS.get(str(name).strip())
     if vector is None:
         raise ValidationError(f"unknown initial state {name!r}, expected one of {INITIAL_STATE_NAMES}")
-    return np.outer(vector, vector.conj())
+    return np.outer(vector, vector.conj()) + 0.0  # + 0.0 turns MINUS's -0 imaginary parts into +0
 
 
 @dataclass(frozen=True)
@@ -140,14 +141,15 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states along one evolution, kept as their (N, 16) raw coordinates (rho_ii, Re rho_ij, Im rho_ij)."""
+    """Sampled states along one evolution, kept as their (N, 16) raw coordinates (rho_ii, Re rho_ij, Im rho_ij), or
+    (k, N, 16) for a row block of k runs."""
 
     times: np.ndarray
     coords: np.ndarray
 
     @property
     def states(self) -> np.ndarray:
-        """The (N, 4, 4) stack of states, built from `coords` on each access."""
+        """The (..., N, 4, 4) stack of states, built from `coords` on each access."""
         return _states(self.coords)
 
 
@@ -239,13 +241,29 @@ def liouvillian_from_params(params: ModelParams) -> np.ndarray:
     return gen.reshape(rates.shape[:-1] + (_SIZE, _SIZE))
 
 
+def _cholesky(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unpivoted Cholesky factor C, C C' = rho, of each state of (N, 16) coordinates, built one column a step over
+    the batch, and whether it completed (pivots > 0, entries finite): a failing sample spoils only its own factor."""
+    rest = _states(coords).transpose(1, 2, 0).copy()  # (4, 4, N): each entry's samples lie side by side
+    factor, completed = np.zeros_like(rest), np.ones(len(coords), dtype=bool)
+    with np.errstate(all="ignore"):  # a failing sample's inf and NaN are flagged just below
+        for k in range(_DIM):
+            pivot = rest[k, k].real  # the imaginary part of the diagonal is roundoff of the updates below
+            completed &= pivot > 0.0
+            factor[k, k] = root = np.sqrt(pivot)
+            factor[k + 1:, k] = column = rest[k + 1:, k] / root
+            rest[k + 1:, k + 1:] -= column[:, None] * column[None, :].conj()
+    factor = factor.transpose(2, 0, 1)
+    return factor, completed & np.isfinite(factor).all(axis=(1, 2))
+
+
 def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
     """Refuse a trace drift, a non-finite coordinate or an eigenvalue beyond tolerance in the (N, 16) coordinates
     of samples first, ...: the check of every trajectory block, sweep steady state and public observable's state.
 
     The trace is the sum of the four diagonal coordinates.  No eigenvalue lies below -tol exactly when, for an
     X-shaped sample, each block [[p, b], [b*, q]] has p + tol >= 0, q + tol >= 0 and (p + tol)(q + tol) >= |b|^2,
-    and, for the others, one batched Cholesky of rho + tol I, Hermitian by construction, passes.
+    and, for the others, the `_cholesky` of rho + tol I, Hermitian by construction, completes for every sample.
     """
     traces = np.abs(coords[:, :4].sum(axis=1) - 1.0)
     # Both comparisons are written so that a NaN fails them too; argmax and argmin name the first NaN.
@@ -253,22 +271,19 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
         k = int(traces.argmax())
         message = f"{label}: trace drift {traces[k]:.3e} at sample {first + k} exceeds {TRACE_DRIFT_TOL:.1e}"
         raise NumericalError(message)
-    # Off the diagonal a NaN or inf leaves the trace alone, and Cholesky returns NaN rather than raising.
+    # Off the diagonal a NaN or inf leaves the trace alone, and eigvalsh would not name its sample.
     if not np.isfinite(coords).all():  # one test of the whole block; only a failing one is read row by row
         k = int(np.isfinite(coords).all(axis=1).argmin())
         raise NumericalError(f"{label}: coordinates not finite at sample {first + k}")
     x_shaped = ~coords[:, _OFF_X].any(axis=1)
-    passed, rest = True, coords  # a block with no X-shaped sample goes to Cholesky whole, without a copy
+    passed, rest = True, coords  # a block with no X-shaped sample goes to the factor whole, without a copy
     if x_shaped.any():
         p, q, re, im = (coords if x_shaped.all() else coords[x_shaped])[:, _X_BLOCKS].transpose(1, 0, 2)
         p, q = p + NEGATIVITY_TOL, q + NEGATIVITY_TOL
         passed, rest = bool(np.all((p >= 0.0) & (q >= 0.0) & (p * q >= re * re + im * im))), coords[~x_shaped]
-    try:
-        if passed and len(rest):
-            np.linalg.cholesky(_states(rest + NEGATIVITY_TOL * _TRACE_ROW))
-    except np.linalg.LinAlgError:
-        passed = False
-    if not passed:  # only now name the sample: eigvalsh costs several Choleskys
+    if passed and len(rest):
+        passed = bool(_cholesky(rest + NEGATIVITY_TOL * _TRACE_ROW)[1].all())
+    if not passed:  # only now name the sample: eigvalsh costs several factors
         lows = np.linalg.eigvalsh(_states(coords))[:, 0]
         if not float(lows.min()) >= -NEGATIVITY_TOL:
             k = int(lows.argmin())
@@ -284,88 +299,75 @@ def _real_generator(liouvillian) -> np.ndarray:
     return gen.real.astype(float, copy=False)
 
 
-def _propagate(rho0, grid: TimeGrid, step: np.ndarray, label: str) -> Iterator[Trajectory]:
-    """Checked row blocks of the stored samples, filled with powers of the stride matrix S = step^span, the
-    map of raw coordinates over the `span` steps of a sample interval.
+def _rk4_blocks(rho0: np.ndarray, liouvillian: np.ndarray, grid: TimeGrid) -> Iterator[Trajectory]:
+    """Checked row blocks, `coords` (k, N, 16), of k runs on one grid from (k, 4, 4) initial states and real
+    (k, 16, 16) generators; each run's rows are checked on their own, so a message names a sample by its index in
+    its run.  The step bound, then the initial states, are checked when the first block is asked for.
 
-    Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start to the next, and a
-    batched product of S^1..S^m with max(2, _RUN_BLOCK_ROWS // m) block starts fills each row block, so a run
-    holds O(sqrt(count)) coordinates at once and a run of at most 4 096 uniform samples is one block.  A
-    shorter tail takes one more product.  Sample b m + j + 1 is always S^(j+1) applied to block start b.
+    Each run's samples are powers of its stride matrix S = step^span, the map of raw coordinates over the `span`
+    steps of a sample interval.  Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start
+    to the next, and a product of S^1..S^m with max(2, _RUN_BLOCK_ROWS // m) block starts fills each row block, so a
+    run holds O(sqrt(count)) coordinates at once and a run of at most 4 096 uniform samples is one block.  A shorter
+    tail takes one more product.  Sample b m + j + 1 is always S^(j+1) applied to block start b.  Each product is
+    one `np.matmul` over the runs, which gives every run the bits of its product alone.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (_DIM, _DIM):
-        raise ValidationError(f"initial state shape {rho0.shape}, expected {(_DIM, _DIM)}")
-    if not np.isfinite(rho0).all():  # before any arithmetic, which would warn on inf - inf
-        raise NumericalError("initial state is not finite")
-    if float(np.abs(rho0 - rho0.conj().T).max()) > 1e-8 or abs(rho0.trace() - 1.0) > 1e-8:
-        raise NumericalError("initial state must be Hermitian with unit trace")
-    span = min(grid.sample_every, grid.n_steps)
-    count, tail = divmod(grid.n_steps, span)
-    m = math.isqrt(count)
-    powers = np.empty((m, _SIZE, _SIZE))
-    powers[0] = np.linalg.matrix_power(step, span)
-    for j in range(1, m):
-        np.matmul(powers[j - 1], powers[0], out=powers[j])
-    starts = np.empty((-(-count // m), _SIZE))
-    starts[0] = _coordinates(rho0)
-    for b in range(1, len(starts)):
-        np.matmul(powers[-1], starts[b - 1], out=starts[b])
-    # A product over one block start would go through BLAS's matrix-vector kernel, whose last digits differ
-    # from the matrix kernel's, so every product spans two starts or more and a last lone start is
-    # multiplied beside the one before it.
-    width = max(2, _RUN_BLOCK_ROWS // m)
-    for g in range(0, len(starts), width):
-        lo = max(min(g, len(starts) - 2), 0)
-        product = np.matmul(powers, starts[lo:g + width].T)[..., g - lo:]
-        lead = int(g == 0)  # the first block's rows begin with sample 0
-        coords = np.empty((lead + product.shape[-1] * m + 1, _SIZE))  # room for the tail
-        # Entry (j, :, b) of the product is S^(j+1) applied to block start g + b, which is sample (g + b) m + j + 1.
-        coords[lead:-1].reshape(-1, m, _SIZE)[...] = product.transpose(2, 0, 1)
-        coords[:lead] = starts[:lead]
-        del product  # else the suspended generator holds it beside the block it yields
-        end = lead + min(width * m, count - g * m)  # rows up to the last uniform sample of the block
-        if tail and (g + width) * m >= count:
-            coords[end] = np.linalg.matrix_power(step, tail) @ coords[end - 1]
-            end += 1
-        first = g * m + 1 - lead
-        _check_samples(coords[:end], label, first)
-        yield Trajectory(times=grid.sample_times(first, first + end), coords=coords[:end])
-
-
-def _joined(blocks: Iterator[Trajectory]) -> Trajectory:
-    """The whole trajectory; a run of one block, every preset among them, is returned without a copy."""
-    blocks = list(blocks)
-    if len(blocks) == 1:
-        return blocks[0]
-    times, coords = zip(*((block.times, block.coords) for block in blocks))
-    return Trajectory(times=np.concatenate(times), coords=np.concatenate(coords))
-
-
-def _rk4_blocks(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Iterator[Trajectory]:
-    """The checked row blocks of `evolve_rk4`; the generator and its step bound are checked on call."""
-    gen = _real_generator(liouvillian)
-    if gen.shape != (_SIZE, _SIZE):
-        stack = "a stack of " if gen.ndim > 2 else ""
-        raise ValidationError(f"the integrator takes one ({_SIZE}, {_SIZE}) generator, got {stack}shape {gen.shape}")
-    bound = grid.dt * float(np.abs(gen).sum(axis=1).max())
+    bound = grid.dt * float(np.abs(liouvillian).sum(axis=-1).max())  # the largest run's, or NaN
     if not bound <= MAX_STEP_NORM:  # a NaN bound fails here too
         if not math.isfinite(bound):
             raise NumericalError(f"dt * ||R||_inf is {bound}: the generator is not finite")
         raise NumericalError(f"dt * ||R||_inf = {bound:.3e} exceeds {MAX_STEP_NORM}; shrink dt")
-    a = grid.dt * gen * _SIMILARITY
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape[1:] != (_DIM, _DIM):
+        raise ValidationError(f"initial state shape {rho0.shape[1:]}, expected {(_DIM, _DIM)}")
+    if not np.isfinite(rho0).all():  # before any arithmetic, which would warn on inf - inf
+        raise NumericalError("initial state is not finite")
+    if max(np.abs(rho0 - rho0.conj().swapaxes(1, 2)).max(), np.abs(rho0.trace(0, 1, 2) - 1.0).max()) > 1e-8:
+        raise NumericalError("initial state must be Hermitian with unit trace")
+    a = grid.dt * liouvillian * _SIMILARITY
     eye = np.eye(_SIZE)
     step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
-    return _propagate(rho0, grid, step, f"rk4 dt={grid.dt:g}")
+    label, runs = f"rk4 dt={grid.dt:g}", len(rho0)
+    span = min(grid.sample_every, grid.n_steps)
+    count, tail = divmod(grid.n_steps, span)
+    m = math.isqrt(count)
+    powers = np.empty((runs, m, _SIZE, _SIZE))
+    powers[:, 0] = np.linalg.matrix_power(step, span)
+    for j in range(1, m):
+        np.matmul(powers[:, j - 1], powers[:, 0], out=powers[:, j])
+    # Column vectors, so that each link of the chain is one matrix-vector product a run.
+    starts = np.empty((runs, -(-count // m), _SIZE, 1))
+    starts[:, 0, :, 0] = _coordinates(rho0)
+    for b in range(1, starts.shape[1]):
+        np.matmul(powers[:, -1], starts[:, b - 1], out=starts[:, b])
+    # A product over one block start would take BLAS's matrix-vector kernel, whose last digits differ from the matrix
+    # kernel's, so every product spans two starts or more and a last lone start is multiplied beside the one before.
+    width = max(2, _RUN_BLOCK_ROWS // m)
+    for g in range(0, starts.shape[1], width):
+        lo = max(min(g, starts.shape[1] - 2), 0)
+        product = np.matmul(powers, starts[:, None, lo:g + width, :, 0].swapaxes(-1, -2))[..., g - lo:]
+        lead = int(g == 0)  # the first block's rows begin with sample 0
+        coords = np.empty((runs, lead + product.shape[-1] * m + 1, _SIZE))  # room for the tail
+        # Entry (r, j, :, b) of the product is run r's S^(j+1) applied to its start g + b: sample (g + b) m + j + 1.
+        coords[:, lead:-1].reshape(runs, -1, m, _SIZE)[...] = product.transpose(0, 3, 1, 2)
+        coords[:, :lead] = starts[:, :lead, :, 0]
+        del product  # else the suspended generator holds it beside the block it yields
+        end = lead + min(width * m, count - g * m)  # rows up to the last uniform sample of the block
+        if tail and (g + width) * m >= count:
+            coords[:, end] = np.matmul(np.linalg.matrix_power(step, tail), coords[:, end - 1, :, None])[..., 0]
+            end += 1
+        first = g * m + 1 - lead
+        for run in coords[:, :end]:
+            _check_samples(run, label, first)
+        yield Trajectory(times=grid.sample_times(first, first + end), coords=coords[:, :end])
 
 
 def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
-    """Fixed-step classical Runge-Kutta propagation.
+    """Fixed-step classical Runge-Kutta propagation: the one run of `_rk4_blocks`, its row blocks joined.
 
-    On a constant generator one step is exactly v <- P v, with P the degree-4
-    Taylor polynomial of dt R, so a sample interval of `span` steps applies P^span.
-    `liouvillian` is one real (16, 16) generator with dt * ||R||_inf <= 0.1; each
-    stored sample, Hermitian by construction, is re-validated for trace and positivity.
+    On a constant generator one step is exactly v <- P v, with P the degree-4 Taylor polynomial of dt R, so a sample
+    interval of `span` steps applies P^span.  `liouvillian` is one real (16, 16) generator with dt * ||R||_inf <= 0.1;
+    each stored sample, Hermitian by construction, is re-validated for trace and positivity.  A run of one row block,
+    every preset's among them, is returned without a copy.
 
     The step guard reads ||R||_inf of the generator as given, in the orthonormal
     basis.  That norm depends on the basis: on the model's generators
@@ -374,7 +376,13 @@ def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     change is unitary), at one values-only 16x16 SVD per run; the guard keeps the
     row-sum norm, which differs from it by a bounded factor and costs one pass.
     """
-    return _joined(_rk4_blocks(rho0, liouvillian, grid))
+    gen = _real_generator(liouvillian)
+    if gen.shape != (_SIZE, _SIZE):
+        stack = "a stack of " if gen.ndim > 2 else ""
+        raise ValidationError(f"the integrator takes one ({_SIZE}, {_SIZE}) generator, got {stack}shape {gen.shape}")
+    blocks = [(block.times, block.coords[0]) for block in _rk4_blocks(np.asarray(rho0)[None], gen[None], grid)]
+    times, coords = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    return Trajectory(times=times, coords=coords)
 
 
 def _certified(unit: np.ndarray) -> np.ndarray:

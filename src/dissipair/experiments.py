@@ -36,9 +36,9 @@ import numpy as np
 from .dynamics import (
     INITIAL_STATE_NAMES,
     TimeGrid,
-    Trajectory,
     _check_samples,
     _rk4_blocks,
+    _states,
     _steady_coordinates,
     initial_state,
     liouvillian_from_params,
@@ -234,11 +234,13 @@ def _axis_from_entries(e: _Entries, which: str, driven: bool) -> AxisSpec:
         raise ValidationError(f"{which} needs {which}_name, {which}_min, {which}_max, {which}_count")
     if fields[0] == "drive_amplitude" and not driven:  # as for the plain key: no qubit is driven by default
         raise ValidationError(f"{which}_name = drive_amplitude given without drive_target")
+    if fields[0] in SWEEP_AXES and fields[0] in e.raw:  # the axis would override the key's value without a word
+        raise ValidationError(f"line {e.raw[fields[0]][1]}: {fields[0]} is also swept by {which}_name")
     return AxisSpec(*fields)
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
-    """Parse sweep config text: two axes, an observable, base model values."""
+    """Parse sweep config text: two axes, an observable, base model values; a key that an axis sweeps is refused."""
     e = _Entries(text)
     base = _model_from_entries(e)
     observable = e.take("observable")
@@ -272,7 +274,7 @@ def _write_text(path, header, chunks) -> str:
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="ascii", newline="") as fh:
-            fh.write(",".join(str(name) for name in header) + "\n")
+            fh.write(",".join(header) + "\n")
             fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
@@ -308,9 +310,13 @@ def write_csv(path, header, rows) -> str:
     header line is always present, cells read as ``%.15g`` writes them, and lines end in ``\\n`` on every platform.
     A temporary file beside `path` replaces it only once complete, so a block that is not 2-D with one column per
     header name (ValidationError), a cell that is not a finite number (IoError), or an error while the blocks are
-    produced, leaves `path` as it was.
+    produced, leaves `path` as it was.  A header name that is not ASCII or holds a comma or a line break raises
+    ValidationError before any file is made.
     """
-    header = list(header)
+    header = [str(name) for name in header]
+    for name in header:
+        if not name.isascii() or any(c in name for c in ",\n\r"):
+            raise ValidationError(f"header name {name!r} must be ASCII without ',', '\\n' or '\\r'")
     step = max(1, _CSV_PIECE_CELLS // max(1, len(header)))  # whole rows per `csv_text` call
     blocks = (_checked_block(block, len(header)) for block in (rows if isinstance(rows, Iterator) else (rows,)))
     csv_text = _kernel().csv_text
@@ -320,42 +326,43 @@ def write_csv(path, header, rows) -> str:
 # ---- trajectory tables -----------------------------------------------------
 
 
-def _output_columns(block: Trajectory, kind: str) -> dict[str, np.ndarray]:
-    """One output group of a block of a trajectory table, column name to column, in table order.
+def _output_columns(coords: np.ndarray, kind: str) -> dict[str, np.ndarray]:
+    """One output group of one run's (N, 16) checked coordinates in a table block, column name to column, in order.
 
-    Populations and concurrence are read straight off the checked coordinates; only states builds every 4x4 matrix.
+    Populations and concurrence are read straight off the coordinates; only states builds every 4x4 matrix.
     """
     if kind == "populations":
-        return dict(zip(("P1", "P2"), _qubit_populations(block.coords)))
+        return dict(zip(("P1", "P2"), _qubit_populations(coords)))
     if kind == "concurrence":
-        return {"C": _concurrence(block.coords)}
+        return {"C": _concurrence(coords)}
     if kind == "collective":
-        return vars(_collective_populations(block.coords))
-    states = block.states
+        return vars(_collective_populations(coords))
+    states = _states(coords)
     return {f"rho_{part}_{i}{j}": values[:, i, j]
             for i in range(4) for j in range(4) for part, values in (("re", states.real), ("im", states.imag))}
 
 
 def _trajectory_table(runs, outputs) -> tuple[list[str], Iterator[np.ndarray]]:
-    """Integrate the runs side by side: the header (t, then each run's output groups in the given order, names
+    """Integrate the runs as one stack: the header (t, then each run's output groups in the given order, names
     suffixed by label if several runs) and an iterator of the table's row blocks.
 
-    Each run streams the checked `Trajectory` row blocks of `_rk4_blocks`.  The runs share one grid, so
-    their block streams line up.  The first block is computed here, for the header.
+    The runs' initial states and generators go to one `_rk4_blocks` stream on the first run's grid, which the runs
+    share; each of its checked blocks holds every run's rows.  The first block is computed here, for the header.
     """
-    streams = [_rk4_blocks(initial_state(run.initial), liouvillian_from_params(run.params), run.grid) for run in runs]
+    blocks = _rk4_blocks(np.array([initial_state(run.initial) for run in runs]),
+                         np.array([liouvillian_from_params(run.params) for run in runs]), runs[0].grid)
 
-    def block_table(blocks):
-        header, columns = ["t"], [blocks[0].times]
-        for run, block in zip(runs, blocks):
+    def block_table(block):
+        header, columns = ["t"], [block.times]
+        for run, coords in zip(runs, block.coords):
             for kind in outputs:
                 joiner = "_from_" if kind == "collective" else "_"
-                for name, column in _output_columns(block, kind).items():
+                for name, column in _output_columns(coords, kind).items():
                     header.append(f"{name}{joiner}{run.label}" if len(runs) > 1 else name)
                     columns.append(column)
         return header, np.column_stack(columns)
 
-    tables = map(block_table, zip(*streams, strict=True))
+    tables = map(block_table, blocks)
     header, first = next(tables)
     return header, itertools.chain((first,), (table for _, table in tables))
 

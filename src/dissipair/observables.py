@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _OFF_X, _X_BLOCKS, _check_samples, _coordinates, _position, _states
+from .dynamics import _OFF_X, _X_BLOCKS, _check_samples, _cholesky, _coordinates, _position, _states
 from .errors import NumericalError, ValidationError
 from .model import require_finite, require_non_negative
 
@@ -136,22 +136,12 @@ def _factored_route(coords: np.ndarray) -> np.ndarray:
 
 
 def _factored_piece(coords: np.ndarray) -> np.ndarray:
-    """Concurrence of each sample from a factor C with rho = C C' and one svd, for any state.  C is the unpivoted
-    Cholesky factor, one column per step over the whole batch, unless a pivot is not > 0 or an entry not finite (a
-    zero diagonal entry, say): that sample alone takes C = V diag(sqrt(max(lam, 0))) from eigh."""
+    """Concurrence of each sample from a factor C with rho = C C' and one svd, for any state.  C is the factor of
+    `_cholesky`, the column Cholesky that also checks the samples, unless it does not complete for a sample (a zero
+    pivot, say): that sample alone takes C = V diag(sqrt(max(lam, 0))) from eigh."""
     # Any factor serves: C = sqrt(rho) U, U unitary, so C^T F C is sqrt(rho) F conj(sqrt(rho)) up to unitary factors.
     # Its singular values keep the r_i at O(eps); eigenvalues of sqrt(rho) rho_tilde sqrt(rho) lose ~1e-8 near 0.
-    rest = _states(coords).transpose(1, 2, 0).copy()  # (4, 4, N): each entry's samples lie side by side
-    factor, completed = np.zeros_like(rest), np.ones(len(coords), dtype=bool)
-    with np.errstate(all="ignore"):  # a failing sample's inf and NaN are refused just below
-        for k in range(4):
-            pivot = rest[k, k].real  # the imaginary part of the diagonal is roundoff of the updates below
-            completed &= pivot > 0.0
-            factor[k, k] = root = np.sqrt(pivot)
-            factor[k + 1:, k] = column = rest[k + 1:, k] / root
-            rest[k + 1:, k + 1:] -= column[:, None] * column[None, :].conj()
-    factor = factor.transpose(2, 0, 1)
-    completed &= np.isfinite(factor).all(axis=(1, 2))
+    factor, completed = _cholesky(coords)
     if not completed.all():
         values, vectors = np.linalg.eigh(_states(coords[~completed]))
         factor[~completed] = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]

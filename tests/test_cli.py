@@ -417,6 +417,25 @@ def test_sweep_drive_axis_without_a_target_exit_code(tmp_path, capsys, which):
     assert np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1).shape == (9, 4)
 
 
+@pytest.mark.parametrize("key, value, which", [("J", "5", "axis1"), ("drive_amplitude", "0.3", "axis2")])
+def test_sweep_key_that_an_axis_sweeps_exit_code(tmp_path, capsys, key, value, which):
+    # A model key that an axis also sweeps is refused, as a duplicated key is, rather than dropped without a word;
+    # the message names the key's line.  Nothing is written and an existing file stays.
+    axes = {"axis1": ("J", 0, 2), "axis2": ("drive_amplitude", 0, 1)}
+    text = f"Gamma = 2\ndrive_target = 1\n{key} = {value}\n" + "".join(
+        f"{axis}_name = {name}\n{axis}_min = {lo}\n{axis}_max = {hi}\n{axis}_count = 3\n"
+        for axis, (name, lo, hi) in axes.items()) + "observable = delta_F\noutput_path = grid.csv\n"
+    (tmp_path / "grid.csv").write_bytes(b"old\n")
+    assert main(["sweep", "--config", _config(tmp_path, text, name="sweep.cfg"), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: line 3: {key} is also swept by {which}_name\n")
+    assert (tmp_path / "grid.csv").read_bytes() == b"old\n"
+    assert sorted(os.listdir(tmp_path)) == ["grid.csv", "sweep.cfg"]
+    # Without the key it runs.
+    unswept = text.replace(f"{key} = {value}\n", "")
+    assert main(["sweep", "--config", _config(tmp_path, unswept, name="sweep.cfg"), "--out", str(tmp_path)]) == 0
+    assert np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1).shape == (9, 3)
+
+
 def test_sweep_non_finite_axis_exit_code(tmp_path, capsys):
     cases = (
         ("axis1_max = inf\naxis2_min = 0\naxis2_max = 3.14\n", "Gamma axis max must be finite, got inf"),
@@ -581,10 +600,11 @@ def test_compare_presets_reports_each_writes_time_and_faults(tmp_path, monkeypat
                                                   "axis1_max = 2\naxis1_count = 3\naxis2_name = phi\naxis2_min = 0\n"
                                                   "axis2_max = 1\naxis2_count = 4\n"})
     monkeypatch.setattr(tool, "EVOLVE", "J = 1\nGamma = 2\nt_max = 0.1\n")
+    monkeypatch.setattr(tool, "STACKED", ("6c", (0.1, 0.002, 10)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(dissipair.__file__)))
     writes = tool.write_presets(src, str(tmp_path))
-    assert sorted(writes) == ["2b", "3a", "evolve", "small"]
+    assert sorted(writes) == ["2b", "3a", "evolve", "small", "stacked"]
     for ms, faults in writes.values():
         assert ms > 0.0 and type(faults) is int and faults >= 0
-    tables = ["evolve.csv", "fig2b.csv", "fig3a.csv", "small.csv"]
+    tables = ["evolve.csv", "fig2b.csv", "fig3a.csv", "small.csv", "stacked.csv"]
     assert sorted(os.listdir(tmp_path)) == sorted([*tables, "evolve.cfg", "small.cfg"])

@@ -369,7 +369,7 @@ def test_negativity_verdict_of_x_shaped_samples(draws):
     lows = np.linalg.eigvalsh(dynamics._states(coords))[:, 0]
     assume(np.all(np.abs(lows + _TOL) > 1e-12))
     valid = lows >= -_TOL
-    with mock.patch.object(np.linalg, "cholesky", side_effect=AssertionError("Cholesky reached")), \
+    with mock.patch.object(dynamics, "_cholesky", side_effect=AssertionError("Cholesky reached")), \
             mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as named:
         for k, ok in enumerate(valid):
             named.reset_mock()
@@ -389,14 +389,36 @@ def test_negativity_check_names_the_sample_in_a_mixed_block():
     driven = [_rotated_state(rng, lowest) for lowest in (0.0, -0.5 * _TOL, 0.01, -1.5 * _TOL)]
     assert all(np.all(rho[[0, 0, 1, 2], [1, 2, 3, 3]] != 0.0) for rho in driven)
     gg, bad_gg = np.diag([0.0, 0.0, 0.0, 1.0]), np.diag([0.0, 0.0, 1.0 + 1.5 * _TOL, -1.5 * _TOL])
-    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factored:
+    with mock.patch.object(dynamics, "_cholesky", wraps=dynamics._cholesky) as factored:
         dynamics._check_samples(dynamics._coordinates(np.array([gg, *driven[:3]])), "probe", 100)
-        assert factored.call_args.args[0].shape == (3, 4, 4)  # only the driven samples are built
+        assert factored.call_args.args[0].shape == (3, 16)  # only the driven samples are factored
         for states, k, reached in (([bad_gg, *driven[:3]], 100, False), ([gg, *driven[1:]], 103, True)):
             factored.reset_mock()
             with pytest.raises(NumericalError, match=rf"^probe: negativity -1\.500e-06 at sample {k} "):
                 dynamics._check_samples(dynamics._coordinates(np.array(states)), "probe", 100)
             assert factored.called == reached
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lows=st.lists(st.sampled_from([-1e-3, -1e-6, -1e-11, 0.0, 1e-11, 1e-6, 0.1]),
+                                                      min_size=1, max_size=8))
+def test_column_cholesky_agrees_with_eigvalsh(seed, lows):
+    # One batch of states, each of eigenvalues lowest, 0.6 and the rest of the trace in a Haar-random basis: the
+    # factor completes exactly where the lowest eigenvalue is positive, away from 0, and then reproduces the state.
+    rng = np.random.default_rng(seed)
+    states = []
+    for lowest in lows:
+        u, rest = random_unitary(rng, 4), rng.uniform(0.0, 0.4 - lowest)
+        states.append(u @ np.diag([lowest, 0.6, rest, 0.4 - lowest - rest]) @ u.conj().T)
+    coords = dynamics._coordinates(np.array(states))
+    rho = dynamics._states(coords)
+    factor, completed = dynamics._cholesky(coords)
+    assert factor.shape == (len(lows), 4, 4) and completed.shape == (len(lows),)
+    smallest = np.linalg.eigvalsh(rho)[:, 0]
+    decided = np.abs(smallest) >= 1e-12
+    np.testing.assert_array_equal(completed[decided], smallest[decided] > 0.0)
+    assert np.abs(factor[completed] @ factor[completed].conj().swapaxes(-1, -2) - rho[completed]).max(initial=0.0) \
+        <= 1e-14
 
 
 def test_integrators_refuse_a_generator_with_an_imaginary_part():

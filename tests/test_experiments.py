@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -318,6 +319,18 @@ def test_write_csv_refuses_a_cell_that_is_not_a_number(tmp_path, blocks):
     assert os.listdir(tmp_path) == ["table.csv"]
 
 
+@pytest.mark.parametrize("name", ["a,b", "\u00e9", "a\nb", "a\rb"])
+def test_write_csv_refuses_a_header_name_that_breaks_the_line(tmp_path, name):
+    # A comma would split the header into more fields than each row has, a line break would end it, and a name that
+    # is not ASCII cannot be written in the file's encoding: each is refused before any file is made.
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(ValidationError, match="^header name .* must be ASCII without"):
+        write_csv(path, ["t", name], np.ones((2, 2)))
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
 def test_write_csv_refuses_non_finite(tmp_path):
     with pytest.raises(IoError):
         write_csv(tmp_path / "bad.csv", ["x"], [(float("nan"),)])
@@ -402,7 +415,8 @@ def _write_block_cases(out):
 
 
 def _block_lengths(config):
-    blocks = dynamics._rk4_blocks(initial_state(config.initial), liouvillian_from_params(config.model), config.grid)
+    blocks = dynamics._rk4_blocks(initial_state(config.initial)[None], liouvillian_from_params(config.model)[None],
+                                  config.grid)
     return [len(block.times) for block in blocks]
 
 
@@ -424,9 +438,40 @@ def test_row_blocks_leave_every_byte(tmp_path, monkeypatch, rows):
         assert sum(lengths) == config.grid.n_samples
     np.testing.assert_array_equal(
         np.concatenate([block.times for block in dynamics._rk4_blocks(
-            initial_state("GG"), liouvillian_from_params(DRIVE1), LONG_STRIDED.grid)]),
+            initial_state("GG")[None], liouvillian_from_params(DRIVE1)[None], LONG_STRIDED.grid)]),
         LONG_STRIDED.grid.sample_times())
     assert LONG_STRIDED.grid.sample_steps()[-2:].tolist() == [35000, 35003]
+
+
+@pytest.mark.parametrize("rows", [64, 4096])
+def test_each_run_of_a_stacked_table_is_the_run_alone(monkeypatch, rows):
+    # 6c's four runs integrate as one stack in one stream; every column equals that of the run's own table.  10 003
+    # steps stored every tenth: 33 block starts of 31 samples and a 3-step tail, with 64 rows a block of two starts
+    # each and a lone last start.
+    monkeypatch.setattr(dynamics, "_RUN_BLOCK_ROWS", rows)
+    grid = TimeGrid(20.006, 0.002, 10)
+    runs = tuple(experiments.TrajectoryRun(run.label, run.params, run.initial, grid)
+                 for run in figure_trajectory_runs()["6c"])
+    with mock.patch.object(experiments, "_rk4_blocks", wraps=dynamics._rk4_blocks) as streams:
+        header, blocks = experiments._trajectory_table(runs, OUTPUT_KINDS)
+        table = np.concatenate(list(blocks))
+    assert streams.call_count == 1
+    assert len(header) == 1 + 4 * 39 and table.shape == (grid.n_samples, len(header))
+    for k, run in enumerate(runs):
+        alone_header, alone = experiments._trajectory_table((run,), OUTPUT_KINDS)
+        assert [f"{name}_{'from_' if name.startswith('P_') else ''}{run.label}" for name in alone_header[1:]] \
+            == header[1 + 39 * k:1 + 39 * (k + 1)]
+        alone = np.concatenate(list(alone))
+        assert np.array_equal(alone[:, 0], table[:, 0])
+        assert np.array_equal(alone[:, 1:], table[:, 1 + 39 * k:1 + 39 * (k + 1)])
+
+
+def test_a_minus_state_table_prints_no_negative_zero(tmp_path):
+    # MINUS's projector has zero imaginary parts; they print as 0, never -0.
+    config = ExperimentConfig(model=DRIVE1, initial="MINUS", grid=TimeGrid(0.1, 0.002), outputs=("states",),
+                              output_path="minus.csv")
+    cells = Path(run_experiment(config, str(tmp_path))).read_text(encoding="ascii").replace("\n", ",").split(",")
+    assert "-0" not in cells
 
 
 def test_undriven_figures_reach_no_cholesky(tmp_path, monkeypatch):
@@ -438,9 +483,9 @@ def test_undriven_figures_reach_no_cholesky(tmp_path, monkeypatch):
     usual = written("usual")
 
     def reached(*args, **kwargs):
-        raise AssertionError("np.linalg.cholesky reached")
+        raise AssertionError("dynamics._cholesky reached")
 
-    monkeypatch.setattr(np.linalg, "cholesky", reached)
+    monkeypatch.setattr(dynamics, "_cholesky", reached)
     assert written("patched") == usual
     run = figure_trajectory_runs()["4a"][0]
     with pytest.raises(AssertionError, match="cholesky reached"):

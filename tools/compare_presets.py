@@ -1,10 +1,10 @@
-"""Write every figure preset, five sweeps and one driven run from two source trees and compare the CSVs cell by cell.
+"""Write the presets, five sweeps, a driven run and a stacked table from two trees; compare the CSVs cell by cell.
 
     python tools/compare_presets.py OLD_SRC NEW_SRC [--tol TOL]
 
 OLD_SRC and NEW_SRC are directories that hold the `dissipair` package, such as
 the `src` of two checkouts.  Each tree writes, in its own Python process, the
-15 presets, then five sweeps, then one `evolve` run.  The steady map is the
+15 presets, then five sweeps, one `evolve` run and the stacked table.  The steady map is the
 201 x 201 `steady_concurrence` sweep with J = 1, Gamma = 2 and the drive on
 qubit 1, over drive_amplitude in [0, 2] (axis1) and phi in [0, 2 pi] (axis2);
 it has 3 degenerate cells, flagged with the sentinel -1, and the inverse of
@@ -27,7 +27,13 @@ and above, which no preset writes.  The driven run writes every output group
 and kappa = 0.3, driven on qubit 2 with amplitude 0.7, from PLUS up to
 t_max = 40 at every third step: 6 668 rows of 40 cells in two row blocks, with
 negative cells, cells below 1e-4 in scientific notation, and the imaginary
-parts of the states, which no preset writes.  For each table
+parts of the states, which no preset writes.  The stacked table writes every
+output group of the four runs of preset 6c, integrated as one stack, on a grid
+of t_max = 200.004 stored every tenth step: 10 002 rows of 157 cells in three
+row blocks, the last with a 2-step tail, through `experiments._trajectory_table`
+and `write_csv` (STACKED names the preset and the grid); trees that printed
+MINUS's zero imaginary parts as -0 differ from later ones in two of its cells
+at t = 0, by 0.  For each table
 the script prints "identical", or the number of changed cells, the largest
 |difference| with the cell that shows it (its data row, counted from 0, its
 column, and its old and new text), and the columns the changed cells sit in,
@@ -40,12 +46,14 @@ model (exit 3), on rates near 1e300 and on the 4a config saved with a UTF-8
 byte-order mark, which trees before the mark was read refuse (exit 2), and
 one call for each way a command can fail (an unknown key, drive target 3, a
 negative Gamma, a step too large, an unknown figure id, an --out that is a
-file, and a drive_amplitude sweep axis with no drive_target, which older trees
-ran on qubit 1 with exit 0).  Their stdout, stderr and exit code must match byte for
+file, a drive_amplitude sweep axis with no drive_target, which older trees
+ran on qubit 1 with exit 0, and a sweep config that sets J and
+drive_amplitude and sweeps both, which older trees ran with exit 0, dropping
+the set values).  Their stdout, stderr and exit code must match byte for
 byte, but for the random 16-hex-digit token of a temporary file's name, which
 older trees print in the message of a failed write; the script prints "same
 text" or what differs.  Each time is one `dissipair figure <id>`,
-`dissipair sweep` or `dissipair evolve` call, timed once, in the tree's
+`dissipair sweep` or `dissipair evolve` call, or the stacked table's write, timed once, in the tree's
 process after the tables listed before it; the first write also pays one-time
 costs.  Treat the times as orders of magnitude.  It exits 1 when a table
 differs by more than TOL (default 0, so any change), when a header or a table
@@ -82,6 +90,8 @@ SWEEPS = {
     "scientific_axes": "observable = delta_F\naxis1_name = J\naxis1_min = -3e-5\naxis1_max = 3e-5\naxis1_count = 11\n"
                        "axis2_name = Gamma\naxis2_min = 0\naxis2_max = 1e20\naxis2_count = 1500\n",
 }
+# The preset whose runs the stacked table integrates, and its grid (t_max, dt, sample_every).
+STACKED = ("6c", (200.004, 0.002, 10))
 EVOLVE = ("J = 1\nGamma = 2\nphi = 4.2\nkappa = 0.3\ndrive_target = 2\ndrive_amplitude = 0.7\ninitial = PLUS\n"
           "t_max = 40\nsample_every = 3\noutputs = populations, concurrence, collective, states\n")
 _STEADY_4A = "J = 1\nGamma = 2\nphi = 4.71238898038469\ndrive_target = 1\ndrive_amplitude = 0.727272727272727\n"
@@ -103,23 +113,35 @@ CALLS = {
     "out_is_a_file": (["figure", "2b", "--out", "call.cfg"], ""),
     "drive_axis_without_target": (["sweep", "--config", "call.cfg", "--out", "out"], "J = 1\nGamma = 2\n"
                                   + _AMPLITUDE_AXIS + "axis1_count = 3\n" + _PHI_AXIS + "axis2_count = 3\n"),
+    "sweep_key_and_axis": (["sweep", "--config", "call.cfg", "--out", "out"],
+                           "J = 5\nGamma = 2\ndrive_target = 1\ndrive_amplitude = 0.3\nobservable = delta_F\n"
+                           "axis1_name = J\naxis1_min = 0\naxis1_max = 2\naxis1_count = 3\n"
+                           "axis2_name = drive_amplitude\naxis2_min = 0\naxis2_max = 1\naxis2_count = 3\n"),
 }
 _TOKEN = re.compile(r"\.[0-9a-f]{16}\.tmp")
 _TIMED = "ms"
 _WRITE = f"""
-import json, os, resource, sys, time
+import dataclasses, json, os, resource, sys, time
+from dissipair import experiments
 from dissipair.cli import main
-out, configs = sys.argv[1], json.loads(sys.argv[2])
-runs = [(fig, ["figure", fig]) for fig in sys.argv[3:]]
+from dissipair.dynamics import TimeGrid
+out, configs, (stacked_figure, stacked_grid) = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+runs = [(fig, ["figure", fig]) for fig in sys.argv[4:]]
 for name, (command, text) in configs.items():
     config = os.path.join(out, name + ".cfg")
     with open(config, "w", encoding="ascii") as fh:
         fh.write(text + "output_path = " + name + ".csv\\n")
     runs.append((name, [command, "--config", config]))
+def stacked():
+    grid = TimeGrid(*stacked_grid)
+    runs = tuple(dataclasses.replace(run, grid=grid) for run in experiments.figure_trajectory_runs()[stacked_figure])
+    header, blocks = experiments._trajectory_table(runs, experiments.OUTPUT_KINDS)
+    experiments.write_csv(os.path.join(out, "stacked.csv"), header, blocks)
+    return 0
 status = 0
-for name, argv in runs:
+for name, argv in [*runs, ("stacked", None)]:
     faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
-    status = max(status, main([*argv, "--out", out]))
+    status = max(status, stacked() if argv is None else main([*argv, "--out", out]))
     ms = 1e3 * (time.perf_counter() - start)
     print("{_TIMED}", name, ms, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
 sys.exit(status)
@@ -127,12 +149,12 @@ sys.exit(status)
 
 
 def write_presets(src: str, out: str) -> dict[str, tuple[float, int]]:
-    """Write every preset, sweep and the driven run into `out` with the package under `src`; each write's wall time
-    in ms and its minor page faults."""
+    """Write every preset, sweep, the driven run and the stacked table into `out` with the package under `src`; each
+    write's wall time in ms and its minor page faults."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     configs = {**{name: ("sweep", text) for name, text in SWEEPS.items()}, "evolve": ("evolve", EVOLVE)}
-    done = subprocess.run([sys.executable, "-c", _WRITE, out, json.dumps(configs), *FIGURES], env=env, check=True,
-                          stdout=subprocess.PIPE, text=True)
+    done = subprocess.run([sys.executable, "-c", _WRITE, out, json.dumps(configs), json.dumps(STACKED), *FIGURES],
+                          env=env, check=True, stdout=subprocess.PIPE, text=True)
     lines = (line.split() for line in done.stdout.splitlines())
     return {fields[1]: (float(fields[2]), int(fields[3])) for fields in lines if fields[:1] == [_TIMED]}
 
@@ -167,7 +189,7 @@ def compare(old_path: str, new_path: str, tol: float) -> tuple[str, bool]:
     if not changed.any():
         line = "identical"
     else:
-        deltas = np.abs(old.astype(float) - new.astype(float))
+        deltas = np.where(changed, np.abs(old.astype(float) - new.astype(float)), -1.0)  # the cell shown is changed
         row, col = np.unravel_index(int(deltas.argmax()), deltas.shape)
         delta, names = float(deltas[row, col]), new_header.split(",")
         columns = [name for name, hit in zip(names, changed.any(axis=0)) if hit]
@@ -203,7 +225,8 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
         ok = True
-        tables = [*((fig, f"fig{fig}.csv") for fig in FIGURES), *((t, f"{t}.csv") for t in (*SWEEPS, "evolve"))]
+        tables = [*((fig, f"fig{fig}.csv") for fig in FIGURES),
+                  *((t, f"{t}.csv") for t in (*SWEEPS, "evolve", "stacked"))]
         for table, name in tables:
             line, passed = compare(os.path.join(old_dir, name), os.path.join(new_dir, name), args.tol)
             ok &= passed
