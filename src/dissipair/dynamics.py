@@ -7,9 +7,9 @@ model's R is linear in eight real rates: their product with a constant basis
 built at import.  The RK4 integrator fills the stored samples with powers of
 its real step matrix on the raw coordinates (rho_ii, Re rho_ij, Im rho_ij) and
 hands them on in row blocks, a table's runs as one stack, checked in closed
-form where a sample is X-shaped and by one Cholesky over the batch elsewhere.
-A state is built from its coordinates by placing each entry exactly, so it is
-Hermitian by construction.
+form where a sample is X-shaped and by one Cholesky over the batch elsewhere,
+whose factors the concurrence reads.  A state is built from its coordinates by
+placing each entry exactly, so it is Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ _TINY_SCALE = 2.0 ** -600
 # Per-sample drift tolerances while integrating.
 TRACE_DRIFT_TOL = 1e-6
 NEGATIVITY_TOL = 1e-6
+MAX_SAMPLES = 10**9  # samples a TimeGrid may store: 1e5 times the largest table of tests and tools, 10 002 rows
 # Samples per checked row block of a run: a block spans max(2, _RUN_BLOCK_ROWS // m) block starts of m samples.
 _RUN_BLOCK_ROWS = 4096
 
@@ -98,10 +99,10 @@ def initial_state(name: str) -> np.ndarray:
 class TimeGrid:
     """Uniform grid on [0, t_max] in steps of dt, with an output stride.
 
-    t_max must be a whole number of steps, within a relative 1e-9, so the
-    last sample lands on it.  The integrator always steps by dt;
-    `sample_every` only thins what gets stored.  The final step is stored
-    regardless of the stride.  Every rule raises ValidationError (exit code 2).
+    t_max must be a whole number of steps, within a relative 1e-9, so the last sample lands on it.  The integrator
+    always steps by dt; `sample_every` only thins what gets stored.  The final step is stored regardless of the
+    stride, and at most MAX_SAMPLES (1e9) samples are.  Every rule raises ValidationError (exit code 2), before
+    anything is allocated.
     """
 
     t_max: float
@@ -121,6 +122,9 @@ class TimeGrid:
             raise ValidationError(f"sample_every must be an integer, got {self.sample_every!r}")
         if self.sample_every < 1:
             raise ValidationError(f"sample_every must be >= 1, got {self.sample_every}")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValidationError(f"t_max {self.t_max}, dt {self.dt} and sample_every {self.sample_every} would store "
+                                  f"{self.n_samples:.15g} samples, above the ceiling of {MAX_SAMPLES}")
 
     @property
     def n_steps(self) -> int:
@@ -257,13 +261,15 @@ def _cholesky(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factor, completed & np.isfinite(factor).all(axis=(1, 2))
 
 
-def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
+def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
     """Refuse a trace drift, a non-finite coordinate or an eigenvalue beyond tolerance in the (N, 16) coordinates
     of samples first, ...: the check of every trajectory block, sweep steady state and public observable's state.
 
     The trace is the sum of the four diagonal coordinates.  No eigenvalue lies below -tol exactly when, for an
-    X-shaped sample, each block [[p, b], [b*, q]] has p + tol >= 0, q + tol >= 0 and (p + tol)(q + tol) >= |b|^2,
-    and, for the others, the `_cholesky` of rho + tol I, Hermitian by construction, completes for every sample.
+    X-shaped sample, each block [[p, b], [b*, q]] has p + tol >= 0, q + tol >= 0 and (p + tol)(q + tol) >= |b|^2;
+    any other passes when its `_cholesky` completes (positive pivots prove rho > 0), else when `eigh`'s lam >= -tol,
+    its factor then C = V diag(sqrt(max(lam, 0))).  Each verdict is final, and eigvalsh only names a refused block's
+    lowest sample.  Returns the X mask and the others' factors C (C C' = rho), or None when there are none.
     """
     traces = np.abs(coords[:, :4].sum(axis=1) - 1.0)
     # Both comparisons are written so that a NaN fails them too; argmax and argmin name the first NaN.
@@ -275,20 +281,24 @@ def _check_samples(coords: np.ndarray, label: str, first: int = 0) -> None:
     if not np.isfinite(coords).all():  # one test of the whole block; only a failing one is read row by row
         k = int(np.isfinite(coords).all(axis=1).argmin())
         raise NumericalError(f"{label}: coordinates not finite at sample {first + k}")
-    x_shaped = ~coords[:, _OFF_X].any(axis=1)
-    passed, rest = True, coords  # a block with no X-shaped sample goes to the factor whole, without a copy
+    x_shaped, passed, factor = ~coords[:, _OFF_X].any(axis=1), True, None
+    rest = coords[~x_shaped] if x_shaped.any() else coords  # a block with no X-shaped sample is factored without a copy
     if x_shaped.any():
         p, q, re, im = (coords if x_shaped.all() else coords[x_shaped])[:, _X_BLOCKS].transpose(1, 0, 2)
         p, q = p + NEGATIVITY_TOL, q + NEGATIVITY_TOL
-        passed, rest = bool(np.all((p >= 0.0) & (q >= 0.0) & (p * q >= re * re + im * im))), coords[~x_shaped]
-    if passed and len(rest):
-        passed = bool(_cholesky(rest + NEGATIVITY_TOL * _TRACE_ROW)[1].all())
+        passed = bool(np.all((p >= 0.0) & (q >= 0.0) & (p * q >= re * re + im * im)))
+    if passed and len(rest):  # an empty factor would still cost tens of µs
+        factor, completed = _cholesky(rest)
+        if not completed.all():
+            values, vectors = np.linalg.eigh(_states(rest[~completed]))
+            factor[~completed] = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+            passed = bool(values[:, 0].min() >= -NEGATIVITY_TOL)
     if not passed:  # only now name the sample: eigvalsh costs several factors
         lows = np.linalg.eigvalsh(_states(coords))[:, 0]
-        if not float(lows.min()) >= -NEGATIVITY_TOL:
-            k = int(lows.argmin())
-            message = f"{label}: negativity {lows[k]:.3e} at sample {first + k} exceeds {NEGATIVITY_TOL:.1e}"
-            raise NumericalError(message)
+        k = int(lows.argmin())
+        message = f"{label}: negativity {lows[k]:.3e} at sample {first + k} exceeds {NEGATIVITY_TOL:.1e}"
+        raise NumericalError(message)
+    return x_shaped, factor
 
 
 def _real_generator(liouvillian) -> np.ndarray:
@@ -299,10 +309,10 @@ def _real_generator(liouvillian) -> np.ndarray:
     return gen.real.astype(float, copy=False)
 
 
-def _rk4_blocks(rho0: np.ndarray, liouvillian: np.ndarray, grid: TimeGrid) -> Iterator[Trajectory]:
-    """Checked row blocks, `coords` (k, N, 16), of k runs on one grid from (k, 4, 4) initial states and real
-    (k, 16, 16) generators; each run's rows are checked on their own, so a message names a sample by its index in
-    its run.  The step bound, then the initial states, are checked when the first block is asked for.
+def _rk4_blocks(rho0: np.ndarray, liouvillian: np.ndarray, grid: TimeGrid) -> Iterator[tuple[Trajectory, Iterator]]:
+    """Row blocks, `coords` (k, N, 16), of k runs on one grid from (k, 4, 4) initial states and real (k, 16, 16)
+    generators, each with an iterator of its runs' `_check_samples` results, made as read (those unread, on the next
+    request); a message names a sample by its index in its run.  The first request checks the step bound, then rho0.
 
     Each run's samples are powers of its stride matrix S = step^span, the map of raw coordinates over the `span`
     steps of a sample interval.  Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start
@@ -311,7 +321,8 @@ def _rk4_blocks(rho0: np.ndarray, liouvillian: np.ndarray, grid: TimeGrid) -> It
     tail takes one more product.  Sample b m + j + 1 is always S^(j+1) applied to block start b.  Each product is
     one `np.matmul` over the runs, which gives every run the bits of its product alone.
     """
-    bound = grid.dt * float(np.abs(liouvillian).sum(axis=-1).max())  # the largest run's, or NaN
+    with np.errstate(over="ignore"):  # a row sum beyond the float range is refused as not finite just below
+        bound = grid.dt * float(np.abs(liouvillian).sum(axis=-1).max())  # the largest run's, or NaN
     if not bound <= MAX_STEP_NORM:  # a NaN bound fails here too
         if not math.isfinite(bound):
             raise NumericalError(f"dt * ||R||_inf is {bound}: the generator is not finite")
@@ -356,9 +367,9 @@ def _rk4_blocks(rho0: np.ndarray, liouvillian: np.ndarray, grid: TimeGrid) -> It
             coords[:, end] = np.matmul(np.linalg.matrix_power(step, tail), coords[:, end - 1, :, None])[..., 0]
             end += 1
         first = g * m + 1 - lead
-        for run in coords[:, :end]:
-            _check_samples(run, label, first)
-        yield Trajectory(times=grid.sample_times(first, first + end), coords=coords[:, :end])
+        checks = (_check_samples(run, label, first) for run in coords[:, :end])
+        yield Trajectory(times=grid.sample_times(first, first + end), coords=coords[:, :end]), checks
+        list(checks)  # the runs the reader did not check
 
 
 def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
@@ -380,7 +391,7 @@ def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     if gen.shape != (_SIZE, _SIZE):
         stack = "a stack of " if gen.ndim > 2 else ""
         raise ValidationError(f"the integrator takes one ({_SIZE}, {_SIZE}) generator, got {stack}shape {gen.shape}")
-    blocks = [(block.times, block.coords[0]) for block in _rk4_blocks(np.asarray(rho0)[None], gen[None], grid)]
+    blocks = [(block.times, block.coords[0]) for block, _ in _rk4_blocks(np.asarray(rho0)[None], gen[None], grid)]
     times, coords = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
     return Trajectory(times=times, coords=coords)
 

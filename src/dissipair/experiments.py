@@ -326,15 +326,15 @@ def write_csv(path, header, rows) -> str:
 # ---- trajectory tables -----------------------------------------------------
 
 
-def _output_columns(coords: np.ndarray, kind: str) -> dict[str, np.ndarray]:
-    """One output group of one run's (N, 16) checked coordinates in a table block, column name to column, in order.
+def _output_columns(coords: np.ndarray, kind: str, checked: tuple) -> dict[str, np.ndarray]:
+    """One output group of one run's (N, 16) coordinates in a table block and their checks, name to column, in order.
 
     Populations and concurrence are read straight off the coordinates; only states builds every 4x4 matrix.
     """
     if kind == "populations":
         return dict(zip(("P1", "P2"), _qubit_populations(coords)))
     if kind == "concurrence":
-        return {"C": _concurrence(coords)}
+        return {"C": _concurrence(coords, checked)}
     if kind == "collective":
         return vars(_collective_populations(coords))
     states = _states(coords)
@@ -347,22 +347,24 @@ def _trajectory_table(runs, outputs) -> tuple[list[str], Iterator[np.ndarray]]:
     suffixed by label if several runs) and an iterator of the table's row blocks.
 
     The runs' initial states and generators go to one `_rk4_blocks` stream on the first run's grid, which the runs
-    share; each of its checked blocks holds every run's rows.  The first block is computed here, for the header.
+    share; each of its blocks holds every run's rows, checked as read.  The first block is computed here for the header.
     """
     blocks = _rk4_blocks(np.array([initial_state(run.initial) for run in runs]),
                          np.array([liouvillian_from_params(run.params) for run in runs]), runs[0].grid)
 
-    def block_table(block):
+    def block_table(block, checks):
         header, columns = ["t"], [block.times]
         for run, coords in zip(runs, block.coords):
+            checked = next(checks)  # the run's check, whose factors go before the next run's is made
             for kind in outputs:
                 joiner = "_from_" if kind == "collective" else "_"
-                for name, column in _output_columns(coords, kind).items():
+                for name, column in _output_columns(coords, kind, checked).items():
                     header.append(f"{name}{joiner}{run.label}" if len(runs) > 1 else name)
                     columns.append(column)
+            del checked
         return header, np.column_stack(columns)
 
-    tables = map(block_table, blocks)
+    tables = itertools.starmap(block_table, blocks)
     header, first = next(tables)
     return header, itertools.chain((first,), (table for _, table in tables))
 
@@ -381,9 +383,9 @@ def _steady_cells(params: ModelParams, shape) -> np.ndarray:
     """Each cell's concurrence, or DEGENERATE_SENTINEL where its stationary manifold is degenerate, and that flag."""
     coords, unique, _ = _steady_coordinates(liouvillian_from_params(params), certify=True)
     coords = coords[unique]
-    _check_samples(coords, "state")  # a solved state is Hermitian by construction, not positive
+    checked = _check_samples(coords, "state")  # a solved state is Hermitian by construction, not positive
     cells = np.full(unique.shape + (2,), DEGENERATE_SENTINEL)
-    cells[unique, 0] = _concurrence(coords)
+    cells[unique, 0] = _concurrence(coords, checked)
     cells[..., 1] = ~unique
     return cells
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _OFF_X, _X_BLOCKS, _check_samples, _cholesky, _coordinates, _position, _states
+from .dynamics import _X_BLOCKS, _check_samples, _coordinates, _position
 from .errors import NumericalError, ValidationError
 from .model import require_finite, require_non_negative
 
@@ -41,8 +41,8 @@ class CollectivePopulations:
     P_G: float
 
 
-def _checked_coordinates(rho) -> np.ndarray:
-    """Raw coordinates of a checked state's Hermitian part, (16,) for one state and (N, 16) for a stack.
+def _checked_coordinates(rho) -> tuple[np.ndarray, tuple]:
+    """Raw coordinates of a checked state's Hermitian part, (16,) or (N, 16) for a stack, and the check's result.
 
     Non-numeric input, or a Hermiticity defect max |rho_ij - conj rho_ji| over the ten entries i <= j above 1e-6 or
     not finite, raises NumericalError.  The coordinates of rho - (rho - rho')/2 (rho's bits when rho is Hermitian,
@@ -63,8 +63,7 @@ def _checked_coordinates(rho) -> np.ndarray:
         problem = "is not Hermitian within tolerance" if np.isfinite(defects.flat[bad[0]]) else "is not finite"
         raise NumericalError(f"state{where} {problem}")
     coords = _coordinates(rho - 0.5 * (rho - rho.conj().swapaxes(-1, -2)))
-    _check_samples(coords.reshape(-1, 16), "state")
-    return coords
+    return coords, _check_samples(coords.reshape(-1, 16), "state")
 
 
 def _per_state(x):
@@ -92,7 +91,7 @@ def _collective_populations(y: np.ndarray) -> CollectivePopulations:
 
 def populations(rho) -> tuple[float, float]:
     """Excited-state population of each qubit: floats for one state, arrays for an (N, 4, 4) stack."""
-    p1, p2 = _qubit_populations(_checked_coordinates(rho))
+    p1, p2 = _qubit_populations(_checked_coordinates(rho)[0])
     return _per_state(p1), _per_state(p2)
 
 
@@ -117,49 +116,41 @@ def _x_route(coords: np.ndarray) -> np.ndarray:
     return 2.0 * np.maximum(0.0, (coherence - root[:, ::-1]).max(axis=1)) + 0.0
 
 
-def _factored_route(coords: np.ndarray) -> np.ndarray:
-    """`_factored_piece` on min(cores, N // _PIECE) near-equal pieces, cores being the CPUs this process may use: its
-    LAPACK calls release the GIL and give a sample the same bits in any batch.  `result` re-raises a worker's error."""
+def _factored_route(factor: np.ndarray) -> np.ndarray:
+    """`_factored_piece` on min(cores, N // _PIECE) near-equal pieces of the factors, cores the CPUs this process may
+    use: its svd releases the GIL and gives a sample the same bits in any batch; `result` re-raises a worker's error."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    pieces = min(cores, len(coords) // _PIECE)
+    pieces = min(cores, len(factor) // _PIECE)
     if pieces < 2:
-        return _factored_piece(coords)
+        return _factored_piece(factor)
     if not _POOL:
         from concurrent.futures import ThreadPoolExecutor  # here: at import it costs 7.5 ms of start-up
         _POOL.setdefault("threads", ThreadPoolExecutor(cores - 1))  # one pool, whichever caller thread gets here
         if hasattr(os, "register_at_fork"):  # a forked child's copy of the pool has no threads to run its pieces
             os.register_at_fork(after_in_child=_POOL.clear)
-    *rest, last = np.array_split(coords, pieces)
+    *rest, last = np.array_split(factor, pieces)
     futures = [_POOL["threads"].submit(_factored_piece, piece) for piece in rest]
     last = _factored_piece(last)  # the calling thread takes the last piece while cores - 1 pool threads take the rest
     return np.concatenate([future.result() for future in futures] + [last])
 
 
-def _factored_piece(coords: np.ndarray) -> np.ndarray:
-    """Concurrence of each sample from a factor C with rho = C C' and one svd, for any state.  C is the factor of
-    `_cholesky`, the column Cholesky that also checks the samples, unless it does not complete for a sample (a zero
-    pivot, say): that sample alone takes C = V diag(sqrt(max(lam, 0))) from eigh."""
+def _factored_piece(factor: np.ndarray) -> np.ndarray:
+    """Concurrence of each sample from its factor C, rho = C C', the one `_check_samples` built, and one svd."""
     # Any factor serves: C = sqrt(rho) U, U unitary, so C^T F C is sqrt(rho) F conj(sqrt(rho)) up to unitary factors.
     # Its singular values keep the r_i at O(eps); eigenvalues of sqrt(rho) rho_tilde sqrt(rho) lose ~1e-8 near 0.
-    factor, completed = _cholesky(coords)
-    if not completed.all():
-        values, vectors = np.linalg.eigh(_states(coords[~completed]))
-        factor[~completed] = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
     r = np.linalg.svd((np.swapaxes(factor, -1, -2)[..., ::-1] * _FLIP_SIGNS) @ factor, compute_uv=False)
     return np.maximum(0.0, r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3])
 
 
-def _concurrence(coords: np.ndarray) -> np.ndarray:
-    """Concurrence of each sample of (N, 16) raw coordinates of states that passed `_check_samples`.
-
-    X-shaped samples take `_x_route`, the others `_factored_route`; a route that takes every sample (the closed
-    form takes an empty stack) reads the coordinates themselves, and only a mixed stack copies its parts.
-    """
-    x_shaped = ~coords[:, _OFF_X].any(axis=1)
-    if x_shaped.all() or not x_shaped.any():
-        return (_x_route if x_shaped.all() else _factored_route)(coords)
+def _concurrence(coords: np.ndarray, checked: tuple) -> np.ndarray:
+    """Concurrence of each sample of (N, 16) raw coordinates, `checked` being their `_check_samples` result: X-shaped
+    samples, by its mask, take `_x_route`, the others `_factored_route` on its factors.  A route that takes every
+    sample (the closed form takes an empty stack) reads its input itself; only a mixed stack is split."""
+    x_shaped, factor = checked
+    if factor is None or not x_shaped.any():
+        return _x_route(coords) if factor is None else _factored_route(factor)
     values = np.empty(len(coords))
-    values[x_shaped], values[~x_shaped] = _x_route(coords[x_shaped]), _factored_route(coords[~x_shaped])
+    values[x_shaped], values[~x_shaped] = _x_route(coords[x_shaped]), _factored_route(factor)
     return values
 
 
@@ -175,16 +166,16 @@ def concurrence(rho):
 
     The coordinates of the checked state's Hermitian part go to `_concurrence`, as a trajectory table's checked
     coordinates go directly.  X-shaped states (no coherence between {ee, gg} and {eg, ge}), such as undriven runs'
-    samples from named states, take the closed form of `_x_route`; the others a Cholesky factor (or, if it fails
-    for that state, an eigh factor) and one svd.
+    samples from named states, take the closed form of `_x_route`; the others the factor of the check (a Cholesky
+    factor or, if it fails for that state, an eigh factor) and one svd.
     """
-    coords = _checked_coordinates(rho)
-    return _per_state(_concurrence(coords.reshape(-1, 16)).reshape(coords.shape[:-1]))
+    coords, checked = _checked_coordinates(rho)
+    return _per_state(_concurrence(coords.reshape(-1, 16), checked).reshape(coords.shape[:-1]))
 
 
 def collective_populations(rho) -> CollectivePopulations:
     """Diagonal in the collective basis: floats for one state, arrays for an (N, 4, 4) stack."""
-    pops = _collective_populations(_checked_coordinates(rho))
+    pops = _collective_populations(_checked_coordinates(rho)[0])
     return CollectivePopulations(*(_per_state(value) for value in vars(pops).values()))
 
 

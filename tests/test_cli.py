@@ -1,14 +1,20 @@
+import contextlib
 import errno
 import importlib.util
+import io
+import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import dissipair
 from dissipair import cli, dynamics, errors, experiments
@@ -523,13 +529,135 @@ def test_parser_is_built_once_per_process(tmp_path, capsys):
 
 def test_overflowing_generator_exit_code(tmp_path, capsys):
     # Finite, but the generator overflows: steady refuses it before any LAPACK
-    # call, and the RK4 step guard sees a non-finite norm on evolve.
+    # call, and the RK4 step guard sees a non-finite norm on evolve.  No numpy
+    # warning comes first: pytest would raise it here.
     cfg = _config(tmp_path, "J = 1.0\nGamma = 1e308\nphi = 4.71\nt_max = 0.1\ndt = 0.002\n")
-    with np.errstate(all="ignore"):
-        assert main(["steady", "--config", cfg]) == 3
-        assert "the generator is not finite" in capsys.readouterr().err
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
-        assert "not finite" in capsys.readouterr().err
+    assert main(["steady", "--config", cfg]) == 3
+    assert "the generator is not finite" in capsys.readouterr().err
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "not finite" in capsys.readouterr().err
+
+
+# t_max = 0.004 at dt = 1e-300, every second step: 2e297 samples, which np.empty once refused with a traceback.
+HUGE_GRID = "t_max = 0.004\ndt = 1e-300\nsample_every = 2\n"
+# A finite generator whose row sums overflow: the step bound's sum once printed numpy's overflow warning.
+OVERFLOWING_BOUND = "J = 1e5\ndrive_target = 2\ndrive_amplitude = 1.7e308\ndt = 1e-300\nt_max = 1e-299\n"
+
+
+def test_a_grid_beyond_the_sample_ceiling_exit_code(tmp_path, capsys):
+    cfg = _config(tmp_path, HUGE_GRID)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("config error: t_max 0.004, dt 1e-300 and sample_every 2 would store 2e+297 "
+                                       "samples, above the ceiling of 1000000000\n")
+    # The ceiling is on stored samples: 1e9 of them pass, one more does not, and neither allocates anything.
+    assert dynamics.TimeGrid(999_999_999.0, 1.0).n_samples == dynamics.MAX_SAMPLES == 10**9
+    assert dynamics.TimeGrid(2 * 999_999_999.0, 1.0, 2).n_samples == 10**9
+    with pytest.raises(ValidationError, match="^t_max 1000000000.0, dt 1.0 and sample_every 1 would store 1000000001 "):
+        dynamics.TimeGrid(1_000_000_000.0, 1.0)
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
+def test_an_overflowing_step_bound_prints_one_line(tmp_path, capsys):
+    # pytest turns a RuntimeWarning into an error, so the warning that once came first would escape here.
+    cfg = _config(tmp_path, OVERFLOWING_BOUND)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "numerical error: dt * ||R||_inf is inf: the generator is not finite\n"
+
+
+# Values for the config fuzz: each key takes a plain value, or now and then an odd one.  Odd values are the edges
+# of the float range, non-finite and malformed text, and for text keys the names the parser refuses.
+_EDGES = ("0", "-0", "5e-324", "1e-300", "1e-170", "1e300", "1.7e308", "nan", "inf", "-inf", "1_0", "  0.5  ", "x")
+_ODD = {
+    "drive_target": ("3", "0", "1_0", " 2 ", "nan"),
+    "initial": (" GE ", "MINUS", "ZZ"),
+    "sample_every": ("1_0", "0", "-1", "1.5", " 3 "),
+    "outputs": ("collective , populations", "populations,", "spin"),
+    "output_path": ("  out.csv  ", "missing/out.csv"),
+    "observable": (" delta_F ", "entropy"),
+    "axis1_name": ("kappa", "drive_amplitude", "omega"),
+    "axis1_count": ("1_0", "1", "0", "2.5", "nan"),
+}
+_PLAIN = {
+    "J": ("1", "0.5", "0"), "Gamma": ("2", "1", "0"), "phi": ("4.71238898038469", "3.141592653589793", "0"),
+    "kappa": ("0", "0.3"), "drive_target": ("1", "2"), "drive_amplitude": ("0.7", "0"), "initial": ("EG", "PLUS"),
+    "t_max": ("1", "0.1"), "dt": ("0.002", "0.01"), "sample_every": ("1", "3"),
+    "outputs": ("populations", "concurrence, states"), "output_path": ("out.csv",),
+    "observable": ("delta_F", "steady_concurrence"), "axis1_name": ("phi", "J"), "axis2_name": ("Gamma", "kappa"),
+    "axis1_min": ("0", "-1"), "axis1_max": ("1", "2"), "axis1_count": ("2", "3"),
+}
+for _part in ("min", "max", "count"):
+    _PLAIN[f"axis2_{_part}"] = _PLAIN[f"axis1_{_part}"]
+_ODD.update(axis2_name=_ODD["axis1_name"], axis2_count=_ODD["axis1_count"])
+_MODEL_KEYS = ("J", "Gamma", "phi", "kappa", "drive_target", "drive_amplitude")
+_RUN_KEYS = _MODEL_KEYS + ("initial", "t_max", "dt", "sample_every", "outputs", "output_path")
+_AXIS_KEYS = tuple(f"axis{n}_{part}" for n in (1, 2) for part in ("name", "min", "max", "count"))
+_PREFIXES = {2: "config error: ", 3: "numerical error: ", 4: "io error: "}
+_FUZZ_SAMPLES = 3000  # the most stored samples a generated evolve config may ask for
+
+
+@st.composite
+def _cli_configs(draw):
+    """A command and its config text: keys drawn from those the command reads (a sweep's axes and observable are
+    dropped only now and then), plain values or now and then odd ones, and now and then an unknown or a duplicated
+    key."""
+    command = draw(st.sampled_from(("evolve", "steady", "sweep")))
+    if command == "sweep":
+        keys = [key for key in ("observable",) + _AXIS_KEYS if draw(st.integers(0, 19)) < 19]
+        keys += draw(st.lists(st.sampled_from(_MODEL_KEYS + ("output_path",)), unique=True, max_size=3))
+    else:
+        keys = draw(st.lists(st.sampled_from(_RUN_KEYS), unique=True))
+    if keys and draw(st.integers(0, 19)) == 19:
+        keys.append(draw(st.sampled_from(keys)))
+    if draw(st.integers(0, 19)) == 19:
+        keys.append("omega0")
+    values = [draw(st.sampled_from(_ODD.get(key, _EDGES) if draw(st.integers(0, 4)) == 4 else _PLAIN.get(key, _EDGES)))
+              for key in keys]
+    return command, "".join(f"{key} = {value}\n" for key, value in zip(keys, values))
+
+
+def _stored_samples(text):
+    """The samples an evolve config's grid would store if it were valid, or 0 when its grid keys do not parse."""
+    entries = dict(line.split(" = ", 1) for line in text.splitlines())
+    try:
+        t_max, dt = float(entries.get("t_max", 5.0)), float(entries.get("dt", 0.002))
+        every = int(entries.get("sample_every", 1))
+        return abs(t_max / dt) / max(every, 1) if dt else 0.0
+    except (ValueError, OverflowError):
+        return 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config=_cli_configs())
+@example(config=("evolve", HUGE_GRID))
+@example(config=("evolve", OVERFLOWING_BOUND))
+def test_cli_config_fuzz_keeps_to_its_exit_codes(config):
+    # Every config exits 0, 2, 3 or 4 with no exception, and stderr is empty or one line with that code's prefix;
+    # on exit 0 a CSV has its header and only finite cells.  A valid grid stays small, or the test would integrate it.
+    command, text = config
+    assume(command != "evolve" or not _FUZZ_SAMPLES < _stored_samples(text) <= dynamics.MAX_SAMPLES)
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "call.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [command, "--config", path] + ([] if command == "steady" else ["--out", out])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+        if code == 0:
+            assert err == ""
+        else:
+            assert code in _PREFIXES and err.startswith(_PREFIXES[code]) and err.count("\n") == 1 \
+                and err.endswith("\n"), (code, err)
+        if code == 0 and command == "steady":  # "unique: yes", then a finite number a line
+            assert all(math.isfinite(float(line.split(": ")[1])) for line in stdout.getvalue().splitlines()[1:])
+        elif code == 0:
+            written = stdout.getvalue().removeprefix("wrote ").removesuffix("\n")
+            with open(written, encoding="ascii") as fh:
+                header, *rows = fh.read().splitlines()
+            assert header.startswith("t," if command == "evolve" else "axis1,axis2,value") and rows
+            cells = np.array([row.split(",") for row in rows], dtype=float)
+            assert cells.shape[1] == header.count(",") + 1 and np.isfinite(cells).all()
 
 
 @pytest.mark.parametrize("module", ["dissipair", "dissipair.cli"])

@@ -421,6 +421,59 @@ def test_column_cholesky_agrees_with_eigvalsh(seed, lows):
         <= 1e-14
 
 
+_CHECKED_SAMPLE = st.tuples(
+    # The lowest eigenvalue, over the routes of the check and closely around -tol; and whether the state is X-shaped.
+    st.one_of(st.sampled_from([-1e-3, -1.5 * _TOL, -0.5 * _TOL, -1e-11, 0.0, 1e-11, 1e-6, 0.1]),
+              st.floats(-_TOL - 1e-9, -_TOL + 1e-9)),
+    st.booleans(),
+)
+
+
+def _state_with_lowest(rng, lowest, x_shaped):
+    """A state of eigenvalues lowest, 0.6 and the rest of the trace, X-shaped or in a Haar-random basis."""
+    rest = rng.uniform(0.0, 0.4 - lowest)
+    if x_shaped:
+        return _x_blocks(((0.6, rest), (lowest, 0.4 - lowest - rest)), rng.uniform(0.0, math.pi, 2),
+                         rng.uniform(-math.pi, math.pi, 2))
+    u = random_unitary(rng, 4)
+    rho = u @ np.diag([lowest, 0.6, rest, 0.4 - lowest - rest]) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), draws=st.lists(_CHECKED_SAMPLE, min_size=1, max_size=6))
+def test_sample_check_agrees_with_eigvalsh_and_returns_the_positive_part(seed, draws):
+    # Each sample alone passes exactly when eigvalsh finds no eigenvalue below -tol; the factor C that the check
+    # returns for a sample that is not X-shaped has C C' = rho clipped to its positive part.  A batch passes when each
+    # sample does, with each sample's own mask and factor bits, and otherwise names the sample of lowest eigenvalue.
+    rng = np.random.default_rng(seed)
+    states = np.array([_state_with_lowest(rng, lowest, x) for lowest, x in draws])
+    coords = dynamics._coordinates(states)
+    rho = dynamics._states(coords)
+    values, vectors = np.linalg.eigh(rho)
+    lows = np.linalg.eigvalsh(rho)[:, 0]
+    assume(np.all(np.abs(lows + _TOL) >= 1e-12))
+    positive = (vectors * np.clip(values, 0.0, None)[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+    alone = []
+    for k, (lowest, x) in enumerate(draws):
+        if lows[k] < -_TOL:
+            with pytest.raises(NumericalError, match=f"^probe: negativity .* at sample {k} exceeds"):
+                dynamics._check_samples(coords[k:k + 1], "probe", k)
+            continue
+        x_shaped, factor = dynamics._check_samples(coords[k:k + 1], "probe", k)
+        assert x_shaped.tolist() == [x] and (factor is None) == x
+        if not x:
+            assert np.abs(factor[0] @ factor[0].conj().T - positive[k]).max() <= 1e-14
+            alone.append(factor[0])
+    if np.all(lows >= -_TOL):
+        x_shaped, factor = dynamics._check_samples(coords, "probe")
+        assert x_shaped.tolist() == [x for _, x in draws]
+        np.testing.assert_array_equal(np.empty((0, 4, 4)) if factor is None else factor, np.reshape(alone, (-1, 4, 4)))
+    else:
+        with pytest.raises(NumericalError, match=f"^probe: negativity .* at sample {int(lows.argmin())} exceeds"):
+            dynamics._check_samples(coords, "probe")
+
+
 def test_integrators_refuse_a_generator_with_an_imaginary_part():
     gen = liouvillian_from_params(ISO).astype(complex)
     # An imaginary part that is exactly zero is not refused.

@@ -417,7 +417,7 @@ def _write_block_cases(out):
 def _block_lengths(config):
     blocks = dynamics._rk4_blocks(initial_state(config.initial)[None], liouvillian_from_params(config.model)[None],
                                   config.grid)
-    return [len(block.times) for block in blocks]
+    return [len(block.times) for block, _ in blocks]
 
 
 @pytest.mark.parametrize("rows", [7, 512])
@@ -437,7 +437,7 @@ def test_row_blocks_leave_every_byte(tmp_path, monkeypatch, rows):
         assert max(lengths) <= width * m + 2
         assert sum(lengths) == config.grid.n_samples
     np.testing.assert_array_equal(
-        np.concatenate([block.times for block in dynamics._rk4_blocks(
+        np.concatenate([block.times for block, _ in dynamics._rk4_blocks(
             initial_state("GG")[None], liouvillian_from_params(DRIVE1)[None], LONG_STRIDED.grid)]),
         LONG_STRIDED.grid.sample_times())
     assert LONG_STRIDED.grid.sample_steps()[-2:].tolist() == [35000, 35003]
@@ -490,6 +490,27 @@ def test_undriven_figures_reach_no_cholesky(tmp_path, monkeypatch):
     run = figure_trajectory_runs()["4a"][0]
     with pytest.raises(AssertionError, match="cholesky reached"):
         evolve_rk4(initial_state(run.initial), liouvillian_from_params(run.params), run.grid)
+
+
+def test_a_driven_concurrence_table_factors_each_sample_once(tmp_path):
+    # The sample check factors each run's block once and the concurrence reads that factor: 6c's four runs are one
+    # block each, LONG_STRIDED's one run is two.  eigh sees only the samples whose Cholesky factor failed.
+    cholesky, failed = dynamics._cholesky, []
+
+    def counted(coords):
+        factor, completed = cholesky(coords)
+        failed.append(int(np.count_nonzero(~completed)))
+        return factor, completed
+
+    for write, calls in ((lambda: run_figure("6c", str(tmp_path)), 4),
+                         (lambda: run_experiment(LONG_STRIDED, str(tmp_path)), 2)):
+        failed.clear()
+        with mock.patch.object(dynamics, "_cholesky", side_effect=counted) as factored, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            write()
+        assert factored.call_count == calls
+        assert [len(call.args[0]) for call in eigh.call_args_list] == [n for n in failed if n]
+        assert sum(failed) > 0  # the fallback is taken, by 4 samples of 6c and 6 of LONG_STRIDED
 
 
 def test_concurrence_tables_skip_the_state_check(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import dissipair
-from dissipair import model, observables
+from dissipair import dynamics, model, observables
 from dissipair.dynamics import _coordinates, _states, initial_state, liouvillian_from_params, steady_state
 from dissipair.errors import NumericalError, ValidationError
 from dissipair.observables import collective_populations, concurrence, damping_forces, populations
@@ -161,7 +161,7 @@ def test_state_check_matches_full_matrix(seed, size, single, plants):
     hermitian = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     lowest = np.linalg.eigvalsh(hermitian).min(initial=0.0)
     try:
-        coords = observables._checked_coordinates(rho)
+        coords, _ = observables._checked_coordinates(rho)
     except NumericalError as error:
         assert " negativity " in str(error) and lowest < -1e-6 + 1e-12
     else:
@@ -335,9 +335,10 @@ def test_cholesky_failures_fall_back_per_sample(seed, products):
     coords, fallen = _coordinates(stack), np.array(products)
     assert stack[:, _OFF_X].any(axis=1).all()
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-        batched = observables._factored_piece(coords)
+        batched = observables._factored_piece(_factors(coords))
     assert [len(call.args[0]) for call in eigh.call_args_list] == ([int(fallen.sum())] if fallen.any() else [])
-    np.testing.assert_array_equal(batched, np.concatenate([observables._factored_piece(c[None]) for c in coords]))
+    np.testing.assert_array_equal(batched, np.concatenate([observables._factored_piece(_factors(c[None]))
+                                                           for c in coords]))
     np.testing.assert_array_equal(batched[fallen], _eigh_route(coords[fallen]))
 
 
@@ -349,7 +350,8 @@ def test_rank_deficient_batches_agree_with_the_eigh_factor():
     rng = np.random.default_rng(137)
     for rank in (1, 2, 3):
         coords = _random_coordinates(rng, 2000, rank)
-        np.testing.assert_allclose(observables._factored_piece(coords), _eigh_route(coords), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(observables._factored_piece(_factors(coords)), _eigh_route(coords), rtol=0.0,
+                                   atol=1e-12)
 
 
 @pytest.mark.parametrize("diagonal", [0.0, 5e-324, 1e-300])
@@ -412,14 +414,15 @@ def test_mixed_stack_routes_each_sample_and_matches_single_calls():
         assert [len(call.args[0]) for call in x_route.call_args_list] == [3]
         assert [len(call.args[0]) for call in factored.call_args_list] == [3]
         np.testing.assert_array_equal(batched, [concurrence(rho) for rho in stack])
-        # Coordinates whose samples all take one route are handed to that route themselves, not a copy.
+        # A route that takes every sample is handed the coordinates, or the check's factors, themselves.
         for single_route in (np.array(x_states), np.array(others)):
             x_route.reset_mock()
             factored.reset_mock()
             coords = _coordinates(single_route)
-            observables._concurrence(coords)
+            checked = dynamics._check_samples(coords, "probe")
+            observables._concurrence(coords, checked)
             (call,) = x_route.call_args_list + factored.call_args_list
-            assert call.args[0] is coords
+            assert call.args[0] is (coords if checked[1] is None else checked[1])
 
 
 def _random_coordinates(rng, n, rank):
@@ -427,6 +430,13 @@ def _random_coordinates(rng, n, rank):
     g = rng.standard_normal((n, 4, rank)) + 1j * rng.standard_normal((n, 4, rank))
     rho = g @ g.conj().swapaxes(-1, -2)
     return _coordinates(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None])
+
+
+def _factors(coords):
+    """The factors C, C C' = rho, that the sample check builds for coordinates none of which is X-shaped."""
+    x_shaped, factor = dynamics._check_samples(coords, "probe")
+    assert not x_shaped.any()
+    return factor
 
 
 @pytest.fixture
@@ -448,9 +458,10 @@ def test_split_factored_route_matches_its_pieces_and_single_states(four_cores, s
     # min(cores, N // 1024) pieces go to the pool and the calling thread: the joined result has the bits of each
     # piece computed alone and of each state's own concurrence.
     coords = _random_coordinates(np.random.default_rng(seed), n, rank)
-    pieces = np.array_split(coords, max(1, min(4, n // 1024)))
+    factor = _factors(coords)
+    pieces = np.array_split(factor, max(1, min(4, n // 1024)))
     with mock.patch.object(observables, "_factored_piece", wraps=observables._factored_piece) as piece:
-        got = observables._factored_route(coords)
+        got = observables._factored_route(factor)
     assert piece.call_count == len(pieces)
     np.testing.assert_array_equal(got, np.concatenate([observables._factored_piece(part) for part in pieces]))
     np.testing.assert_array_equal(got, [concurrence(rho) for rho in _states(coords)])
@@ -469,7 +480,7 @@ def test_a_workers_linalg_error_reaches_the_caller(four_cores, monkeypatch, tmp_
 
     monkeypatch.setattr(np.linalg, "svd", failing_off_the_main_thread)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        observables._factored_route(_random_coordinates(np.random.default_rng(7), 4096, 4))
+        observables._factored_route(_factors(_random_coordinates(np.random.default_rng(7), 4096, 4)))
     from dissipair.cli import main
     assert main(["figure", "4a", "--out", str(tmp_path)]) == 3
     assert not list(tmp_path.iterdir())
@@ -478,17 +489,17 @@ def test_a_workers_linalg_error_reaches_the_caller(four_cores, monkeypatch, tmp_
 def test_caller_threads_split_at_once(four_cores):
     # More caller threads than pool threads split at once, with thread switches forced often: every caller gets
     # the values of its own samples.
-    coords = [_random_coordinates(np.random.default_rng(seed), 2048 + 512 * seed, 4) for seed in range(6)]
-    expected = [observables._factored_piece(c) for c in coords]
-    got = [None] * len(coords)
+    factors = [_factors(_random_coordinates(np.random.default_rng(seed), 2048 + 512 * seed, 4)) for seed in range(6)]
+    expected = [observables._factored_piece(f) for f in factors]
+    got = [None] * len(factors)
 
     def call(k):
-        got[k] = observables._factored_route(coords[k])
+        got[k] = observables._factored_route(factors[k])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(coords))]
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(factors))]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -496,7 +507,7 @@ def test_caller_threads_split_at_once(four_cores):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    for k in range(len(coords)):
+    for k in range(len(factors)):
         np.testing.assert_array_equal(got[k], expected[k])
 
 
@@ -505,12 +516,11 @@ import os, sys, time
 import numpy as np
 os.sched_getaffinity = lambda pid: {0, 1}
 from dissipair import observables
-coords = np.zeros((4096, 16))
-coords[:, :4] = 0.25
-first = observables._factored_route(coords)  # builds the pool
+factor = np.tile(0.5 * np.eye(4, dtype=complex), (4096, 1, 1))  # the factor of I / 4
+first = observables._factored_route(factor)  # builds the pool
 pid = os.fork()
 if pid == 0:
-    os._exit(0 if np.array_equal(observables._factored_route(coords), first) else 1)
+    os._exit(0 if np.array_equal(observables._factored_route(factor), first) else 1)
 deadline = time.monotonic() + 60.0
 while time.monotonic() < deadline:
     done, status = os.waitpid(pid, os.WNOHANG)
@@ -543,7 +553,8 @@ def test_concurrence_of_coordinates_is_the_public_concurrence(seed, x_shaped, ge
     stack = [_random_x_state(rng, (rng.integers(0, 3), rng.integers(1, 3))) for _ in range(x_shaped)]
     stack += [random_density_matrix(rng, rank=rank) for _ in range(general)]
     stack = _states(_coordinates(np.array(stack).reshape(-1, 4, 4)[rng.permutation(len(stack))]))
-    got = observables._concurrence(_coordinates(stack))
+    coords = _coordinates(stack)
+    got = observables._concurrence(coords, dynamics._check_samples(coords, "state"))
     assert got.dtype == float and got.shape == (len(stack),)
     np.testing.assert_array_equal(got, concurrence(stack))
     np.testing.assert_array_equal(got, [concurrence(rho) for rho in stack])

@@ -49,7 +49,11 @@ negative Gamma, a step too large, an unknown figure id, an --out that is a
 file, a drive_amplitude sweep axis with no drive_target, which older trees
 ran on qubit 1 with exit 0, and a sweep config that sets J and
 drive_amplitude and sweeps both, which older trees ran with exit 0, dropping
-the set values).  Their stdout, stderr and exit code must match byte for
+the set values), and two `evolve` calls a config fuzz found: a grid of 2e297
+stored samples, which trees without the sample ceiling ended with numpy's
+traceback (exit 1) instead of exit 2, and row sums that overflow the step
+bound, where older trees printed numpy's overflow warning before the exit-3
+message).  Their stdout, stderr and exit code must match byte for
 byte, but for the random 16-hex-digit token of a temporary file's name, which
 older trees print in the message of a failed write; the script prints "same
 text" or what differs.  Each time is one `dissipair figure <id>`,
@@ -117,6 +121,9 @@ CALLS = {
                            "J = 5\nGamma = 2\ndrive_target = 1\ndrive_amplitude = 0.3\nobservable = delta_F\n"
                            "axis1_name = J\naxis1_min = 0\naxis1_max = 2\naxis1_count = 3\n"
                            "axis2_name = drive_amplitude\naxis2_min = 0\naxis2_max = 1\naxis2_count = 3\n"),
+    "huge_grid": (_EVOLVE, "t_max = 0.004\ndt = 1e-300\nsample_every = 2\n"),
+    "overflowing_bound": (_EVOLVE,
+                          "J = 1e5\ndrive_target = 2\ndrive_amplitude = 1.7e308\ndt = 1e-300\nt_max = 1e-299\n"),
 }
 _TOKEN = re.compile(r"\.[0-9a-f]{16}\.tmp")
 _TIMED = "ms"
