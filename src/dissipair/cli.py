@@ -57,15 +57,10 @@ def _cmd_steady(args) -> None:
     print(f"spectral_gap: {_fmt(result.spectral_gap)}")
     if not result.unique:
         raise NumericalError("the stationary manifold is degenerate: no unique steady state to report")
-    p1, p2 = populations(result.state)
-    print(f"P1: {_fmt(p1)}")
-    print(f"P2: {_fmt(p2)}")
-    print(f"concurrence: {_fmt(concurrence(result.state))}")
-    coll = collective_populations(result.state)
-    print(f"P_E: {_fmt(coll.P_E)}")
-    print(f"P_plus: {_fmt(coll.P_plus)}")
-    print(f"P_minus: {_fmt(coll.P_minus)}")
-    print(f"P_G: {_fmt(coll.P_G)}")
+    values = {**dict(zip(("P1", "P2"), populations(result.state))), "concurrence": concurrence(result.state),
+              **vars(collective_populations(result.state))}
+    for name, value in values.items():
+        print(f"{name}: {_fmt(value)}")
 
 
 def _cmd_isolation(args) -> None:

@@ -34,6 +34,7 @@ _TINY_SCALE = 2.0 ** -600
 TRACE_DRIFT_TOL = 1e-6
 NEGATIVITY_TOL = 1e-6
 MAX_SAMPLES = 10**9  # samples a TimeGrid may store: 1e5 times the largest table of tests and tools, 10 002 rows
+MAX_STEPS = 2**62  # steps a TimeGrid may take: a sample's index times the stride (at most n_steps) fits in int64
 # Samples per checked row block of a run: a block spans max(2, _RUN_BLOCK_ROWS // m) block starts of m samples.
 _RUN_BLOCK_ROWS = 4096
 
@@ -101,8 +102,8 @@ class TimeGrid:
 
     t_max must be a whole number of steps, within a relative 1e-9, so the last sample lands on it.  The integrator
     always steps by dt; `sample_every` only thins what gets stored.  The final step is stored regardless of the
-    stride, and at most MAX_SAMPLES (1e9) samples are.  Every rule raises ValidationError (exit code 2), before
-    anything is allocated.
+    stride, and at most MAX_SAMPLES (1e9) samples are, of at most MAX_STEPS (2**62) steps.  Every rule raises
+    ValidationError (exit code 2), before anything is allocated.
     """
 
     t_max: float
@@ -125,6 +126,9 @@ class TimeGrid:
         if self.n_samples > MAX_SAMPLES:
             raise ValidationError(f"t_max {self.t_max}, dt {self.dt} and sample_every {self.sample_every} would store "
                                   f"{self.n_samples:.15g} samples, above the ceiling of {MAX_SAMPLES}")
+        if self.n_steps > MAX_STEPS:
+            raise ValidationError(f"t_max {self.t_max} and dt {self.dt} make {self.n_steps:.15g} steps, above the "
+                                  f"ceiling of {MAX_STEPS}")
 
     @property
     def n_steps(self) -> int:
@@ -137,7 +141,7 @@ class TimeGrid:
     def sample_steps(self, first: int = 0, stop: int | None = None) -> np.ndarray:
         """Steps of the stored samples first..stop-1, all of them by default."""
         stop = self.n_samples if stop is None else stop
-        return np.minimum(np.arange(first, stop) * self.sample_every, self.n_steps)
+        return np.minimum(np.arange(first, stop) * min(self.sample_every, self.n_steps), self.n_steps)
 
     def sample_times(self, first: int = 0, stop: int | None = None) -> np.ndarray:
         return self.sample_steps(first, stop) * self.dt

@@ -16,7 +16,8 @@ rather than ignored.  Keys for a trajectory run:
 
 Sweep configs replace the trajectory keys with ``observable`` (delta_F or
 steady_concurrence) and two axes given as ``axisN_name``, ``axisN_min``,
-``axisN_max``, ``axisN_count``.
+``axisN_max``, ``axisN_count``.  The dataclasses own every default: a parser
+passes on only the keys a config sets, and the default grid takes those given.
 
 CSV cells read as ``%.15g`` writes them, through `_csvtext` (a sweep formats
 each axis value once); tables containing non-finite values are refused.
@@ -29,12 +30,13 @@ import itertools
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import (
     INITIAL_STATE_NAMES,
+    MAX_SAMPLES,
     TimeGrid,
     _check_samples,
     _rk4_blocks,
@@ -102,8 +104,9 @@ class AxisSpec:
         if self.name not in SWEEP_AXES:
             raise ValidationError(f"unsupported sweep axis {self.name!r}, expected one of {SWEEP_AXES}")
         require_finite(**{f"{self.name} axis min": self.lo, f"{self.name} axis max": self.hi})
-        if not isinstance(self.count, (int, np.integer)) or self.count < 2:
-            raise ValidationError(f"{self.name} axis count must be an integer >= 2, got {self.count!r}")
+        if not isinstance(self.count, (int, np.integer)) or not 2 <= self.count <= MAX_SAMPLES:  # before `values`
+            raise ValidationError(f"{self.name} axis count must be an integer from 2 to {MAX_SAMPLES}, "
+                                  f"got {self.count!r}")
         if not self.lo < self.hi:
             raise ValidationError(f"{self.name} axis min must be below its max, got {self.lo} >= {self.hi}")
         with np.errstate(over="ignore", invalid="ignore"):  # finite bounds can still overflow their spacing
@@ -135,12 +138,11 @@ class SweepConfig:
         self._params_at(self.axis1.lo, self.axis2.lo)  # the model's sign rules, at the corner each axis rises from
 
     def _params_at(self, a, b) -> ModelParams:
-        """The model with axis1's field set to `a` and axis2's to `b` (scalars, or arrays that broadcast)."""
+        """`base` with axis1's field set to `a` and axis2's to `b` (scalars, or arrays that broadcast)."""
         drive = self.base.drive or Drive(target=1, amplitude=0.0)
-        fields = {"J": self.base.J, "Gamma": self.base.Gamma, "phi": self.base.phi, "kappa": self.base.kappa,
-                  "drive_amplitude": drive.amplitude, self.axis1.name: a, self.axis2.name: b}
-        return ModelParams(fields["J"], fields["Gamma"], fields["phi"], fields["kappa"],
-                           Drive(drive.target, fields["drive_amplitude"]))
+        swept = {self.axis1.name: a, self.axis2.name: b}
+        amplitude = swept.pop("drive_amplitude", drive.amplitude)
+        return replace(self.base, **swept, drive=Drive(drive.target, amplitude))
 
 
 @dataclass(frozen=True)
@@ -181,16 +183,20 @@ class _Entries:
         self.raw = _split_entries(text)
         self.seen: set[str] = set()
 
-    def take(self, key: str, default=None, convert=str):
-        """The value of `key` read by `convert`, or `default` when the text does not set it."""
+    def take(self, key: str, convert=str):
+        """The value of `key` read by `convert`, or None when the text does not set it."""
         if key not in self.raw:
-            return default
+            return None
         self.seen.add(key)
         value, lineno = self.raw[key]
         try:
             return convert(value)
         except ValueError:
             raise ValidationError(f"line {lineno}: {key} value {value!r} is not a valid {convert.__name__}") from None
+
+    def given(self, **converters) -> dict:
+        """Each key of `converters` the text sets, read by its converter in turn; a field's default stays its own."""
+        return {key: self.take(key, convert) for key, convert in converters.items() if key in self.raw}
 
     def finish(self) -> None:
         for key, (_, lineno) in self.raw.items():
@@ -199,36 +205,29 @@ class _Entries:
 
 
 def _model_from_entries(e: _Entries) -> ModelParams:
-    J = e.take("J", 1.0, float)
-    Gamma = e.take("Gamma", 0.0, float)
-    phi = e.take("phi", 0.0, float)
-    kappa = e.take("kappa", 0.0, float)
-    target = e.take("drive_target", None, int)
-    amplitude = e.take("drive_amplitude", None, float)
+    rates = e.given(J=float, Gamma=float, phi=float, kappa=float)
+    target = e.take("drive_target", int)
+    amplitude = e.take("drive_amplitude", float)
     if amplitude is not None and target is None:
         raise ValidationError("drive_amplitude given without drive_target")
     drive = None
     if target is not None:
         drive = Drive(target=target, amplitude=0.0 if amplitude is None else amplitude)
-    return ModelParams(J=J, Gamma=Gamma, phi=phi, kappa=kappa, drive=drive)
+    return ModelParams(**rates, drive=drive)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse trajectory-run config text."""
     e = _Entries(text)
     model = _model_from_entries(e)
-    initial = e.take("initial", "EG")
-    grid = TimeGrid(e.take("t_max", TRANSIENT_T_MAX, float), e.take("dt", PRESET_DT, float),
-                    e.take("sample_every", 1, int))
-    outputs = e.take("outputs", "populations, concurrence, collective")
-    output_path = e.take("output_path", "trajectory.csv")
+    grid = replace(ExperimentConfig.grid, **e.given(t_max=float, dt=float, sample_every=int))
+    fields = e.given(initial=str, outputs=lambda text: tuple(map(str.strip, text.split(","))), output_path=str)
     e.finish()
-    return ExperimentConfig(model=model, initial=initial, grid=grid,
-                            outputs=tuple(tok.strip() for tok in outputs.split(",")), output_path=output_path)
+    return ExperimentConfig(model, grid=grid, **fields)
 
 
 def _axis_from_entries(e: _Entries, which: str, driven: bool) -> AxisSpec:
-    fields = [e.take(f"{which}_{key}", None, convert)
+    fields = [e.take(f"{which}_{key}", convert)
               for key, convert in (("name", str), ("min", float), ("max", float), ("count", int))]
     if None in fields:
         raise ValidationError(f"{which} needs {which}_name, {which}_min, {which}_max, {which}_count")
@@ -246,9 +245,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
     observable = e.take("observable")
     axis1 = _axis_from_entries(e, "axis1", base.drive is not None)
     axis2 = _axis_from_entries(e, "axis2", base.drive is not None)
-    output_path = e.take("output_path", "sweep.csv")
+    fields = e.given(output_path=str)
     e.finish()
-    return SweepConfig(axis1, axis2, observable, base, output_path)
+    return SweepConfig(axis1, axis2, observable, base, **fields)
 
 
 # ---- CSV writing -----------------------------------------------------------
@@ -379,7 +378,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str = ".") -> str:
 # ---- sweeps ----------------------------------------------------------------
 
 
-def _steady_cells(params: ModelParams, shape) -> np.ndarray:
+def _steady_cells(params: ModelParams) -> np.ndarray:
     """Each cell's concurrence, or DEGENERATE_SENTINEL where its stationary manifold is degenerate, and that flag."""
     coords, unique, _ = _steady_coordinates(liouvillian_from_params(params), certify=True)
     coords = coords[unique]
@@ -390,12 +389,12 @@ def _steady_cells(params: ModelParams, shape) -> np.ndarray:
     return cells
 
 
-def _delta_f_cells(params: ModelParams, shape) -> np.ndarray:
-    return np.broadcast_to(damping_forces(params.J, params.Gamma, params.phi).delta_F, shape)[..., None]
+def _delta_f_cells(params: ModelParams) -> np.ndarray:
+    return np.expand_dims(damping_forces(params.J, params.Gamma, params.phi).delta_F, -1)
 
 
 # Each sweep observable: its columns after ``value``, its budget of cells a block (see the constants above), and the
-# function from a block's model and (rows, cols) shape to its (rows, cols, columns) cells.
+# function from a block's model to its cells, (..., columns) arrays that broadcast to the block's (rows, cols).
 SWEEP_OBSERVABLES = {"delta_F": ((), _CSV_PIECE_CELLS, _delta_f_cells),
                      "steady_concurrence": (("degenerate",), _SWEEP_BLOCK_CELLS, _steady_cells)}
 
@@ -417,12 +416,12 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     def chunks():
         for i, j in itertools.product(range(0, len(a), rows), range(0, len(b), cols)):
             block_a, block_b = a[i:i + rows], b[j:j + cols]
-            cells = cells_of(config._params_at(block_a[:, None], block_b), (len(block_a), len(block_b)))
+            cells = cells_of(config._params_at(block_a[:, None], block_b))
             _refuse_non_finite(cells)
-            records = np.empty(cells.shape[:2] + (len(header), 4), "<u8")
+            records = np.empty((len(block_a), len(block_b), len(header), 4), "<u8")
             records[:, :, 0] = firsts[i:i + rows, None]
             records[:, :, 1] = seconds[j:j + cols]
-            records[:, :, 2:] = kernel._records(cells.reshape(-1, cells.shape[2])).reshape(cells.shape + (4,))
+            records[:, :, 2:] = kernel._records(cells.reshape(-1, cells.shape[-1])).reshape(cells.shape + (4,))
             yield kernel._text(records)
 
     return _write_text(os.path.join(out_dir, config.output_path), header, chunks())

@@ -564,18 +564,67 @@ def test_an_overflowing_step_bound_prints_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == "numerical error: dt * ||R||_inf is inf: the generator is not finite\n"
 
 
+# A stride far beyond the last step, and few samples of more steps than int64 holds: the int64 product of sample
+# index and stride once ended both in a traceback.  Then sweep axis counts above what np.linspace allocates, what an
+# index names, and what memory holds.
+HUGE_STRIDE = "J = 1\nt_max = 0.02\ndt = 0.01\nsample_every = 100000000000000000000000\n"
+HUGE_STEP_COUNT = "J = 0\nt_max = 1e20\ndt = 1\nsample_every = 10000000000000000000\n"
+HUGE_AXIS_COUNTS = ("100000000000000000000", "9223372036854775808", "10000000000000")
+
+
+def _huge_axis(count):
+    return (f"observable = delta_F\naxis1_name = J\naxis1_min = 0\naxis1_max = 1\naxis1_count = {count}\n"
+            "axis2_name = phi\naxis2_min = 0\naxis2_max = 1\naxis2_count = 2\n")
+
+
+def test_a_stride_beyond_the_last_step_stores_what_the_last_step_does(tmp_path):
+    for name, text in (("huge", HUGE_STRIDE), ("two", HUGE_STRIDE.replace("= 100000000000000000000000", "= 2"))):
+        text += f"output_path = {name}.csv\n"
+        assert main(["evolve", "--config", _config(tmp_path, text), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "huge.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+    assert (tmp_path / "two.csv").read_text().splitlines()[0::2] == ["t,P1,P2,C,P_E,P_plus,P_minus,P_G",
+                                                                     "0.02,0.999600053331111,0.000399946668888867,"
+                                                                     "0.0399893341333156,0,0.5,0.5,0"]
+    assert dynamics.TimeGrid(0.02, 0.01, 10**23).sample_steps().tolist() == [0, 2]
+
+
+def test_a_step_count_beyond_the_ceiling_exit_code(tmp_path, capsys):
+    cfg = _config(tmp_path, HUGE_STEP_COUNT)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("config error: t_max 1e+20 and dt 1.0 make 1e+20 steps, above the ceiling of "
+                                       "4611686018427387904\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+    # 2**62 steps pass, and their last sample's step fits in int64 whatever the stride; the next float does not.
+    for every in (2**61, 2**62 - 1, 10**30):
+        assert dynamics.TimeGrid(2.0**62, 1.0, every).sample_steps()[-1] == dynamics.MAX_STEPS == 2**62
+    with pytest.raises(ValidationError, match="make 4.61168601842739e[+]18 steps, above the ceiling"):
+        dynamics.TimeGrid(2.0**62 + 1024, 1.0, 2**61)
+
+
+@pytest.mark.parametrize("count", HUGE_AXIS_COUNTS)
+def test_an_axis_count_beyond_the_ceiling_exit_code(tmp_path, capsys, count):
+    cfg = _config(tmp_path, _huge_axis(count))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"config error: J axis count must be an integer from 2 to 1000000000, "
+                                       f"got {count}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+    message = "^phi axis count must be an integer from 2 to 1000000000, got 1000000001$"
+    with pytest.raises(ValidationError, match=message):
+        experiments.AxisSpec("phi", 0.0, 1.0, dynamics.MAX_SAMPLES + 1)
+
+
 # Values for the config fuzz: each key takes a plain value, or now and then an odd one.  Odd values are the edges
 # of the float range, non-finite and malformed text, and for text keys the names the parser refuses.
 _EDGES = ("0", "-0", "5e-324", "1e-300", "1e-170", "1e300", "1.7e308", "nan", "inf", "-inf", "1_0", "  0.5  ", "x")
 _ODD = {
     "drive_target": ("3", "0", "1_0", " 2 ", "nan"),
     "initial": (" GE ", "MINUS", "ZZ"),
-    "sample_every": ("1_0", "0", "-1", "1.5", " 3 "),
+    "sample_every": ("1_0", "0", "-1", "1.5", " 3 ", "100000000000000000000000", "10000000000000000000"),
     "outputs": ("collective , populations", "populations,", "spin"),
     "output_path": ("  out.csv  ", "missing/out.csv"),
     "observable": (" delta_F ", "entropy"),
     "axis1_name": ("kappa", "drive_amplitude", "omega"),
-    "axis1_count": ("1_0", "1", "0", "2.5", "nan"),
+    "axis1_count": ("1_0", "1", "0", "2.5", "nan", *HUGE_AXIS_COUNTS),
 }
 _PLAIN = {
     "J": ("1", "0.5", "0"), "Gamma": ("2", "1", "0"), "phi": ("4.71238898038469", "3.141592653589793", "0"),
@@ -630,6 +679,11 @@ def _stored_samples(text):
 @given(config=_cli_configs())
 @example(config=("evolve", HUGE_GRID))
 @example(config=("evolve", OVERFLOWING_BOUND))
+@example(config=("evolve", HUGE_STRIDE))
+@example(config=("evolve", HUGE_STEP_COUNT))
+@example(config=("sweep", _huge_axis(HUGE_AXIS_COUNTS[0])))
+@example(config=("sweep", _huge_axis(HUGE_AXIS_COUNTS[1])))
+@example(config=("sweep", _huge_axis(HUGE_AXIS_COUNTS[2])))
 def test_cli_config_fuzz_keeps_to_its_exit_codes(config):
     # Every config exits 0, 2, 3 or 4 with no exception, and stderr is empty or one line with that code's prefix;
     # on exit 0 a CSV has its header and only finite cells.  A valid grid stays small, or the test would integrate it.

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import math
 import os
 import subprocess
@@ -95,6 +97,56 @@ def test_parse_config_rejects_bad_values():
     for text in bad:
         with pytest.raises((ValidationError, ValidationError)):
             parse_config(text)
+
+
+# The text and the value of every run config key that a dataclass field reads; t_max and dt are whole multiples of
+# the grid defaults, the package's and those of `_other_defaults`.
+_SET = {"J": ("0.5", 0.5), "Gamma": ("1.5", 1.5), "phi": ("3", 3.0), "kappa": ("0.25", 0.25),
+        "initial": ("PLUS", "PLUS"), "t_max": ("0.1", 0.1), "dt": ("0.005", 0.005), "sample_every": ("3", 3),
+        "outputs": ("states, concurrence", ("states", "concurrence")), "output_path": ("set.csv", "set.csv")}
+_RATES = ("J", "Gamma", "phi", "kappa")
+
+
+def _given(keys, *names):
+    return {name: _SET[name][1] for name in names if name in keys}
+
+
+def _text(keys):
+    return "".join(f"{key} = {_SET[key][0]}\n" for key in keys)
+
+
+@contextlib.contextmanager
+def _other_defaults():
+    """Other defaults in every config dataclass, so a parser that kept a copy of its own would disagree with them."""
+    grid = TimeGrid(0.2, 0.01, 2)
+    with mock.patch.object(model.ModelParams.__init__, "__defaults__", (2.0, 0.5, 1.0, 0.125, None)), \
+            mock.patch.object(ExperimentConfig.__init__, "__defaults__", ("GE", grid, ("populations",), "o.csv")), \
+            mock.patch.object(ExperimentConfig, "grid", grid), \
+            mock.patch.object(SweepConfig.__init__, "__defaults__", ("other_sweep.csv",)):
+        yield
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(run_keys=st.lists(st.sampled_from(tuple(_SET)), min_size=1, unique=True),
+       sweep_keys=st.lists(st.sampled_from(_RATES), max_size=2, unique=True), sweep_path=st.booleans(),
+       other=st.booleans())
+def test_a_parsed_config_is_the_dataclasses_of_its_keys(run_keys, sweep_keys, sweep_path, other):
+    # The parsers pass on only the keys a config sets, so every other value is the dataclass default, and the grid
+    # default takes the grid keys given; with other defaults too.  A sweep sweeps two rates it does not set.
+    sweep_keys += ["output_path"] * sweep_path
+    with _other_defaults() if other else contextlib.nullcontext():
+        run = ExperimentConfig(model.ModelParams(**_given(run_keys, *_RATES)),
+                               **_given(run_keys, "initial", "outputs", "output_path"))
+        run = dataclasses.replace(run, grid=dataclasses.replace(run.grid, **_given(run_keys, "t_max", "dt",
+                                                                                    "sample_every")))
+        assert parse_config(_text(run_keys)) == run
+        axes = [AxisSpec(name, 0.0, 1.0, 2) for name in _RATES if name not in sweep_keys][:2]
+        sweep = SweepConfig(*axes, "delta_F", model.ModelParams(**_given(sweep_keys, *_RATES)),
+                            **_given(sweep_keys, "output_path"))
+        text = "observable = delta_F\n" + _text(sweep_keys) + "".join(
+            f"axis{n}_name = {axis.name}\naxis{n}_min = 0\naxis{n}_max = 1\naxis{n}_count = 2\n"
+            for n, axis in enumerate(axes, start=1))
+        assert parse_sweep_config(text) == sweep
 
 
 # ---- sweep config parsing ----

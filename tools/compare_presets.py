@@ -49,12 +49,14 @@ negative Gamma, a step too large, an unknown figure id, an --out that is a
 file, a drive_amplitude sweep axis with no drive_target, which older trees
 ran on qubit 1 with exit 0, and a sweep config that sets J and
 drive_amplitude and sweeps both, which older trees ran with exit 0, dropping
-the set values), and two `evolve` calls a config fuzz found: a grid of 2e297
-stored samples, which trees without the sample ceiling ended with numpy's
-traceback (exit 1) instead of exit 2, and row sums that overflow the step
+the set values), and four calls a config fuzz found: an `evolve` grid of
+2e297 stored samples, which trees without the sample ceiling ended with
+numpy's traceback (exit 1) instead of exit 2, row sums that overflow the step
 bound, where older trees printed numpy's overflow warning before the exit-3
-message).  Their stdout, stderr and exit code must match byte for
-byte, but for the random 16-hex-digit token of a temporary file's name, which
+message, 1e20 steps stored every 1e19th, more steps than int64 holds, and a
+sweep axis of 1e20 values, both of which trees without the step and axis
+ceilings ended with a traceback (exit 1) instead of exit 2).  Their stdout,
+stderr and exit code must match byte for byte, but for the random 16-hex-digit token of a temporary file's name, which
 older trees print in the message of a failed write; the script prints "same
 text" or what differs.  Each time is one `dissipair figure <id>`,
 `dissipair sweep` or `dissipair evolve` call, or the stacked table's write, timed once, in the tree's
@@ -124,6 +126,10 @@ CALLS = {
     "huge_grid": (_EVOLVE, "t_max = 0.004\ndt = 1e-300\nsample_every = 2\n"),
     "overflowing_bound": (_EVOLVE,
                           "J = 1e5\ndrive_target = 2\ndrive_amplitude = 1.7e308\ndt = 1e-300\nt_max = 1e-299\n"),
+    "huge_step_count": (_EVOLVE, "J = 0\nt_max = 1e20\ndt = 1\nsample_every = 10000000000000000000\n"),
+    "huge_axis_count": (["sweep", "--config", "call.cfg", "--out", "out"],
+                        "observable = delta_F\naxis1_name = J\naxis1_min = 0\naxis1_max = 1\n"
+                        "axis1_count = 100000000000000000000\n" + _PHI_AXIS + "axis2_count = 2\n"),
 }
 _TOKEN = re.compile(r"\.[0-9a-f]{16}\.tmp")
 _TIMED = "ms"
