@@ -138,10 +138,15 @@ class TimeGrid:
     def n_samples(self) -> int:
         return -(-self.n_steps // self.sample_every) + 1
 
+    @property
+    def stride(self) -> int:
+        """Steps between stored samples but the last: sample_every, or n_steps if that is fewer."""
+        return min(self.sample_every, self.n_steps)
+
     def sample_steps(self, first: int = 0, stop: int | None = None) -> np.ndarray:
         """Steps of the stored samples first..stop-1, all of them by default."""
         stop = self.n_samples if stop is None else stop
-        return np.minimum(np.arange(first, stop) * min(self.sample_every, self.n_steps), self.n_steps)
+        return np.minimum(np.arange(first, stop) * self.stride, self.n_steps)
 
     def sample_times(self, first: int = 0, stop: int | None = None) -> np.ndarray:
         return self.sample_steps(first, stop) * self.dt
@@ -149,15 +154,14 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states along one evolution, kept as their (N, 16) raw coordinates (rho_ii, Re rho_ij, Im rho_ij), or
-    (k, N, 16) for a row block of k runs."""
+    """Sampled states along one evolution, kept as their (N, 16) raw coordinates (rho_ii, Re rho_ij, Im rho_ij)."""
 
     times: np.ndarray
     coords: np.ndarray
 
     @property
     def states(self) -> np.ndarray:
-        """The (..., N, 4, 4) stack of states, built from `coords` on each access."""
+        """The (N, 4, 4) stack of states, built from `coords` on each access."""
         return _states(self.coords)
 
 
@@ -313,17 +317,18 @@ def _real_generator(liouvillian) -> np.ndarray:
     return gen.real.astype(float, copy=False)
 
 
-def _rk4_blocks(rho0: np.ndarray, liouvillian: np.ndarray, grid: TimeGrid) -> Iterator[tuple[Trajectory, Iterator]]:
-    """Row blocks, `coords` (k, N, 16), of k runs on one grid from (k, 4, 4) initial states and real (k, 16, 16)
-    generators, each with an iterator of its runs' `_check_samples` results, made as read (those unread, on the next
-    request); a message names a sample by its index in its run.  The first request checks the step bound, then rho0.
+def _rk4_blocks(rho0: np.ndarray, liouvillian: np.ndarray, grid: TimeGrid, read) -> Iterator[tuple[np.ndarray, list]]:
+    """Row blocks of k runs on one grid from (k, 4, 4) initial states and real (k, 16, 16) generators: each block's
+    times and, run by run, `read(coords, checked)` of that run's (N, 16) rows and their `_check_samples` result; a
+    message names a sample by its index in its run.  The first request checks the step bound, then rho0.
 
-    Each run's samples are powers of its stride matrix S = step^span, the map of raw coordinates over the `span`
-    steps of a sample interval.  Uniform spans S fill blocks of m = isqrt(count) samples: S^m steps each block start
+    Each run's samples are powers of its stride matrix S = step^stride, the map of raw coordinates over the grid's
+    `stride` steps between samples.  Its powers fill blocks of m = isqrt(count) samples: S^m steps each block start
     to the next, and a product of S^1..S^m with max(2, _RUN_BLOCK_ROWS // m) block starts fills each row block, so a
     run holds O(sqrt(count)) coordinates at once and a run of at most 4 096 uniform samples is one block.  A shorter
-    tail takes one more product.  Sample b m + j + 1 is always S^(j+1) applied to block start b.  Each product is
-    one `np.matmul` over the runs, which gives every run the bits of its product alone.
+    tail takes one more product.  Sample b m + j + 1 is always S^(j+1) applied to block start b.  The powers and the
+    starts are batched over the runs; a block's product, rows, check and read are made one run at a time, so only one
+    run's exist at once, and `np.matmul` gives every run the bits of its product alone.
     """
     with np.errstate(over="ignore"):  # a row sum beyond the float range is refused as not finite just below
         bound = grid.dt * float(np.abs(liouvillian).sum(axis=-1).max())  # the largest run's, or NaN
@@ -342,11 +347,10 @@ def _rk4_blocks(rho0: np.ndarray, liouvillian: np.ndarray, grid: TimeGrid) -> It
     eye = np.eye(_SIZE)
     step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
     label, runs = f"rk4 dt={grid.dt:g}", len(rho0)
-    span = min(grid.sample_every, grid.n_steps)
-    count, tail = divmod(grid.n_steps, span)
+    count, tail = divmod(grid.n_steps, grid.stride)
     m = math.isqrt(count)
     powers = np.empty((runs, m, _SIZE, _SIZE))
-    powers[:, 0] = np.linalg.matrix_power(step, span)
+    powers[:, 0] = np.linalg.matrix_power(step, grid.stride)
     for j in range(1, m):
         np.matmul(powers[:, j - 1], powers[:, 0], out=powers[:, j])
     # Column vectors, so that each link of the chain is one matrix-vector product a run.
@@ -358,22 +362,22 @@ def _rk4_blocks(rho0: np.ndarray, liouvillian: np.ndarray, grid: TimeGrid) -> It
     # kernel's, so every product spans two starts or more and a last lone start is multiplied beside the one before.
     width = max(2, _RUN_BLOCK_ROWS // m)
     for g in range(0, starts.shape[1], width):
-        lo = max(min(g, starts.shape[1] - 2), 0)
-        product = np.matmul(powers, starts[:, None, lo:g + width, :, 0].swapaxes(-1, -2))[..., g - lo:]
-        lead = int(g == 0)  # the first block's rows begin with sample 0
-        coords = np.empty((runs, lead + product.shape[-1] * m + 1, _SIZE))  # room for the tail
-        # Entry (r, j, :, b) of the product is run r's S^(j+1) applied to its start g + b: sample (g + b) m + j + 1.
-        coords[:, lead:-1].reshape(runs, -1, m, _SIZE)[...] = product.transpose(0, 3, 1, 2)
-        coords[:, :lead] = starts[:, :lead, :, 0]
-        del product  # else the suspended generator holds it beside the block it yields
-        end = lead + min(width * m, count - g * m)  # rows up to the last uniform sample of the block
-        if tail and (g + width) * m >= count:
-            coords[:, end] = np.matmul(np.linalg.matrix_power(step, tail), coords[:, end - 1, :, None])[..., 0]
-            end += 1
+        lo, lead = max(min(g, starts.shape[1] - 2), 0), int(g == 0)  # the first block's rows begin with sample 0
         first = g * m + 1 - lead
-        checks = (_check_samples(run, label, first) for run in coords[:, :end])
-        yield Trajectory(times=grid.sample_times(first, first + end), coords=coords[:, :end]), checks
-        list(checks)  # the runs the reader did not check
+        end = lead + min(width * m, count - g * m)  # rows up to the last uniform sample of the block
+        stop = end + int(tail > 0 and (g + width) * m >= count)  # and the tail's, in the last block
+
+        def read_run(r):
+            # Row lead + b m + j is entry (j, :, b) of the product: run r's S^(j+1) applied to its start g + b.
+            rows = np.empty((lead + m * min(width, starts.shape[1] - g) + 1, _SIZE))  # room for the tail
+            rows[lead:-1].reshape(-1, m, _SIZE)[...] = np.matmul(
+                powers[r], starts[r, None, lo:g + width, :, 0].swapaxes(-1, -2))[..., g - lo:].transpose(2, 0, 1)
+            rows[:lead] = starts[r, :lead, :, 0]
+            if stop > end:
+                rows[end] = np.matmul(np.linalg.matrix_power(step[r], tail), rows[end - 1, :, None])[:, 0]
+            return read(rows[:stop], _check_samples(rows[:stop], label, first))
+
+        yield grid.sample_times(first, first + stop), list(map(read_run, range(runs)))
 
 
 def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
@@ -395,7 +399,8 @@ def evolve_rk4(rho0, liouvillian: np.ndarray, grid: TimeGrid) -> Trajectory:
     if gen.shape != (_SIZE, _SIZE):
         stack = "a stack of " if gen.ndim > 2 else ""
         raise ValidationError(f"the integrator takes one ({_SIZE}, {_SIZE}) generator, got {stack}shape {gen.shape}")
-    blocks = [(block.times, block.coords[0]) for block, _ in _rk4_blocks(np.asarray(rho0)[None], gen[None], grid)]
+    blocks = [(times, coords) for times, (coords,) in
+              _rk4_blocks(np.asarray(rho0)[None], gen[None], grid, lambda coords, _: coords)]
     times, coords = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
     return Trajectory(times=times, coords=coords)
 

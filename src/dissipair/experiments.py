@@ -47,10 +47,22 @@ from .dynamics import (
 )
 from .errors import IoError, ValidationError
 from .model import Drive, ModelParams, require_finite
-from .observables import _collective_populations, _concurrence, _qubit_populations, damping_forces
+from .observables import (CollectivePopulations, _collective_populations, _concurrence, _qubit_populations,
+                          damping_forces)
 
-OUTPUT_KINDS = ("populations", "concurrence", "collective", "states")
 SWEEP_AXES = ("J", "Gamma", "phi", "kappa", "drive_amplitude")
+# Each trajectory output group: its column names, the joiner before a run's label, and the reader of its columns
+# from a run's (N, 16) coordinates and their check.  Only states builds every sample's 4x4 matrix: viewed as floats,
+# its rows are Re rho_00, Im rho_00, Re rho_01, ...
+_OUTPUTS = {
+    "populations": (("P1", "P2"), "_", lambda coords, _: _qubit_populations(coords)),
+    "concurrence": (("C",), "_", lambda coords, checked: (_concurrence(coords, checked),)),
+    "collective": (tuple(CollectivePopulations.__annotations__), "_from_",
+                   lambda coords, _: vars(_collective_populations(coords)).values()),
+    "states": (tuple(f"rho_{part}_{i}{j}" for i in range(4) for j in range(4) for part in ("re", "im")), "_",
+               lambda coords, _: _states(coords).view(float).reshape(len(coords), -1).T),
+}
+OUTPUT_KINDS = tuple(_OUTPUTS)
 DEGENERATE_SENTINEL = -1.0
 # Cells per `csv_text` call and delta_F sweep block, 0.75 MB of temporaries: 8 192 or 16 384 save at most 3% a cell.
 _CSV_PIECE_CELLS = 4096
@@ -104,14 +116,13 @@ class AxisSpec:
         if self.name not in SWEEP_AXES:
             raise ValidationError(f"unsupported sweep axis {self.name!r}, expected one of {SWEEP_AXES}")
         require_finite(**{f"{self.name} axis min": self.lo, f"{self.name} axis max": self.hi})
-        if not isinstance(self.count, (int, np.integer)) or not 2 <= self.count <= MAX_SAMPLES:  # before `values`
+        if not isinstance(self.count, (int, np.integer)) or not 2 <= self.count <= MAX_SAMPLES:
             raise ValidationError(f"{self.name} axis count must be an integer from 2 to {MAX_SAMPLES}, "
                                   f"got {self.count!r}")
         if not self.lo < self.hi:
             raise ValidationError(f"{self.name} axis min must be below its max, got {self.lo} >= {self.hi}")
-        with np.errstate(over="ignore", invalid="ignore"):  # finite bounds can still overflow their spacing
-            values = self.values()
-        require_finite(**{f"{self.name} axis values": values})
+        with np.errstate(over="ignore"):  # finite bounds give finite values exactly when their span is finite
+            require_finite(**{f"{self.name} axis max - min": np.subtract(self.hi, self.lo, dtype=float)})
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -325,47 +336,23 @@ def write_csv(path, header, rows) -> str:
 # ---- trajectory tables -----------------------------------------------------
 
 
-def _output_columns(coords: np.ndarray, kind: str, checked: tuple) -> dict[str, np.ndarray]:
-    """One output group of one run's (N, 16) coordinates in a table block and their checks, name to column, in order.
-
-    Populations and concurrence are read straight off the coordinates; only states builds every 4x4 matrix.
-    """
-    if kind == "populations":
-        return dict(zip(("P1", "P2"), _qubit_populations(coords)))
-    if kind == "concurrence":
-        return {"C": _concurrence(coords, checked)}
-    if kind == "collective":
-        return vars(_collective_populations(coords))
-    states = _states(coords)
-    return {f"rho_{part}_{i}{j}": values[:, i, j]
-            for i in range(4) for j in range(4) for part, values in (("re", states.real), ("im", states.imag))}
-
-
 def _trajectory_table(runs, outputs) -> tuple[list[str], Iterator[np.ndarray]]:
     """Integrate the runs as one stack: the header (t, then each run's output groups in the given order, names
     suffixed by label if several runs) and an iterator of the table's row blocks.
 
     The runs' initial states and generators go to one `_rk4_blocks` stream on the first run's grid, which the runs
-    share; each of its blocks holds every run's rows, checked as read.  The first block is computed here for the header.
+    share; it reads each run's rows of a block into the groups' columns as it checks them.  The first block is
+    computed here, so the stream's errors come before any file is made.
     """
+    groups = [_OUTPUTS[kind] for kind in outputs]
+    header = ["t", *(f"{name}{joiner}{run.label}" if len(runs) > 1 else name
+                     for run in runs for names, joiner, _ in groups for name in names)]
     blocks = _rk4_blocks(np.array([initial_state(run.initial) for run in runs]),
-                         np.array([liouvillian_from_params(run.params) for run in runs]), runs[0].grid)
-
-    def block_table(block, checks):
-        header, columns = ["t"], [block.times]
-        for run, coords in zip(runs, block.coords):
-            checked = next(checks)  # the run's check, whose factors go before the next run's is made
-            for kind in outputs:
-                joiner = "_from_" if kind == "collective" else "_"
-                for name, column in _output_columns(coords, kind, checked).items():
-                    header.append(f"{name}{joiner}{run.label}" if len(runs) > 1 else name)
-                    columns.append(column)
-            del checked
-        return header, np.column_stack(columns)
-
-    tables = itertools.starmap(block_table, blocks)
-    header, first = next(tables)
-    return header, itertools.chain((first,), (table for _, table in tables))
+                         np.array([liouvillian_from_params(run.params) for run in runs]), runs[0].grid,
+                         lambda coords, checked: [column for *_, read in groups for column in read(coords, checked)])
+    # `map`, not a generator expression, whose loop variable would hold a block's columns beside the stacked block.
+    tables = map(lambda block: np.column_stack([block[0], *itertools.chain.from_iterable(block[1])]), blocks)
+    return header, itertools.chain((next(tables),), tables)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str = ".") -> str:

@@ -445,8 +445,8 @@ def test_sweep_key_that_an_axis_sweeps_exit_code(tmp_path, capsys, key, value, w
 def test_sweep_non_finite_axis_exit_code(tmp_path, capsys):
     cases = (
         ("axis1_max = inf\naxis2_min = 0\naxis2_max = 3.14\n", "Gamma axis max must be finite, got inf"),
-        # Finite bounds whose spacing overflows: refused without numpy's overflow warnings.
-        ("axis1_max = 4\naxis2_min = -1e308\naxis2_max = 1e308\n", "phi axis values must be finite, got nan"),
+        # Finite bounds whose span overflows: refused without numpy's overflow warnings.
+        ("axis1_max = 4\naxis2_min = -1e308\naxis2_max = 1e308\n", "phi axis max - min must be finite, got inf"),
     )
     for bounds, named in cases:
         text = (
@@ -613,6 +613,26 @@ def test_an_axis_count_beyond_the_ceiling_exit_code(tmp_path, capsys, count):
         experiments.AxisSpec("phi", 0.0, 1.0, dynamics.MAX_SAMPLES + 1)
 
 
+# Runs the CLI on argv[1:] within a 1 GB address space, with one BLAS thread so that its buffers fit too.
+_IN_ONE_GB = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from dissipair.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_config_error_behind_a_large_axis_is_reported_as_such(tmp_path):
+    # The axis's finiteness is read off its bounds: a 3e8-value axis is not built (2.24 GiB) before the unknown
+    # key is found, which used to exit 4 with "out of memory" within 1 GB.
+    cfg = _config(tmp_path, _huge_axis(300_000_000) + "omega0 = 5\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dissipair.__file__)))
+    done = subprocess.run([sys.executable, "-c", _IN_ONE_GB, "sweep", "--config", cfg, "--out", str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "config error: unknown key 'omega0' (line 10)\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
 # Values for the config fuzz: each key takes a plain value, or now and then an odd one.  Odd values are the edges
 # of the float range, non-finite and malformed text, and for text keys the names the parser refuses.
 _EDGES = ("0", "-0", "5e-324", "1e-300", "1e-170", "1e300", "1.7e308", "nan", "inf", "-inf", "1_0", "  0.5  ", "x")
@@ -775,7 +795,8 @@ def test_compare_presets_refuses_a_bad_tree(tmp_path, capsys):
 
 
 def test_compare_presets_reports_each_writes_time_and_faults(tmp_path, monkeypatch):
-    # Each write is reported with its wall time in ms and the minor page faults its process took during the call.
+    # Each write is reported with its wall time in ms, the minor page faults its process took during the call, and
+    # the process's peak RSS in MB once it is done, which only rises from write to write.
     tool = _compare_presets()
     monkeypatch.setattr(tool, "FIGURES", ("2b", "3a"))
     monkeypatch.setattr(tool, "SWEEPS", {"small": "observable = delta_F\naxis1_name = J\naxis1_min = 0\n"
@@ -786,7 +807,9 @@ def test_compare_presets_reports_each_writes_time_and_faults(tmp_path, monkeypat
     src = os.path.dirname(os.path.dirname(os.path.abspath(dissipair.__file__)))
     writes = tool.write_presets(src, str(tmp_path))
     assert sorted(writes) == ["2b", "3a", "evolve", "small", "stacked"]
-    for ms, faults in writes.values():
-        assert ms > 0.0 and type(faults) is int and faults >= 0
+    for ms, faults, peak_mb in writes.values():
+        assert ms > 0.0 and type(faults) is int and faults >= 0 and peak_mb > 0.0
+    peaks = [writes[name][2] for name in ("2b", "3a", "small", "evolve", "stacked")]
+    assert peaks == sorted(peaks)
     tables = ["evolve.csv", "fig2b.csv", "fig3a.csv", "small.csv", "stacked.csv"]
     assert sorted(os.listdir(tmp_path)) == sorted([*tables, "evolve.cfg", "small.cfg"])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -180,6 +181,36 @@ def test_parse_sweep_config_rejects_bad_axes():
     for text in bad:
         with pytest.raises(ValidationError):
             parse_sweep_config(text)
+
+
+_MAX = float(np.finfo(float).max)
+# Bounds of every size, and pairs of large ones of opposite sign, whose span lies either side of the float range.
+_AXIS_BOUNDS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2, unique=True).map(sorted),
+    st.tuples(st.floats(1e307, _MAX).map(lambda x: -x), st.floats(1e307, _MAX)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bounds=_AXIS_BOUNDS, count=st.integers(2, 300))
+@example(bounds=(-_MAX, _MAX), count=2)
+@example(bounds=(0.0, _MAX), count=3)
+@example(bounds=(-_MAX, 0.0), count=7)
+@example(bounds=(-5e-324, 5e-324), count=2)
+@example(bounds=(0.0, 5e-324), count=300)
+@example(bounds=(-0.5 * _MAX, 0.5 * _MAX), count=5)
+@example(bounds=(-0.5 * _MAX, np.nextafter(0.5 * _MAX, np.inf)), count=5)
+def test_an_axis_is_refused_exactly_when_its_values_would_not_be_finite(bounds, count):
+    # AxisSpec tests the span, not the values it would build; the two verdicts agree.
+    lo, hi = bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = bool(np.isfinite(np.linspace(lo, hi, count)).all())
+    try:
+        AxisSpec("J", lo, hi, count)
+    except ValidationError as exc:
+        assert str(exc) == "J axis max - min must be finite, got inf"
+        assert not finite
+    else:
+        assert finite
 
 
 def test_sweep_observables_are_listed_in_table_order():
@@ -468,8 +499,8 @@ def _write_block_cases(out):
 
 def _block_lengths(config):
     blocks = dynamics._rk4_blocks(initial_state(config.initial)[None], liouvillian_from_params(config.model)[None],
-                                  config.grid)
-    return [len(block.times) for block, _ in blocks]
+                                  config.grid, lambda coords, _: None)
+    return [len(times) for times, _ in blocks]
 
 
 @pytest.mark.parametrize("rows", [7, 512])
@@ -489,8 +520,8 @@ def test_row_blocks_leave_every_byte(tmp_path, monkeypatch, rows):
         assert max(lengths) <= width * m + 2
         assert sum(lengths) == config.grid.n_samples
     np.testing.assert_array_equal(
-        np.concatenate([block.times for block, _ in dynamics._rk4_blocks(
-            initial_state("GG")[None], liouvillian_from_params(DRIVE1)[None], LONG_STRIDED.grid)]),
+        np.concatenate([times for times, _ in dynamics._rk4_blocks(initial_state("GG")[None],
+                        liouvillian_from_params(DRIVE1)[None], LONG_STRIDED.grid, lambda coords, _: None)]),
         LONG_STRIDED.grid.sample_times())
     assert LONG_STRIDED.grid.sample_steps()[-2:].tolist() == [35000, 35003]
 
@@ -516,6 +547,72 @@ def test_each_run_of_a_stacked_table_is_the_run_alone(monkeypatch, rows):
         alone = np.concatenate(list(alone))
         assert np.array_equal(alone[:, 0], table[:, 0])
         assert np.array_equal(alone[:, 1:], table[:, 1 + 39 * k:1 + 39 * (k + 1)])
+
+
+def _stack_of(runs):
+    return (np.array([initial_state(run.initial) for run in runs]),
+            np.array([liouvillian_from_params(run.params) for run in runs]))
+
+
+def test_the_reader_gets_each_run_once_in_order_with_its_own_check(monkeypatch):
+    # 6c's four driven runs in 17 row blocks: each block reads run 0, 1, 2, 3 once, each with the check of its own
+    # rows, which are the rows of its run integrated alone.
+    monkeypatch.setattr(dynamics, "_RUN_BLOCK_ROWS", 64)
+    grid = TimeGrid(20.006, 0.002, 10)
+    runs = figure_trajectory_runs()["6c"]
+    calls = []
+
+    def read(coords, checked):
+        calls.append((coords.copy(), checked))
+        return len(calls) - 1
+
+    blocks = list(dynamics._rk4_blocks(*_stack_of(runs), grid, read))
+    assert len(blocks) == 17
+    assert [reads for _, reads in blocks] == [list(range(4 * k, 4 * k + 4)) for k in range(17)]
+    label, first = f"rk4 dt={grid.dt:g}", np.cumsum([0] + [len(times) for times, _ in blocks])
+    for k, run in enumerate(runs):
+        alone = evolve_rk4(initial_state(run.initial), liouvillian_from_params(run.params), grid).coords
+        mine = calls[k::4]
+        assert np.array_equal(np.concatenate([coords for coords, _ in mine]), alone)
+        for (coords, (x_shaped, factor)), start in zip(mine, first):
+            own_x_shaped, own_factor = dynamics._check_samples(coords, label, start)
+            assert np.array_equal(x_shaped, own_x_shaped) and np.array_equal(factor, own_factor)
+
+
+def test_a_runs_check_is_freed_before_the_next_run_is_read(monkeypatch):
+    # Only one run's factors live at a time: the previous read's factor array is gone when the next read begins.
+    monkeypatch.setattr(dynamics, "_RUN_BLOCK_ROWS", 512)
+    refs = []
+
+    def read(coords, checked):
+        assert all(ref() is None for ref in refs)
+        refs.append(weakref.ref(checked[1]))
+
+    blocks = dynamics._rk4_blocks(*_stack_of(figure_trajectory_runs()["6c"]), TimeGrid(20.006, 0.002, 10), read)
+    assert [len(reads) for _, reads in blocks] == [4, 4, 4]
+    assert len(refs) == 12 and refs[-1]() is None
+
+
+@pytest.mark.parametrize("kind", OUTPUT_KINDS)
+@pytest.mark.parametrize("params", [DRIVE1, dataclasses.replace(DRIVE1, drive=None)], ids=["driven", "X-shaped"])
+def test_each_output_group_reads_one_column_per_name(kind, params):
+    coords = evolve_rk4(initial_state("PLUS"), liouvillian_from_params(params), TimeGrid(1.0, 0.002, 3)).coords
+    checked = dynamics._check_samples(coords, "rows")
+    assert checked[0].all() == (params.drive is None)
+    names, joiner, read = experiments._OUTPUTS[kind]
+    columns = list(read(coords, checked))
+    assert len(columns) == len(names) and all(np.shape(column) == (len(coords),) for column in columns)
+
+
+def test_a_stacked_tables_header_is_the_groups_names():
+    runs = figure_trajectory_runs()["3a"]
+    header, _ = experiments._trajectory_table(runs, OUTPUT_KINDS)
+    groups = ["P1", "P2"], ["C"], ["P_E", "P_plus", "P_minus", "P_G"], [
+        f"rho_{part}_{i}{j}" for i in range(4) for j in range(4) for part in ("re", "im")]
+    assert [experiments._OUTPUTS[kind][0] for kind in OUTPUT_KINDS] == [tuple(names) for names in groups]
+    assert header == ["t", *(f"{name}_{'from_' if names is groups[2] else ''}{label}"
+                             for label in ("1e", "2e") for names in groups for name in names)]
+    assert experiments._trajectory_table(runs[:1], OUTPUT_KINDS)[0] == ["t", *sum(groups, [])]
 
 
 def test_a_minus_state_table_prints_no_negative_zero(tmp_path):

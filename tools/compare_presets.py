@@ -37,8 +37,10 @@ at t = 0, by 0.  For each table
 the script prints "identical", or the number of changed cells, the largest
 |difference| with the cell that shows it (its data row, counted from 0, its
 column, and its old and new text), and the columns the changed cells sit in,
-and then the wall time of its write in each tree, old -> new, in ms, and the minor page faults the write took in
-each (`resource.getrusage` of the tree's process around the call).  Each tree then runs the command lines of
+and then the wall time of its write in each tree, old -> new, in ms, the minor page faults the write took in
+each (`resource.getrusage` of the tree's process around the call), and the process's peak RSS (`ru_maxrss`, in MB)
+once the write is done.  The peak only rises from write to write, so it reads one write's own peak only where that
+is the highest so far; the stacked table is written last.  Each tree then runs the command lines of
 CALLS, one `python -m dissipair` process each, in a working directory of its
 own so that the relative paths in messages read the same: `steady` on the 4a
 drive (qubit 1), on the 4b drive (qubit 2), on the degenerate undriven phi = pi
@@ -155,21 +157,22 @@ status = 0
 for name, argv in [*runs, ("stacked", None)]:
     faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
     status = max(status, stacked() if argv is None else main([*argv, "--out", out]))
-    ms = 1e3 * (time.perf_counter() - start)
-    print("{_TIMED}", name, ms, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+    ms, usage = 1e3 * (time.perf_counter() - start), resource.getrusage(resource.RUSAGE_SELF)
+    print("{_TIMED}", name, ms, usage.ru_minflt - faults, usage.ru_maxrss)
 sys.exit(status)
 """
 
 
-def write_presets(src: str, out: str) -> dict[str, tuple[float, int]]:
+def write_presets(src: str, out: str) -> dict[str, tuple[float, int, float]]:
     """Write every preset, sweep, the driven run and the stacked table into `out` with the package under `src`; each
-    write's wall time in ms and its minor page faults."""
+    write's wall time in ms, its minor page faults and the process's peak RSS in MB after it."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     configs = {**{name: ("sweep", text) for name, text in SWEEPS.items()}, "evolve": ("evolve", EVOLVE)}
     done = subprocess.run([sys.executable, "-c", _WRITE, out, json.dumps(configs), json.dumps(STACKED), *FIGURES],
                           env=env, check=True, stdout=subprocess.PIPE, text=True)
     lines = (line.split() for line in done.stdout.splitlines())
-    return {fields[1]: (float(fields[2]), int(fields[3])) for fields in lines if fields[:1] == [_TIMED]}
+    return {fields[1]: (float(fields[2]), int(fields[3]), int(fields[4]) / 1024.0)
+            for fields in lines if fields[:1] == [_TIMED]}
 
 
 def run_calls(src: str, work: str) -> dict[str, tuple[str, str, int]]:
@@ -243,8 +246,9 @@ def main(argv=None) -> int:
         for table, name in tables:
             line, passed = compare(os.path.join(old_dir, name), os.path.join(new_dir, name), args.tol)
             ok &= passed
-            (old_ms, old_faults), (new_ms, new_faults) = times[0][table], times[1][table]
-            print(f"{table}: {line}; write {old_ms:.1f} -> {new_ms:.1f} ms, {old_faults} -> {new_faults} faults")
+            (old_ms, old_faults, old_mb), (new_ms, new_faults, new_mb) = times[0][table], times[1][table]
+            print(f"{table}: {line}; write {old_ms:.1f} -> {new_ms:.1f} ms, {old_faults} -> {new_faults} faults, "
+                  f"peak RSS {old_mb:.2f} -> {new_mb:.2f} MB")
         texts = []
         for src in (args.old_src, args.new_src):
             work = tempfile.mkdtemp(dir=tmp)
