@@ -22,6 +22,7 @@ from .dynamics import (
 from .experiments import (
     ExperimentConfig,
     SweepConfig,
+    TrajectoryRun,
     parse_config,
     parse_sweep_config,
     run_experiment,

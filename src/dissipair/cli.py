@@ -51,8 +51,7 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_steady(args) -> None:
-    config = parse_config(_read(args.config))
-    result = steady_state(liouvillian_from_params(config.model))
+    result = steady_state(liouvillian_from_params(parse_config(_read(args.config)).runs[0].params))
     print(f"unique: {'yes' if result.unique else 'no'}")
     print(f"spectral_gap: {_fmt(result.spectral_gap)}")
     if not result.unique:

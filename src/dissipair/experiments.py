@@ -20,7 +20,7 @@ steady_concurrence) and two axes given as ``axisN_name``, ``axisN_min``,
 passes on only the keys a config sets, and the default grid takes those given.
 
 CSV cells read as ``%.15g`` writes them, through `_csvtext` (a sweep formats
-each axis value once); tables containing non-finite values are refused.
+each block's axis values); tables containing non-finite values are refused.
 """
 
 from __future__ import annotations
@@ -81,18 +81,30 @@ DRIVEN_SAMPLE_EVERY = 10
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One trajectory run.  `outputs` is kept in table order (that of OUTPUT_KINDS), each kind once."""
+class TrajectoryRun:
+    """One integration behind a trajectory table; `label` suffixes its column names in a table of several runs."""
 
-    model: ModelParams
+    label: str
+    params: ModelParams
     initial: str = "EG"
     grid: TimeGrid = TimeGrid(TRANSIENT_T_MAX, PRESET_DT)
-    outputs: tuple[str, ...] = ("populations", "concurrence", "collective")
-    output_path: str = "trajectory.csv"
 
     def __post_init__(self):
         if self.initial not in INITIAL_STATE_NAMES:
             raise ValidationError(f"initial must be one of {INITIAL_STATE_NAMES}, got {self.initial!r}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A trajectory table: its runs, on one grid, and its output groups in table order (of OUTPUT_KINDS), each once."""
+
+    runs: tuple[TrajectoryRun, ...]
+    outputs: tuple[str, ...] = ("populations", "concurrence", "collective")
+    output_path: str = "trajectory.csv"
+
+    def __post_init__(self):
+        if len(set(grids := [run.grid for run in self.runs])) != 1:
+            raise ValidationError(f"a trajectory table needs one or more runs, all on one grid, got grids {grids}")
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
                 raise ValidationError(f"outputs entry {kind!r} not in {OUTPUT_KINDS}")
@@ -124,14 +136,22 @@ class AxisSpec:
         with np.errstate(over="ignore"):  # finite bounds give finite values exactly when their span is finite
             require_finite(**{f"{self.name} axis max - min": np.subtract(self.hi, self.lo, dtype=float)})
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
+    def values(self, first: int = 0, stop: int | None = None) -> np.ndarray:
+        """``np.linspace(lo, hi, count)[first:stop]`` bit for bit, built without the other values."""
+        first, stop, _ = slice(first, stop).indices(self.count)
+        k, span = np.arange(first, stop, dtype=float), np.subtract(self.hi, self.lo, dtype=float)
+        step = span / (self.count - 1)
+        with np.errstate(over="ignore"):  # only the last value can overflow, and `hi` replaces it
+            values = (k * step if step else k / (self.count - 1) * span) + self.lo  # linspace's, a step of 0 too
+        if first < stop == self.count:
+            values[-1] = self.hi
+        return values
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """An observable over the grid of two distinct axes, every other model field taken from `base`; a drive_amplitude
-    axis drives `base`'s drive target, or qubit 1 if it has no drive, which `parse_sweep_config` refuses."""
+    axis drives `base`'s drive target, and a `base` with no drive refuses it."""
 
     axis1: AxisSpec
     axis2: AxisSpec
@@ -140,6 +160,9 @@ class SweepConfig:
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
+        for which, axis in (("axis1", self.axis1), ("axis2", self.axis2)):
+            if axis.name == "drive_amplitude" and self.base.drive is None:  # as for the key: no qubit is driven unasked
+                raise ValidationError(f"{which}_name = drive_amplitude given without drive_target")
         if self.observable not in SWEEP_OBSERVABLES:
             raise ValidationError(f"observable must be one of {tuple(SWEEP_OBSERVABLES)}, got {self.observable!r}")
         if self.axis1.name == self.axis2.name:
@@ -150,20 +173,9 @@ class SweepConfig:
 
     def _params_at(self, a, b) -> ModelParams:
         """`base` with axis1's field set to `a` and axis2's to `b` (scalars, or arrays that broadcast)."""
-        drive = self.base.drive or Drive(target=1, amplitude=0.0)
-        swept = {self.axis1.name: a, self.axis2.name: b}
-        amplitude = swept.pop("drive_amplitude", drive.amplitude)
-        return replace(self.base, **swept, drive=Drive(drive.target, amplitude))
-
-
-@dataclass(frozen=True)
-class TrajectoryRun:
-    """One integration behind a trajectory table."""
-
-    label: str
-    params: ModelParams
-    initial: str
-    grid: TimeGrid
+        swept, drive = {self.axis1.name: a, self.axis2.name: b}, self.base.drive
+        drive = None if drive is None else Drive(drive.target, swept.pop("drive_amplitude", drive.amplitude))
+        return replace(self.base, **swept, drive=drive)
 
 
 def _split_entries(text: str) -> dict[str, tuple[str, int]]:
@@ -228,22 +240,21 @@ def _model_from_entries(e: _Entries) -> ModelParams:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse trajectory-run config text."""
+    """Parse trajectory-run config text: a table of one unlabelled run."""
     e = _Entries(text)
     model = _model_from_entries(e)
-    grid = replace(ExperimentConfig.grid, **e.given(t_max=float, dt=float, sample_every=int))
-    fields = e.given(initial=str, outputs=lambda text: tuple(map(str.strip, text.split(","))), output_path=str)
+    grid = replace(TrajectoryRun.grid, **e.given(t_max=float, dt=float, sample_every=int))
+    initial = e.given(initial=str)
+    fields = e.given(outputs=lambda text: tuple(map(str.strip, text.split(","))), output_path=str)
     e.finish()
-    return ExperimentConfig(model, grid=grid, **fields)
+    return ExperimentConfig((TrajectoryRun("", model, grid=grid, **initial),), **fields)
 
 
-def _axis_from_entries(e: _Entries, which: str, driven: bool) -> AxisSpec:
+def _axis_from_entries(e: _Entries, which: str) -> AxisSpec:
     fields = [e.take(f"{which}_{key}", convert)
               for key, convert in (("name", str), ("min", float), ("max", float), ("count", int))]
     if None in fields:
         raise ValidationError(f"{which} needs {which}_name, {which}_min, {which}_max, {which}_count")
-    if fields[0] == "drive_amplitude" and not driven:  # as for the plain key: no qubit is driven by default
-        raise ValidationError(f"{which}_name = drive_amplitude given without drive_target")
     if fields[0] in SWEEP_AXES and fields[0] in e.raw:  # the axis would override the key's value without a word
         raise ValidationError(f"line {e.raw[fields[0]][1]}: {fields[0]} is also swept by {which}_name")
     return AxisSpec(*fields)
@@ -254,8 +265,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
     e = _Entries(text)
     base = _model_from_entries(e)
     observable = e.take("observable")
-    axis1 = _axis_from_entries(e, "axis1", base.drive is not None)
-    axis2 = _axis_from_entries(e, "axis2", base.drive is not None)
+    axis1 = _axis_from_entries(e, "axis1")
+    axis2 = _axis_from_entries(e, "axis2")
     fields = e.given(output_path=str)
     e.finish()
     return SweepConfig(axis1, axis2, observable, base, **fields)
@@ -356,9 +367,8 @@ def _trajectory_table(runs, outputs) -> tuple[list[str], Iterator[np.ndarray]]:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str = ".") -> str:
-    """Integrate one configured trajectory and write its CSV: t, then the output groups in OUTPUT_KINDS order."""
-    run = TrajectoryRun("", config.model, config.initial, config.grid)
-    header, blocks = _trajectory_table((run,), config.outputs)
+    """Integrate the configured runs and write their table (see `_trajectory_table`) as CSV."""
+    header, blocks = _trajectory_table(config.runs, config.outputs)
     return write_csv(os.path.join(out_dir, config.output_path), header, blocks)
 
 
@@ -394,20 +404,29 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     of cells are evaluated and written in row order, so an error in a later one leaves the destination as it was.
     """
     kernel = _kernel()
-    a, b = config.axis1.values(), config.axis2.values()
     extra, budget, cells_of = SWEEP_OBSERVABLES[config.observable]
     header = ["axis1", "axis2", "value", *extra]
-    rows, cols = max(1, budget // len(b)), min(len(b), budget)
-    firsts, seconds = (kernel._records(axis[:, None], newline=False) for axis in (a, b))  # each value formatted once
+    rows, cols = max(1, budget // config.axis2.count), min(config.axis2.count, budget)
+
+    def column(axis, length):
+        """The block of `axis` from index `first`, `length` values at most, and their records, kept for the last
+        `first`: whole rows format axis2 once a sweep, pieces of a row their axis1 value once a row."""
+        @functools.lru_cache(maxsize=1)
+        def at(first):
+            values = axis.values(first, first + length)
+            return values, kernel._records(values[:, None], newline=False)
+        return at
+
+    firsts, seconds = column(config.axis1, rows), column(config.axis2, cols)
 
     def chunks():
-        for i, j in itertools.product(range(0, len(a), rows), range(0, len(b), cols)):
-            block_a, block_b = a[i:i + rows], b[j:j + cols]
-            cells = cells_of(config._params_at(block_a[:, None], block_b))
+        for i, j in itertools.product(range(0, config.axis1.count, rows), range(0, config.axis2.count, cols)):
+            (a, a_records), (b, b_records) = firsts(i), seconds(j)
+            cells = cells_of(config._params_at(a[:, None], b))
             _refuse_non_finite(cells)
-            records = np.empty((len(block_a), len(block_b), len(header), 4), "<u8")
-            records[:, :, 0] = firsts[i:i + rows, None]
-            records[:, :, 1] = seconds[j:j + cols]
+            records = np.empty((len(a), len(b), len(header), 4), "<u8")
+            records[:, :, 0] = a_records[:, None]
+            records[:, :, 1] = b_records
             records[:, :, 2:] = kernel._records(cells.reshape(-1, cells.shape[-1])).reshape(cells.shape + (4,))
             yield kernel._text(records)
 
@@ -432,8 +451,8 @@ SWEEP_2A = SweepConfig(
 
 
 @functools.cache
-def _figure_presets() -> dict[str, tuple[str, SweepConfig | tuple[TrajectoryRun, ...]]]:
-    """Every figure preset, id -> (kind, runs): "sweep" and its config, or an output group and its integrations.
+def _figure_presets() -> dict[str, SweepConfig | ExperimentConfig]:
+    """Every figure preset, id -> the config that writes ``fig<id>.csv``.
 
     Built once, on the first call, so importing the package builds none of it; callers must not mutate the dict.
     """
@@ -452,28 +471,29 @@ def _figure_presets() -> dict[str, tuple[str, SweepConfig | tuple[TrajectoryRun,
         starts = (("E", "E"), ("plus", "PLUS"), ("minus", "MINUS"), ("G", "G"))
         return tuple(TrajectoryRun(label, params, name, grid) for label, name in starts)
 
+    one_way, driven = from_each_qubit(iso, iso, short), from_each_collective_state(drive1, long)
     return {
-        "2a": ("sweep", SWEEP_2A),
-        "2b": ("populations", from_each_qubit(opposed, opposed, short)),
-        "2c": ("populations", (TrajectoryRun("1e", iso, "EG", short),)),
-        "2d": ("populations", (TrajectoryRun("2e", iso, "GE", short),)),
-        "3a": ("concurrence", from_each_qubit(iso, iso, short)),
-        "3b": ("concurrence", from_each_qubit(aligned, aligned, short)),
-        "4a": ("concurrence", from_each_qubit(drive1, drive2, long)),
-        "4b": ("concurrence", from_each_qubit(drive2, drive1, long)),
-        "5b": ("collective", from_each_collective_state(iso, short)),
-        "5c": ("collective", from_each_collective_state(aligned, short)),
-        "5d": ("collective", from_each_collective_state(opposed, short)),
-        "6a": ("collective", (TrajectoryRun("E", drive1, "E", long),)),
-        "6b": ("collective", (TrajectoryRun("G", drive1, "G", long),)),
-        "6c": ("concurrence", from_each_collective_state(drive1, long)),
-        "6d": ("concurrence", from_each_collective_state(drive2, long)),
+        "2a": SWEEP_2A,
+        "2b": ExperimentConfig(from_each_qubit(opposed, opposed, short), ("populations",), "fig2b.csv"),
+        "2c": ExperimentConfig(one_way[:1], ("populations",), "fig2c.csv"),
+        "2d": ExperimentConfig(one_way[1:], ("populations",), "fig2d.csv"),
+        "3a": ExperimentConfig(one_way, ("concurrence",), "fig3a.csv"),
+        "3b": ExperimentConfig(from_each_qubit(aligned, aligned, short), ("concurrence",), "fig3b.csv"),
+        "4a": ExperimentConfig(from_each_qubit(drive1, drive2, long), ("concurrence",), "fig4a.csv"),
+        "4b": ExperimentConfig(from_each_qubit(drive2, drive1, long), ("concurrence",), "fig4b.csv"),
+        "5b": ExperimentConfig(from_each_collective_state(iso, short), ("collective",), "fig5b.csv"),
+        "5c": ExperimentConfig(from_each_collective_state(aligned, short), ("collective",), "fig5c.csv"),
+        "5d": ExperimentConfig(from_each_collective_state(opposed, short), ("collective",), "fig5d.csv"),
+        "6a": ExperimentConfig(driven[:1], ("collective",), "fig6a.csv"),
+        "6b": ExperimentConfig(driven[3:], ("collective",), "fig6b.csv"),
+        "6c": ExperimentConfig(driven, ("concurrence",), "fig6c.csv"),
+        "6d": ExperimentConfig(from_each_collective_state(drive2, long), ("concurrence",), "fig6d.csv"),
     }
 
 
 def figure_trajectory_runs() -> dict[str, tuple[TrajectoryRun, ...]]:
     """Every integration behind the trajectory presets, keyed by figure id."""
-    return {fig: runs for fig, (kind, runs) in _figure_presets().items() if kind != "sweep"}
+    return {fig: config.runs for fig, config in _figure_presets().items() if isinstance(config, ExperimentConfig)}
 
 
 def run_figure(figure_id: str, out_dir: str = ".") -> str:
@@ -482,8 +502,5 @@ def run_figure(figure_id: str, out_dir: str = ".") -> str:
     presets = _figure_presets()
     if fig not in presets:
         raise ValidationError(f"unknown figure id {figure_id!r}, expected one of {tuple(presets)}")
-    kind, runs = presets[fig]
-    if kind == "sweep":
-        return run_sweep(runs, out_dir)
-    header, blocks = _trajectory_table(runs, (kind,))
-    return write_csv(os.path.join(out_dir, f"fig{fig}.csv"), header, blocks)
+    config = presets[fig]
+    return (run_sweep if isinstance(config, SweepConfig) else run_experiment)(config, out_dir)

@@ -633,6 +633,30 @@ def test_a_config_error_behind_a_large_axis_is_reported_as_such(tmp_path):
     assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
 
+# As _IN_ONE_GB, but each table is written up to its first block only.
+_FIRST_BLOCK_IN_ONE_GB = _IN_ONE_GB.replace("from dissipair.cli import main\n", """import itertools
+from dissipair import experiments
+from dissipair.cli import main
+write = experiments._write_text
+experiments._write_text = lambda path, header, chunks: write(path, header, itertools.islice(chunks, 1))
+""")
+
+
+def test_a_sweep_holds_one_block_of_its_axes_at_a_time(tmp_path):
+    # The first block of a valid 3e8-value axis is written within 1 GB: a sweep no longer builds the whole axis and
+    # its records (2.24 GiB) before it, which exited 4 with "out of memory".
+    cfg = _config(tmp_path, _huge_axis(300_000_000))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dissipair.__file__)))
+    done = subprocess.run([sys.executable, "-c", _FIRST_BLOCK_IN_ONE_GB, "sweep", "--config", cfg, "--out",
+                           str(tmp_path)], env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"wrote {tmp_path / 'sweep.csv'}\n", "")
+    header, *rows = (tmp_path / "sweep.csv").read_text(encoding="ascii").splitlines()
+    firsts = experiments.AxisSpec("J", 0.0, 1.0, 300_000_000).values(0, 2048)
+    assert header == "axis1,axis2,value" and len(rows) == 4096
+    assert [row.split(",")[:2] for row in rows] == [["%.15g" % a, b] for a in firsts for b in ("0", "1")]
+
+
 # Values for the config fuzz: each key takes a plain value, or now and then an odd one.  Odd values are the edges
 # of the float range, non-finite and malformed text, and for text keys the names the parser refuses.
 _EDGES = ("0", "-0", "5e-324", "1e-300", "1e-170", "1e300", "1.7e308", "nan", "inf", "-inf", "1_0", "  0.5  ", "x")

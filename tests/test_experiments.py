@@ -23,6 +23,7 @@ from dissipair.experiments import (
     AxisSpec,
     ExperimentConfig,
     SweepConfig,
+    TrajectoryRun,
     figure_trajectory_runs,
     parse_config,
     parse_sweep_config,
@@ -48,9 +49,11 @@ def _read_table(path):
 
 def test_parse_config_isolation_preset():
     config = parse_config(ISO_TEXT)
-    assert config.model == model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi)
-    assert config.initial == "EG"
-    assert config.grid == TimeGrid(5.0, 0.002, 1)
+    (run,) = config.runs
+    assert run.label == ""
+    assert run.params == model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi)
+    assert run.initial == "EG"
+    assert run.grid == TimeGrid(5.0, 0.002, 1)
     assert config.outputs == ("populations", "concurrence", "collective")
     assert config.output_path == "trajectory.csv"
 
@@ -66,10 +69,11 @@ def test_parse_config_comments_and_drive():
         "sample_every = 10\n"
     )
     config = parse_config(text)
-    assert config.model.drive == model.Drive(target=2, amplitude=0.727)
+    (run,) = config.runs
+    assert run.params.drive == model.Drive(target=2, amplitude=0.727)
     # canonical column order regardless of how the list was written
     assert config.outputs == ("populations", "concurrence")
-    assert config.grid.sample_every == 10
+    assert run.grid.sample_every == 10
 
 
 def test_parse_config_rejects_malformed_text():
@@ -121,8 +125,9 @@ def _other_defaults():
     """Other defaults in every config dataclass, so a parser that kept a copy of its own would disagree with them."""
     grid = TimeGrid(0.2, 0.01, 2)
     with mock.patch.object(model.ModelParams.__init__, "__defaults__", (2.0, 0.5, 1.0, 0.125, None)), \
-            mock.patch.object(ExperimentConfig.__init__, "__defaults__", ("GE", grid, ("populations",), "o.csv")), \
-            mock.patch.object(ExperimentConfig, "grid", grid), \
+            mock.patch.object(TrajectoryRun.__init__, "__defaults__", ("GE", grid)), \
+            mock.patch.object(TrajectoryRun, "grid", grid), \
+            mock.patch.object(ExperimentConfig.__init__, "__defaults__", (("populations",), "o.csv")), \
             mock.patch.object(SweepConfig.__init__, "__defaults__", ("other_sweep.csv",)):
         yield
 
@@ -136,11 +141,10 @@ def test_a_parsed_config_is_the_dataclasses_of_its_keys(run_keys, sweep_keys, sw
     # default takes the grid keys given; with other defaults too.  A sweep sweeps two rates it does not set.
     sweep_keys += ["output_path"] * sweep_path
     with _other_defaults() if other else contextlib.nullcontext():
-        run = ExperimentConfig(model.ModelParams(**_given(run_keys, *_RATES)),
-                               **_given(run_keys, "initial", "outputs", "output_path"))
+        run = TrajectoryRun("", model.ModelParams(**_given(run_keys, *_RATES)), **_given(run_keys, "initial"))
         run = dataclasses.replace(run, grid=dataclasses.replace(run.grid, **_given(run_keys, "t_max", "dt",
                                                                                     "sample_every")))
-        assert parse_config(_text(run_keys)) == run
+        assert parse_config(_text(run_keys)) == ExperimentConfig((run,), **_given(run_keys, "outputs", "output_path"))
         axes = [AxisSpec(name, 0.0, 1.0, 2) for name in _RATES if name not in sweep_keys][:2]
         sweep = SweepConfig(*axes, "delta_F", model.ModelParams(**_given(sweep_keys, *_RATES)),
                             **_given(sweep_keys, "output_path"))
@@ -213,6 +217,27 @@ def test_an_axis_is_refused_exactly_when_its_values_would_not_be_finite(bounds, 
         assert finite
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bounds=_AXIS_BOUNDS, count=st.integers(2, 300), first=st.integers(-310, 310),
+       stop=st.none() | st.integers(-310, 310))
+@example(bounds=(0.0, 5e-324), count=3, first=0, stop=None)
+@example(bounds=(0.0, 5e-324), count=7, first=2, stop=None)
+@example(bounds=(-1e-320, 0.0), count=3, first=1, stop=3)
+@example(bounds=(1.0, 1.0 + 1e-320), count=7, first=0, stop=-1)
+@example(bounds=(-_MAX, 0.0), count=7, first=-3, stop=None)
+def test_an_axis_slice_is_its_linspace_slice_bit_for_bit(bounds, count, first, stop):
+    # A sweep block takes its values without the rest of the axis; they are linspace's, subnormal steps of 0 too, and
+    # come without linspace's overflow warning where its last product overflows before `hi` replaces it.
+    try:
+        axis = AxisSpec("J", *bounds, count)
+    except ValidationError:
+        return
+    with np.errstate(over="ignore"):
+        whole = np.linspace(axis.lo, axis.hi, count)
+    assert axis.values(first, stop).view(np.int64).tolist() == whole[first:stop].view(np.int64).tolist()
+    assert axis.values().view(np.int64).tolist() == whole.view(np.int64).tolist()
+
+
 def test_sweep_observables_are_listed_in_table_order():
     assert list(experiments.SWEEP_OBSERVABLES) == ["delta_F", "steady_concurrence"]
     message = "^observable must be one of \\('delta_F', 'steady_concurrence'\\), got 'purity'$"
@@ -225,9 +250,12 @@ def _sweep(out, axis1=("Gamma", 0.0, 4.0, 3), axis2=("phi", 0.0, math.pi, 3), ob
                        os.path.join(out, name) if name else "")
 
 
-def _experiment(out, initial="EG", outputs=("populations",), name="t.csv"):
-    return ExperimentConfig(model.ModelParams(J=1.0), initial, TimeGrid(0.1, 0.002), outputs,
-                            os.path.join(out, name) if name else "")
+def _run(label="", initial="EG", grid=TimeGrid(0.1, 0.002)):
+    return TrajectoryRun(label, model.ModelParams(J=1.0), initial, grid)
+
+
+def _experiment(out, runs=(_run(),), outputs=("populations",), name="t.csv"):
+    return ExperimentConfig(runs, outputs, os.path.join(out, name) if name else "")
 
 
 @pytest.mark.parametrize("build", [
@@ -243,11 +271,15 @@ def _experiment(out, initial="EG", outputs=("populations",), name="t.csv"):
     lambda out: _sweep(out, name=""),
     lambda out: _experiment(out, outputs=("nonsense",)),
     lambda out: _experiment(out, outputs=()),
-    lambda out: _experiment(out, initial="XY"),
+    lambda out: _run(initial="XY"),
     lambda out: _experiment(out, name=""),
+    lambda out: _sweep(out, axis2=("drive_amplitude", 0.0, 1.0, 3)),
+    lambda out: _experiment(out, runs=(_run("a"), _run("b", grid=TimeGrid(5.0, 0.01, 3)))),
+    lambda out: _experiment(out, runs=()),
 ], ids=["same-axis-twice", "unknown-observable", "count-negative", "count-one", "count-fractional",
         "bounds-reversed", "bound-infinite", "spacing-overflows", "Gamma-negative", "sweep-no-path",
-        "unknown-output", "no-outputs", "unknown-initial", "trajectory-no-path"])
+        "unknown-output", "no-outputs", "unknown-initial", "trajectory-no-path", "drive-axis-undriven",
+        "runs-on-two-grids", "no-runs"])
 def test_configs_built_in_python_are_refused(tmp_path, build):
     # The dataclasses own every value rule, so a config built in Python is refused like the same config as text.
     with pytest.raises(ValidationError):
@@ -444,8 +476,8 @@ def test_write_csv_failed_replace_keeps_old_file(tmp_path, monkeypatch):
 
 
 def _short_table(tmp_path, outputs):
-    config = ExperimentConfig(model=model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi), initial="EG",
-                              grid=TimeGrid(0.1, 0.002), outputs=outputs, output_path="short.csv")
+    run = TrajectoryRun("", model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi), "EG", TimeGrid(0.1, 0.002))
+    config = ExperimentConfig((run,), outputs, "short.csv")
     return _read_table(run_experiment(config, str(tmp_path)))
 
 
@@ -472,7 +504,7 @@ DRIVE1 = model.ModelParams(J=1.0, Gamma=2.0, phi=1.5 * math.pi, drive=model.Driv
 def test_trajectory_table_columns_are_the_public_observables():
     # The table reads populations off the coordinates; the public functions read the same states.
     grid = TimeGrid(1.0, 0.002, 3)
-    run = experiments.TrajectoryRun("", DRIVE1, "EG", grid)
+    run = TrajectoryRun("", DRIVE1, "EG", grid)
     header, blocks = experiments._trajectory_table((run,), OUTPUT_KINDS)
     traj = evolve_rk4(initial_state("EG"), liouvillian_from_params(DRIVE1), grid)
     states = traj.states
@@ -484,11 +516,11 @@ def test_trajectory_table_columns_are_the_public_observables():
 
 
 # 35 003 steps stored every 7th: 5 000 uniform samples in 72 block starts of 70, two blocks, then a 3-step tail.
-LONG_STRIDED = ExperimentConfig(model=DRIVE1, initial="GG", grid=TimeGrid(70.006, 0.002, 7), outputs=OUTPUT_KINDS,
-                                output_path="strided.csv")
+LONG_STRIDED = ExperimentConfig((TrajectoryRun("", DRIVE1, "GG", TimeGrid(70.006, 0.002, 7)),), OUTPUT_KINDS,
+                                "strided.csv")
 # 4 095 samples: 65 block starts of 63, one block by default; smaller blocks leave a lone last start.
-ONE_BLOCK = ExperimentConfig(model=DRIVE1, initial="EG", grid=TimeGrid(8.19, 0.002), outputs=("populations",),
-                             output_path="one_block.csv")
+ONE_BLOCK = ExperimentConfig((TrajectoryRun("", DRIVE1, "EG", TimeGrid(8.19, 0.002)),), ("populations",),
+                             "one_block.csv")
 
 
 def _write_block_cases(out):
@@ -498,8 +530,9 @@ def _write_block_cases(out):
 
 
 def _block_lengths(config):
-    blocks = dynamics._rk4_blocks(initial_state(config.initial)[None], liouvillian_from_params(config.model)[None],
-                                  config.grid, lambda coords, _: None)
+    (run,) = config.runs
+    blocks = dynamics._rk4_blocks(initial_state(run.initial)[None], liouvillian_from_params(run.params)[None],
+                                  run.grid, lambda coords, _: None)
     return [len(times) for times, _ in blocks]
 
 
@@ -518,12 +551,13 @@ def test_row_blocks_leave_every_byte(tmp_path, monkeypatch, rows):
         lengths = _block_lengths(config)
         assert len(lengths) == -(-starts // width)
         assert max(lengths) <= width * m + 2
-        assert sum(lengths) == config.grid.n_samples
+        assert sum(lengths) == config.runs[0].grid.n_samples
+    grid = LONG_STRIDED.runs[0].grid
     np.testing.assert_array_equal(
         np.concatenate([times for times, _ in dynamics._rk4_blocks(initial_state("GG")[None],
-                        liouvillian_from_params(DRIVE1)[None], LONG_STRIDED.grid, lambda coords, _: None)]),
-        LONG_STRIDED.grid.sample_times())
-    assert LONG_STRIDED.grid.sample_steps()[-2:].tolist() == [35000, 35003]
+                        liouvillian_from_params(DRIVE1)[None], grid, lambda coords, _: None)]),
+        grid.sample_times())
+    assert grid.sample_steps()[-2:].tolist() == [35000, 35003]
 
 
 @pytest.mark.parametrize("rows", [64, 4096])
@@ -533,7 +567,7 @@ def test_each_run_of_a_stacked_table_is_the_run_alone(monkeypatch, rows):
     # each and a lone last start.
     monkeypatch.setattr(dynamics, "_RUN_BLOCK_ROWS", rows)
     grid = TimeGrid(20.006, 0.002, 10)
-    runs = tuple(experiments.TrajectoryRun(run.label, run.params, run.initial, grid)
+    runs = tuple(TrajectoryRun(run.label, run.params, run.initial, grid)
                  for run in figure_trajectory_runs()["6c"])
     with mock.patch.object(experiments, "_rk4_blocks", wraps=dynamics._rk4_blocks) as streams:
         header, blocks = experiments._trajectory_table(runs, OUTPUT_KINDS)
@@ -617,8 +651,7 @@ def test_a_stacked_tables_header_is_the_groups_names():
 
 def test_a_minus_state_table_prints_no_negative_zero(tmp_path):
     # MINUS's projector has zero imaginary parts; they print as 0, never -0.
-    config = ExperimentConfig(model=DRIVE1, initial="MINUS", grid=TimeGrid(0.1, 0.002), outputs=("states",),
-                              output_path="minus.csv")
+    config = ExperimentConfig((TrajectoryRun("", DRIVE1, "MINUS", TimeGrid(0.1, 0.002)),), ("states",), "minus.csv")
     cells = Path(run_experiment(config, str(tmp_path))).read_text(encoding="ascii").replace("\n", ",").split(",")
     assert "-0" not in cells
 
@@ -950,6 +983,8 @@ def _sweep_configs(draw):
     axis1 = AxisSpec(name1, *draw(st.sampled_from(_AXIS_BOUNDS[name1])), count1)
     axis2 = AxisSpec(name2, *draw(st.sampled_from(_AXIS_BOUNDS[name2])), count2)
     drive = draw(st.sampled_from([None, model.Drive(1, 0.6), model.Drive(2, 0.6)]))
+    if drive is None and "drive_amplitude" in (name1, name2):  # an undriven base refuses a drive axis
+        drive = model.Drive(1, 0.0)
     base = model.ModelParams(J=0.8, Gamma=1.5, phi=draw(st.sampled_from([0.0, math.pi, 1.5 * math.pi])), drive=drive)
     return SweepConfig(axis1, axis2, observable, base=base, output_path="sweep.csv")
 
@@ -957,7 +992,7 @@ def _sweep_configs(draw):
 # Undriven and at phi = 0, pi and 2 pi, the zero-amplitude row keeps dark states: degenerate cells.
 _DEGENERATE_SWEEP = SweepConfig(
     AxisSpec("drive_amplitude", 0.0, 1.0, 3), AxisSpec("phi", 0.0, 2.0 * math.pi, 513), "steady_concurrence",
-    base=model.ModelParams(J=0.8, Gamma=1.5),
+    base=model.ModelParams(J=0.8, Gamma=1.5, drive=model.Drive(1, 0.0)),
 )
 
 
