@@ -68,6 +68,8 @@ DEGENERATE_SENTINEL = -1.0
 _CSV_PIECE_CELLS = 4096
 # Cells per steady_concurrence sweep block, whole axis1 rows or pieces of one: about 4 MB of its generators.
 _SWEEP_BLOCK_CELLS = 1024
+# axis2 values whose records a sweep keeps for every piece of a row, 2.5 MB: a longer row formats each piece per block.
+_SWEEP_KEPT_VALUES = 1 << 16
 
 ISOLATION_PHASE = 1.5 * math.pi
 PRESET_GAMMA = 2.0
@@ -96,7 +98,8 @@ class TrajectoryRun:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A trajectory table: its runs, on one grid, and its output groups in table order (of OUTPUT_KINDS), each once."""
+    """A trajectory table: its runs, on one grid and each with its own label, and its output groups in table order (of
+    OUTPUT_KINDS), each once."""
 
     runs: tuple[TrajectoryRun, ...]
     outputs: tuple[str, ...] = ("populations", "concurrence", "collective")
@@ -105,6 +108,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(set(grids := [run.grid for run in self.runs])) != 1:
             raise ValidationError(f"a trajectory table needs one or more runs, all on one grid, got grids {grids}")
+        if len(set(labels := [run.label for run in self.runs])) != len(labels):  # its columns would repeat names
+            raise ValidationError(f"the runs of a trajectory table need distinct labels, got {labels}")
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
                 raise ValidationError(f"outputs entry {kind!r} not in {OUTPUT_KINDS}")
@@ -408,16 +413,18 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     header = ["axis1", "axis2", "value", *extra]
     rows, cols = max(1, budget // config.axis2.count), min(config.axis2.count, budget)
 
-    def column(axis, length):
+    def column(axis, length, kept):
         """The block of `axis` from index `first`, `length` values at most, and their records, kept for the last
-        `first`: whole rows format axis2 once a sweep, pieces of a row their axis1 value once a row."""
-        @functools.lru_cache(maxsize=1)
+        `kept` values of `first`: pieces of a row format their axis1 value once a row."""
+        @functools.lru_cache(maxsize=kept)
         def at(first):
             values = axis.values(first, first + length)
             return values, kernel._records(values[:, None], newline=False)
         return at
 
-    firsts, seconds = column(config.axis1, rows), column(config.axis2, cols)
+    # axis2 is formatted once a sweep, every piece of its row kept, unless the row is too long to keep.
+    pieces = -(-config.axis2.count // cols) if config.axis2.count <= _SWEEP_KEPT_VALUES else 1
+    firsts, seconds = column(config.axis1, rows, 1), column(config.axis2, cols, pieces)
 
     def chunks():
         for i, j in itertools.product(range(0, config.axis1.count, rows), range(0, config.axis2.count, cols)):

@@ -276,10 +276,11 @@ def _experiment(out, runs=(_run(),), outputs=("populations",), name="t.csv"):
     lambda out: _sweep(out, axis2=("drive_amplitude", 0.0, 1.0, 3)),
     lambda out: _experiment(out, runs=(_run("a"), _run("b", grid=TimeGrid(5.0, 0.01, 3)))),
     lambda out: _experiment(out, runs=()),
+    lambda out: _experiment(out, runs=(_run("a"), _run("a"))),
 ], ids=["same-axis-twice", "unknown-observable", "count-negative", "count-one", "count-fractional",
         "bounds-reversed", "bound-infinite", "spacing-overflows", "Gamma-negative", "sweep-no-path",
         "unknown-output", "no-outputs", "unknown-initial", "trajectory-no-path", "drive-axis-undriven",
-        "runs-on-two-grids", "no-runs"])
+        "runs-on-two-grids", "no-runs", "runs-with-one-label"])
 def test_configs_built_in_python_are_refused(tmp_path, build):
     # The dataclasses own every value rule, so a config built in Python is refused like the same config as text.
     with pytest.raises(ValidationError):
@@ -931,6 +932,20 @@ def test_run_sweep_blocks_write_the_same_bytes(tmp_path, monkeypatch, observable
     if observable == "steady_concurrence":
         # The undriven row keeps its dark states at phi = 0, pi and 2 pi.
         assert data[:, 3].tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0] + [0.0] * 18
+
+
+@pytest.mark.parametrize("kept, rows", [(9, 1), (8, 3)])
+def test_run_sweep_takes_the_pieces_of_a_row_once_unless_the_row_is_too_long(tmp_path, monkeypatch, kept, rows):
+    # Rows of nine phi values in blocks of 4, 4 and 1 cells: each axis1 value is taken once a row, and the pieces of
+    # the phi row once a sweep, unless the row holds more values than a sweep keeps.
+    firsts, values = [], AxisSpec.values
+    monkeypatch.setattr(AxisSpec, "values",
+                        lambda axis, first=0, stop=None: firsts.append((axis.name, first)) or values(axis, first, stop))
+    monkeypatch.setattr(experiments, "_SWEEP_KEPT_VALUES", kept)
+    _patch_block_cells(monkeypatch, "delta_F", 4)
+    run_sweep(_sweep(str(tmp_path), axis2=("phi", 0.0, math.pi, 9)))
+    assert [first for name, first in firsts if name == "Gamma"] == [0, 1, 2]
+    assert [first for name, first in firsts if name == "phi"] == [0, 4, 8] * rows
 
 
 def test_run_sweep_failing_in_a_later_block_keeps_the_old_file(tmp_path, monkeypatch, capsys):

@@ -30,11 +30,8 @@ negative cells, cells below 1e-4 in scientific notation, and the imaginary
 parts of the states, which no preset writes.  The stacked table writes every
 output group of the four runs of preset 6c, integrated as one stack, on a grid
 of t_max = 200.004 stored every tenth step: 10 002 rows of 157 cells in three
-row blocks, the last with a 2-step tail, through
-`run_experiment(ExperimentConfig(runs, OUTPUT_KINDS, "stacked.csv"), out)`,
-the path every CLI table takes (STACKED names the preset and the grid; a tree
-whose `ExperimentConfig` holds one run's fields takes `_trajectory_table` and
-`write_csv`, which that path calls); trees that printed
+row blocks, the last with a 2-step tail, through `experiments._trajectory_table`
+and `write_csv` (STACKED names the preset and the grid); trees that printed
 MINUS's zero imaginary parts as -0 differ from later ones in two of its cells
 at t = 0, by 0.  For each table
 the script prints "identical", or the number of changed cells, the largest
@@ -153,11 +150,8 @@ for name, (command, text) in configs.items():
 def stacked():
     grid = TimeGrid(*stacked_grid)
     runs = tuple(dataclasses.replace(run, grid=grid) for run in experiments.figure_trajectory_runs()[stacked_figure])
-    if "runs" in experiments.ExperimentConfig.__dataclass_fields__:
-        experiments.run_experiment(experiments.ExperimentConfig(runs, experiments.OUTPUT_KINDS, "stacked.csv"), out)
-    else:  # a tree whose config holds one run's fields
-        header, blocks = experiments._trajectory_table(runs, experiments.OUTPUT_KINDS)
-        experiments.write_csv(os.path.join(out, "stacked.csv"), header, blocks)
+    header, blocks = experiments._trajectory_table(runs, experiments.OUTPUT_KINDS)
+    experiments.write_csv(os.path.join(out, "stacked.csv"), header, blocks)
     return 0
 status = 0
 for name, argv in [*runs, ("stacked", None)]:
