@@ -90,7 +90,7 @@ def initial_state(name: str) -> np.ndarray:
     G to |gg>); PLUS and MINUS are the symmetric and antisymmetric
     single-excitation superpositions.
     """
-    vector = _INITIAL_VECTORS.get(str(name).strip())
+    vector = _INITIAL_VECTORS.get(str(name))
     if vector is None:
         raise ValidationError(f"unknown initial state {name!r}, expected one of {INITIAL_STATE_NAMES}")
     return np.outer(vector, vector.conj()) + 0.0  # + 0.0 turns MINUS's -0 imaginary parts into +0

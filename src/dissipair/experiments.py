@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    INITIAL_STATE_NAMES,
     MAX_SAMPLES,
     TimeGrid,
     _check_samples,
@@ -92,8 +91,7 @@ class TrajectoryRun:
     grid: TimeGrid = TimeGrid(TRANSIENT_T_MAX, PRESET_DT)
 
     def __post_init__(self):
-        if self.initial not in INITIAL_STATE_NAMES:
-            raise ValidationError(f"initial must be one of {INITIAL_STATE_NAMES}, got {self.initial!r}")
+        initial_state(self.initial)  # the names' one owner refuses an unknown one
 
 
 @dataclass(frozen=True)
@@ -295,12 +293,15 @@ def _refuse_non_finite(cells: np.ndarray) -> None:
 
 
 def _write_text(path, header, chunks) -> str:
-    """Write the header and the text `chunks` of a table to a temporary file beside `path`, which replaces it only
-    once complete; an error from `chunks` removes it and propagates.  A failed write names `path` and the reason."""
+    """Write the header and the text of the iterator `chunks` to a temporary file beside `path`, which replaces it
+    only once complete.  The first chunk is made here before the file is opened, so an error in a table's first block
+    comes before any file; an error from a later one removes the file and propagates.  A failed write names `path` and
+    the reason."""
+    first = next(chunks, "")
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="ascii", newline="") as fh:
-            fh.write(",".join(header) + "\n")
+            fh.write(",".join(header) + "\n" + first)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
@@ -357,8 +358,8 @@ def _trajectory_table(runs, outputs) -> tuple[list[str], Iterator[np.ndarray]]:
     suffixed by label if several runs) and an iterator of the table's row blocks.
 
     The runs' initial states and generators go to one `_rk4_blocks` stream on the first run's grid, which the runs
-    share; it reads each run's rows of a block into the groups' columns as it checks them.  The first block is
-    computed here, so the stream's errors come before any file is made.
+    share; it reads each run's rows of a block into the groups' columns as it checks them.  The stream is lazy: the
+    writer (`_write_text`, through `write_csv`) makes its first block before it makes any file.
     """
     groups = [_OUTPUTS[kind] for kind in outputs]
     header = ["t", *(f"{name}{joiner}{run.label}" if len(runs) > 1 else name
@@ -367,8 +368,7 @@ def _trajectory_table(runs, outputs) -> tuple[list[str], Iterator[np.ndarray]]:
                          np.array([liouvillian_from_params(run.params) for run in runs]), runs[0].grid,
                          lambda coords, checked: [column for *_, read in groups for column in read(coords, checked)])
     # `map`, not a generator expression, whose loop variable would hold a block's columns beside the stacked block.
-    tables = map(lambda block: np.column_stack([block[0], *itertools.chain.from_iterable(block[1])]), blocks)
-    return header, itertools.chain((next(tables),), tables)
+    return header, map(lambda block: np.column_stack([block[0], *itertools.chain.from_iterable(block[1])]), blocks)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str = ".") -> str:
@@ -413,29 +413,25 @@ def run_sweep(config: SweepConfig, out_dir: str = ".") -> str:
     header = ["axis1", "axis2", "value", *extra]
     rows, cols = max(1, budget // config.axis2.count), min(config.axis2.count, budget)
 
-    def column(axis, length, kept):
-        """The block of `axis` from index `first`, `length` values at most, and their records, kept for the last
-        `kept` values of `first`: pieces of a row format their axis1 value once a row."""
-        @functools.lru_cache(maxsize=kept)
-        def at(first):
-            values = axis.values(first, first + length)
-            return values, kernel._records(values[:, None], newline=False)
-        return at
-
     # axis2 is formatted once a sweep, every piece of its row kept, unless the row is too long to keep.
-    pieces = -(-config.axis2.count // cols) if config.axis2.count <= _SWEEP_KEPT_VALUES else 1
-    firsts, seconds = column(config.axis1, rows, 1), column(config.axis2, cols, pieces)
+    @functools.lru_cache(maxsize=None if config.axis2.count <= _SWEEP_KEPT_VALUES else 0)
+    def axis2_piece(first):
+        values = config.axis2.values(first, first + cols)
+        return values, kernel._records(values[:, None], newline=False)
 
     def chunks():
-        for i, j in itertools.product(range(0, config.axis1.count, rows), range(0, config.axis2.count, cols)):
-            (a, a_records), (b, b_records) = firsts(i), seconds(j)
-            cells = cells_of(config._params_at(a[:, None], b))
-            _refuse_non_finite(cells)
-            records = np.empty((len(a), len(b), len(header), 4), "<u8")
-            records[:, :, 0] = a_records[:, None]
-            records[:, :, 1] = b_records
-            records[:, :, 2:] = kernel._records(cells.reshape(-1, cells.shape[-1])).reshape(cells.shape + (4,))
-            yield kernel._text(records)
+        for i in range(0, config.axis1.count, rows):  # a block of axis1 values, formatted once for all its pieces
+            a = config.axis1.values(i, i + rows)[:, None]
+            a_records = kernel._records(a, newline=False)
+            for j in range(0, config.axis2.count, cols):
+                b, b_records = axis2_piece(j)
+                cells = cells_of(config._params_at(a, b))
+                _refuse_non_finite(cells)
+                records = np.empty((len(a), len(b), len(header), 4), "<u8")
+                records[:, :, 0] = a_records[:, None]
+                records[:, :, 1] = b_records
+                records[:, :, 2:] = kernel._records(cells.reshape(-1, cells.shape[-1])).reshape(cells.shape + (4,))
+                yield kernel._text(records)
 
     return _write_text(os.path.join(out_dir, config.output_path), header, chunks())
 

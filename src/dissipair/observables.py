@@ -67,7 +67,7 @@ def _checked_coordinates(rho) -> tuple[np.ndarray, tuple]:
 
 
 def _per_state(x):
-    """A float for one state, the array itself for a stack."""
+    """A float for one state (or one scalar input), the array itself for a stack."""
     return float(x) if np.ndim(x) == 0 else x
 
 
@@ -205,6 +205,4 @@ def damping_forces(J, Gamma, phi) -> IsolationReport:
     with np.errstate(over="ignore"):  # a force beyond the float range is refused just below
         f12, f21 = np.ldexp(f12, -shift), np.ldexp(f21, -shift)
     require_finite(F12=f12, F21=f21)
-    if delta.ndim == 0:
-        return IsolationReport(F12=float(f12), F21=float(f21), delta_F=float(delta))
-    return IsolationReport(F12=f12, F21=f21, delta_F=delta)
+    return IsolationReport(F12=_per_state(f12), F21=_per_state(f21), delta_F=_per_state(delta))

@@ -564,6 +564,30 @@ def test_an_overflowing_step_bound_prints_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == "numerical error: dt * ||R||_inf is inf: the generator is not finite\n"
 
 
+# A steady_concurrence sweep whose first block fails: with Gamma = 1e308, every J from 1e308 overflows its generator.
+NON_FINITE_SWEEP = ("Gamma = 1e308\nobservable = steady_concurrence\naxis1_name = J\naxis1_min = 1e308\n"
+                    "axis1_max = 1.7e308\naxis1_count = 3\naxis2_name = phi\naxis2_min = 0\n"
+                    "axis2_max = 6.283185307179586\naxis2_count = 3\n")
+
+
+@pytest.mark.parametrize("command, text, reason", [
+    ("evolve", OVERFLOWING_BOUND, "dt * ||R||_inf is inf: the generator is not finite"),
+    ("sweep", NON_FINITE_SWEEP, "the generator is not finite"),
+], ids=["evolve", "sweep"])
+def test_a_failing_first_block_comes_before_a_missing_out_directory(tmp_path, capsys, monkeypatch, command, text,
+                                                                    reason):
+    # Every table makes its first block before its file, so this double fault exits 3 from both commands; a sweep
+    # once opened its file first and exited 4 on the missing directory.
+    opened = []
+    monkeypatch.setattr(experiments, "open", lambda file, *args, **kw: opened.append(file) or open(file, *args, **kw),
+                        raising=False)
+    cfg = _config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "missing")]) == 3
+    assert capsys.readouterr().err == f"numerical error: {reason}\n"
+    assert opened == []
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 # A stride far beyond the last step, and few samples of more steps than int64 holds: the int64 product of sample
 # index and stride once ended both in a traceback.  Then sweep axis counts above what np.linspace allocates, what an
 # index names, and what memory holds.

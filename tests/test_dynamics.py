@@ -166,9 +166,12 @@ def test_initial_state_names_are_in_table_order():
     with pytest.raises(ValidationError) as caught:
         initial_state("XX")
     assert str(caught.value) == message
+    # A name is read as given: a run's `initial` names its state exactly, and the config parser strips its values.
+    with pytest.raises(ValidationError, match="^unknown initial state ' EG ', expected one of"):
+        initial_state(" EG ")
     # Each call returns a fresh projector: changing one leaves the next call's alone.
     for name in INITIAL_STATE_NAMES:
-        rho, first = initial_state(f" {name} "), initial_state(name).copy()
+        rho, first = initial_state(name), initial_state(name).copy()
         np.testing.assert_array_equal(rho, first)
         rho[:] = 7.0
         np.testing.assert_array_equal(initial_state(name), first)

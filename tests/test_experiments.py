@@ -272,6 +272,7 @@ def _experiment(out, runs=(_run(),), outputs=("populations",), name="t.csv"):
     lambda out: _experiment(out, outputs=("nonsense",)),
     lambda out: _experiment(out, outputs=()),
     lambda out: _run(initial="XY"),
+    lambda out: _run(initial=" EG "),
     lambda out: _experiment(out, name=""),
     lambda out: _sweep(out, axis2=("drive_amplitude", 0.0, 1.0, 3)),
     lambda out: _experiment(out, runs=(_run("a"), _run("b", grid=TimeGrid(5.0, 0.01, 3)))),
@@ -279,8 +280,8 @@ def _experiment(out, runs=(_run(),), outputs=("populations",), name="t.csv"):
     lambda out: _experiment(out, runs=(_run("a"), _run("a"))),
 ], ids=["same-axis-twice", "unknown-observable", "count-negative", "count-one", "count-fractional",
         "bounds-reversed", "bound-infinite", "spacing-overflows", "Gamma-negative", "sweep-no-path",
-        "unknown-output", "no-outputs", "unknown-initial", "trajectory-no-path", "drive-axis-undriven",
-        "runs-on-two-grids", "no-runs", "runs-with-one-label"])
+        "unknown-output", "no-outputs", "unknown-initial", "padded-initial", "trajectory-no-path",
+        "drive-axis-undriven", "runs-on-two-grids", "no-runs", "runs-with-one-label"])
 def test_configs_built_in_python_are_refused(tmp_path, build):
     # The dataclasses own every value rule, so a config built in Python is refused like the same config as text.
     with pytest.raises(ValidationError):
@@ -946,6 +947,26 @@ def test_run_sweep_takes_the_pieces_of_a_row_once_unless_the_row_is_too_long(tmp
     run_sweep(_sweep(str(tmp_path), axis2=("phi", 0.0, math.pi, 9)))
     assert [first for name, first in firsts if name == "Gamma"] == [0, 1, 2]
     assert [first for name, first in firsts if name == "phi"] == [0, 4, 8] * rows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(observable=st.sampled_from(["delta_F", "steady_concurrence"]), count1=st.integers(2, 24),
+       count2=st.integers(2, 24), budget=st.integers(1, 48), keeps_the_row=st.booleans())
+def test_run_sweep_bytes_do_not_depend_on_the_block_plan(tmp_path, observable, count1, count2, budget, keeps_the_row):
+    # Blocks of whole rows or of pieces of one, the last block short or not, axis2's pieces kept for the sweep or
+    # formatted in each block: every plan writes the bytes of the one block the unpatched budget makes of the grid.
+    config = SweepConfig(
+        AxisSpec("drive_amplitude" if observable == "steady_concurrence" else "Gamma", 0.0, 2.0, count1),
+        AxisSpec("phi", 0.0, 2.0 * math.pi, count2), observable,
+        base=model.ModelParams(J=1.0, Gamma=2.0, drive=model.Drive(target=1, amplitude=0.5)),
+    )
+    one = Path(run_sweep(dataclasses.replace(config, output_path="one.csv"), str(tmp_path)))
+    with pytest.MonkeyPatch.context() as patch:
+        _patch_block_cells(patch, observable, budget)
+        patch.setattr(experiments, "_SWEEP_KEPT_VALUES", count2 if keeps_the_row else count2 - 1)
+        planned = Path(run_sweep(dataclasses.replace(config, output_path="planned.csv"), str(tmp_path)))
+    assert planned.read_bytes() == one.read_bytes()
 
 
 def test_run_sweep_failing_in_a_later_block_keeps_the_old_file(tmp_path, monkeypatch, capsys):

@@ -40,7 +40,7 @@ column, and its old and new text), and the columns the changed cells sit in,
 and then the wall time of its write in each tree, old -> new, in ms, the minor page faults the write took in
 each (`resource.getrusage` of the tree's process around the call), and the process's peak RSS (`ru_maxrss`, in MB)
 once the write is done.  The peak only rises from write to write, so it reads one write's own peak only where that
-is the highest so far; the stacked table is written last.  Each tree then runs the command lines of
+is the highest so far; the stacked table is written last.  Each tree then runs the 18 command lines of
 CALLS, one `python -m dissipair` process each, in a working directory of its
 own so that the relative paths in messages read the same: `steady` on the 4a
 drive (qubit 1), on the 4b drive (qubit 2), on the degenerate undriven phi = pi
@@ -57,7 +57,11 @@ numpy's traceback (exit 1) instead of exit 2, row sums that overflow the step
 bound, where older trees printed numpy's overflow warning before the exit-3
 message, 1e20 steps stored every 1e19th, more steps than int64 holds, and a
 sweep axis of 1e20 values, both of which trees without the step and axis
-ceilings ended with a traceback (exit 1) instead of exit 2).  Their stdout,
+ceilings ended with a traceback (exit 1) instead of exit 2), and a
+`steady_concurrence` sweep whose first block overflows its generator (J from
+1e308 with Gamma = 1e308) into an --out directory that does not exist: it
+exits 3 with the numerical error, where trees that made a sweep's file before
+its first block exit 4 with the io error.  Their stdout,
 stderr and exit code must match byte for byte, but for the random 16-hex-digit token of a temporary file's name, which
 older trees print in the message of a failed write; the script prints "same
 text" or what differs.  Each time is one `dissipair figure <id>`,
@@ -132,6 +136,10 @@ CALLS = {
     "huge_axis_count": (["sweep", "--config", "call.cfg", "--out", "out"],
                         "observable = delta_F\naxis1_name = J\naxis1_min = 0\naxis1_max = 1\n"
                         "axis1_count = 100000000000000000000\n" + _PHI_AXIS + "axis2_count = 2\n"),
+    "sweep_numeric_and_unwritable": (["sweep", "--config", "call.cfg", "--out", "missing"],
+                                     "Gamma = 1e308\nobservable = steady_concurrence\naxis1_name = J\n"
+                                     "axis1_min = 1e308\naxis1_max = 1.7e308\naxis1_count = 3\n" + _PHI_AXIS
+                                     + "axis2_count = 3\n"),
 }
 _TOKEN = re.compile(r"\.[0-9a-f]{16}\.tmp")
 _TIMED = "ms"
